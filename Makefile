@@ -27,19 +27,21 @@ test:
 # store-level knn paths (concurrent searches against copy-on-write
 # swaps). The dirserver package includes the cross-process trace-merge
 # chaos tests (trace_chaos_test.go), so the merged-tree conservation
-# invariant runs under the race detector here. The copy-on-write B-tree
-# (concurrent readers of a shared immutable tree during fork mutation)
-# rides along. CI additionally runs `go test -race ./...` over the
-# whole module.
+# invariant runs under the race detector here. The store package also
+# carries the overlay generation test: readers of each published store
+# against a chain of Fork()+ApplyOps generations mutating its children;
+# the B+tree those trees are made of rides along. CI additionally runs
+# `go test -race ./...` over the whole module.
 race:
-	$(GO) test -race ./internal/dirserver/ ./internal/faultnet/ ./internal/core/ ./internal/pager/ ./internal/obs/ ./internal/engine/ ./internal/extsort/ ./internal/durable/ ./internal/faultfs/ ./internal/vindex/ ./internal/store/ ./internal/qstats/ ./internal/planner/ ./internal/cowtree/
+	$(GO) test -race ./internal/dirserver/ ./internal/faultnet/ ./internal/core/ ./internal/pager/ ./internal/obs/ ./internal/engine/ ./internal/extsort/ ./internal/durable/ ./internal/faultfs/ ./internal/vindex/ ./internal/store/ ./internal/qstats/ ./internal/planner/ ./internal/btree/
 
 # Short-budget fuzzing of the parser/matcher surfaces that each carry a
 # differential oracle: the wildcard matcher vs a reference matcher and
 # a regexp, the filter parser's print/parse fixpoint, the query
 # canonicalizer's cache-key invariance, the durable-store decode
-# paths (checksum envelopes, the manifest, and the full snapshot open
-# path must never panic or overallocate on hostile bytes), and the
+# paths (checksum envelopes, the manifest, the full snapshot open path
+# and the B+tree page decoder must never panic or overallocate on
+# hostile bytes; an accepted page re-encodes to a fixpoint), and the
 # LDIF binary-vector round trip (base64 wire form and textual form
 # must both be bit-lossless). CI runs this on every push; longer local
 # runs just raise FUZZTIME.
@@ -51,7 +53,7 @@ fuzz:
 	$(GO) test ./internal/durable/ -run=^$$ -fuzz=FuzzOpenEnvelope -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/durable/ -run=^$$ -fuzz=FuzzManifest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=FuzzOpenSnapshot -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/cowtree/ -run=^$$ -fuzz=FuzzNodeRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/btree/ -run=^$$ -fuzz=FuzzDecodeNode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ldif/ -run=^$$ -fuzz=FuzzVectorRoundTrip -fuzztime=$(FUZZTIME)
 
 # The kill -9 soak: a child dirserve under a live write stream is

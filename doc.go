@@ -15,7 +15,7 @@
 //	internal/plist      paged record lists, spillable stack, merging
 //	internal/extsort    external merge sort
 //	internal/btree      page-based B+tree indexes
-//	internal/strindex   trie and suffix-array string indexes
+//	internal/strindex   suffix-array string indexes
 //	internal/store      the disk-resident instance + atomic evaluation
 //	internal/engine     the paper's algorithms (Figs 2-6) + naive baselines
 //	internal/core       the public Directory facade (search, explain,

@@ -126,7 +126,7 @@ func E24DeltaCheckpoint(sizes []int) *Table {
 		os.RemoveAll(tmp)
 	}
 	t.Notes = append(t.Notes,
-		"fast path: UpdateEntries forks the page device copy-on-write and rewrites the B-tree root-to-leaf paths the entry touches",
+		"fast path: UpdateEntries forks the page device copy-on-write and edits in place the B-tree leaves the entry lands in",
 		"delta checkpoint carries only the dirtied pages against the previous retained generation (core snapshot delta format, DESIGN.md §15)",
 		"self-check: shrink >= 10x enforced, and the full+delta chain is recovered from disk with answers compared to the live directory")
 	return t

@@ -6,7 +6,10 @@
 // distinguishedName filters"; this package provides those indexes. The
 // directory store builds one tree over reverse-DN keys (making the sub
 // scope a single contiguous range scan) and one over composite
-// (attribute, value, reverse-DN) keys for attribute filters.
+// (attribute, value, reverse-DN) keys for attribute filters, and keeps
+// entry-level updates in a third, the overlay. It is the repository's
+// only tree: a new store generation gets copy-on-write by opening the
+// same trees over a pager.Disk.Fork of its parent's disk.
 //
 // Interior pages are cached in a pinning buffer pool so repeated
 // traversals cost I/O only at the leaf level; all page traffic is
@@ -34,6 +37,9 @@ type Tree struct {
 var (
 	ErrNotFound = errors.New("btree: key not found")
 	ErrTooBig   = errors.New("btree: key/value exceeds page capacity")
+	// ErrCorrupt marks a page image that does not decode as a tree node:
+	// a key, value or child pointer that runs past the end of the page.
+	ErrCorrupt = errors.New("btree: corrupt page")
 )
 
 // New creates an empty tree on disk using a pool of the given capacity
@@ -142,42 +148,70 @@ func (nd *node) encode(page []byte) {
 	}
 }
 
+// decodeNode parses a page image. Pages reach it from snapshot and
+// checkpoint files as well as from the tree's own writes, so every
+// length is checked against the page before it is used: a malformed
+// page is ErrCorrupt, never a panic or an allocation past the page size.
+//
+// The node outlives the pin on the frame it was read from, so it cannot
+// point into the page: its keys and values are views of one private
+// copy of the page's used bytes. One allocation per page, not one per
+// key, because every read decodes a root-to-leaf path and allocation
+// and collection are the larger part of what a point query costs.
 func decodeNode(page []byte) (*node, error) {
-	nd := &node{leaf: page[0] == 1}
+	if len(page) < 7 {
+		return nil, fmt.Errorf("%w: %d-byte page", ErrCorrupt, len(page))
+	}
+	leaf := page[0] == 1
 	n := int(binary.LittleEndian.Uint16(page[1:]))
-	first := pager.PageID(binary.LittleEndian.Uint32(page[3:]))
-	if nd.leaf {
+	end, ok := 7, false
+	for i := 0; i < n; i++ {
+		if _, end, ok = lenPrefixed(page, end); !ok {
+			return nil, fmt.Errorf("%w (key %d)", ErrCorrupt, i)
+		}
+		if leaf {
+			if _, end, ok = lenPrefixed(page, end); !ok {
+				return nil, fmt.Errorf("%w (val %d)", ErrCorrupt, i)
+			}
+		} else if end += 4; end > len(page) {
+			return nil, fmt.Errorf("%w (child %d)", ErrCorrupt, i+1)
+		}
+	}
+
+	buf := bytes.Clone(page[:end])
+	nd := &node{leaf: leaf, keys: make([][]byte, n)}
+	first := pager.PageID(binary.LittleEndian.Uint32(buf[3:]))
+	if leaf {
 		nd.next = first
+		nd.vals = make([][]byte, n)
 	} else {
-		nd.children = append(nd.children, first)
+		nd.children = make([]pager.PageID, 1, n+1)
+		nd.children[0] = first
 	}
 	off := 7
-	for i := 0; i < n; i++ {
-		klen, m := binary.Uvarint(page[off:])
-		if m <= 0 {
-			return nil, fmt.Errorf("btree: corrupt page (key %d)", i)
-		}
-		off += m
-		key := make([]byte, klen)
-		copy(key, page[off:off+int(klen)])
-		off += int(klen)
-		nd.keys = append(nd.keys, key)
-		if nd.leaf {
-			vlen, m := binary.Uvarint(page[off:])
-			if m <= 0 {
-				return nil, fmt.Errorf("btree: corrupt page (val %d)", i)
-			}
-			off += m
-			val := make([]byte, vlen)
-			copy(val, page[off:off+int(vlen)])
-			off += int(vlen)
-			nd.vals = append(nd.vals, val)
+	for i := range nd.keys {
+		nd.keys[i], off, _ = lenPrefixed(buf, off)
+		if leaf {
+			nd.vals[i], off, _ = lenPrefixed(buf, off)
 		} else {
-			nd.children = append(nd.children, pager.PageID(binary.LittleEndian.Uint32(page[off:])))
+			nd.children = append(nd.children, pager.PageID(binary.LittleEndian.Uint32(buf[off:])))
 			off += 4
 		}
 	}
 	return nd, nil
+}
+
+// lenPrefixed returns the byte string at page[off:] (a uvarint length,
+// then that many bytes) as a view of page, and the offset just past it;
+// ok is false if the string runs past the end of the page.
+func lenPrefixed(page []byte, off int) (b []byte, next int, ok bool) {
+	n, m := binary.Uvarint(page[off:])
+	if m <= 0 || n > uint64(len(page)-off-m) {
+		return nil, 0, false
+	}
+	off += m
+	next = off + int(n)
+	return page[off:next:next], next, true
 }
 
 func (t *Tree) load(id pager.PageID) (*node, error) {
@@ -441,35 +475,82 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 
 // ScanMetered is Scan with per-query I/O attribution (see GetMetered).
 func (t *Tree) ScanMetered(lo, hi []byte, m *pager.Meter, fn func(key, value []byte) bool) error {
+	it := t.Seek(lo, m)
+	for ; it.Valid(); it.Next() {
+		if hi != nil && bytes.Compare(it.Key(), hi) >= 0 {
+			break
+		}
+		if !fn(it.Key(), it.Val()) {
+			break
+		}
+	}
+	return it.Err()
+}
+
+// Iter is a pull iterator over the tree's keys in ascending order: the
+// one leaf walk, which ScanMetered drives with a callback and the
+// store's merged scans pull from beside a second stream. Keys and
+// values are read-only views of the iterator's copy of a leaf; they stay
+// valid after Next. The zero Iter is an exhausted iterator.
+type Iter struct {
+	t   *Tree
+	m   *pager.Meter
+	nd  *node // current leaf; nil at the end of the tree or after an error
+	i   int
+	err error
+}
+
+// Seek positions an iterator at the first key >= lo. Pool misses on the
+// descent and on every later leaf step are charged to m (nil =
+// uncharged). Safe for concurrent readers, like GetMetered.
+func (t *Tree) Seek(lo []byte, m *pager.Meter) Iter {
+	it := Iter{t: t, m: m}
 	id := t.root
 	for {
 		nd, err := t.loadMetered(id, m)
 		if err != nil {
-			return err
+			it.err = err
+			return it
 		}
 		if nd.leaf {
-			i, _ := nd.leafIndex(lo)
-			for {
-				for ; i < len(nd.keys); i++ {
-					if hi != nil && bytes.Compare(nd.keys[i], hi) >= 0 {
-						return nil
-					}
-					if !fn(nd.keys[i], nd.vals[i]) {
-						return nil
-					}
-				}
-				if nd.next == 0 {
-					return nil
-				}
-				nd, err = t.loadMetered(nd.next, m)
-				if err != nil {
-					return err
-				}
-				i = 0
-			}
+			it.nd = nd
+			it.i, _ = nd.leafIndex(lo)
+			it.settle()
+			return it
 		}
 		id = nd.children[nd.childIndex(lo)]
 	}
+}
+
+// settle follows the leaf chain until the position holds a key (lazy
+// deletion can leave empty leaves behind).
+func (it *Iter) settle() {
+	for it.nd != nil && it.i >= len(it.nd.keys) {
+		next := it.nd.next
+		it.nd, it.i = nil, 0
+		if next != 0 {
+			it.nd, it.err = it.t.loadMetered(next, it.m)
+		}
+	}
+}
+
+// Valid reports whether the iterator is positioned on a key.
+func (it *Iter) Valid() bool { return it.nd != nil }
+
+// Err returns the read error that stopped the iterator, if any.
+func (it *Iter) Err() error { return it.err }
+
+// Key returns the current key; the iterator must be Valid.
+func (it *Iter) Key() []byte { return it.nd.keys[it.i] }
+
+// Val returns the current value; the iterator must be Valid.
+func (it *Iter) Val() []byte { return it.nd.vals[it.i] }
+
+// Next advances to the following key. The iterator becomes invalid at
+// the end of the tree, and stays so.
+func (it *Iter) Next() {
+	it.i++
+	it.settle()
 }
 
 // ScanPrefix scans all keys beginning with prefix.

@@ -297,3 +297,125 @@ func TestPersistsThroughPoolEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestIterMatchesScan drives the pull iterator against Scan and a
+// sorted in-memory oracle on a tree with small pages (so ranges cross
+// many leaves) and lazily deleted keys (so some leaves are sparse or
+// empty): seeks on keys, between keys, before the first and past the
+// last key must all land on the oracle's lower bound.
+func TestIterMatchesScan(t *testing.T) {
+	tr, _ := newTestTree(t, 256, 16)
+	r := rand.New(rand.NewSource(21))
+	live := map[string]string{}
+	for i := 0; i < 3000; i++ {
+		k := fmt.Sprintf("k%05d", r.Intn(4000)*2) // even: odd probes fall between keys
+		if r.Intn(4) == 0 {
+			if err := tr.Delete([]byte(k)); err == nil {
+				delete(live, k)
+			} else if !errors.Is(err, ErrNotFound) {
+				t.Fatal(err)
+			}
+			continue
+		}
+		v := fmt.Sprint("v", i)
+		if err := tr.Insert([]byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		live[k] = v
+	}
+	// A run of deletions wide enough to empty whole leaves.
+	for i := 2000; i < 2400; i += 2 {
+		k := fmt.Sprintf("k%05d", i)
+		if _, ok := live[k]; ok {
+			if err := tr.Delete([]byte(k)); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, k)
+		}
+	}
+	keys := make([]string, 0, len(live))
+	for k := range live {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+
+	probes := []string{"", "a", "k", "k00000", "k02001", "k02399", "k07999", "k99999", "z"}
+	for i := 0; i < 300; i++ {
+		probes = append(probes, fmt.Sprintf("k%05d", r.Intn(8200)))
+	}
+	for _, lo := range probes {
+		want := keys[sort.SearchStrings(keys, lo):]
+		limit := len(want)
+		if limit > 0 {
+			limit = 1 + r.Intn(limit) // a bounded walk: early stops mid-leaf and at leaf ends
+		}
+		var scanned []string
+		if err := tr.Scan([]byte(lo), nil, func(k, v []byte) bool {
+			scanned = append(scanned, string(k)+"="+string(v))
+			return len(scanned) < limit
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var pulled []string
+		it := tr.Seek([]byte(lo), nil)
+		for ; it.Valid() && len(pulled) < limit; it.Next() {
+			pulled = append(pulled, string(it.Key())+"="+string(it.Val()))
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if limit == len(want) && limit > 0 && it.Valid() {
+			t.Fatalf("Seek(%q): iterator still valid past the last key", lo)
+		}
+		if len(pulled) != limit || len(scanned) != limit {
+			t.Fatalf("Seek(%q): iter %d, scan %d keys; want %d", lo, len(pulled), len(scanned), limit)
+		}
+		for i := range pulled {
+			if w := want[i] + "=" + live[want[i]]; pulled[i] != w || scanned[i] != w {
+				t.Fatalf("Seek(%q) item %d: iter %q, scan %q, want %q", lo, i, pulled[i], scanned[i], w)
+			}
+		}
+	}
+	// Past the end: invalid at once, and Next stays a no-op.
+	it := tr.Seek([]byte("zzz"), nil)
+	it.Next()
+	if it.Valid() || it.Err() != nil {
+		t.Fatalf("seek past the end: valid=%v err=%v", it.Valid(), it.Err())
+	}
+}
+
+// malformedLeaf is a leaf page claiming five keys whose first key
+// length (16383) runs far past the page.
+func malformedLeaf(pageSize int) []byte {
+	page := make([]byte, pageSize)
+	page[0], page[1] = 1, 5
+	page[7], page[8] = 0xff, 0x7f
+	return page
+}
+
+// TestCorruptPageIsAnError: pages come back from snapshot files, so a
+// node whose lengths overrun the page must surface as ErrCorrupt from
+// every read path instead of panicking.
+func TestCorruptPageIsAnError(t *testing.T) {
+	d := pager.NewDisk(pager.DefaultPageSize)
+	id, err := d.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(id, malformedLeaf(d.PageSize())); err != nil {
+		t.Fatal(err)
+	}
+	tr := Open(d, 8, id, 5)
+	if _, err := tr.Get([]byte("k")); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Get on a corrupt root: %v", err)
+	}
+	if err := tr.Scan(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Scan on a corrupt root: %v", err)
+	}
+	if it := tr.Seek(nil, nil); it.Valid() || !errors.Is(it.Err(), ErrCorrupt) {
+		t.Errorf("Seek on a corrupt root: valid=%v err=%v", it.Valid(), it.Err())
+	}
+	if err := tr.Insert([]byte("k"), []byte("v")); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Insert on a corrupt root: %v", err)
+	}
+}

@@ -282,10 +282,16 @@ func (d *Directory) Update(fn func(in *model.Instance) error) error {
 	if err != nil {
 		return err // build failed off-line; the old snapshot still serves
 	}
+	d.publish(snap, start)
+	return nil
+}
+
+// publish swaps snap in as the current read state (called under
+// writeMu) and records the swap and how long building it took.
+func (d *Directory) publish(snap *snapshot, start time.Time) {
 	d.rebuildNS.Store(int64(time.Since(start)))
 	d.snap.Store(snap)
 	d.swaps.Add(1)
-	return nil
 }
 
 // UpdateEntries applies a batch of entry-level adds and removes through
@@ -298,8 +304,9 @@ func (d *Directory) Update(fn func(in *model.Instance) error) error {
 // store failure — leaves the live directory untouched.
 //
 // Ops the overlay cannot represent (vector-indexed entries, records
-// larger than an overlay leaf) transparently fall back to the full
-// rebuild; the result is identical, only the write cost differs.
+// larger than a B-tree item, a third of a page) transparently fall back
+// to the full rebuild; the result is identical, only the write cost
+// differs.
 func (d *Directory) UpdateEntries(ops ...store.EntryOp) error {
 	if len(ops) == 0 {
 		return nil
@@ -326,9 +333,7 @@ func (d *Directory) UpdateEntries(ops ...store.EntryOp) error {
 			if err != nil {
 				return err
 			}
-			d.rebuildNS.Store(int64(time.Since(start)))
-			d.snap.Store(snap)
-			d.swaps.Add(1)
+			d.publish(snap, start)
 			return nil
 		}
 		return err
@@ -343,9 +348,7 @@ func (d *Directory) UpdateEntries(ops ...store.EntryOp) error {
 	if d.opts.DeltaCheckpoints {
 		d.recordLineage(snap.gen, cur.gen, fork.Dirty())
 	}
-	d.rebuildNS.Store(int64(time.Since(start)))
-	d.snap.Store(snap)
-	d.swaps.Add(1)
+	d.publish(snap, start)
 	return nil
 }
 

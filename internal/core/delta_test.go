@@ -151,37 +151,62 @@ func TestUpdateEntriesFailureAtomic(t *testing.T) {
 	}
 }
 
+// bigPerson builds an add op for a person carrying one description of
+// each given length.
+func bigPerson(t testing.TB, dir *Directory, uid string, descLens ...int) store.EntryOp {
+	t.Helper()
+	op := personOp(t, dir, uid, "big")
+	for i, n := range descLens {
+		op.Add.Add("description", model.String(strings.Repeat(string(rune('a'+i)), n)))
+	}
+	return op
+}
+
 // TestUpdateEntriesFallsBackToRebuild: an op the overlay cannot carry
 // (an oversized record) transparently degrades to the full rebuild —
-// same answer, fresh disk, no lineage recorded.
+// same answer, fresh disk, no lineage recorded. A record the overlay
+// can carry takes the fast path.
 func TestUpdateEntriesFallsBackToRebuild(t *testing.T) {
 	dir := peopleDirectory(t, 50, Options{DeltaCheckpoints: true})
-	e, err := model.NewEntryFromDN(dir.Schema(),
-		model.MustParseDN("uid=big, ou=userProfiles, dc=research, dc=att, dc=com"))
-	if err != nil {
+	linked := func(gen int64) bool {
+		dir.lineageMu.Lock()
+		defer dir.lineageMu.Unlock()
+		_, ok := dir.lineage[gen]
+		return ok
+	}
+
+	// One 1100-byte value: inside the B-tree item limit (pageSize/3 - 8 =
+	// 1357 bytes for key + record), so the overlay takes it.
+	if err := dir.UpdateEntries(bigPerson(t, dir, "fits", 1100)); err != nil {
 		t.Fatal(err)
 	}
-	e.AddClass("inetOrgPerson")
-	// Sized past the overlay's COW-tree item limit (pageSize/4 - 16)
-	// but inside the full build's btree limit (pageSize/3 - 8), so only
-	// the fast path refuses it.
-	e.Add("description", model.String(strings.Repeat("x", 1100)))
-	if err := dir.UpdateEntries(store.EntryOp{Add: e}); err != nil {
+	if res, _ := dir.Search("(dc=com ? sub ? uid=fits)"); len(res.Entries) != 1 {
+		t.Fatal("fast path lost the 1100-byte entry")
+	}
+	if dir.Generation() != 2 || dir.Disk().DirtyCount() == 0 || !linked(2) {
+		t.Fatalf("1100-byte record should take the fast path: generation %d, %d dirty pages, lineage %v",
+			dir.Generation(), dir.Disk().DirtyCount(), linked(2))
+	}
+
+	// Three 600-byte values: each fits the attribute index on its own, so
+	// the full build accepts the entry, but the record as a whole is past
+	// the item limit and only the fast path refuses it.
+	if err := dir.UpdateEntries(bigPerson(t, dir, "big", 600, 600, 600)); err != nil {
 		t.Fatal(err)
 	}
-	if dir.Generation() != 2 {
-		t.Fatalf("generation %d, want 2", dir.Generation())
+	if dir.Generation() != 3 {
+		t.Fatalf("generation %d, want 3", dir.Generation())
 	}
 	if res, _ := dir.Search("(dc=com ? sub ? uid=big)"); len(res.Entries) != 1 {
 		t.Fatal("fallback lost the oversized entry")
 	}
+	if res, _ := dir.Search("(dc=com ? sub ? uid=fits)"); len(res.Entries) != 1 {
+		t.Fatal("fallback lost an earlier overlay entry")
+	}
 	if dir.Disk().DirtyCount() != 0 {
 		t.Fatal("fallback should publish a fresh full disk, not a fork")
 	}
-	dir.lineageMu.Lock()
-	_, linked := dir.lineage[2]
-	dir.lineageMu.Unlock()
-	if linked {
+	if linked(3) {
 		t.Fatal("full rebuild must not record update lineage")
 	}
 }

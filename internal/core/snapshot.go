@@ -140,7 +140,7 @@ func assembleSnapshot(p *snapshotParts, opts Options, gen int64) (*Directory, er
 	schema, manifest, disk := p.schema, p.manifest, p.disk
 	st, err := store.Reopen(disk, schema, manifest)
 	if err != nil {
-		return nil, fmt.Errorf("%w: reopen store: %v", ErrCorruptSnapshot, err)
+		return nil, fmt.Errorf("%w: reopen store: %w", ErrCorruptSnapshot, err)
 	}
 	// Rebuild the in-memory instance from the master list so updates
 	// (mutate + rebuild) keep working after a restore.

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/model"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -122,5 +126,51 @@ func TestSnapshotUnindexedDirectory(t *testing.T) {
 	}
 	if len(res.Entries) != 1 {
 		t.Fatalf("unindexed snapshot: %v", res.DNs())
+	}
+}
+
+// TestSnapshotCorruptIndexPage: a snapshot whose sections are intact but
+// whose DN-index root page is malformed (a key length running past the
+// page) used to panic inside the B-tree decoder while the store
+// reopened. It must come back as ErrCorruptSnapshot, with the tree's
+// own error still matchable; so must a manifest that locates an overlay
+// in the removed tree's format.
+func TestSnapshotCorruptIndexPage(t *testing.T) {
+	dir, err := Open(workload.PaperInstance(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := dir.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	parts, err := decodeSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m store.Manifest
+	if err := json.Unmarshal(parts.manifest, &m); err != nil {
+		t.Fatal(err)
+	}
+
+	legacy := *parts
+	m.LegacyOverRoot = m.DNRoot
+	if legacy.manifest, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	_, err = assembleSnapshot(&legacy, Options{}, 1)
+	if !errors.Is(err, ErrCorruptSnapshot) || !errors.Is(err, store.ErrLegacyOverlay) {
+		t.Fatalf("legacy overlay manifest: %v, want ErrCorruptSnapshot wrapping ErrLegacyOverlay", err)
+	}
+
+	page := make([]byte, parts.disk.PageSize())
+	page[0], page[1] = 1, 5       // a leaf of five keys...
+	page[7], page[8] = 0xff, 0x7f // ...whose first key claims 16383 bytes
+	if err := parts.disk.Write(m.DNRoot, page); err != nil {
+		t.Fatal(err)
+	}
+	_, err = assembleSnapshot(parts, Options{}, 1)
+	if !errors.Is(err, ErrCorruptSnapshot) || !errors.Is(err, btree.ErrCorrupt) {
+		t.Fatalf("malformed DN root page: %v, want ErrCorruptSnapshot wrapping btree.ErrCorrupt", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/btree"
-	"repro/internal/cowtree"
 	"repro/internal/model"
 	"repro/internal/pager"
 	"repro/internal/plist"
@@ -14,18 +13,19 @@ import (
 	"repro/internal/vindex"
 )
 
-// The entry overlay: a copy-on-write B-tree (internal/cowtree) keyed by
-// reverse-DN key that masks the immutable master list. An entry-level
-// mutation inserts a record (adds/updates) or a tombstone (deletes)
-// into the overlay and adjusts the DN/attribute B+trees in place on a
-// forked disk — O(log N) page writes — instead of rewriting the master.
+// The entry overlay: a B+tree (internal/btree) keyed by reverse-DN key
+// that masks the immutable master list. An entry-level mutation inserts
+// a record (adds/updates) or a tombstone (deletes) into the overlay and
+// adjusts the DN/attribute B+trees, all three in place on a forked disk
+// (pager.Disk.Fork copies each page on its first write) — O(log N) page
+// writes — instead of rewriting the master.
 // Index locators distinguish the two homes: a non-negative value is a
 // master stream offset, overlayLoc marks "fetch from the overlay by
 // reverse-DN key". Scans merge the master range with the overlay range
 // (both are in reverse-DN key order; the overlay wins, tombstones
 // mask), so every access path sees one consistent logical instance.
 
-// Overlay value tags: first byte of a cowtree value.
+// Overlay value tags: first byte of an overlay tree value.
 const (
 	ovTombstone byte = 0 // key deleted from the master view
 	ovRecord    byte = 1 // encoded plist record follows
@@ -48,9 +48,6 @@ type EntryOp struct {
 	Remove model.DN
 }
 
-// overlayIO returns the cowtree callbacks over a disk.
-func overlayIO(d *pager.Disk) cowtree.PageIO { return cowtree.DiskIO(d) }
-
 // ApplyOps applies entry-level mutations incrementally: the caller
 // forks the store's disk (pager.Disk.Fork) and receives a new Store
 // over the fork sharing every untouched page with this one. On any
@@ -63,19 +60,15 @@ func (s *Store) ApplyOps(fork *pager.Disk, ops []EntryOp) (*Store, error) {
 		disk:   fork,
 		schema: s.schema,
 		master: plist.Restore(fork, s.master.PageIDs(), s.master.Size(), s.master.Count()),
-		dn:     btree.Open(fork, 64, s.dn.Root(), s.dn.Len()),
+		dn:     btree.Open(fork, poolPages, s.dn.Root(), s.dn.Len()),
 		count:  s.count,
 	}
 	if s.attr != nil {
-		ns.attr = btree.Open(fork, 64, s.attr.Root(), s.attr.Len())
+		ns.attr = btree.Open(fork, poolPages, s.attr.Root(), s.attr.Len())
 		ns.stats = s.stats.clone()
 		ns.suffix = make(map[string]*strindex.SuffixIndex, len(s.suffix))
 		for a, sx := range s.suffix {
 			ns.suffix[a] = sx
-		}
-		ns.trie = make(map[string]*strindex.Trie, len(s.trie))
-		for a, tr := range s.trie {
-			ns.trie[a] = tr
 		}
 		if len(s.vecs) > 0 {
 			ns.vecs = make(map[string]*vindex.Index, len(s.vecs))
@@ -89,12 +82,15 @@ func (s *Store) ApplyOps(fork *pager.Disk, ops []EntryOp) (*Store, error) {
 		}
 	}
 	if s.over != nil {
-		ns.over = cowtree.Open(overlayIO(fork), fork.PageSize(), s.over.Root(), s.over.Len())
+		ns.over = btree.Open(fork, poolPages, s.over.Root(), s.over.Len())
 	} else {
-		ns.over = cowtree.New(overlayIO(fork), fork.PageSize())
+		var err error
+		if ns.over, err = btree.New(fork, poolPages); err != nil {
+			return nil, err
+		}
 	}
 
-	newStr := make(map[string]map[string]bool)
+	newStr := make(stringValues)
 	for i := range ops {
 		op := &ops[i]
 		var err error
@@ -107,9 +103,7 @@ func (s *Store) ApplyOps(fork *pager.Disk, ops []EntryOp) (*Store, error) {
 			return nil, err
 		}
 	}
-	if err := ns.refreshStringIndexes(newStr); err != nil {
-		return nil, err
-	}
+	ns.indexStrings(newStr)
 	if err := ns.dn.Flush(); err != nil {
 		return nil, err
 	}
@@ -117,6 +111,9 @@ func (s *Store) ApplyOps(fork *pager.Disk, ops []EntryOp) (*Store, error) {
 		if err := ns.attr.Flush(); err != nil {
 			return nil, err
 		}
+	}
+	if err := ns.over.Flush(); err != nil {
+		return nil, err
 	}
 	return ns, nil
 }
@@ -138,7 +135,7 @@ func (s *Store) entryVectorIndexed(e *model.Entry) bool {
 	return false
 }
 
-func (s *Store) applyAdd(e *model.Entry, newStr map[string]map[string]bool) error {
+func (s *Store) applyAdd(e *model.Entry, newStr stringValues) error {
 	if s.entryVectorIndexed(e) {
 		return fmt.Errorf("%w: entry %s has vector-indexed values", ErrNeedsRebuild, e.DN())
 	}
@@ -152,7 +149,7 @@ func (s *Store) applyAdd(e *model.Entry, newStr map[string]map[string]bool) erro
 	if len(key)+len(raw) > s.over.MaxItem() {
 		return fmt.Errorf("%w: entry %s record exceeds overlay item limit", ErrNeedsRebuild, e.DN())
 	}
-	if _, err := s.over.Insert([]byte(key), raw); err != nil {
+	if err := s.over.Insert([]byte(key), raw); err != nil {
 		return err
 	}
 	if err := s.dn.Insert([]byte(key), offsetValue(overlayLoc)); err != nil {
@@ -168,12 +165,7 @@ func (s *Store) applyAdd(e *model.Entry, newStr map[string]map[string]bool) erro
 			}
 			s.stats.observeSorted(av.Attr, av.Value)
 			if av.Value.Kind() == model.KindString {
-				set := newStr[av.Attr]
-				if set == nil {
-					set = make(map[string]bool)
-					newStr[av.Attr] = set
-				}
-				set[av.Value.Str()] = true
+				newStr.add(av.Attr, av.Value.Str())
 			}
 		}
 	}
@@ -218,44 +210,10 @@ func (s *Store) applyRemove(dn model.DN) error {
 	// Always tombstone: the key may shadow a master record (including
 	// through an earlier delete+add cycle), and a tombstone over a key
 	// the master never held is skipped harmlessly by the merge.
-	if _, err := s.over.Insert([]byte(key), []byte{ovTombstone}); err != nil {
+	if err := s.over.Insert([]byte(key), []byte{ovTombstone}); err != nil {
 		return err
 	}
 	s.count--
-	return nil
-}
-
-// refreshStringIndexes rebuilds the suffix/trie indexes of attributes
-// that gained string values. Deletions leave stale values behind — an
-// over-inclusive wildcard range scans an empty posting range, which is
-// harmless; Reopen and the next full rebuild shed them.
-func (s *Store) refreshStringIndexes(newStr map[string]map[string]bool) error {
-	for attr, set := range newStr {
-		vals := make([]string, 0, len(set))
-		seen := make(map[string]bool, len(set))
-		if old := s.suffix[attr]; old != nil {
-			for _, v := range old.Values() {
-				seen[v] = true
-				vals = append(vals, v)
-			}
-		}
-		changed := false
-		for v := range set {
-			if !seen[v] {
-				vals = append(vals, v)
-				changed = true
-			}
-		}
-		if !changed {
-			continue
-		}
-		s.suffix[attr] = strindex.BuildSuffix(vals)
-		tr := strindex.NewTrie()
-		for _, v := range vals {
-			tr.Insert(v)
-		}
-		s.trie[attr] = tr
-	}
 	return nil
 }
 
@@ -264,11 +222,11 @@ func (s *Store) overlayGet(key string, m *pager.Meter) (*plist.Record, error) {
 	if s.over == nil {
 		return nil, fmt.Errorf("store: overlay record %q missing (no overlay)", key)
 	}
-	v, ok, err := s.over.Get([]byte(key), m)
-	if err != nil {
+	v, err := s.over.GetMetered([]byte(key), m)
+	if err != nil && !errors.Is(err, btree.ErrNotFound) {
 		return nil, err
 	}
-	if !ok || len(v) == 0 || v[0] != ovRecord {
+	if len(v) == 0 || v[0] != ovRecord {
 		return nil, fmt.Errorf("store: overlay record %q missing", key)
 	}
 	return plist.DecodeRecord(v[1:])
@@ -293,7 +251,7 @@ func (env *evalEnv) fetchAt(rr *plist.RandomReader, key string, off int64) (*pli
 type mergedIter struct {
 	hi       string // exclusive upper bound; "" = unbounded
 	nextBase func() (*plist.Record, int64, error)
-	ov       *cowtree.Iter
+	ov       btree.Iter // the zero Iter when there is no overlay
 
 	baseRec     *plist.Record
 	baseOff     int64
@@ -315,9 +273,9 @@ func (mi *mergedIter) Next() (*plist.Record, int64, error) {
 			}
 			mi.baseRec, mi.baseOff, mi.basePending = rec, off, true
 		}
-		ovOK := mi.ov != nil && mi.ov.Valid() && !mi.pastHi(string(mi.ov.Key()))
-		if mi.ov != nil && mi.ov.Err() != nil {
-			return nil, 0, mi.ov.Err()
+		ovOK := mi.ov.Valid() && !mi.pastHi(string(mi.ov.Key()))
+		if err := mi.ov.Err(); err != nil {
+			return nil, 0, err
 		}
 		if !ovOK {
 			if mi.baseRec == nil {
@@ -440,8 +398,9 @@ func (s *Store) forEachLiveEntry(fn func(*plist.Record) error) error {
 
 // OverlayLen reports the number of overlay keys (records plus
 // tombstones) masking the master list — 0 on a freshly built store.
-// Compaction policy (core) uses it to decide when a full rebuild is
-// worth folding the overlay back in.
+// Nothing compacts the overlay: it grows until the next full rebuild
+// (core.Update, or an UpdateEntries batch that needs one) starts again
+// from an empty one.
 func (s *Store) OverlayLen() int {
 	if s.over == nil {
 		return 0

@@ -2,12 +2,18 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/pager"
+	"repro/internal/plist"
 	"repro/internal/query"
 )
 
@@ -239,5 +245,151 @@ func TestApplyOpsTouchesFewPages(t *testing.T) {
 	}
 	if dirty*10 > total {
 		t.Errorf("single add dirtied %d of %d pages; a delta buys nothing", dirty, total)
+	}
+}
+
+// TestReopenRejectsLegacyOverlay: a manifest written before the overlay
+// moved onto internal/btree locates it with "overRoot", and those pages
+// are in another node format. Reopen must name the format and refuse,
+// not walk them as B+tree nodes; the same manifest without the overlay
+// locator still opens.
+func TestReopenRejectsLegacyOverlay(t *testing.T) {
+	in := buildTestInstance(t, 10)
+	d := pager.NewDisk(pager.DefaultPageSize)
+	st, err := Build(d, in, Options{AttrIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := st.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(man, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["poolPages"] = 64 // written by every older manifest; ignored now
+	old, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := Reopen(d, in.Schema(), old)
+	if err != nil {
+		t.Fatalf("older manifest without an overlay: %v", err)
+	}
+	if ro.Count() != st.Count() || ro.OverlayLen() != 0 {
+		t.Fatalf("older manifest reopened with count %d, overlay %d", ro.Count(), ro.OverlayLen())
+	}
+	fields["overRoot"], fields["overLen"] = 7, 3
+	if old, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Reopen(d, in.Schema(), old); !errors.Is(err, ErrLegacyOverlay) {
+		t.Fatalf("legacy overlay manifest: %v, want ErrLegacyOverlay", err)
+	}
+}
+
+// TestOverlayReadersSeeOwnGeneration: every generation of a
+// Fork()+ApplyOps chain is published to a reader that keeps scanning
+// and point-fetching its overlay while the writer forks it and mutates
+// the children. pager.Fork is the only copy-on-write mechanism under
+// the overlay tree, so each reader must keep seeing exactly the marker
+// entries of its own generation. Run under -race.
+func TestOverlayReadersSeeOwnGeneration(t *testing.T) {
+	const gens = 12
+	in := buildTestInstance(t, 40)
+	d := pager.NewDisk(pager.DefaultPageSize)
+	st, err := Build(d, in, Options{AttrIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	markerDN := func(g int) model.DN {
+		return model.MustParseDN(fmt.Sprintf("uid=m%02d, ou=userProfiles, dc=research, dc=att, dc=com", g))
+	}
+	// Generation g adds marker g and removes marker g-window, so overlays
+	// hold live records and tombstones; five ~900-byte records overflow a
+	// page, so the chain also splits the overlay's root.
+	const window = 5
+	markers := func(g int) []string {
+		var keys []string
+		for m := g; m >= 1 && m > g-window; m-- {
+			keys = append(keys, markerDN(m).Key())
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	q := query.MustParse("(ou=userProfiles, dc=research, dc=att, dc=com ? one ? surName=marker)").(*query.Atomic)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	reader := func(g int, s *Store) {
+		defer wg.Done()
+		want := fmt.Sprint(markers(g))
+		for done := false; !done; done = stop.Load() {
+			for _, path := range []string{PathScan, PathIndex} {
+				l, err := s.EvalPathArena(pager.NewArena(s.Disk()), q, path)
+				if err != nil {
+					t.Errorf("generation %d path %s: %v", g, path, err)
+					return
+				}
+				recs, err := plist.Drain(l)
+				if err != nil {
+					t.Errorf("generation %d path %s: %v", g, path, err)
+					return
+				}
+				keys := make([]string, len(recs))
+				for i, r := range recs {
+					keys[i] = r.Key
+				}
+				if got := fmt.Sprint(keys); got != want {
+					t.Errorf("generation %d path %s sees %s, want %s", g, path, got, want)
+					return
+				}
+			}
+			if _, err := s.Get(markerDN(g)); err != nil {
+				t.Errorf("generation %d lost its own marker: %v", g, err)
+				return
+			}
+			if _, err := s.Get(markerDN(g + 1)); !errors.Is(err, ErrNoEntry) {
+				t.Errorf("generation %d sees a later generation's marker: %v", g, err)
+				return
+			}
+		}
+	}
+
+	cur := st
+	var firstRoot pager.PageID
+	for g := 1; g <= gens; g++ {
+		e, err := model.NewEntryFromDN(in.Schema(), markerDN(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.AddClass("inetOrgPerson")
+		e.Add("surName", model.String("marker"))
+		e.Add("description", model.String(strings.Repeat("d", 900)))
+		ops := []EntryOp{{Add: e}}
+		if g > window {
+			ops = append(ops, EntryOp{Remove: markerDN(g - window)})
+		}
+		next, err := cur.ApplyOps(cur.Disk().Fork(), ops)
+		if err != nil {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatal(err)
+		}
+		cur = next
+		if g == 1 {
+			firstRoot = cur.over.Root()
+		}
+		wg.Add(1)
+		go reader(g, cur)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if cur.OverlayLen() != gens {
+		t.Errorf("overlay holds %d keys after %d generations", cur.OverlayLen(), gens)
+	}
+	if cur.over.Root() == firstRoot {
+		t.Error("the overlay never split: the chain did not exercise a root change")
 	}
 }

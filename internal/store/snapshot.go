@@ -2,11 +2,11 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/btree"
-	"repro/internal/cowtree"
 	"repro/internal/model"
 	"repro/internal/pager"
 	"repro/internal/plist"
@@ -15,9 +15,8 @@ import (
 )
 
 // Manifest locates the store's structures on a snapshotted disk. The
-// in-memory indexes (trie, suffix array, catalog statistics) are not
-// serialized: Reopen rebuilds them in one scan of the master list, the
-// same pass Build uses.
+// in-memory indexes (suffix arrays, catalog statistics) are not
+// serialized: Reopen rebuilds them in one scan of the live entries.
 type Manifest struct {
 	Count       int            `json:"count"`
 	MasterPages []pager.PageID `json:"masterPages"`
@@ -27,11 +26,16 @@ type Manifest struct {
 	DNLen       int            `json:"dnLen"`
 	AttrRoot    pager.PageID   `json:"attrRoot,omitempty"` // 0 when unindexed
 	AttrLen     int            `json:"attrLen,omitempty"`
-	// OverRoot/OverLen locate the COW entry overlay (internal/cowtree)
-	// masking the master list; 0 until the first incremental mutation.
-	OverRoot  pager.PageID `json:"overRoot,omitempty"`
-	OverLen   int          `json:"overLen,omitempty"`
-	PoolPages int          `json:"poolPages"`
+	// OverlayRoot/OverlayLen locate the entry overlay, an internal/btree
+	// tree masking the master list; 0 until the first incremental
+	// mutation.
+	OverlayRoot pager.PageID `json:"overlayRoot,omitempty"`
+	OverlayLen  int          `json:"overlayLen,omitempty"`
+	// LegacyOverRoot is the overlay locator of manifests written before
+	// the overlay moved onto internal/btree; it pointed at pages in the
+	// removed path-copying tree's node format. Never written; Reopen
+	// rejects a manifest that carries it (ErrLegacyOverlay).
+	LegacyOverRoot pager.PageID `json:"overRoot,omitempty"`
 	// Vecs carries one flat-vector-index manifest per vector-typed
 	// attribute (ordered by attribute name); the posting pages travel in
 	// the disk image like every other structure.
@@ -49,15 +53,14 @@ func (s *Store) Manifest() ([]byte, error) {
 		MasterCount: s.master.Count(),
 		DNRoot:      s.dn.Root(),
 		DNLen:       s.dn.Len(),
-		PoolPages:   64,
 	}
 	if s.attr != nil {
 		m.AttrRoot = s.attr.Root()
 		m.AttrLen = s.attr.Len()
 	}
-	if s.over != nil && s.over.Root() != 0 {
-		m.OverRoot = s.over.Root()
-		m.OverLen = s.over.Len()
+	if s.over != nil {
+		m.OverlayRoot = s.over.Root()
+		m.OverlayLen = s.over.Len()
 	}
 	attrs := make([]string, 0, len(s.vecs))
 	for attr := range s.vecs {
@@ -70,25 +73,32 @@ func (s *Store) Manifest() ([]byte, error) {
 	return json.Marshal(m)
 }
 
+// ErrLegacyOverlay reports a manifest whose entry overlay is in the
+// node format of the removed path-copying tree (manifest key
+// "overRoot"). Those pages do not parse as internal/btree nodes, so the
+// checkpoint is refused instead of misread; checkpoints without an
+// overlay are unaffected.
+var ErrLegacyOverlay = errors.New(`store: manifest carries a legacy "overRoot" overlay (path-copying tree node format, no longer readable)`)
+
 // Reopen attaches a Store to a snapshotted disk using its manifest,
-// rebuilding the in-memory indexes from the master list.
+// rebuilding the in-memory indexes from the live entries.
 func Reopen(disk *pager.Disk, schema *model.Schema, manifest []byte) (*Store, error) {
 	var m Manifest
 	if err := json.Unmarshal(manifest, &m); err != nil {
 		return nil, fmt.Errorf("store: bad manifest: %w", err)
 	}
-	if m.PoolPages <= 0 {
-		m.PoolPages = 64
+	if m.LegacyOverRoot != 0 {
+		return nil, ErrLegacyOverlay
 	}
 	s := &Store{
 		disk:   disk,
 		schema: schema,
 		master: plist.Restore(disk, m.MasterPages, m.MasterSize, m.MasterCount),
-		dn:     btree.Open(disk, m.PoolPages, m.DNRoot, m.DNLen),
+		dn:     btree.Open(disk, poolPages, m.DNRoot, m.DNLen),
 		count:  m.Count,
 	}
-	if m.OverRoot != 0 {
-		s.over = cowtree.Open(cowtree.DiskIO(disk), disk.PageSize(), m.OverRoot, m.OverLen)
+	if m.OverlayRoot != 0 {
+		s.over = btree.Open(disk, poolPages, m.OverlayRoot, m.OverlayLen)
 	}
 	if len(m.Vecs) > 0 {
 		s.vecs = make(map[string]*vindex.Index, len(m.Vecs))
@@ -103,12 +113,11 @@ func Reopen(disk *pager.Disk, schema *model.Schema, manifest []byte) (*Store, er
 	if m.AttrRoot == 0 {
 		return s, nil
 	}
-	s.attr = btree.Open(disk, m.PoolPages, m.AttrRoot, m.AttrLen)
+	s.attr = btree.Open(disk, poolPages, m.AttrRoot, m.AttrLen)
 	s.suffix = make(map[string]*strindex.SuffixIndex)
-	s.trie = make(map[string]*strindex.Trie)
 	s.stats = newCatalog()
 
-	strVals := make(map[string]map[string]bool)
+	strVals := make(stringValues)
 	// One pass over the live view — the master list merged with the
 	// overlay — so a reopened store's statistics match the mutated
 	// instance, not the stale master image.
@@ -116,12 +125,7 @@ func Reopen(disk *pager.Disk, schema *model.Schema, manifest []byte) (*Store, er
 		for _, av := range rec.Entry.Pairs() {
 			s.stats.observe(av.Attr, av.Value)
 			if av.Value.Kind() == model.KindString {
-				set := strVals[av.Attr]
-				if set == nil {
-					set = make(map[string]bool)
-					strVals[av.Attr] = set
-				}
-				set[av.Value.Str()] = true
+				strVals.add(av.Attr, av.Value.Str())
 			}
 		}
 		return nil
@@ -129,17 +133,6 @@ func Reopen(disk *pager.Disk, schema *model.Schema, manifest []byte) (*Store, er
 		return nil, err
 	}
 	s.stats.finish(s.master.Size(), s.master.Count())
-	for attr, set := range strVals {
-		vals := make([]string, 0, len(set))
-		for v := range set {
-			vals = append(vals, v)
-		}
-		s.suffix[attr] = strindex.BuildSuffix(vals)
-		tr := strindex.NewTrie()
-		for _, v := range vals {
-			tr.Insert(v)
-		}
-		s.trie[attr] = tr
-	}
+	s.indexStrings(strVals)
 	return s, nil
 }

@@ -11,8 +11,15 @@
 //     the sub scope is a single sequential scan;
 //   - a DN B+tree: reverse key -> master stream offset;
 //   - optionally, an attribute B+tree over composite (attr, value,
-//     reverse-key) keys, plus in-memory trie and suffix-array indexes
-//     over each string attribute's distinct values for wildcard filters.
+//     reverse-key) keys, plus an in-memory suffix-array index over each
+//     string attribute's distinct values for wildcard filters;
+//   - after the first entry-level mutation (ApplyOps), an overlay
+//     B+tree of added records and tombstones masking the master list.
+//
+// All three trees are internal/btree trees. A mutated generation opens
+// them over a pager.Disk.Fork of its parent's disk, which is the only
+// copy-on-write mechanism: the fork copies a page the first time a tree
+// writes it.
 //
 // Atomic queries evaluate to plist lists sorted by reverse-DN key, the
 // invariant every downstream operator relies on (Section 4.2).
@@ -23,7 +30,6 @@ import (
 	"fmt"
 
 	"repro/internal/btree"
-	"repro/internal/cowtree"
 	"repro/internal/model"
 	"repro/internal/pager"
 	"repro/internal/plist"
@@ -36,9 +42,10 @@ type Options struct {
 	// AttrIndex builds the attribute B+tree and the string indexes.
 	// Without it every atomic query is a scope scan.
 	AttrIndex bool
-	// PoolPages is the buffer-pool capacity for each B+tree (default 64).
-	PoolPages int
 }
+
+// poolPages is the buffer-pool capacity of each B+tree.
+const poolPages = 64
 
 // Store is a disk-resident directory instance.
 type Store struct {
@@ -48,36 +55,68 @@ type Store struct {
 	dn     *btree.Tree
 	attr   *btree.Tree // nil without AttrIndex
 	suffix map[string]*strindex.SuffixIndex
-	trie   map[string]*strindex.Trie
 	vecs   map[string]*vindex.Index // per vector attribute; nil without AttrIndex
 	stats  *catalog                 // nil without AttrIndex
-	over   *cowtree.Tree            // COW entry overlay; nil until the first incremental mutation
+	over   *btree.Tree              // entry overlay; nil until the first incremental mutation
 	count  int
+}
+
+// stringValues collects the distinct string values seen per attribute:
+// the input of the suffix-array indexes.
+type stringValues map[string]map[string]bool
+
+func (sv stringValues) add(attr, v string) {
+	set := sv[attr]
+	if set == nil {
+		set = make(map[string]bool)
+		sv[attr] = set
+	}
+	set[v] = true
+}
+
+// indexStrings brings the suffix-array indexes up to date with sv: each
+// attribute that gained a value gets a new index over the old values
+// plus the new ones. Values are never dropped here — a stale value
+// makes a wildcard scan an empty posting range, which is harmless;
+// Reopen and the next full rebuild shed them.
+func (s *Store) indexStrings(sv stringValues) {
+	for attr, set := range sv {
+		var vals []string
+		if old := s.suffix[attr]; old != nil {
+			vals = append(vals, old.Values()...)
+			for _, v := range vals {
+				delete(set, v)
+			}
+		}
+		if len(set) == 0 {
+			continue
+		}
+		for v := range set {
+			vals = append(vals, v)
+		}
+		s.suffix[attr] = strindex.BuildSuffix(vals)
+	}
 }
 
 // Build writes the instance to disk and constructs the indexes.
 func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
-	if opts.PoolPages <= 0 {
-		opts.PoolPages = 64
-	}
 	s := &Store{disk: disk, schema: in.Schema()}
 	var err error
-	if s.dn, err = btree.New(disk, opts.PoolPages); err != nil {
+	if s.dn, err = btree.New(disk, poolPages); err != nil {
 		return nil, err
 	}
 	if opts.AttrIndex {
-		if s.attr, err = btree.New(disk, opts.PoolPages); err != nil {
+		if s.attr, err = btree.New(disk, poolPages); err != nil {
 			return nil, err
 		}
 		s.suffix = make(map[string]*strindex.SuffixIndex)
-		s.trie = make(map[string]*strindex.Trie)
 		s.stats = newCatalog()
 	}
 
 	w := plist.NewWriter(disk)
-	strVals := make(map[string]map[string]bool) // attr -> distinct string values
-	vb := make(map[string]*vindex.Builder)      // attr -> vector-index builder
-	var entryVecs map[string][][]float32        // per-entry vector values, reused
+	strVals := make(stringValues)
+	vb := make(map[string]*vindex.Builder) // attr -> vector-index builder
+	var entryVecs map[string][][]float32   // per-entry vector values, reused
 	for _, e := range in.Entries() {
 		off := w.Offset()
 		if err := w.Append(plist.FromEntry(e)); err != nil {
@@ -116,12 +155,7 @@ func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
 			}
 			s.stats.observe(av.Attr, av.Value)
 			if av.Value.Kind() == model.KindString {
-				set := strVals[av.Attr]
-				if set == nil {
-					set = make(map[string]bool)
-					strVals[av.Attr] = set
-				}
-				set[av.Value.Str()] = true
+				strVals.add(av.Attr, av.Value.Str())
 			}
 		}
 		for attr, vecs := range entryVecs {
@@ -156,18 +190,7 @@ func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
 			s.vecs[attr] = ix
 		}
 		s.stats.finish(s.master.Size(), s.master.Count())
-		for attr, set := range strVals {
-			vals := make([]string, 0, len(set))
-			for v := range set {
-				vals = append(vals, v)
-			}
-			s.suffix[attr] = strindex.BuildSuffix(vals)
-			tr := strindex.NewTrie()
-			for _, v := range vals {
-				tr.Insert(v)
-			}
-			s.trie[attr] = tr
-		}
+		s.indexStrings(strVals)
 	}
 	s.count = in.Len()
 	return s, nil

@@ -9,50 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestTrieBasics(t *testing.T) {
-	tr := NewTrie()
-	words := []string{"jag", "jagadish", "jaguar", "milo", "srivastava", ""}
-	for _, w := range words {
-		tr.Insert(w)
-	}
-	tr.Insert("jag") // duplicate
-	if tr.Len() != len(words) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(words))
-	}
-	for _, w := range words {
-		if !tr.Contains(w) {
-			t.Errorf("Contains(%q) = false", w)
-		}
-	}
-	if tr.Contains("jaga") {
-		t.Error("prefix must not count as member")
-	}
-}
-
-func TestTrieWalkPrefix(t *testing.T) {
-	tr := NewTrie()
-	for _, w := range []string{"jag", "jagadish", "jaguar", "jz", "milo"} {
-		tr.Insert(w)
-	}
-	var got []string
-	tr.WalkPrefix("jag", func(s string) bool {
-		got = append(got, s)
-		return true
-	})
-	want := []string{"jag", "jagadish", "jaguar"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("WalkPrefix = %v, want %v (must be sorted)", got, want)
-	}
-	// Early termination.
-	n := 0
-	tr.WalkPrefix("", func(string) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Fatalf("early stop visited %d", n)
-	}
-	// Missing prefix.
-	tr.WalkPrefix("zzz", func(string) bool { t.Fatal("should not visit"); return true })
-}
-
 func TestSuffixContaining(t *testing.T) {
 	vals := []string{"h jagadish", "lakshmanan", "milo", "srivastava", "vista"}
 	x := BuildSuffix(vals)
@@ -132,26 +88,6 @@ func TestQuickSuffixAgainstStringsContains(t *testing.T) {
 		return fmt.Sprint(got) == fmt.Sprint(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickTrieAgainstMap(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	tr := NewTrie()
-	oracle := map[string]bool{}
-	f := func() bool {
-		w := fmt.Sprintf("%c%c%c", 'a'+r.Intn(3), 'a'+r.Intn(3), 'a'+r.Intn(3))[:1+r.Intn(3)]
-		if r.Intn(2) == 0 {
-			tr.Insert(w)
-			oracle[w] = true
-		}
-		if tr.Contains(w) != oracle[w] {
-			return false
-		}
-		return tr.Len() == len(oracle)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
 	}
 }

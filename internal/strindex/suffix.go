@@ -1,3 +1,12 @@
+// Package strindex provides the string-value index Section 4.1 of
+// "Querying Network Directories" assumes for wildcard filters: "trie and
+// suffix tree indices [23] for string filters". A SuffixIndex — a suffix
+// array, the compact modern stand-in for McCreight's suffix trees —
+// answers substring queries (patterns like *jag*), and every other
+// wildcard shape, prefix patterns like jag* included, by filtering the
+// values that contain the pattern's longest literal run. It indexes the
+// distinct values of one attribute; the directory store maps the
+// surviving values back to entries through its B+tree attribute index.
 package strindex
 
 import (

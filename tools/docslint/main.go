@@ -3,7 +3,11 @@
 //
 //   - a markdown file in the repository links to a repository-relative
 //     target that does not exist (broken intra-repo links are how
-//     ARCHITECTURE.md, DESIGN.md and README.md drift apart), or
+//     ARCHITECTURE.md, DESIGN.md and README.md drift apart),
+//   - a markdown file names, in backticks, an `internal/...` package or
+//     file that does not exist (deleting a package without fixing the
+//     prose about it; the history files ROADMAP.md, CHANGES.md and
+//     ISSUE.md are exempt), or
 //   - an exported identifier in the packages listed in docPackages is
 //     missing its doc comment (go doc output is documentation too).
 //
@@ -34,8 +38,12 @@ var docPackages = []string{
 	"internal/qstats",
 	"internal/planner",
 	"internal/store",
-	"internal/cowtree",
+	"internal/btree",
 }
+
+// historyDocs record what past changes did and may name packages that
+// are gone; the stale-package check skips them.
+var historyDocs = map[string]bool{"ROADMAP.md": true, "CHANGES.md": true, "ISSUE.md": true}
 
 // skipDirs are never scanned for markdown.
 var skipDirs = map[string]bool{".git": true, "node_modules": true}
@@ -64,9 +72,34 @@ func main() {
 // reference-style links are out of scope for this repository.
 var linkRe = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
+// pkgPathRe matches the path at the start of a backticked internal/...
+// reference: `internal/btree`, `internal/core/swap_test.go:TestX`,
+// `internal/model.DefaultSchema`.
+var pkgPathRe = regexp.MustCompile("`(internal/[A-Za-z0-9_./-]+)")
+
+// stalePackagePath reports whether a backticked internal/... reference
+// names nothing in the tree: neither an existing file or directory, nor
+// (for the pkg.Ident form) an existing package directory.
+func stalePackagePath(root, ref string) bool {
+	ref = strings.TrimRight(ref, "./")
+	exists := func(p string) bool {
+		_, err := os.Stat(filepath.Join(root, filepath.FromSlash(p)))
+		return err == nil
+	}
+	if exists(ref) {
+		return false
+	}
+	dir, last := filepath.Split(ref)
+	if i := strings.IndexByte(last, '.'); i > 0 {
+		return !exists(dir + last[:i])
+	}
+	return true
+}
+
 // checkMarkdownLinks verifies every repository-relative link target in
 // every tracked markdown file resolves to an existing file or
-// directory.
+// directory, and every backticked internal/... path outside the
+// history files names something that exists.
 func checkMarkdownLinks(root string) []string {
 	var problems []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -87,6 +120,14 @@ func checkMarkdownLinks(root string) []string {
 			return err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
+			if !historyDocs[d.Name()] {
+				for _, m := range pkgPathRe.FindAllStringSubmatch(line, -1) {
+					if stalePackagePath(root, m[1]) {
+						problems = append(problems,
+							fmt.Sprintf("%s:%d: %q names no package or file in the tree", path, i+1, m[1]))
+					}
+				}
+			}
 			for _, m := range linkRe.FindAllStringSubmatch(line, -1) {
 				target := m[1]
 				if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") || strings.HasPrefix(target, "#") {
