@@ -75,10 +75,13 @@ docs:
 # Benchmark smoke: the scoped-knn experiment runs end to end at the
 # quick preset. E22 self-checks — scoped recall != 1.0 against the
 # brute-force oracle panics the run — so this doubles as an exactness
-# gate on the vector index.
+# gate on the vector index. The write benchmark (one leaf add at 500
+# and at 2000 subscribers) runs 20 writes per size, enough to see that
+# it still runs and what it reports.
 bench-smoke:
 	$(GO) run ./cmd/dirbench -quick -only E22 >/dev/null
 	$(GO) run ./cmd/dirbench -quick -only E23 >/dev/null
+	$(GO) test -run='^$$' -bench=BenchmarkUpdateEntries -benchtime=20x .
 
 # Planner smoke: EXPLAIN under the adaptive planner must print the
 # costed rejected-alternatives block on the E15 crossover workload

@@ -10,13 +10,16 @@ package repro
 // cmd/dirbench prints the full-scale tables.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/plist"
 	"repro/internal/query"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -269,5 +272,44 @@ func BenchmarkParseQuery(b *testing.B) {
 		if _, err := query.Parse(text); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkUpdateEntries is one leaf add — a call appearance under an
+// existing subscriber's first QHP — through the copy-on-write write
+// path, at two directory sizes (4 325 and 16 955 entries). The write
+// touches one root-to-leaf path per tree and keeps no copy of the
+// directory, so allocs/op and dirty pages/op are flat in the directory
+// size. ns/op and B/op are not yet: each new CANumber is a new distinct
+// string value, and the store rebuilds that attribute's suffix array
+// over all its values (store.indexStrings).
+func BenchmarkUpdateEntries(b *testing.B) {
+	for _, subs := range []int{500, 2000} {
+		b.Run(fmt.Sprintf("tops%d", subs), func(b *testing.B) {
+			dir, err := core.Open(workload.GenTOPS(workload.TOPSConfig{Subscribers: subs, Seed: 1}), core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ops := make([]store.EntryOp, b.N)
+			for i := range ops {
+				dn := model.MustParseDN(fmt.Sprintf(
+					"CANumber=555%07d, QHPName=qhp0, uid=sub%04d, ou=userProfiles, dc=research, dc=att, dc=com", i, i%subs))
+				e, err := model.NewEntryFromDN(dir.Schema(), dn)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ops[i].Add = e.AddClass("callAppearance").Add("priority", model.Int(9))
+			}
+			dirty := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, op := range ops {
+				if err := dir.UpdateEntries(op); err != nil {
+					b.Fatal(err)
+				}
+				dirty += dir.Disk().DirtyCount()
+			}
+			b.ReportMetric(float64(dirty)/float64(b.N), "dirty-pages/op")
+		})
 	}
 }

@@ -143,10 +143,6 @@ func (b *Builder) MustAdd(dn string, classes ...string) *Builder {
 	return b
 }
 
-// Instance exposes the staged in-memory instance (e.g. for direct
-// entry manipulation before Build).
-func (b *Builder) Instance() *model.Instance { return b.inst }
-
 // Build lays the staged instance out on a fresh simulated disk and
 // returns the queryable Directory.
 func (b *Builder) Build(opts Options) (*Directory, error) {
@@ -156,46 +152,55 @@ func (b *Builder) Build(opts Options) (*Directory, error) {
 	return Open(b.inst, opts)
 }
 
-// Open builds a Directory from an existing instance.
+// Open builds a Directory from an existing instance: the entries are
+// validated and laid out on a fresh simulated disk. The Directory keeps
+// no reference to inst; the store is its only copy of the entries.
 func Open(inst *model.Instance, opts Options) (*Directory, error) {
+	st, err := buildStore(inst, opts)
+	if err != nil {
+		return nil, err
+	}
+	return newDirectory(st, opts, 1), nil
+}
+
+// newDirectory starts a Directory serving st as generation gen.
+func newDirectory(st *store.Store, opts Options, gen int64) *Directory {
 	d := &Directory{opts: opts}
 	if opts.CacheBytes > 0 {
 		d.cache = qcache.New(opts.CacheBytes)
 	}
-	snap, err := buildSnapshot(inst, opts, 1)
-	if err != nil {
-		return nil, err
-	}
-	d.snap.Store(snap)
-	return d, nil
+	d.snap.Store(newSnapshot(st, opts, gen))
+	return d
 }
 
 // Directory is a queryable network directory, safe for concurrent use
-// with lock-free reads: the whole read state — instance, store, engine,
+// with lock-free reads: the whole read state — store, engine,
 // strictness, generation — lives in one immutable snapshot behind an
-// atomic pointer. Search/Get/Explain load the pointer and evaluate on a
-// per-query scratch arena (pager.Arena), touching the shared store disk
-// only with reads, so any number of queries run concurrently without a
-// directory-level lock. Update clones the instance, applies the
-// mutation to the clone, builds a new store on a fresh disk off-line,
-// and atomically swaps the snapshot in — readers mid-flight finish
-// against the snapshot they loaded, new readers see the new generation,
-// and a failure at any point (mutation error, store build error) leaves
-// the live directory bit-for-bit untouched. See DESIGN.md §10.
+// atomic pointer, and the store is the only copy of the entries.
+// Search/Get/Explain load the pointer and evaluate on a per-query
+// scratch arena (pager.Arena), touching the shared store disk only with
+// reads, so any number of queries run concurrently without a
+// directory-level lock. The two writers build the next store beside the
+// live one — UpdateEntries on a copy-on-write fork of its disk, Update
+// by rebuilding on a fresh disk — and atomically swap the snapshot in:
+// readers mid-flight finish against the snapshot they loaded, new
+// readers see the new generation, and a failure at any point (invalid
+// entry, mutation error, store build error) leaves the live directory
+// bit-for-bit untouched. See DESIGN.md §10.
 type Directory struct {
 	// snap is the current immutable read state. Readers Load it exactly
 	// once per operation and never look back; writers Store a fully
 	// built replacement.
 	snap atomic.Pointer[snapshot]
-	// writeMu serializes writers (Update). Writers exclude only each
-	// other: a rebuild runs entirely off-line on a fresh disk, so
-	// readers proceed throughout.
+	// writeMu serializes writers (Update, UpdateEntries). Writers exclude
+	// only each other: the next store is built on a fork or a fresh
+	// disk, so readers proceed throughout.
 	writeMu sync.Mutex
 	opts    Options
 	cache   *qcache.Cache // nil unless Options.CacheBytes > 0
 
 	swaps     atomic.Int64  // completed store swaps (successful Updates)
-	rebuildNS atomic.Int64  // wall time of the last successful off-line rebuild
+	rebuildNS atomic.Int64  // wall time of the last successful write, lock to publish
 	readers   readerTracker // in-flight evaluations per generation (lag gauge)
 
 	// qstats, when set, receives every completed traced evaluation's
@@ -226,14 +231,13 @@ type lineageRec struct {
 const maxLineage = 4096
 
 // snapshot bundles the immutable per-generation read state. Once
-// published via Directory.snap it is never mutated: Update builds a
-// whole new snapshot (new instance, new disk, new store, new engine)
+// published via Directory.snap it is never mutated: a writer builds a
+// whole new snapshot (new store on a forked or fresh disk, new engine)
 // and swaps the pointer.
 type snapshot struct {
-	inst   *model.Instance
 	st     *store.Store
 	eng    *engine.Engine
-	strict bool // parent-closed forest (enables the ac/dc collapse)
+	strict bool // parent-closed forest, st.Orphans() == 0 (enables the ac/dc collapse)
 	// gen is the store generation: 1 for a freshly opened directory,
 	// +1 per successful Update. Equal generations imply identical store
 	// contents, which is what makes it a one-integer cache-invalidation
@@ -241,53 +245,56 @@ type snapshot struct {
 	gen int64
 }
 
-// buildSnapshot lays inst out on a fresh disk. The store is
-// read-optimized (contiguous master list, packed indexes), so updates
-// trade a full rebuild for scan-speed reads — the paper's directories
-// are read-mostly, populated by administrators and queried by the
-// network.
-func buildSnapshot(inst *model.Instance, opts Options, gen int64) (*snapshot, error) {
-	disk := pager.NewDisk(opts.PageSize)
-	st, err := store.Build(disk, inst, store.Options{AttrIndex: !opts.NoAttrIndex})
-	if err != nil {
-		return nil, err
-	}
-	return &snapshot{
-		inst:   inst,
-		st:     st,
-		eng:    engine.New(st, opts.Engine),
-		strict: inst.Validate(true) == nil,
-		gen:    gen,
-	}, nil
+// newSnapshot wraps a finished store as generation gen's read state.
+func newSnapshot(st *store.Store, opts Options, gen int64) *snapshot {
+	return &snapshot{st: st, eng: engine.New(st, opts.Engine), strict: st.Orphans() == 0, gen: gen}
 }
 
-// Update applies a mutation to a deep copy of the backing instance,
-// builds the new disk layout off-line, and atomically swaps it in.
+// buildStore lays inst out on a fresh disk. The store is read-optimized
+// (contiguous master list, packed indexes), so a rebuild trades a full
+// device write for scan-speed reads — the paper's directories are
+// read-mostly, populated by administrators and queried by the network.
+func buildStore(inst *model.Instance, opts Options) (*store.Store, error) {
+	return store.Build(pager.NewDisk(opts.PageSize), inst, store.Options{AttrIndex: !opts.NoAttrIndex})
+}
+
+// Update hands fn an in-memory instance of the current entries, builds
+// the mutated instance's disk layout off-line, and atomically swaps it
+// in. The instance is materialized from the live store for this call
+// (O(N), as the rebuild is) and is fn's alone.
 //
-// The call is failure-atomic: fn runs against a clone, so an error
-// (from fn or from the store build) leaves the live directory
+// The call is failure-atomic: an error (from fn, or from the store
+// build, which re-validates every entry) leaves the live directory
 // bit-for-bit untouched — same generation, same query answers, cached
 // results intact. Queries run lock-free throughout; they see either
 // the old snapshot or the new one, never a mix.
 func (d *Directory) Update(fn func(in *model.Instance) error) error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
-	cur := d.snap.Load()
-	next := cur.inst.Clone()
-	if err := fn(next); err != nil {
-		return err // clone discarded; nothing published
+	return d.rebuild(d.snap.Load(), time.Now(), fn)
+}
+
+// rebuild is the full-rebuild write (called under writeMu, taken at
+// start): cur's entries as a private instance, fn applied, a new store
+// on a fresh disk, published as the next generation.
+func (d *Directory) rebuild(cur *snapshot, start time.Time, fn func(in *model.Instance) error) error {
+	next, err := cur.st.Instance()
+	if err != nil {
+		return err
 	}
-	start := time.Now()
-	snap, err := buildSnapshot(next, d.opts, cur.gen+1)
+	if err := fn(next); err != nil {
+		return err // instance discarded; nothing published
+	}
+	st, err := buildStore(next, d.opts)
 	if err != nil {
 		return err // build failed off-line; the old snapshot still serves
 	}
-	d.publish(snap, start)
+	d.publish(newSnapshot(st, d.opts, cur.gen+1), start)
 	return nil
 }
 
 // publish swaps snap in as the current read state (called under
-// writeMu) and records the swap and how long building it took.
+// writeMu) and records the swap and how long the write took since start.
 func (d *Directory) publish(snap *snapshot, start time.Time) {
 	d.rebuildNS.Store(int64(time.Since(start)))
 	d.snap.Store(snap)
@@ -297,54 +304,46 @@ func (d *Directory) publish(snap *snapshot, start time.Time) {
 // UpdateEntries applies a batch of entry-level adds and removes through
 // the store's copy-on-write overlay: the new generation's disk is a
 // fork of the current one sharing every untouched page, so the write
-// cost is O(log N) dirty pages instead of the full-device rebuild
-// Update performs. The batch is failure-atomic and all-or-nothing,
-// exactly like Update: every op is validated against a clone of the
-// instance first, and any error — a duplicate add, a missing remove, a
-// store failure — leaves the live directory untouched.
+// costs O(log N) dirty pages and no pass over the other entries.
+// store.ApplyOps checks each op in order against the forked trees: an
+// add must be a valid entry (model.ErrInvalid) of an absent DN
+// (model.ErrDuplicateDN), a remove must name a present one
+// (store.ErrNoEntry). The batch is failure-atomic and all-or-nothing,
+// exactly like Update: on any error the fork is dropped and the live
+// directory is untouched.
 //
 // Ops the overlay cannot represent (vector-indexed entries, records
 // larger than a B-tree item, a third of a page) transparently fall back
-// to the full rebuild; the result is identical, only the write cost
-// differs.
+// to the full rebuild Update performs; the result is identical, only
+// the write cost differs.
 func (d *Directory) UpdateEntries(ops ...store.EntryOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
-	cur := d.snap.Load()
-	next := cur.inst.Clone()
-	for _, op := range ops {
-		if op.Add != nil {
-			if err := next.Add(op.Add.Clone()); err != nil {
-				return err // clone discarded; nothing published
-			}
-		} else if !next.Remove(op.Remove) {
-			return fmt.Errorf("core: %w: %s", store.ErrNoEntry, op.Remove)
-		}
-	}
 	start := time.Now()
+	cur := d.snap.Load()
 	fork := cur.st.Disk().Fork()
 	st, err := cur.st.ApplyOps(fork, ops)
-	if err != nil {
-		if errors.Is(err, store.ErrNeedsRebuild) {
-			snap, err := buildSnapshot(next, d.opts, cur.gen+1)
-			if err != nil {
-				return err
+	if errors.Is(err, store.ErrNeedsRebuild) {
+		return d.rebuild(cur, start, func(in *model.Instance) error {
+			for _, op := range ops {
+				if op.Add != nil {
+					if err := in.Add(op.Add); err != nil {
+						return err
+					}
+				} else if !in.Remove(op.Remove) {
+					return fmt.Errorf("core: %w: %s", store.ErrNoEntry, op.Remove)
+				}
 			}
-			d.publish(snap, start)
 			return nil
-		}
-		return err
+		})
 	}
-	snap := &snapshot{
-		inst:   next,
-		st:     st,
-		eng:    engine.New(st, d.opts.Engine),
-		strict: next.Validate(true) == nil,
-		gen:    cur.gen + 1,
+	if err != nil {
+		return err // fork discarded; nothing published
 	}
+	snap := newSnapshot(st, d.opts, cur.gen+1)
 	if d.opts.DeltaCheckpoints {
 		d.recordLineage(snap.gen, cur.gen, fork.Dirty())
 	}
@@ -434,10 +433,6 @@ func (d *Directory) Count() int { return d.snap.Load().st.Count() }
 // call time even after later Updates swap in new stores.
 func (d *Directory) Engine() *engine.Engine { return d.snap.Load().eng }
 
-// Instance returns the in-memory instance backing the current
-// snapshot. Treat it as read-only: mutations belong in Update.
-func (d *Directory) Instance() *model.Instance { return d.snap.Load().inst }
-
 // Disk exposes the current snapshot's simulated device for I/O
 // accounting. Like Engine, it is pinned to the snapshot current at
 // call time.
@@ -506,12 +501,12 @@ func (d *Directory) searchCached(keyPrefix string, q query.Query, validate bool)
 	// same store, even if an Update swaps mid-flight.
 	snap := d.snap.Load()
 	if d.cache == nil {
-		res, _, err := d.evalSnapshot(snap, q, validate)
+		res, _, _, err := d.evaluate(context.Background(), snap, q, validate, false)
 		return res, err
 	}
 	key := fmt.Sprintf("%sg%d|%s", keyPrefix, snap.gen, query.Canonical(q))
 	v, hit, err := d.cache.Do(key, func() (any, int64, error) {
-		res, size, err := d.evalSnapshot(snap, q, validate)
+		res, size, _, err := d.evaluate(context.Background(), snap, q, validate, false)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -529,38 +524,55 @@ func (d *Directory) searchCached(keyPrefix string, q query.Query, validate bool)
 	return res, nil
 }
 
-// evalSnapshot evaluates q against one loaded snapshot on a fresh
-// per-query arena and returns the materialized result plus its size in
-// list-stream bytes (the result cache's cost measure). No directory
-// lock is taken: the snapshot's store disk is only read, and all
-// writes land on the arena's private scratch disk, so any number of
-// evaluations run concurrently with exact per-query I/O accounting.
-func (d *Directory) evalSnapshot(snap *snapshot, q query.Query, validate bool) (*Result, int64, error) {
+// evaluate is the one evaluation body behind every Search* entry point.
+// It evaluates q against one loaded snapshot on a fresh per-query arena
+// and returns the materialized result plus its size in list-stream
+// bytes (the result cache's cost measure). No directory lock is taken:
+// the snapshot's store disk is only read, and all writes land on the
+// arena's private scratch disk, so any number of evaluations run
+// concurrently with exact per-query I/O accounting. validate runs L0
+// validation and the configured planner first (the LDAP surface skips
+// both); traced makes the differences SearchTraced documents: a root
+// span, returned even on failure and folded into the statistics store,
+// and a Result.IO read before the result drain.
+func (d *Directory) evaluate(ctx context.Context, snap *snapshot, q query.Query, validate, traced bool) (res *Result, size int64, root *obs.Span, err error) {
 	var hints *planner.Hints
 	if validate {
 		if err := query.Validate(snap.st.Schema(), q); err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		q, hints = d.planQuery(snap, q)
 	}
 	d.readers.enter(snap.gen)
 	defer d.readers.exit(snap.gen)
 	arena := pager.NewArena(snap.st.Disk())
-	l, err := snap.eng.Session(arena).WithHints(hints).Eval(q)
-	if err != nil {
-		return nil, 0, err
+	if traced {
+		tr := obs.NewTracer(arena)
+		ctx = obs.WithTracer(ctx, tr)
+		qs := d.qstats.Load()
+		defer func() {
+			root = tr.Root()
+			qs.Fold(root)
+		}()
 	}
-	size := l.Size()
+	l, err := snap.eng.Session(arena).WithHints(hints).EvalContext(ctx, q)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	evalIO := arena.Stats()
+	size = l.Size()
 	recs, err := plist.Drain(l)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	res := &Result{IO: arena.Stats(), Gen: snap.gen}
-	res.Entries = make([]*model.Entry, len(recs))
+	res = &Result{IO: arena.Stats(), Gen: snap.gen, Entries: make([]*model.Entry, len(recs))}
+	if traced {
+		res.IO = evalIO
+	}
 	for i, r := range recs {
 		res.Entries[i] = r.Entry
 	}
-	return res, size, l.Free()
+	return res, size, nil, l.Free()
 }
 
 // SearchTraced evaluates a query with per-operator tracing: alongside
@@ -593,12 +605,8 @@ func (d *Directory) SearchTraced(text string) (*Result, *obs.Span, error) {
 // with the failing span carrying the error — which is what keeps
 // distributed traces well-formed when one hop dies mid-query.
 func (d *Directory) SearchQueryTraced(ctx context.Context, q query.Query) (*Result, *obs.Span, error) {
-	snap := d.snap.Load()
-	if err := query.Validate(snap.st.Schema(), q); err != nil {
-		return nil, nil, err
-	}
-	q, hints := d.planQuery(snap, q)
-	return d.searchTraced(ctx, snap, q, hints)
+	res, _, root, err := d.evaluate(ctx, d.snap.Load(), q, true, true)
+	return res, root, err
 }
 
 // SearchLDAPTraced is SearchQueryTraced for the LDAP baseline surface
@@ -608,7 +616,8 @@ func (d *Directory) SearchLDAPTraced(ctx context.Context, text string) (*Result,
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.searchTraced(ctx, d.snap.Load(), q, nil)
+	res, _, root, err := d.evaluate(ctx, d.snap.Load(), q, false, true)
+	return res, root, err
 }
 
 // planQuery runs the configured planner over a validated query:
@@ -640,31 +649,6 @@ func (d *Directory) planEnv(snap *snapshot) planner.Env {
 		env.Stats = qs
 	}
 	return env
-}
-
-func (d *Directory) searchTraced(ctx context.Context, snap *snapshot, q query.Query, hints *planner.Hints) (*Result, *obs.Span, error) {
-	d.readers.enter(snap.gen)
-	defer d.readers.exit(snap.gen)
-	arena := pager.NewArena(snap.st.Disk())
-	tr := obs.NewTracer(arena)
-	ctx = obs.WithTracer(ctx, tr)
-	qs := d.qstats.Load()
-	defer func() { qs.Fold(tr.Root()) }()
-	before := arena.Stats()
-	l, err := snap.eng.Session(arena).WithHints(hints).EvalContext(ctx, q)
-	if err != nil {
-		return nil, tr.Root(), err
-	}
-	evalIO := arena.Stats().Sub(before)
-	recs, err := plist.Drain(l)
-	if err != nil {
-		return nil, tr.Root(), err
-	}
-	res := &Result{IO: evalIO, Gen: snap.gen, Entries: make([]*model.Entry, len(recs))}
-	for i, r := range recs {
-		res.Entries[i] = r.Entry
-	}
-	return res, tr.Root(), l.Free()
 }
 
 // SetQueryStats attaches a statistics store: every subsequent traced
@@ -721,7 +705,7 @@ func (t *readerTracker) oldest() (int64, bool) {
 
 // RegisterMetrics exposes the directory's state on reg as pull-based
 // gauges: entry count, store generation, live pages, swap count,
-// last-rebuild duration, reader generation lag, and — when the result
+// last-write duration, reader generation lag, and — when the result
 // cache is enabled — its hit/miss/byte counters. Metric names are
 // listed in DESIGN.md §8.
 func (d *Directory) RegisterMetrics(reg *obs.Registry) {
@@ -729,7 +713,7 @@ func (d *Directory) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("dirkit_dir_generation", "store generation (bumps on every Update)", d.Generation)
 	reg.GaugeFunc("dirkit_dir_pages", "live pages on the simulated disk", func() int64 { return int64(d.Disk().NumPages()) })
 	reg.GaugeFunc("dirkit_dir_swaps", "completed copy-on-write store swaps (successful Updates)", d.swaps.Load)
-	reg.GaugeFunc("dirkit_dir_rebuild_ms", "wall time of the last off-line store rebuild (ms)",
+	reg.GaugeFunc("dirkit_dir_rebuild_ms", "wall time of the last successful write (validate + apply/rebuild + publish) (ms)",
 		func() int64 { return d.rebuildNS.Load() / int64(time.Millisecond) })
 	reg.GaugeFunc("dirkit_dir_reader_lag", "generations between the current store and the oldest in-flight reader",
 		func() int64 {

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/durable"
+	"repro/internal/ldif"
 	"repro/internal/model"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // peopleDirectory builds a directory of n people under the research
@@ -142,6 +145,13 @@ func TestUpdateEntriesFailureAtomic(t *testing.T) {
 	)
 	if !errors.Is(err, store.ErrNoEntry) {
 		t.Fatalf("err = %v, want ErrNoEntry", err)
+	}
+	err = dir.UpdateEntries(
+		personOp(t, dir, "u9000", "newcomer"),
+		personOp(t, dir, "u0007", "again"), // already there
+	)
+	if !errors.Is(err, model.ErrDuplicateDN) {
+		t.Fatalf("err = %v, want ErrDuplicateDN", err)
 	}
 	if dir.Generation() != 1 || dir.Disk() != disk {
 		t.Fatal("failed batch mutated the directory")
@@ -470,5 +480,287 @@ func TestDeltaPayloadTypedErrors(t *testing.T) {
 	// And the pristine delta payload must decode.
 	if _, err := decodeDeltaSnapshot(full); err != nil {
 		t.Fatalf("pristine delta rejected: %v", err)
+	}
+}
+
+// modelEntry builds a valid entry of the default schema for dn: class
+// by RDN attribute, plus a surName on people so that one DN can carry
+// different values.
+func modelEntry(t testing.TB, dn model.DN, surname string) *model.Entry {
+	t.Helper()
+	e, err := model.NewEntryFromDN(model.DefaultSchema(), dn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch dn.RDN()[0].Attr {
+	case "dc":
+		e.AddClass("dcObject")
+	case "ou":
+		e.AddClass("organizationalUnit")
+	default:
+		e.AddClass("inetOrgPerson")
+		e.Add("surName", model.String(surname))
+	}
+	return e
+}
+
+// applyToModel is the reference UpdateEntries: the batch applied in
+// order to a copy, all or nothing, failing with the sentinel the
+// directory must fail with.
+func applyToModel(in *model.Instance, ops []store.EntryOp) (*model.Instance, error) {
+	next := in.Clone()
+	for _, op := range ops {
+		if op.Add != nil {
+			if err := next.Add(op.Add); err != nil {
+				return in, err
+			}
+		} else if !next.Remove(op.Remove) {
+			return in, store.ErrNoEntry
+		}
+	}
+	return next, nil
+}
+
+// TestUpdateEntriesModel drives a seeded random write sequence through
+// UpdateEntries and, step by step, through a naive in-memory instance.
+// After every step the directory must equal the model in entry count,
+// in the touched entry, in the whole-directory answer's LDIF bytes and
+// in strictness — the orphan count the store maintains incrementally
+// against the model's parentless non-roots, and an Optimize twin given
+// the same writes (it collapses ac to p exactly when it believes the
+// forest strict) against the ac answer worked out from the model. Every
+// 50 steps a snapshot round trip of each must reproduce all of it, which
+// checks the orphan count Reopen recounts against the maintained one.
+func TestUpdateEntriesModel(t *testing.T) {
+	const steps = 320
+	rng := rand.New(rand.NewSource(14))
+	inst := model.NewInstance(model.DefaultSchema())
+	var interior, people []model.DN // every DN ever used, present or not
+	add := func(dn string) model.DN {
+		d := model.MustParseDN(dn)
+		inst.MustAdd(modelEntry(t, d, "seed"))
+		return d
+	}
+	add("dc=com")
+	for o := 0; o < 6; o++ {
+		org := fmt.Sprintf("dc=o%d, dc=com", o)
+		interior = append(interior, add(org))
+		for g := 0; g < 4; g++ {
+			ou := fmt.Sprintf("ou=g%d, %s", g, org)
+			interior = append(interior, add(ou))
+			for u := 0; u < 7; u++ {
+				people = append(people, add(fmt.Sprintf("uid=u%d, %s", u, ou)))
+			}
+		}
+	}
+	if inst.Len() != 199 {
+		t.Fatalf("seed forest has %d entries", inst.Len())
+	}
+	dirs := map[string]*Directory{}
+	for name, opts := range map[string]Options{"plain": {}, "optimize": {Optimize: true}} {
+		d, err := Open(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs[name] = d
+	}
+
+	const all = "( ? sub ? objectClass=*)"
+	const withAncestor = "(ac " + all + " " + all + " " + all + ")"
+	ldifOf := func(es []*model.Entry) string {
+		var b strings.Builder
+		for _, e := range es {
+			b.WriteString(ldif.MarshalEntry(e))
+		}
+		return b.String()
+	}
+	// The model's side of a step, worked out once for every directory
+	// checked against it.
+	var want struct {
+		ldif    string
+		orphans int
+		strict  bool
+		below   string // the ac answer: entries with a present proper ancestor
+	}
+	viewModel := func() {
+		want.ldif, want.orphans, want.strict = ldifOf(inst.Entries()), 0, inst.Validate(true) == nil
+		var below []string
+		for _, e := range inst.Entries() {
+			if _, ok := inst.Get(e.DN().Parent()); !ok && len(e.DN()) > 1 {
+				want.orphans++
+			}
+			for a := e.DN().Parent(); len(a) > 0; a = a.Parent() {
+				if _, ok := inst.Get(a); ok {
+					below = append(below, e.DN().String())
+					break
+				}
+			}
+		}
+		want.below = fmt.Sprint(below)
+	}
+	check := func(label string, d *Directory, touched model.DN) {
+		t.Helper()
+		if d.Count() != inst.Len() {
+			t.Fatalf("%s: count %d, model %d", label, d.Count(), inst.Len())
+		}
+		got, err := d.Get(touched.String())
+		if e, ok := inst.Get(touched); ok {
+			if err != nil || !got.Equal(e) {
+				t.Fatalf("%s: Get(%s) = %v, %v; model has %v", label, touched, got, err, e)
+			}
+		} else if !errors.Is(err, store.ErrNoEntry) {
+			t.Fatalf("%s: Get(%s) = %v, %v; model has none", label, touched, got, err)
+		}
+		if got := d.snap.Load().st.Orphans(); got != want.orphans || (got == 0) != want.strict {
+			t.Fatalf("%s: %d orphans, model %d (strict: %v)", label, got, want.orphans, want.strict)
+		}
+		// The plain directory answers for the contents, the Optimize twin
+		// for what the planner made of the strictness.
+		if !d.opts.Optimize {
+			res, err := d.Search(all)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if ldifOf(res.Entries) != want.ldif {
+				t.Fatalf("%s: whole-directory answer differs from the model", label)
+			}
+			return
+		}
+		res, err := d.Search(withAncestor)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if fmt.Sprint(res.DNs()) != want.below {
+			t.Fatalf("%s: ac answer of %d entries differs from the model's", label, len(res.Entries))
+		}
+	}
+
+	pick := func(dns []model.DN, present bool) (model.DN, bool) {
+		for try := 0; try < 64; try++ {
+			dn := dns[rng.Intn(len(dns))]
+			if _, ok := inst.Get(dn); ok == present {
+				return dn, true
+			}
+		}
+		return nil, false
+	}
+	kinds := map[string]int{}
+	for step := 0; step < steps; step++ {
+		var ops []store.EntryOp
+		var touched model.DN
+		kind := [...]string{"leaf add", "leaf add", "leaf remove", "interior remove", "parent re-add",
+			"remove+add", "invalid", "duplicate", "missing"}[rng.Intn(9)]
+		ok := true
+		switch kind {
+		case "leaf add": // under any interior DN, present or not
+			touched = model.MustParseDN(fmt.Sprintf("uid=n%d, %s", step, interior[rng.Intn(len(interior))]))
+			people = append(people, touched)
+			ops = []store.EntryOp{{Add: modelEntry(t, touched, "new")}}
+		case "leaf remove":
+			if touched, ok = pick(people, true); ok {
+				ops = []store.EntryOp{{Remove: touched}}
+			}
+		case "interior remove": // orphans whatever is below
+			if touched, ok = pick(interior, true); ok {
+				ops = []store.EntryOp{{Remove: touched}}
+			}
+		case "parent re-add": // adopts the orphans again
+			if touched, ok = pick(interior, false); ok {
+				ops = []store.EntryOp{{Add: modelEntry(t, touched, "")}}
+			}
+		case "remove+add": // one DN replaced within one batch
+			if touched, ok = pick(people, true); ok {
+				ops = []store.EntryOp{{Remove: touched}, {Add: modelEntry(t, touched, fmt.Sprintf("s%d", step))}}
+			}
+		case "invalid": // a good add, then an entry of an unknown class
+			touched = model.MustParseDN(fmt.Sprintf("uid=bad%d, dc=com", step))
+			bad := modelEntry(t, touched, "bad")
+			bad.AddClass("noSuchClass")
+			ops = []store.EntryOp{{Add: modelEntry(t, model.MustParseDN(fmt.Sprintf("uid=good%d, dc=com", step)), "good")}, {Add: bad}}
+		case "duplicate":
+			if touched, ok = pick(people, true); ok {
+				ops = []store.EntryOp{{Add: modelEntry(t, touched, "dup")}}
+			}
+		case "missing":
+			if touched, ok = pick(people, false); ok {
+				ops = []store.EntryOp{{Remove: touched}}
+			}
+		}
+		if !ok {
+			continue
+		}
+		kinds[kind]++
+		next, refused := applyToModel(inst, ops)
+		inst = next
+		viewModel()
+		for name, d := range dirs {
+			label := fmt.Sprintf("step %d (%s), %s", step, kind, name)
+			gen := d.Generation()
+			err := d.UpdateEntries(ops...)
+			if (err == nil) != (refused == nil) || (err != nil && d.Generation() != gen) {
+				t.Fatalf("%s: err %v at generation %d (was %d); model: %v", label, err, d.Generation(), gen, refused)
+			}
+			for _, sentinel := range []error{model.ErrInvalid, model.ErrDuplicateDN, store.ErrNoEntry} {
+				if errors.Is(err, sentinel) != errors.Is(refused, sentinel) {
+					t.Fatalf("%s: err %v; model: %v", label, err, refused)
+				}
+			}
+			check(label, d, touched)
+			if step%50 == 49 {
+				var buf bytes.Buffer
+				if err := d.SaveSnapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				back, err := OpenSnapshot(&buf, d.opts)
+				if err != nil {
+					t.Fatalf("%s: reopen: %v", label, err)
+				}
+				check(label+", reopened", back, touched)
+			}
+		}
+	}
+	for _, kind := range []string{"leaf add", "leaf remove", "interior remove", "parent re-add",
+		"remove+add", "invalid", "duplicate", "missing"} {
+		if kinds[kind] < 10 {
+			t.Errorf("only %d %q steps ran", kinds[kind], kind)
+		}
+	}
+}
+
+// TestUpdateEntriesAllocsFlatInN: a one-entry write allocates for the
+// tree paths it touches, not for the directory. Quadrupling the
+// directory may deepen a tree by a level; it must not multiply the
+// allocations (a per-write copy of the entries made it about 4x).
+func TestUpdateEntriesAllocsFlatInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted too, and building 17 000 entries under it takes half a minute")
+	}
+	const runs = 20
+	leafAddAllocs := func(subs int) float64 {
+		dir, err := Open(workload.GenTOPS(workload.TOPSConfig{Subscribers: subs, Seed: 1}), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ops []store.EntryOp
+		for i := 0; i <= runs; i++ { // AllocsPerRun makes one warm-up call
+			dn := model.MustParseDN(fmt.Sprintf(
+				"CANumber=555%07d, QHPName=qhp0, uid=sub%04d, ou=userProfiles, dc=research, dc=att, dc=com", i, i))
+			e, err := model.NewEntryFromDN(dir.Schema(), dn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops = append(ops, store.EntryOp{Add: e.AddClass("callAppearance")})
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			if err := dir.UpdateEntries(ops[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	small, large := leafAddAllocs(500), leafAddAllocs(2000)
+	if large > 1.5*small {
+		t.Errorf("one leaf add allocates %.0f times at 2000 subscribers, %.0f at 500; want within 1.5x", large, small)
 	}
 }

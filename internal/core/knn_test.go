@@ -102,7 +102,11 @@ func TestKNNSnapshotRoundTrip(t *testing.T) {
 
 	// A selective deep base, so the plan should choose the index.
 	counts := map[string]int{}
-	for _, e := range dir.Instance().Entries() {
+	all, err := dir.Search("( ? sub ? objectClass=*)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range all.Entries {
 		dn := e.DN()
 		counts[dn[len(dn)-1].String()]++
 	}

@@ -8,12 +8,9 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/engine"
 	"repro/internal/ldif"
 	"repro/internal/model"
 	"repro/internal/pager"
-	"repro/internal/plist"
-	"repro/internal/qcache"
 	"repro/internal/store"
 )
 
@@ -21,8 +18,8 @@ import (
 // schema (as #schema directives), the store manifest (JSON), and the
 // raw disk image. Opening a snapshot skips the Build step entirely:
 // the master list, DN index and attribute index come back as written;
-// only the in-memory string indexes and catalog are rebuilt (one master
-// scan).
+// one scan of the live entries (store.Reopen) verifies them and rebuilds
+// the in-memory string indexes, catalog and orphan count.
 var snapshotMagic = [8]byte{'D', 'I', 'R', 'K', 'I', 'T', 'S', '1'}
 
 // ErrCorruptSnapshot marks a snapshot stream whose structure is broken:
@@ -36,9 +33,9 @@ var ErrCorruptSnapshot = errors.New("core: corrupt snapshot")
 
 // SaveSnapshot writes the directory's disk image and metadata. It
 // captures the read snapshot current at call time; because store disks
-// are immutable once published (Update builds its replacement on a
-// fresh disk), the image is consistent even while queries and a
-// background Update run concurrently.
+// are immutable once published (a writer builds its replacement on a
+// fork or a fresh disk), the image is consistent even while queries and
+// a background write run concurrently.
 func (d *Directory) SaveSnapshot(w io.Writer) error {
 	return writeSnapshot(d.snap.Load(), w)
 }
@@ -136,30 +133,15 @@ func decodeSnapshot(r io.Reader) (*snapshotParts, error) {
 }
 
 // assembleSnapshot builds the queryable Directory from decoded parts.
+// store.Reopen's scan is the integrity check of the recovered entries;
+// what it refuses is reported as ErrCorruptSnapshot, with the store's
+// own error still matchable beneath it.
 func assembleSnapshot(p *snapshotParts, opts Options, gen int64) (*Directory, error) {
-	schema, manifest, disk := p.schema, p.manifest, p.disk
-	st, err := store.Reopen(disk, schema, manifest)
+	st, err := store.Reopen(p.disk, p.schema, p.manifest)
 	if err != nil {
 		return nil, fmt.Errorf("%w: reopen store: %w", ErrCorruptSnapshot, err)
 	}
-	// Rebuild the in-memory instance from the master list so updates
-	// (mutate + rebuild) keep working after a restore.
-	inst := model.NewInstance(schema)
-	if err := loadInstanceFromStore(st, inst); err != nil {
-		return nil, fmt.Errorf("%w: master list: %v", ErrCorruptSnapshot, err)
-	}
-	d := &Directory{opts: opts}
-	if opts.CacheBytes > 0 {
-		d.cache = qcache.New(opts.CacheBytes)
-	}
-	d.snap.Store(&snapshot{
-		inst:   inst,
-		st:     st,
-		eng:    engine.New(st, opts.Engine),
-		strict: inst.Validate(true) == nil,
-		gen:    gen,
-	})
-	return d, nil
+	return newDirectory(st, opts, gen), nil
 }
 
 // Delta snapshot format (generation deltas, DESIGN.md §15): magic, the
@@ -246,23 +228,6 @@ func decodeDeltaSnapshot(payload []byte) (*deltaParts, error) {
 		return nil, fmt.Errorf("manifest section: %w", err)
 	}
 	return &deltaParts{baseGen: baseGen, schema: schema, manifest: manifest, pages: r}, nil
-}
-
-func loadInstanceFromStore(st *store.Store, inst *model.Instance) error {
-	l, err := st.EvalString("( ? sub ? objectClass=*)")
-	if err != nil {
-		return err
-	}
-	recs, err := plist.Drain(l)
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if err := inst.Add(r.Entry); err != nil {
-			return err
-		}
-	}
-	return l.Free()
 }
 
 func writeSection(w io.Writer, b []byte) error {

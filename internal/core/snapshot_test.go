@@ -78,26 +78,90 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotOpenSkipsBuildIO: opening a snapshot reuses the image —
+// nothing is written to the restored disk — and reads the live entries
+// in one pass: every master page and the overlay once, plus the DN-tree
+// descent that locates the first record. (A second pass, or an
+// evaluation materializing the directory as a result list on the store
+// disk, would show up in these counters.)
 func TestSnapshotOpenSkipsBuildIO(t *testing.T) {
-	in := workload.GenTOPS(workload.TOPSConfig{Subscribers: 120, Seed: 132})
-	dir, err := Open(in, Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, opts := range []Options{{}, {NoAttrIndex: true}} {
+		dir, err := Open(workload.GenTOPS(workload.TOPSConfig{Subscribers: 120, Seed: 132}), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Three overlay keys: one leaf page.
+		if err := dir.UpdateEntries(personOp(t, dir, "u9000", "a"), personOp(t, dir, "u9001", "b"), removeOp(t, "u9000")); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := dir.SaveSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := OpenSnapshot(&buf, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const overlayPages, dnDescent = 1, 4
+		io := back.Disk().Stats()
+		if budget := int64(back.Engine().Store().MasterPages() + overlayPages + dnDescent); io.Reads > budget || io.Writes != 0 {
+			t.Errorf("NoAttrIndex=%v: open performed %v; want at most %d reads (one scan) and no writes",
+				opts.NoAttrIndex, io, budget)
+		}
+		if back.Count() != dir.Count() {
+			t.Errorf("NoAttrIndex=%v: count %d, want %d", opts.NoAttrIndex, back.Count(), dir.Count())
+		}
 	}
-	var buf bytes.Buffer
-	if err := dir.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := OpenSnapshot(&buf, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reopen rebuilds only the in-memory indexes: one master scan plus
-	// the instance reload, far less than the Build's index insertions.
-	buildWrites := dir.Disk().Stats().Writes
-	reopenWrites := back.Disk().Stats().Writes
-	if reopenWrites*4 > buildWrites {
-		t.Errorf("reopen wrote %d pages vs build's %d; snapshot not reusing the image", reopenWrites, buildWrites)
+}
+
+// TestSnapshotRecoveryChecks: what store.Reopen's scan refuses — here a
+// manifest count off by one and two master records swapped out of key
+// order — surfaces as ErrCorruptSnapshot, for an indexed directory and
+// for an unindexed one, whose only open-time scan this is.
+func TestSnapshotRecoveryChecks(t *testing.T) {
+	for _, opts := range []Options{{}, {NoAttrIndex: true}} {
+		dir := peopleDirectory(t, 20, opts)
+		var buf bytes.Buffer
+		if err := dir.SaveSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		decode := func() (*snapshotParts, store.Manifest) {
+			parts, err := decodeSnapshot(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m store.Manifest
+			if err := json.Unmarshal(parts.manifest, &m); err != nil {
+				t.Fatal(err)
+			}
+			return parts, m
+		}
+
+		parts, m := decode()
+		if _, err := assembleSnapshot(parts, opts, 1); err != nil {
+			t.Fatalf("NoAttrIndex=%v: undamaged snapshot: %v", opts.NoAttrIndex, err)
+		}
+		m.Count++
+		parts.manifest, _ = json.Marshal(m)
+		if _, err := assembleSnapshot(parts, opts, 1); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("NoAttrIndex=%v: count off by one: %v, want ErrCorruptSnapshot", opts.NoAttrIndex, err)
+		}
+
+		// The master list's first page starts with dc=com and dc=att,
+		// dc=com, each behind a one-byte length: rotate the two.
+		parts, m = decode()
+		page := make([]byte, parts.disk.PageSize())
+		if err := parts.disk.Read(m.MasterPages[0], page); err != nil {
+			t.Fatal(err)
+		}
+		a, b := 1+int(page[0]), 1+int(page[1+int(page[0])])
+		copy(page, append(append([]byte(nil), page[a:a+b]...), page[:a]...))
+		if err := parts.disk.Write(m.MasterPages[0], page); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := assembleSnapshot(parts, opts, 1); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("NoAttrIndex=%v: swapped records: %v, want ErrCorruptSnapshot", opts.NoAttrIndex, err)
+		}
 	}
 }
 

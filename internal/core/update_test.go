@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/store"
 )
 
 func TestUpdateAddAndRemove(t *testing.T) {
@@ -94,25 +95,36 @@ func TestOptimizeOptionPreservesAnswers(t *testing.T) {
 }
 
 func TestStrictnessRecomputedOnUpdate(t *testing.T) {
-	d := smallDirectory(t, Options{Optimize: true})
-	// Make the forest lenient by orphaning a subtree root's parent.
-	err := d.Update(func(in *model.Instance) error {
-		if !in.Remove(model.MustParseDN("ou=userProfiles, dc=research, dc=att, dc=com")) {
-			return errors.New("missing ou")
+	ou := model.MustParseDN("ou=userProfiles, dc=research, dc=att, dc=com")
+	// Make the forest lenient by orphaning a subtree root's parent, once
+	// through each writer.
+	for name, orphan := range map[string]func(*Directory) error{
+		"Update": func(d *Directory) error {
+			return d.Update(func(in *model.Instance) error {
+				if !in.Remove(ou) {
+					return errors.New("missing ou")
+				}
+				return nil
+			})
+		},
+		"UpdateEntries": func(d *Directory) error {
+			return d.UpdateEntries(store.EntryOp{Remove: ou})
+		},
+	} {
+		d := smallDirectory(t, Options{Optimize: true})
+		if err := orphan(d); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// uid=jag is now an orphan: its nearest present ancestor is
-	// dc=research. The ac query must still be answered per ac semantics
-	// (the planner must NOT collapse it to p on a lenient forest).
-	res, err := d.Search(`(ac (dc=com ? sub ? uid=jag) ( ? sub ? dc=research) ( ? sub ? objectClass=*))`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 1 {
-		t.Fatalf("ac on lenient forest: %v", res.DNs())
+		// uid=jag is now an orphan: its nearest present ancestor is
+		// dc=research. The ac query must still be answered per ac
+		// semantics (the planner must NOT collapse it to p on a lenient
+		// forest).
+		res, err := d.Search(`(ac (dc=com ? sub ? uid=jag) ( ? sub ? dc=research) ( ? sub ? objectClass=*))`)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Entries) != 1 {
+			t.Fatalf("%s: ac on lenient forest: %v", name, res.DNs())
+		}
 	}
 }

@@ -71,7 +71,15 @@ func newChaosClusterCfg(t *testing.T, cfg CoordinatorConfig) *chaosCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secIn := policies.Instance() // same subtree content, second replica process
+	// Same subtree content, second replica process.
+	all, err := policies.Search("( ? sub ? objectClass=*)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	secIn, err := all.AsInstance(policies.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
 	secDir, err := core.Open(secIn, core.Options{})
 	if err != nil {
 		t.Fatal(err)

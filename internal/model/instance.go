@@ -93,10 +93,10 @@ func (in *Instance) Entries() []*Entry { return in.entries }
 
 // Clone returns a deep copy of the instance: every entry is cloned (see
 // Entry.Clone — DNs are shared, attribute-value slices are copied), so
-// mutations of the copy are invisible to the original. This is the
-// isolation that makes core.Directory.Update failure-atomic: the
-// mutation function runs against a clone, and an error discards the
-// clone with the live instance untouched.
+// mutations of the copy are invisible to the original. Reference
+// oracles use it to apply a write sequence all-or-nothing
+// (benchmark/dirload, the core write-model test); core.Directory holds
+// no instance to copy.
 func (in *Instance) Clone() *Instance {
 	out := &Instance{
 		schema:  in.schema,

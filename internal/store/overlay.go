@@ -50,18 +50,22 @@ type EntryOp struct {
 
 // ApplyOps applies entry-level mutations incrementally: the caller
 // forks the store's disk (pager.Disk.Fork) and receives a new Store
-// over the fork sharing every untouched page with this one. On any
-// error — including ErrNeedsRebuild for mutations outside the fast
-// path — the fork is simply discarded; this store is never modified.
+// over the fork sharing every untouched page with this one. Ops apply
+// in order, each checked against the state the ones before it left: an
+// add must pass model.ValidateEntry and name an absent DN
+// (model.ErrDuplicateDN), a remove must name a present one (ErrNoEntry).
+// On any error — including ErrNeedsRebuild for mutations outside the
+// fast path — the fork is simply discarded; this store is never modified.
 // The returned store's trees are flushed, so it is ready to publish
 // and to checkpoint (the fork's Dirty set is the page delta).
 func (s *Store) ApplyOps(fork *pager.Disk, ops []EntryOp) (*Store, error) {
 	ns := &Store{
-		disk:   fork,
-		schema: s.schema,
-		master: plist.Restore(fork, s.master.PageIDs(), s.master.Size(), s.master.Count()),
-		dn:     btree.Open(fork, poolPages, s.dn.Root(), s.dn.Len()),
-		count:  s.count,
+		disk:    fork,
+		schema:  s.schema,
+		master:  plist.Restore(fork, s.master.PageIDs(), s.master.Size(), s.master.Count()),
+		dn:      btree.Open(fork, poolPages, s.dn.Root(), s.dn.Len()),
+		count:   s.count,
+		orphans: s.orphans,
 	}
 	if s.attr != nil {
 		ns.attr = btree.Open(fork, poolPages, s.attr.Root(), s.attr.Len())
@@ -135,13 +139,40 @@ func (s *Store) entryVectorIndexed(e *model.Entry) bool {
 	return false
 }
 
+// orphanDelta returns by how much adding the entry dn raises the orphan
+// count (removing it lowers it by as much): +1 if dn lies below the top
+// level and its parent is absent, -1 for each present direct child. The
+// children come from a key-only walk of dn's subtree range in the DN
+// tree — one descent, over at once under a leaf.
+func (s *Store) orphanDelta(dn model.DN) (int, error) {
+	delta := 0
+	if len(dn) > 1 {
+		if _, err := s.dn.Get([]byte(dn.Parent().Key())); errors.Is(err, btree.ErrNotFound) {
+			delta = 1
+		} else if err != nil {
+			return 0, err
+		}
+	}
+	key := dn.Key()
+	err := s.dn.Scan([]byte(key), []byte(model.SubtreeHigh(key)), func(k, _ []byte) bool {
+		if model.KeyIsParent(key, string(k)) {
+			delta--
+		}
+		return true
+	})
+	return delta, err
+}
+
 func (s *Store) applyAdd(e *model.Entry, newStr stringValues) error {
+	if err := model.ValidateEntry(s.schema, e); err != nil {
+		return err
+	}
 	if s.entryVectorIndexed(e) {
 		return fmt.Errorf("%w: entry %s has vector-indexed values", ErrNeedsRebuild, e.DN())
 	}
 	key := e.Key()
 	if _, err := s.dn.Get([]byte(key)); err == nil {
-		return fmt.Errorf("store: entry exists: %s", e.DN())
+		return fmt.Errorf("store: %w: %s", model.ErrDuplicateDN, e.DN())
 	} else if !errors.Is(err, btree.ErrNotFound) {
 		return err
 	}
@@ -169,8 +200,10 @@ func (s *Store) applyAdd(e *model.Entry, newStr stringValues) error {
 			}
 		}
 	}
+	delta, err := s.orphanDelta(e.DN())
 	s.count++
-	return nil
+	s.orphans += delta
+	return err
 }
 
 func (s *Store) applyRemove(dn model.DN) error {
@@ -213,8 +246,10 @@ func (s *Store) applyRemove(dn model.DN) error {
 	if err := s.over.Insert([]byte(key), []byte{ovTombstone}); err != nil {
 		return err
 	}
+	delta, err := s.orphanDelta(dn) // removal does not cascade: children stay, orphaned
 	s.count--
-	return nil
+	s.orphans -= delta
+	return err
 }
 
 // overlayGet fetches the live overlay record stored under key.
@@ -374,8 +409,7 @@ func (env *evalEnv) mergedScanOff(lo, hi string) (*mergedIter, error) {
 }
 
 // forEachLiveEntry streams every live entry (master overlaid) in key
-// order; Reopen uses it to rebuild the in-memory indexes so a
-// recovered store matches the live one the overlay described.
+// order, for Reopen's scan and for Instance.
 func (s *Store) forEachLiveEntry(fn func(*plist.Record) error) error {
 	env := &evalEnv{s: s}
 	mi, err := env.mergedScan("", "")

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -185,8 +186,17 @@ func TestApplyOpsGatesAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := apply(EntryOp{Add: dup}); err == nil {
-		t.Error("duplicate add accepted")
+	dup.AddClass("dcObject")
+	if err := apply(EntryOp{Add: dup}); !errors.Is(err, model.ErrDuplicateDN) {
+		t.Errorf("duplicate add: %v", err)
+	}
+	// An add that is no entry of the schema (Definition 3.2): no class.
+	bare, err := model.NewEntryFromDN(s, model.MustParseDN("dc=bare, dc=com"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := apply(EntryOp{Add: bare}); !errors.Is(err, model.ErrInvalid) {
+		t.Errorf("classless add: %v", err)
 	}
 	// Remove of a missing DN.
 	if err := apply(EntryOp{Remove: model.MustParseDN("dc=nowhere")}); !errors.Is(err, ErrNoEntry) {
@@ -197,8 +207,9 @@ func TestApplyOpsGatesAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec.AddClass("inetOrgPerson")
+	vec.AddClass("embedded")
 	s.MustDefineAttr("profileEmbedding", model.VectorType(4))
+	s.MustDefineClass("embedded", "uid", "profileEmbedding")
 	vec.Add("profileEmbedding", model.VectorValue([]float32{1, 2, 3, 4}))
 	if err := apply(EntryOp{Add: vec}); !errors.Is(err, ErrNeedsRebuild) {
 		t.Errorf("vector add: %v", err)
@@ -391,5 +402,156 @@ func TestOverlayReadersSeeOwnGeneration(t *testing.T) {
 	}
 	if cur.over.Root() == firstRoot {
 		t.Error("the overlay never split: the chain did not exercise a root change")
+	}
+}
+
+// masterImage is the master list's byte stream as read off the disk,
+// split at its length-prefixed records: record i is
+// stream[offs[i]:offs[i+1]], prefix included.
+type masterImage struct {
+	st     *Store
+	stream []byte
+	offs   []int
+}
+
+func readMaster(t *testing.T, st *Store) *masterImage {
+	t.Helper()
+	mi := &masterImage{st: st}
+	page := make([]byte, st.Disk().PageSize())
+	for _, id := range st.master.PageIDs() {
+		if err := st.Disk().Read(id, page); err != nil {
+			t.Fatal(err)
+		}
+		mi.stream = append(mi.stream, page...)
+	}
+	mi.stream = mi.stream[:st.master.Size()]
+	off := 0
+	for off < len(mi.stream) {
+		mi.offs = append(mi.offs, off)
+		n, w := binary.Uvarint(mi.stream[off:])
+		off += w + int(n)
+	}
+	mi.offs = append(mi.offs, off)
+	return mi
+}
+
+// body returns record i without its length prefix.
+func (mi *masterImage) body(i int) []byte {
+	rec := mi.stream[mi.offs[i]:mi.offs[i+1]]
+	_, w := binary.Uvarint(rec)
+	return rec[w:]
+}
+
+// write puts the (same-length) stream back over the master's pages.
+func (mi *masterImage) write(t *testing.T) {
+	t.Helper()
+	ps := mi.st.Disk().PageSize()
+	for i, id := range mi.st.master.PageIDs() {
+		if err := mi.st.Disk().Write(id, mi.stream[i*ps:min((i+1)*ps, len(mi.stream))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReopenRefusesDamagedImage: Reopen's one scan is the recovery
+// check, for an unindexed store as much as an indexed one. A manifest
+// whose count is off by one, master records out of key order or
+// repeated, a record that does not decode or decodes to no entry, and
+// an entry the schema does not admit are each refused; the undamaged
+// image reopens with the orphan count Build computed.
+func TestReopenRefusesDamagedImage(t *testing.T) {
+	// image is what Reopen is given: a built store's disk, its manifest
+	// and the schema.
+	type image struct {
+		st     *Store
+		m      Manifest
+		schema *model.Schema
+	}
+	fill := func(b byte) func(*testing.T, *image) {
+		return func(t *testing.T, im *image) {
+			mi := readMaster(t, im.st)
+			body := mi.body(2)
+			for i := range body {
+				body[i] = b
+			}
+			mi.write(t)
+		}
+	}
+	damage := map[string]func(*testing.T, *image){
+		"count+1": func(_ *testing.T, im *image) { im.m.Count++ },
+		"count-1": func(_ *testing.T, im *image) { im.m.Count-- },
+		"swapped records": func(t *testing.T, im *image) {
+			mi := readMaster(t, im.st) // records 0 and 1: dc=com and its first child
+			swapped := append([]byte(nil), mi.stream[mi.offs[1]:mi.offs[2]]...)
+			swapped = append(swapped, mi.stream[:mi.offs[1]]...)
+			copy(mi.stream, swapped)
+			mi.write(t)
+		},
+		"repeated record": func(t *testing.T, im *image) {
+			mi := readMaster(t, im.st)
+			for i := 1; i+1 < len(mi.offs); i++ {
+				if len(mi.body(i)) == len(mi.body(i-1)) {
+					copy(mi.body(i), mi.body(i-1))
+					mi.write(t)
+					return
+				}
+			}
+			t.Fatal("no two adjacent records of one length")
+		},
+		"undecodable record":   fill(0xff),
+		"record without entry": fill(0), // empty key, no label, no entry
+		"schema-invalid entry": func(_ *testing.T, im *image) {
+			im.schema = model.NewSchema() // admits no class at all
+		},
+	}
+	for _, indexed := range []bool{true, false} {
+		build := func(t *testing.T) *image {
+			in := buildTestInstance(t, 12)
+			for _, uid := range []string{"a", "b"} { // two orphans: dc=lost is absent
+				e, err := model.NewEntryFromDN(in.Schema(), model.MustParseDN("uid="+uid+", dc=lost, dc=ibm, dc=com"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				in.MustAdd(e.AddClass("inetOrgPerson"))
+			}
+			st, err := Build(pager.NewDisk(pager.DefaultPageSize), in, Options{AttrIndex: indexed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := st.Manifest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			im := &image{st: st, schema: st.Schema()}
+			if err := json.Unmarshal(raw, &im.m); err != nil {
+				t.Fatal(err)
+			}
+			return im
+		}
+		reopen := func(im *image) (*Store, error) {
+			raw, err := json.Marshal(im.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return Reopen(im.st.Disk(), im.schema, raw)
+		}
+		im := build(t)
+		ro, err := reopen(im)
+		if err != nil {
+			t.Fatalf("indexed=%v: undamaged image refused: %v", indexed, err)
+		}
+		if im.st.Orphans() != 2 || ro.Orphans() != 2 || ro.Count() != im.st.Count() {
+			t.Fatalf("indexed=%v: built %d entries with %d orphans, reopened %d with %d; want 2 orphans",
+				indexed, im.st.Count(), im.st.Orphans(), ro.Count(), ro.Orphans())
+		}
+		for name, fn := range damage {
+			t.Run(fmt.Sprintf("%s/indexed=%v", name, indexed), func(t *testing.T) {
+				im := build(t)
+				fn(t, im)
+				if _, err := reopen(im); err == nil {
+					t.Fatal("damaged image reopened")
+				}
+			})
+		}
 	}
 }

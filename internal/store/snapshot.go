@@ -15,8 +15,8 @@ import (
 )
 
 // Manifest locates the store's structures on a snapshotted disk. The
-// in-memory indexes (suffix arrays, catalog statistics) are not
-// serialized: Reopen rebuilds them in one scan of the live entries.
+// in-memory state (suffix arrays, catalog statistics, the orphan count)
+// is not serialized: Reopen rebuilds it in one scan of the live entries.
 type Manifest struct {
 	Count       int            `json:"count"`
 	MasterPages []pager.PageID `json:"masterPages"`
@@ -80,8 +80,13 @@ func (s *Store) Manifest() ([]byte, error) {
 // overlay are unaffected.
 var ErrLegacyOverlay = errors.New(`store: manifest carries a legacy "overRoot" overlay (path-copying tree node format, no longer readable)`)
 
-// Reopen attaches a Store to a snapshotted disk using its manifest,
-// rebuilding the in-memory indexes from the live entries.
+// Reopen attaches a Store to a snapshotted disk using its manifest, in
+// one scan of the live entries (the master list merged with the
+// overlay). The scan is the recovery check — every record must decode
+// and pass the gate, and the live count must equal the manifest's — and
+// it recounts the orphans and, for an indexed store, rebuilds the
+// statistics and suffix arrays, so a reopened store describes the
+// mutated instance, not the stale master image.
 func Reopen(disk *pager.Disk, schema *model.Schema, manifest []byte) (*Store, error) {
 	var m Manifest
 	if err := json.Unmarshal(manifest, &m); err != nil {
@@ -110,18 +115,18 @@ func Reopen(disk *pager.Disk, schema *model.Schema, manifest []byte) (*Store, er
 			s.vecs[vm.Attr] = ix
 		}
 	}
-	if m.AttrRoot == 0 {
-		return s, nil
+	if m.AttrRoot != 0 {
+		s.attr = btree.Open(disk, poolPages, m.AttrRoot, m.AttrLen)
+		s.suffix = make(map[string]*strindex.SuffixIndex)
+		s.stats = newCatalog()
 	}
-	s.attr = btree.Open(disk, poolPages, m.AttrRoot, m.AttrLen)
-	s.suffix = make(map[string]*strindex.SuffixIndex)
-	s.stats = newCatalog()
 
 	strVals := make(stringValues)
-	// One pass over the live view — the master list merged with the
-	// overlay — so a reopened store's statistics match the mutated
-	// instance, not the stale master image.
+	live := gate{schema: schema}
 	if err := s.forEachLiveEntry(func(rec *plist.Record) error {
+		if err := live.admit(rec.Key, rec.Entry); err != nil || s.attr == nil {
+			return err
+		}
 		for _, av := range rec.Entry.Pairs() {
 			s.stats.observe(av.Attr, av.Value)
 			if av.Value.Kind() == model.KindString {
@@ -132,7 +137,13 @@ func Reopen(disk *pager.Disk, schema *model.Schema, manifest []byte) (*Store, er
 	}); err != nil {
 		return nil, err
 	}
-	s.stats.finish(s.master.Size(), s.master.Count())
-	s.indexStrings(strVals)
+	if live.count != m.Count {
+		return nil, fmt.Errorf("store: manifest counts %d entries, the image holds %d", m.Count, live.count)
+	}
+	s.orphans = live.orphans
+	if s.attr != nil {
+		s.stats.finish(s.master.Size(), s.master.Count())
+		s.indexStrings(strVals)
+	}
 	return s, nil
 }

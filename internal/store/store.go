@@ -3,6 +3,12 @@
 // "Querying Network Directories" assumes, and the atomic-query
 // evaluation that feeds the algebraic operators of internal/engine.
 //
+// A Store is the only representation of a published directory
+// generation (internal/core keeps no in-memory copy beside it), so each
+// way entries get in — Build, ApplyOps, Reopen — checks them with
+// model.ValidateEntry, keeps DNs unique and maintains the orphan count
+// that tells a strict forest from a lenient one.
+//
 // Layout:
 //
 //   - a master list: every entry, serialized in reverse-DN key order.
@@ -49,16 +55,50 @@ const poolPages = 64
 
 // Store is a disk-resident directory instance.
 type Store struct {
-	disk   *pager.Disk
-	schema *model.Schema
-	master *plist.List
-	dn     *btree.Tree
-	attr   *btree.Tree // nil without AttrIndex
-	suffix map[string]*strindex.SuffixIndex
-	vecs   map[string]*vindex.Index // per vector attribute; nil without AttrIndex
-	stats  *catalog                 // nil without AttrIndex
-	over   *btree.Tree              // entry overlay; nil until the first incremental mutation
-	count  int
+	disk    *pager.Disk
+	schema  *model.Schema
+	master  *plist.List
+	dn      *btree.Tree
+	attr    *btree.Tree // nil without AttrIndex
+	suffix  map[string]*strindex.SuffixIndex
+	vecs    map[string]*vindex.Index // per vector attribute; nil without AttrIndex
+	stats   *catalog                 // nil without AttrIndex
+	over    *btree.Tree              // entry overlay; nil until the first incremental mutation
+	count   int
+	orphans int // see Orphans; not serialized, Reopen recounts it
+}
+
+// gate admits entries in reverse-DN key order, as Build and Reopen meet
+// them: each must be a valid entry of the schema under a key above the
+// one before it (so no DN occurs twice). It counts them and the orphans
+// among them: an ancestor's key is a prefix of its descendants' and
+// sorts first, so the present ancestors of the current key are a stack
+// whose top, once non-prefixes are popped, is the nearest one.
+type gate struct {
+	schema         *model.Schema
+	stack          []string
+	count, orphans int
+}
+
+func (g *gate) admit(key string, e *model.Entry) error {
+	if e == nil || e.Key() != key {
+		return fmt.Errorf("store: record %q carries no entry of that key", key)
+	}
+	if n := len(g.stack); n > 0 && key <= g.stack[n-1] { // the top is the key before
+		return fmt.Errorf("store: entry %s repeats or precedes the key before it", e.DN())
+	}
+	if err := model.ValidateEntry(g.schema, e); err != nil {
+		return err
+	}
+	for len(g.stack) > 0 && !model.KeyIsAncestor(g.stack[len(g.stack)-1], key) {
+		g.stack = g.stack[:len(g.stack)-1]
+	}
+	if model.KeyDepth(key) > 1 && (len(g.stack) == 0 || !model.KeyIsParent(g.stack[len(g.stack)-1], key)) {
+		g.orphans++
+	}
+	g.stack = append(g.stack, key)
+	g.count++
+	return nil
 }
 
 // stringValues collects the distinct string values seen per attribute:
@@ -98,7 +138,9 @@ func (s *Store) indexStrings(sv stringValues) {
 	}
 }
 
-// Build writes the instance to disk and constructs the indexes.
+// Build writes the instance to disk and constructs the indexes,
+// checking every entry against the schema (model.ValidateEntry) on the
+// way in.
 func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
 	s := &Store{disk: disk, schema: in.Schema()}
 	var err error
@@ -117,7 +159,11 @@ func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
 	strVals := make(stringValues)
 	vb := make(map[string]*vindex.Builder) // attr -> vector-index builder
 	var entryVecs map[string][][]float32   // per-entry vector values, reused
+	admitted := gate{schema: s.schema}
 	for _, e := range in.Entries() {
+		if err := admitted.admit(e.Key(), e); err != nil {
+			return nil, err
+		}
 		off := w.Offset()
 		if err := w.Append(plist.FromEntry(e)); err != nil {
 			return nil, err
@@ -192,7 +238,7 @@ func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
 		s.stats.finish(s.master.Size(), s.master.Count())
 		s.indexStrings(strVals)
 	}
-	s.count = in.Len()
+	s.count, s.orphans = admitted.count, admitted.orphans
 	return s, nil
 }
 
@@ -205,6 +251,18 @@ func (s *Store) Schema() *model.Schema { return s.schema }
 
 // Count returns the number of entries.
 func (s *Store) Count() int { return s.count }
+
+// Orphans returns the number of entries below the top level whose
+// parent entry is absent — legal in the model, a forest; 0 is the strict
+// forest LDAP servers enforce and the planner's ac/dc collapse needs.
+func (s *Store) Orphans() int { return s.orphans }
+
+// Instance materializes the live entries as a fresh in-memory instance
+// that shares nothing with the store — what a full rebuild starts from.
+func (s *Store) Instance() (*model.Instance, error) {
+	in := model.NewInstance(s.schema)
+	return in, s.forEachLiveEntry(func(rec *plist.Record) error { return in.Add(rec.Entry) })
+}
 
 // MasterPages returns the size of the master list in pages — the |I|/B
 // of the whole instance.

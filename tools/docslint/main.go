@@ -5,9 +5,10 @@
 //     target that does not exist (broken intra-repo links are how
 //     ARCHITECTURE.md, DESIGN.md and README.md drift apart),
 //   - a markdown file names, in backticks, an `internal/...` package or
-//     file that does not exist (deleting a package without fixing the
-//     prose about it; the history files ROADMAP.md, CHANGES.md and
-//     ISSUE.md are exempt), or
+//     file that does not exist, or an identifier — `file.go:Ident`,
+//     `pkg.Ident`, `pkg.Type.Method` — that the file or package does not
+//     declare (deleting code without fixing the prose about it; the
+//     history files ROADMAP.md, CHANGES.md and ISSUE.md are exempt), or
 //   - an exported identifier in the packages listed in docPackages is
 //     missing its doc comment (go doc output is documentation too).
 //
@@ -72,36 +73,84 @@ func main() {
 // reference-style links are out of scope for this repository.
 var linkRe = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
-// pkgPathRe matches the path at the start of a backticked internal/...
-// reference: `internal/btree`, `internal/core/swap_test.go:TestX`,
-// `internal/model.DefaultSchema`.
-var pkgPathRe = regexp.MustCompile("`(internal/[A-Za-z0-9_./-]+)")
+// pkgPathRe matches a backticked internal/... reference: the path, and
+// for the `internal/core/swap_test.go:TestX` form the identifier after
+// the colon. The identifier of the `internal/model.DefaultSchema` form is
+// part of the path match; staleRef splits it off.
+var pkgPathRe = regexp.MustCompile("`(internal/[A-Za-z0-9_./-]+)(?::([A-Za-z0-9_.]+))?")
 
-// stalePackagePath reports whether a backticked internal/... reference
-// names nothing in the tree: neither an existing file or directory, nor
-// (for the pkg.Ident form) an existing package directory.
-func stalePackagePath(root, ref string) bool {
-	ref = strings.TrimRight(ref, "./")
-	exists := func(p string) bool {
-		_, err := os.Stat(filepath.Join(root, filepath.FromSlash(p)))
-		return err == nil
+// declared maps a package directory to the top-level names each of its
+// Go files declares ("Type.Method" for methods), one parse per package.
+type declared map[string]map[string]map[string]bool
+
+func (c declared) files(dir string) map[string]map[string]bool {
+	if files, ok := c[dir]; ok {
+		return files
 	}
-	if exists(ref) {
-		return false
+	files := make(map[string]map[string]bool)
+	c[dir] = files
+	pkgs, _ := parser.ParseDir(token.NewFileSet(), dir, nil, parser.SkipObjectResolution)
+	for _, p := range pkgs {
+		for name, f := range p.Files {
+			names := make(map[string]bool)
+			files[filepath.Base(name)] = names
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if recv := receiverName(d); recv != "" {
+						names[recv+"."+d.Name.Name] = true
+					} else {
+						names[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							names[s.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								names[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return files
+}
+
+// staleRef reports whether a backticked internal/... reference names
+// nothing in the tree. A bare path must be an existing file or
+// directory. path.go:Ident needs Ident declared at the top level of that
+// file; pkg.Ident needs it declared in a non-test file of the package
+// directory.
+func (c declared) staleRef(root, ref, ident string) bool {
+	ref, ident = strings.TrimRight(ref, "./"), strings.TrimRight(ident, ".")
+	abs := func(p string) string { return filepath.Join(root, filepath.FromSlash(p)) }
+	if _, err := os.Stat(abs(ref)); err == nil {
+		return ident != "" && !c.files(filepath.Dir(abs(ref)))[filepath.Base(ref)][ident]
 	}
 	dir, last := filepath.Split(ref)
-	if i := strings.IndexByte(last, '.'); i > 0 {
-		return !exists(dir + last[:i])
+	i := strings.IndexByte(last, '.')
+	if i <= 0 || ident != "" {
+		return true
+	}
+	for file, names := range c.files(abs(dir + last[:i])) {
+		if names[last[i+1:]] && !strings.HasSuffix(file, "_test.go") {
+			return false
+		}
 	}
 	return true
 }
 
 // checkMarkdownLinks verifies every repository-relative link target in
 // every tracked markdown file resolves to an existing file or
-// directory, and every backticked internal/... path outside the
+// directory, and every backticked internal/... reference outside the
 // history files names something that exists.
 func checkMarkdownLinks(root string) []string {
 	var problems []string
+	decls := make(declared)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -122,9 +171,9 @@ func checkMarkdownLinks(root string) []string {
 		for i, line := range strings.Split(string(data), "\n") {
 			if !historyDocs[d.Name()] {
 				for _, m := range pkgPathRe.FindAllStringSubmatch(line, -1) {
-					if stalePackagePath(root, m[1]) {
+					if decls.staleRef(root, m[1], m[2]) {
 						problems = append(problems,
-							fmt.Sprintf("%s:%d: %q names no package or file in the tree", path, i+1, m[1]))
+							fmt.Sprintf("%s:%d: %q names no package, file or declaration in the tree", path, i+1, m[0][1:]))
 					}
 				}
 			}
@@ -215,8 +264,15 @@ func checkDocComments(root, pkg string) []string {
 // isExportedMethodOfUnexported reports whether d is a method on an
 // unexported receiver type — godoc hides those, so they are exempt.
 func isExportedMethodOfUnexported(d *ast.FuncDecl) bool {
+	recv := receiverName(d)
+	return recv != "" && !ast.IsExported(recv)
+}
+
+// receiverName returns the name of d's receiver type, "" for a plain
+// function.
+func receiverName(d *ast.FuncDecl) string {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return false
+		return ""
 	}
 	t := d.Recv.List[0].Type
 	if star, ok := t.(*ast.StarExpr); ok {
@@ -225,8 +281,10 @@ func isExportedMethodOfUnexported(d *ast.FuncDecl) bool {
 	if idx, ok := t.(*ast.IndexExpr); ok { // generic receiver
 		t = idx.X
 	}
-	id, ok := t.(*ast.Ident)
-	return ok && !id.IsExported()
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 func kindWord(tok token.Token) string {
