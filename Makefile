@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz docs crash bench-smoke obs-smoke plan-smoke
+.PHONY: check vet build test race fuzz docs crash bench-smoke obs-smoke wire-smoke
 
-check: vet build test race docs bench-smoke plan-smoke
+check: vet build test race docs bench-smoke wire-smoke
 
 vet:
 	$(GO) vet ./...
@@ -22,18 +22,17 @@ test:
 # copy-on-write updates, internal/core/swap_test.go), the shared-Disk
 # pager and per-query arenas, the parallel engine and external sorter,
 # the durable checkpoint store (checkpoint-during-swap chaos), the
-# metrics/tracing subsystem, the query-statistics store (concurrent
-# folds from traced evaluations), and the vector index plus its
-# store-level knn paths (concurrent searches against copy-on-write
-# swaps). The dirserver package includes the cross-process trace-merge
-# chaos tests (trace_chaos_test.go), so the merged-tree conservation
-# invariant runs under the race detector here. The store package also
+# metrics/tracing subsystem, and the vector index plus its store-level
+# knn paths (concurrent searches against copy-on-write swaps). The
+# dirserver package includes the cross-process trace-merge chaos tests
+# (trace_chaos_test.go), so the merged-tree conservation invariant
+# runs under the race detector here. The store package also
 # carries the overlay generation test: readers of each published store
 # against a chain of Fork()+ApplyOps generations mutating its children;
 # the B+tree those trees are made of rides along. CI additionally runs
 # `go test -race ./...` over the whole module.
 race:
-	$(GO) test -race ./internal/dirserver/ ./internal/faultnet/ ./internal/core/ ./internal/pager/ ./internal/obs/ ./internal/engine/ ./internal/extsort/ ./internal/durable/ ./internal/faultfs/ ./internal/vindex/ ./internal/store/ ./internal/qstats/ ./internal/planner/ ./internal/btree/
+	$(GO) test -race ./internal/dirserver/ ./internal/faultnet/ ./internal/core/ ./internal/pager/ ./internal/obs/ ./internal/engine/ ./internal/extsort/ ./internal/durable/ ./internal/faultfs/ ./internal/vindex/ ./internal/store/ ./internal/planner/ ./internal/btree/
 
 # Short-budget fuzzing of the parser/matcher surfaces that each carry a
 # differential oracle: the wildcard matcher vs a reference matcher and
@@ -80,14 +79,14 @@ docs:
 # it still runs and what it reports.
 bench-smoke:
 	$(GO) run ./cmd/dirbench -quick -only E22 >/dev/null
-	$(GO) run ./cmd/dirbench -quick -only E23 >/dev/null
 	$(GO) test -run='^$$' -bench=BenchmarkUpdateEntries -benchtime=20x .
 
-# Planner smoke: EXPLAIN under the adaptive planner must print the
-# costed rejected-alternatives block on the E15 crossover workload
-# (the PR-9 acceptance criterion, checked end to end through the CLI).
-plan-smoke:
-	$(GO) run ./cmd/dirq -gen tops -n 400 -adaptive -explain -quiet -q '(dc=com ? sub ? priority<=1)' | grep 'alternatives (rejected' >/dev/null
+# Wire smoke: benchmark/dirload's four workloads (lookup, analytic,
+# policy, provision) each against a real dirserve child, every reply
+# checked against the in-process oracle and, on provision, the kill -9
+# durability check — about ten seconds.
+wire-smoke:
+	bash benchmark/run.sh -smoke
 
 # Observability smoke: boot a real dirserve child with the flight
 # recorder and admin listener on, run 50 traced queries against it,

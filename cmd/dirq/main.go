@@ -25,11 +25,6 @@
 // conservation check (local + Σ remote = total):
 //
 //	dirq -peers 'dc=com@127.0.0.1:7001' -explain -q '(dc=com ? sub ? objectClass=dcObject)'
-//
-// With -stats DIR observed per-operator statistics persist across runs:
-// on boot the newest intact qstats checkpoint in DIR is recovered and
-// feeds EXPLAIN's observed-vs-estimated columns; after the run the
-// updated store is checkpointed back through the durable envelope.
 package main
 
 import (
@@ -44,12 +39,9 @@ import (
 	"repro/internal/apps/qos"
 	"repro/internal/core"
 	"repro/internal/dirserver"
-	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/ldif"
 	"repro/internal/model"
-	"repro/internal/pager"
-	"repro/internal/qstats"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -65,7 +57,6 @@ func main() {
 		noIndex     = flag.Bool("noindex", false, "disable attribute indexes (scan-only atomic evaluation)")
 		cacheBytes  = flag.Int64("cache", 0, "enable the query-result cache with this byte budget (0 = off)")
 		optimize    = flag.Bool("optimize", false, "run the algebraic planner before evaluation")
-		adaptive    = flag.Bool("adaptive", false, "run the cost-based adaptive planner: algebraic rewrites plus access-path, join-order, and offload choices priced in estimated pages, calibrated from -stats observations (implies -optimize)")
 		interactive = flag.Bool("i", false, "interactive mode: read one query per line from stdin")
 		explain     = flag.Bool("explain", false, "print the query plan, then evaluate with tracing on and print the per-operator span tree (wall time, cardinalities, page I/O)")
 		audit       = flag.String("audit", "", "audit the QoS policies of this domain DN for conflicts")
@@ -77,10 +68,9 @@ func main() {
 		retries     = flag.Int("retries", 2, "transient-failure retries for -server calls")
 		workers     = flag.Int("workers", 1, "evaluate independent query subtrees on up to this many goroutines (1 = serial; see DESIGN.md §9)")
 		peers       = flag.String("peers", "", `federate through a Coordinator: ";"-separated "dn@addr" zone registrations (-explain traces across the wire)`)
-		statsDir    = flag.String("stats", "", "durable query-statistics directory: recover observed profiles on boot (feeds EXPLAIN), checkpoint after the run")
 	)
 	flag.Parse()
-	opts := core.Options{NoAttrIndex: *noIndex, Optimize: *optimize, Adaptive: *adaptive, CacheBytes: *cacheBytes, Engine: engine.Config{Workers: *workers}}
+	opts := core.Options{NoAttrIndex: *noIndex, Optimize: *optimize, CacheBytes: *cacheBytes, Engine: engine.Config{Workers: *workers}}
 
 	if *server != "" {
 		runRemote(*server, *timeout, *retries, *ldifPath, *gen, *n, *seed, *queryStr, *ldapStr)
@@ -109,17 +99,6 @@ func main() {
 		}
 	}
 	fmt.Printf("directory: %d entries\n", dir.Count())
-
-	// A durable statistics store makes EXPLAIN's observed columns
-	// persistent: recover past observations now, checkpoint the grown
-	// store when the run completes.
-	var qflush func()
-	if *statsDir != "" {
-		var err error
-		if qflush, err = attachStats(dir, *statsDir); err != nil {
-			fatal(err)
-		}
-	}
 
 	if *saveSnap != "" {
 		f, err := os.Create(*saveSnap)
@@ -166,9 +145,6 @@ func main() {
 			os.Exit(2)
 		}
 		runFederated(dir, *peers, *queryStr, *explain, *quiet)
-		if qflush != nil {
-			qflush()
-		}
 		return
 	}
 
@@ -191,39 +167,6 @@ func main() {
 		fmt.Printf("cache: %d entries (%d/%d bytes), hits %d, misses %d, hit rate %.2f\n",
 			st.Entries, st.Bytes, st.MaxBytes, st.Hits, st.Misses, st.HitRate())
 	}
-	if qflush != nil {
-		qflush()
-	}
-}
-
-// attachStats opens (creating if needed) the durable qstats store at
-// path, recovers the newest intact generation into a fresh store,
-// attaches it to the directory, and returns the end-of-run checkpoint.
-func attachStats(dir *core.Directory, path string) (flush func(), err error) {
-	fs, err := pager.DirFS(path)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := durable.Open(fs, durable.Options{})
-	if err != nil {
-		return nil, err
-	}
-	qs := qstats.New()
-	gen, err := qs.Recover(ds)
-	if err != nil {
-		return nil, fmt.Errorf("recovering query statistics: %w", err)
-	}
-	if gen > 0 {
-		fmt.Printf("qstats: recovered %d folded traces (generation %d)\n", qs.Folded(), gen)
-	}
-	dir.SetQueryStats(qs)
-	return func() {
-		if gen, err := qs.Checkpoint(ds); err != nil {
-			fmt.Fprintln(os.Stderr, "dirq: qstats checkpoint:", err)
-		} else {
-			fmt.Printf("qstats: checkpointed generation %d (%d traces folded)\n", gen, qs.Folded())
-		}
-	}, nil
 }
 
 // runFederated evaluates through a Coordinator federating the zones

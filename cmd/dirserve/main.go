@@ -29,13 +29,6 @@
 // checkpoints; SIGTERM always takes a final checkpoint after draining.
 //
 //	dirserve -gen paper -data /var/lib/dirkit -mutable -checkpoint-every 0
-//
-// With -data the server also keeps a durable query-statistics store
-// under DATA/qstats: every served query is traced and folded into
-// per-(operator, scope-depth, atomic-class) profiles that are recovered
-// on boot, checkpointed periodically and at shutdown, exported on
-// /metrics as dirkit_qstats_*, and surfaced by EXPLAIN's
-// observed-vs-estimated columns.
 package main
 
 import (
@@ -43,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -56,7 +48,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pager"
-	"repro/internal/qstats"
 	"repro/internal/workload"
 )
 
@@ -71,9 +62,7 @@ var (
 	cacheBytes   = flag.Int64("cache", 0, "enable the served directory's query-result cache with this byte budget (0 = off)")
 	workers      = flag.Int("workers", 1, "evaluate independent query subtrees on up to this many goroutines (1 = serial; see DESIGN.md §9)")
 	optimize     = flag.Bool("optimize", false, "run the algebraic planner on every served query")
-	adaptive     = flag.Bool("adaptive", false, "run the cost-based adaptive planner on every served query, calibrated from the qstats store (implies -optimize)")
 	flightN      = flag.Int("flight", 256, "retain the last N completed query traces in the flight recorder at /debug/queries (0 = off)")
-	qstatsEvery  = flag.Duration("qstats-every", 30*time.Second, "checkpoint cadence for the durable query-statistics store under -data/qstats")
 
 	dataDir   = flag.String("data", "", "durable store directory: recover on boot, checkpoint while serving (off when empty)")
 	ckptEvery = flag.Duration("checkpoint-every", 0, "checkpoint cadence: 0 = synchronously before acknowledging each write, >0 = periodic background checkpoints")
@@ -86,7 +75,7 @@ var (
 
 // options assembles the served directory's core.Options from the flags.
 func options() core.Options {
-	return core.Options{CacheBytes: *cacheBytes, Optimize: *optimize, Adaptive: *adaptive,
+	return core.Options{CacheBytes: *cacheBytes, Optimize: *optimize,
 		DeltaCheckpoints: *deltaCkpt, Engine: engine.Config{Workers: *workers}}
 }
 
@@ -226,49 +215,6 @@ func serve(dir *core.Directory, ds *durable.Store, addr string) {
 		Flight:       flight,
 	}
 
-	// A durable -data directory also persists the query-statistics
-	// store: recovered before the first query, checkpointed on a cadence
-	// and once more at shutdown. Corruption is never fatal — statistics
-	// are advisory, so an unrecoverable store just starts empty.
-	var qs *qstats.Store
-	var qds *durable.Store
-	qsStop := make(chan struct{})
-	qsDone := make(chan struct{})
-	if *dataDir != "" {
-		qfs, err := pager.DirFS(filepath.Join(*dataDir, "qstats"))
-		if err != nil {
-			fatal(err)
-		}
-		if qds, err = durable.Open(qfs, durable.Options{Keep: *keepGens}); err != nil {
-			fatal(err)
-		}
-		qs = qstats.New()
-		if gen, err := qs.Recover(qds); err != nil {
-			fmt.Fprintln(os.Stderr, "dirserve: qstats recover (starting empty):", err)
-			qs = qstats.New()
-		} else if gen > 0 {
-			fmt.Printf("dirserve: qstats recovered generation %d (%d traces folded)\n", gen, qs.Folded())
-		}
-		dir.SetQueryStats(qs)
-		qs.RegisterMetrics(reg, "dirkit_qstats")
-		go func() {
-			defer close(qsDone)
-			t := time.NewTicker(*qstatsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-qsStop:
-					return
-				case <-t.C:
-					if _, err := qs.Checkpoint(qds); err != nil {
-						fmt.Fprintln(os.Stderr, "dirserve: qstats checkpoint:", err)
-					}
-				}
-			}
-		}()
-	} else {
-		close(qsDone)
-	}
 	ckptStop := make(chan struct{})
 	ckptDone := make(chan struct{})
 	if ds != nil {
@@ -348,15 +294,6 @@ func serve(dir *core.Directory, ds *durable.Store, addr string) {
 			fmt.Fprintln(os.Stderr, "dirserve: final checkpoint:", err)
 		} else {
 			fmt.Printf("dirserve: checkpointed generation %d\n", gen)
-		}
-	}
-	if qds != nil {
-		close(qsStop)
-		<-qsDone
-		if gen, err := qs.Checkpoint(qds); err != nil {
-			fmt.Fprintln(os.Stderr, "dirserve: final qstats checkpoint:", err)
-		} else {
-			fmt.Printf("dirserve: qstats checkpointed generation %d (%d traces folded)\n", gen, qs.Folded())
 		}
 	}
 	fmt.Println("dirserve: shut down")

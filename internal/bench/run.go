@@ -83,7 +83,6 @@ var Specs = []Spec{
 	{"E19", func(p Preset) *Table { return E19Parallel(p.CacheN, p.CacheOps) }},
 	{"E20", func(p Preset) *Table { return E20ConcurrentSearch(p.CacheN, p.CacheOps) }},
 	{"E22", func(p Preset) *Table { return E22VectorScope(p.VecN) }},
-	{"E23", func(p Preset) *Table { return E23AdaptivePlanner(p.IndexN) }},
 	{"E24", func(p Preset) *Table { return E24DeltaCheckpoint(p.DeltaN) }},
 	{"A1", func(p Preset) *Table { return AblationStackWindow(p.StackN, []int{2, 4, 16, 64}) }},
 	{"A2", func(Preset) *Table { return AblationBlockSize(4000, []int{1024, 2048, 4096, 8192}) }},

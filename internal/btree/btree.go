@@ -156,39 +156,47 @@ func (nd *node) encode(page []byte) {
 // The node outlives the pin on the frame it was read from, so it cannot
 // point into the page: its keys and values are views of one private
 // copy of the page's used bytes. One allocation per page, not one per
-// key, because every read decodes a root-to-leaf path and allocation
-// and collection are the larger part of what a point query costs.
-func decodeNode(page []byte) (*node, error) {
+// key, because allocation and collection are the larger part of what a
+// point query costs. For the same reason a leaf decoded for a reader
+// leaves out the items it will not visit, those whose keys sort before
+// from (nil keeps all, and an interior node is always whole): the copy
+// starts at the first item kept.
+func decodeNode(page, from []byte) (*node, error) {
 	if len(page) < 7 {
 		return nil, fmt.Errorf("%w: %d-byte page", ErrCorrupt, len(page))
 	}
 	leaf := page[0] == 1
 	n := int(binary.LittleEndian.Uint16(page[1:]))
+	skip, start := 0, 7 // index and offset of the first item kept
 	end, ok := 7, false
 	for i := 0; i < n; i++ {
-		if _, end, ok = lenPrefixed(page, end); !ok {
+		var k []byte
+		if k, end, ok = lenPrefixed(page, end); !ok {
 			return nil, fmt.Errorf("%w (key %d)", ErrCorrupt, i)
 		}
 		if leaf {
 			if _, end, ok = lenPrefixed(page, end); !ok {
 				return nil, fmt.Errorf("%w (val %d)", ErrCorrupt, i)
 			}
+			if skip == i && bytes.Compare(k, from) < 0 {
+				skip, start = i+1, end
+			}
 		} else if end += 4; end > len(page) {
 			return nil, fmt.Errorf("%w (child %d)", ErrCorrupt, i+1)
 		}
 	}
 
-	buf := bytes.Clone(page[:end])
-	nd := &node{leaf: leaf, keys: make([][]byte, n)}
-	first := pager.PageID(binary.LittleEndian.Uint32(buf[3:]))
+	buf := bytes.Clone(page[start:end])
+	nd := &node{leaf: leaf, keys: make([][]byte, n-skip)}
+	first := pager.PageID(binary.LittleEndian.Uint32(page[3:]))
 	if leaf {
 		nd.next = first
-		nd.vals = make([][]byte, n)
+		nd.vals = make([][]byte, n-skip)
 	} else {
 		nd.children = make([]pager.PageID, 1, n+1)
 		nd.children[0] = first
 	}
-	off := 7
+	off := 0
 	for i := range nd.keys {
 		nd.keys[i], off, _ = lenPrefixed(buf, off)
 		if leaf {
@@ -226,7 +234,7 @@ func (t *Tree) loadMetered(id pager.PageID, m *pager.Meter) (*node, error) {
 		return nil, err
 	}
 	defer t.pool.Unpin(f)
-	return decodeNode(f.Data)
+	return decodeNode(f.Data, nil)
 }
 
 func (t *Tree) store(id pager.PageID, nd *node) error {
@@ -317,21 +325,61 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 // the root-to-leaf path are charged to m. Safe for concurrent readers
 // (the pool serializes its own bookkeeping; the meter is atomic).
 func (t *Tree) GetMetered(key []byte, m *pager.Meter) ([]byte, error) {
+	nd, err := t.leafFor(key, m)
+	if err != nil {
+		return nil, err
+	}
+	i, ok := nd.leafIndex(key)
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return nd.vals[i], nil
+}
+
+// leafFor descends from the root to the leaf that may hold key and
+// decodes it from key on. Interior pages are read where they lie, under
+// their pin: choosing a child takes one pass over the separators
+// (childOnPage), not a private copy of the page, so a read allocates
+// only for the part of one leaf it can reach.
+func (t *Tree) leafFor(key []byte, m *pager.Meter) (*node, error) {
 	id := t.root
 	for {
-		nd, err := t.loadMetered(id, m)
+		f, err := t.pool.GetMetered(id, m)
 		if err != nil {
 			return nil, err
 		}
-		if nd.leaf {
-			i, ok := nd.leafIndex(key)
-			if !ok {
-				return nil, ErrNotFound
-			}
-			return nd.vals[i], nil
+		if len(f.Data) < 7 || f.Data[0] == 1 {
+			nd, err := decodeNode(f.Data, key)
+			t.pool.Unpin(f)
+			return nd, err
 		}
-		id = nd.children[nd.childIndex(key)]
+		id, err = childOnPage(f.Data, key)
+		t.pool.Unpin(f)
+		if err != nil {
+			return nil, err
+		}
 	}
+}
+
+// childOnPage is childIndex on an interior page image: the child after
+// the last separator <= key. It checks what it reads — the separators up
+// to the one that ends the search — against the page, like decodeNode.
+func childOnPage(page, key []byte) (pager.PageID, error) {
+	n := int(binary.LittleEndian.Uint16(page[1:]))
+	child := pager.PageID(binary.LittleEndian.Uint32(page[3:]))
+	off := 7
+	for i := 0; i < n; i++ {
+		sep, next, ok := lenPrefixed(page, off)
+		if !ok || next+4 > len(page) {
+			return 0, fmt.Errorf("%w (separator %d)", ErrCorrupt, i)
+		}
+		if bytes.Compare(sep, key) > 0 {
+			break
+		}
+		child = pager.PageID(binary.LittleEndian.Uint32(page[next:]))
+		off = next + 4
+	}
+	return child, nil
 }
 
 // MaxItem returns the largest key+value size the tree accepts for its
@@ -505,21 +553,12 @@ type Iter struct {
 // uncharged). Safe for concurrent readers, like GetMetered.
 func (t *Tree) Seek(lo []byte, m *pager.Meter) Iter {
 	it := Iter{t: t, m: m}
-	id := t.root
-	for {
-		nd, err := t.loadMetered(id, m)
-		if err != nil {
-			it.err = err
-			return it
-		}
-		if nd.leaf {
-			it.nd = nd
-			it.i, _ = nd.leafIndex(lo)
-			it.settle()
-			return it
-		}
-		id = nd.children[nd.childIndex(lo)]
+	if it.nd, it.err = t.leafFor(lo, m); it.err != nil {
+		return it
 	}
+	it.i, _ = it.nd.leafIndex(lo)
+	it.settle()
+	return it
 }
 
 // settle follows the leaf chain until the position holds a key (lazy

@@ -418,4 +418,19 @@ func TestCorruptPageIsAnError(t *testing.T) {
 	if err := tr.Insert([]byte("k"), []byte("v")); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Insert on a corrupt root: %v", err)
 	}
+
+	// The same overrun in an interior root, which the read path searches
+	// in place without decoding it.
+	interior := malformedLeaf(d.PageSize())
+	interior[0] = 0
+	if err := d.Write(id, interior); err != nil {
+		t.Fatal(err)
+	}
+	tr = Open(d, 8, id, 5)
+	if _, err := tr.Get([]byte("k")); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Get under a corrupt interior root: %v", err)
+	}
+	if it := tr.Seek([]byte("k"), nil); it.Valid() || !errors.Is(it.Err(), ErrCorrupt) {
+		t.Errorf("Seek under a corrupt interior root: valid=%v err=%v", it.Valid(), it.Err())
+	}
 }

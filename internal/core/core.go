@@ -33,7 +33,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/plist"
 	"repro/internal/qcache"
-	"repro/internal/qstats"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -49,14 +48,6 @@ type Options struct {
 	// evaluation (scope narrowing, disjointness, the ac/dc collapse —
 	// see internal/planner).
 	Optimize bool
-	// Adaptive runs the cost-based planner on every query before
-	// evaluation: the algebraic rewrites of Optimize plus a cost pass
-	// that chooses access paths, operand evaluation order, and worker-
-	// pool offload by estimated pages, calibrated online from the
-	// attached statistics store (SetQueryStats). Every chosen plan is
-	// byte-identical to the naive evaluation; the cost model only moves
-	// I/O. Implies Optimize. See internal/planner and DESIGN.md §14.
-	Adaptive bool
 	// Engine tunes the evaluation engine (stack window etc.).
 	Engine engine.Config
 	// DeltaCheckpoints, when set, lets Checkpoint persist a page delta
@@ -202,11 +193,6 @@ type Directory struct {
 	swaps     atomic.Int64  // completed store swaps (successful Updates)
 	rebuildNS atomic.Int64  // wall time of the last successful write, lock to publish
 	readers   readerTracker // in-flight evaluations per generation (lag gauge)
-
-	// qstats, when set, receives every completed traced evaluation's
-	// span tree and feeds observed-vs-estimated columns back into
-	// ExplainQuery.
-	qstats atomic.Pointer[qstats.Store]
 
 	// lineage links each generation produced by the UpdateEntries fast
 	// path to its parent, with the page set the fork dirtied — exactly
@@ -531,17 +517,16 @@ func (d *Directory) searchCached(keyPrefix string, q query.Query, validate bool)
 // the snapshot's store disk is only read, and all writes land on the
 // arena's private scratch disk, so any number of evaluations run
 // concurrently with exact per-query I/O accounting. validate runs L0
-// validation and the configured planner first (the LDAP surface skips
-// both); traced makes the differences SearchTraced documents: a root
-// span, returned even on failure and folded into the statistics store,
-// and a Result.IO read before the result drain.
+// validation and the planner first (the LDAP surface skips both);
+// traced makes the differences SearchTraced documents: a root span,
+// returned even on failure, and a Result.IO read before the result
+// drain.
 func (d *Directory) evaluate(ctx context.Context, snap *snapshot, q query.Query, validate, traced bool) (res *Result, size int64, root *obs.Span, err error) {
-	var hints *planner.Hints
 	if validate {
 		if err := query.Validate(snap.st.Schema(), q); err != nil {
 			return nil, 0, nil, err
 		}
-		q, hints = d.planQuery(snap, q)
+		q = d.planQuery(snap, q).Query
 	}
 	d.readers.enter(snap.gen)
 	defer d.readers.exit(snap.gen)
@@ -549,13 +534,9 @@ func (d *Directory) evaluate(ctx context.Context, snap *snapshot, q query.Query,
 	if traced {
 		tr := obs.NewTracer(arena)
 		ctx = obs.WithTracer(ctx, tr)
-		qs := d.qstats.Load()
-		defer func() {
-			root = tr.Root()
-			qs.Fold(root)
-		}()
+		defer func() { root = tr.Root() }()
 	}
-	l, err := snap.eng.Session(arena).WithHints(hints).EvalContext(ctx, q)
+	l, err := snap.eng.Session(arena).EvalContext(ctx, q)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -620,45 +601,16 @@ func (d *Directory) SearchLDAPTraced(ctx context.Context, text string) (*Result,
 	return res, root, err
 }
 
-// planQuery runs the configured planner over a validated query:
-// Adaptive plans with the cost model (returning evaluation hints),
-// Optimize runs the algebraic rewrites alone, and neither passes the
-// query through untouched.
-func (d *Directory) planQuery(snap *snapshot, q query.Query) (query.Query, *planner.Hints) {
-	switch {
-	case d.opts.Adaptive:
-		cr := planner.Plan(q, d.planEnv(snap))
-		return cr.Query, cr.Hints
-	case d.opts.Optimize:
-		return planner.Optimize(q, planner.Info{StrictForest: snap.strict}).Query, nil
+// planQuery runs the algebraic planner over a validated query when the
+// directory was opened with Optimize; otherwise the query passes
+// through untouched with no rules fired. Search and ExplainQuery both
+// call it, so what EXPLAIN prints is what Search runs.
+func (d *Directory) planQuery(snap *snapshot, q query.Query) planner.Result {
+	if d.opts.Optimize {
+		return planner.Optimize(q, planner.Info{StrictForest: snap.strict})
 	}
-	return q, nil
+	return planner.Result{Query: q}
 }
-
-// planEnv assembles the cost-based planner's environment for one
-// snapshot: the snapshot's store as the catalog, the attached
-// statistics store (when any) as the calibration feed, and the engine's
-// worker count for offload marking.
-func (d *Directory) planEnv(snap *snapshot) planner.Env {
-	env := planner.Env{
-		Catalog: snap.st,
-		Info:    planner.Info{StrictForest: snap.strict},
-		Workers: d.opts.Engine.Workers,
-	}
-	if qs := d.qstats.Load(); qs != nil {
-		env.Stats = qs
-	}
-	return env
-}
-
-// SetQueryStats attaches a statistics store: every subsequent traced
-// evaluation's span tree is folded into it, and ExplainQuery reports
-// its observed hit/I-O distributions beside the catalog estimates.
-// Pass nil to detach. Safe to call concurrently with queries.
-func (d *Directory) SetQueryStats(s *qstats.Store) { d.qstats.Store(s) }
-
-// QueryStats returns the attached statistics store (nil when none).
-func (d *Directory) QueryStats() *qstats.Store { return d.qstats.Load() }
 
 // readerTracker counts in-flight evaluations per generation, feeding
 // the reader-generation-lag gauge. The mutex guards two map operations

@@ -4,59 +4,32 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/planner"
 	"repro/internal/query"
 )
 
 // Explain describes how a query would be evaluated, without running it:
 // its language level, the planner rewrites that would fire (when the
-// directory was opened with Optimize or Adaptive), the access path and
-// catalog estimate for each atomic leaf, and — under Adaptive — the
-// cost model's root estimate with every priced alternative, rejected
-// ones included.
+// directory was opened with Optimize), and the access path and catalog
+// estimate for each atomic leaf.
 type Explain struct {
 	Language  query.Language
 	Original  string
 	Optimized string
 	Rules     []string
 	Atoms     []AtomPlan
-	// Cost is the cost model's root estimate (zero unless the directory
-	// was opened with Adaptive).
-	Cost planner.Estimate
-	// Alternatives lists every candidate the cost model priced — the
-	// chosen plan per decision point and the rejected competitors with
-	// their estimates (empty unless Adaptive).
-	Alternatives []planner.Alternative
 }
 
-// AtomPlan is the plan for one atomic leaf: the catalog's estimate
-// and, when a statistics store is attached (SetQueryStats) and has seen
-// this exact atomic, the observed distribution beside it.
+// AtomPlan is the plan for one atomic leaf: the access path the store
+// would take and the catalog's estimate. The actual cardinality and
+// I/O are on the atomic's span when the query is evaluated traced.
 type AtomPlan struct {
 	Query     string
 	Path      string // base-point | index | scan | knn-index | knn-scan
 	EstHits   int64  // -1 if the catalog cannot estimate; k for knn
 	ScanBytes int64
-	// ObsN is how many traced evaluations of this exact atomic the
-	// statistics store has folded (0 = never observed, Obs* unset).
-	ObsN int64
-	// ObsP50Hits is the median actual hit count over those evaluations —
-	// the observed answer to EstHits's estimate.
-	ObsP50Hits float64
-	// ObsP50IO is the median self page I/O the atomic performed.
-	ObsP50IO float64
-	// ObsP50LatMS is the median wall time of the atomic in milliseconds.
-	ObsP50LatMS float64
-	// ObsClass is the access-path class of the newest observed
-	// evaluation — the path ObsP50IO describes.
-	ObsClass string
 }
 
-// String renders a compact multi-line report. Each atom line pairs the
-// catalog estimate with the observed profile when one exists; an
-// unobserved atom prints obs=— rather than misleading zeros. Under
-// Adaptive the report ends with the plan's root cost and the rejected
-// alternatives, each beside its estimate and the reason it lost.
+// String renders a compact multi-line report.
 func (e *Explain) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "language: %s\n", e.Language)
@@ -67,39 +40,14 @@ func (e *Explain) String() string {
 		fmt.Fprintf(&b, "rules: %s\n", strings.Join(e.Rules, ", "))
 	}
 	for _, a := range e.Atoms {
-		fmt.Fprintf(&b, "atom %-10s est=%-6d scope=%dB", a.Path, a.EstHits, a.ScanBytes)
-		if a.ObsN > 0 {
-			fmt.Fprintf(&b, "  obs=%d: %.0f hits, %.1f pages, %.2f ms [%s]",
-				a.ObsN, a.ObsP50Hits, a.ObsP50IO, a.ObsP50LatMS, a.ObsClass)
-		} else {
-			b.WriteString("  obs=—")
-		}
-		fmt.Fprintf(&b, "  %s\n", a.Query)
-	}
-	if e.Cost != (planner.Estimate{}) {
-		fmt.Fprintf(&b, "plan cost: %s\n", e.Cost)
-	}
-	var rejected []planner.Alternative
-	for _, alt := range e.Alternatives {
-		if !alt.Chosen {
-			rejected = append(rejected, alt)
-		}
-	}
-	if len(rejected) > 0 {
-		fmt.Fprintf(&b, "alternatives (rejected %d):\n", len(rejected))
-		for _, alt := range rejected {
-			fmt.Fprintf(&b, "  %-24s %s", alt.Plan, alt.Est)
-			if alt.Why != "" {
-				fmt.Fprintf(&b, " — %s", alt.Why)
-			}
-			fmt.Fprintf(&b, "  %s\n", alt.Node)
-		}
+		fmt.Fprintf(&b, "atom %-10s est=%-6d scope=%dB  %s\n", a.Path, a.EstHits, a.ScanBytes, a.Query)
 	}
 	return b.String()
 }
 
 // ExplainQuery plans a query string without evaluating it. Lock-free
-// like Search: it plans against the snapshot loaded at call time.
+// like Search: it plans against the snapshot loaded at call time, with
+// the same planQuery Search runs.
 func (d *Directory) ExplainQuery(text string) (*Explain, error) {
 	q, err := query.Parse(text)
 	if err != nil {
@@ -109,54 +57,20 @@ func (d *Directory) ExplainQuery(text string) (*Explain, error) {
 	if err := query.Validate(snap.st.Schema(), q); err != nil {
 		return nil, err
 	}
-	ex := &Explain{Language: q.Language(), Original: q.String(), Optimized: q.String()}
-	var hints *planner.Hints
-	switch {
-	case d.opts.Adaptive:
-		cr := planner.Plan(q, d.planEnv(snap))
-		q = cr.Query
-		ex.Optimized = q.String()
-		ex.Rules = cr.Rules
-		ex.Cost = cr.Root
-		ex.Alternatives = cr.Alternatives
-		hints = cr.Hints
-	case d.opts.Optimize:
-		res := planner.Optimize(q, planner.Info{StrictForest: snap.strict})
-		q = res.Query
-		ex.Optimized = q.String()
-		ex.Rules = res.Rules
-	}
-	qs := d.qstats.Load()
-	query.Walk(q, func(node query.Query) {
+	plan := d.planQuery(snap, q)
+	ex := &Explain{Language: q.Language(), Original: q.String(), Optimized: plan.Query.String(), Rules: plan.Rules}
+	query.Walk(plan.Query, func(node query.Query) {
 		a, ok := node.(*query.Atomic)
 		if !ok {
 			return
 		}
 		p := snap.st.ExplainAtomic(a)
-		plan := AtomPlan{
+		ex.Atoms = append(ex.Atoms, AtomPlan{
 			Query:     a.String(),
 			Path:      p.Path,
 			EstHits:   p.EstHits,
 			ScanBytes: p.ScanBytes,
-		}
-		// Under Adaptive the cost model's choice supersedes the store's
-		// own; report the path that would actually run.
-		if hints != nil {
-			if forced, ok := hints.Path[a]; ok {
-				plan.Path = forced
-			}
-		}
-		// The statistics store keys observations by the optimized
-		// atomic's printed text — exactly the span Detail the engine
-		// records — so the lookup matches what Fold accumulated.
-		if ob, ok := qs.ObservedFor(plan.Query); ok {
-			plan.ObsN = ob.N
-			plan.ObsP50Hits = ob.P50Hits
-			plan.ObsP50IO = ob.P50IO
-			plan.ObsP50LatMS = ob.P50LatUS / 1000
-			plan.ObsClass = ob.Class
-		}
-		ex.Atoms = append(ex.Atoms, plan)
+		})
 	})
 	return ex, nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pager"
@@ -139,6 +141,18 @@ func TestSearchTracedBypassesCache(t *testing.T) {
 	}
 	if root == nil || res.IO.IO() == 0 {
 		t.Fatal("traced search appears to have been served from the cache")
+	}
+}
+
+// TestSearchQueryTracedHonorsDeadline: a context whose deadline already
+// passed stops the evaluation before any operator runs.
+func TestSearchQueryTracedHonorsDeadline(t *testing.T) {
+	dir := forestDir(t, 200)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, _, err := dir.SearchLDAPTraced(ctx, `( ? sub ? tag=a)`)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired deadline: err = %v, want DeadlineExceeded", err)
 	}
 }
 

@@ -200,11 +200,10 @@ type ServerConfig struct {
 	// its thresholds (and for every failed request).
 	SlowLog *obs.SlowLog
 	// Flight, when non-nil, retains the span tree of every served query
-	// in the flight recorder (exposed at /debug/queries). Setting it —
-	// or attaching a qstats store to the directory — makes the server
-	// trace every query it serves; traced serving bypasses the
-	// directory's result cache, trading cache hits for a complete
-	// per-operator record of each request.
+	// in the flight recorder (exposed at /debug/queries). Setting it
+	// makes the server trace every query it serves; traced serving
+	// bypasses the directory's result cache, trading cache hits for a
+	// complete per-operator record of each request.
 	Flight *obs.FlightRecorder
 }
 
@@ -423,11 +422,10 @@ func (s *Server) serveOne(req request, recv time.Time) response {
 	var root *obs.Span
 	var gen int64
 	var err error
-	// A query request is traced when the caller propagated a trace ID,
-	// or the server itself observes every query (flight recorder /
-	// statistics store). Mutations are never traced: they have no
-	// operator tree.
-	traced := req.Trace != "" || s.cfg.Flight != nil || s.dir.QueryStats() != nil
+	// A query request is traced when the caller propagated a trace ID
+	// or the server records every query in its flight recorder.
+	// Mutations are never traced: they have no operator tree.
+	traced := req.Trace != "" || s.cfg.Flight != nil
 	ctx, cancel := budgetCtx(req)
 	defer cancel()
 	switch req.Kind {
@@ -1050,12 +1048,6 @@ func (c *Coordinator) SearchTraced(ctx context.Context, text string) ([]*model.E
 	defer c.evalMu.Unlock()
 	tr := obs.NewTracer(c.disk)
 	tr.SetTraceID(obs.NewTraceID())
-	// An attached statistics store sees the merged tree, remote
-	// subtrees included — remote-answered atomics profile under the
-	// "remote" class.
-	if qs := c.dir.QueryStats(); qs != nil {
-		defer func() { qs.Fold(tr.Root()) }()
-	}
 	ctx = obs.WithTracer(ctx, tr)
 	l, err := c.eng.EvalContext(ctx, q)
 	if err != nil {

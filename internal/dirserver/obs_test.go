@@ -11,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/ldif"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // promValue extracts the value of a bare (unlabeled) sample from a
@@ -142,6 +145,58 @@ func TestServerMetricsMatchWorkload(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/statusz missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestServedCacheFollowsTraceRule pins the server's two-term trace
+// rule against the directory's result cache: an untraced server with
+// no flight recorder answers a repeated query from the cache; a flight
+// recorder or a caller-propagated trace ID makes the request traced,
+// and traced serving bypasses the cache (hits stay 0).
+func TestServedCacheFollowsTraceRule(t *testing.T) {
+	const q = "(dc=com ? sub ? objectClass=QHP)"
+	for _, tc := range []struct {
+		name     string
+		cfg      ServerConfig
+		traceID  string
+		wantHits int64
+	}{
+		{name: "untraced", wantHits: 1},
+		{name: "flight", cfg: ServerConfig{Flight: obs.NewFlightRecorder(4)}},
+		{name: "caller-trace", traceID: obs.NewTraceID()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, err := core.Open(workload.PaperInstance(), core.Options{CacheBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := ServeWith(dir, "127.0.0.1:0", tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			cl := NewClient(dir.Schema(), ClientConfig{})
+			defer cl.Close()
+			var replies [2]string
+			for i := range replies {
+				entries, _, _, err := cl.CallTraced(context.Background(), srv.Addr(), "query", q, tc.traceID, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(entries) == 0 {
+					t.Fatal("empty answer: the comparison below would be vacuous")
+				}
+				for _, e := range entries {
+					replies[i] += ldif.MarshalEntry(e)
+				}
+			}
+			if replies[0] != replies[1] {
+				t.Errorf("repeated query answered differently:\n%s\nvs\n%s", replies[0], replies[1])
+			}
+			if got := dir.CacheStats().Hits; got != tc.wantHits {
+				t.Errorf("cache hits = %d, want %d", got, tc.wantHits)
+			}
+		})
 	}
 }
 

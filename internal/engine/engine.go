@@ -23,7 +23,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pager"
-	"repro/internal/planner"
 	"repro/internal/plist"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -83,12 +82,6 @@ type Engine struct {
 	// store reads are charged to its meter, leaving the store's disk
 	// read-only. Nil on the base engine (legacy shared-disk evaluation).
 	arena *pager.Arena
-	// hints, when set, carries the cost-based planner's per-node
-	// decisions for the exact tree being evaluated: forced access paths
-	// per atomic and the operand subtrees worth a pool goroutine. Nil
-	// evaluates with the store's own path choices and opportunistic
-	// offload (the pre-cost-planner behavior).
-	hints *planner.Hints
 }
 
 // SetResolver installs an atomic-query resolver consulted instead of the
@@ -125,22 +118,6 @@ func (e *Engine) Store() *store.Store { return e.st }
 func (e *Engine) Session(a *pager.Arena) *Engine {
 	s := *e
 	s.arena = a
-	return &s
-}
-
-// WithHints returns a view of the engine that evaluates under the
-// cost-based planner's decisions: atomics listed in h.Path run their
-// chosen access path (store.EvalPath) instead of the store's own
-// choice, and when h.Offload is non-nil only marked operand subtrees
-// are handed to the worker pool. Hints are keyed by node pointer, so
-// the view must evaluate the exact tree the planner returned. A nil h
-// returns the engine unchanged.
-func (e *Engine) WithHints(h *planner.Hints) *Engine {
-	if h == nil {
-		return e
-	}
-	s := *e
-	s.hints = h
 	return &s
 }
 
@@ -240,35 +217,17 @@ func (e *Engine) evalNode(ctx context.Context, sp *obs.Span, q query.Query) (*pl
 		if e.resolver != nil {
 			return e.resolver(ctx, n)
 		}
-		forced := ""
-		if e.hints != nil {
-			forced = e.hints.Path[n]
-		}
 		if sp != nil {
-			// Surface the plan on the operator's span — access path,
-			// catalog estimate, scope depth, filter attribute — so trace
-			// trees show which plan ran next to its exact page I/O, and
-			// qstats can fold estimated-vs-actual selectivity per
-			// attribute and per (op, depth, path) class.
+			// Surface the plan on the operator's span — access path and
+			// catalog estimate — so trace trees show which plan ran, and
+			// what the catalog expected, next to the exact cardinality
+			// and page I/O.
 			plan := e.st.ExplainAtomic(n)
-			path := plan.Path
-			if forced != "" {
-				path = forced
-				sp.Tag("forced", "cost")
-			}
-			sp.Tag("path", path)
+			sp.Tag("path", plan.Path)
 			sp.Tag("est", strconv.FormatInt(plan.EstHits, 10))
-			sp.Tag("depth", strconv.Itoa(n.Base.Depth()))
-			sp.Tag("attr", n.Filter.Attr)
 			if n.Filter.Op == filter.OpKNN {
-				sp.Tag("knn", path)
+				sp.Tag("knn", plan.Path)
 			}
-		}
-		if forced != "" {
-			if e.arena != nil {
-				return e.st.EvalPathArena(e.arena, n, forced)
-			}
-			return e.st.EvalPath(n, forced)
 		}
 		if e.arena != nil {
 			return e.st.EvalArena(e.arena, n)

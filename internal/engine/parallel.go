@@ -50,16 +50,6 @@ func (e *Engine) evalChildren(ctx context.Context, qs ...query.Query) ([]*plist.
 	errs := make([]error, len(qs))
 	var wg sync.WaitGroup
 	for i := 1; i < len(qs); i++ {
-		// Under cost-based hints only subtrees the planner marked as
-		// worth a goroutine are offloaded; tiny operands run inline so
-		// the handoff overhead is never paid for a one-page list.
-		if e.hints != nil && e.hints.Offload != nil && !e.hints.Offload[qs[i]] {
-			out[i], errs[i] = e.EvalContext(ctx, qs[i])
-			if errs[i] != nil {
-				cancel()
-			}
-			continue
-		}
 		select {
 		case e.sem <- struct{}{}:
 			wg.Add(1)

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,6 +51,12 @@ func (e *Entry) Add(attr string, v Value) *Entry {
 	copy(e.avs[i+1:], e.avs[i:])
 	e.avs[i] = AV{Attr: attr, Value: v}
 	return e
+}
+
+// Grow makes room for n more pairs, so that a decoder that knows how many
+// it is about to Add grows val(r) once and not by doubling.
+func (e *Entry) Grow(n int) {
+	e.avs = slices.Grow(e.avs, n)
 }
 
 // AddClass records membership in class c by adding an (objectClass, c)

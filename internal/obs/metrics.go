@@ -163,9 +163,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // HistState is a histogram's full serializable state: count, sum, and
-// the non-zero log₂ buckets as a sparse index→count map. It is how
-// internal/qstats persists its profiles through the durable envelope
-// layer and how recovered state is folded back in.
+// the non-zero log₂ buckets as a sparse index→count map, so a
+// histogram can be persisted and folded back in with AddState.
 type HistState struct {
 	Count   int64         `json:"count"`
 	Sum     int64         `json:"sum"`

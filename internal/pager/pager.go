@@ -187,9 +187,11 @@ func (d *Disk) Free(id PageID) error {
 	return nil
 }
 
-// Read copies page id into buf (which must be at least PageSize long)
-// and counts one page read. Unwritten pages read as zeroes. Reads
-// share the device's read lock, so any number may run concurrently.
+// Read copies page id into buf — the whole page, or its first len(buf)
+// bytes when buf is shorter than PageSize, for a caller that knows how
+// much of the page holds data — and counts one page read. Unwritten
+// pages read as zeroes. Reads share the device's read lock, so any
+// number may run concurrently.
 func (d *Disk) Read(id PageID, buf []byte) error {
 	return d.readCounted(id, buf, d.shardFor(id))
 }

@@ -76,6 +76,12 @@ func rewrite(q query.Query, info Info, rules *[]string) query.Query {
 }
 
 func rewriteBool(b *query.Bool, rules *[]string) query.Query {
+	// emptyLike's constant shares one probe pointer between its operands
+	// (a parsed (- Q Q) never does): it is already minimal, and
+	// rewriting it again would report a rule the user's query never hit.
+	if b.Op == query.OpDiff && b.Q1 == b.Q2 {
+		return b
+	}
 	// Idempotence / contradiction on syntactically identical operands.
 	if b.Q1.String() == b.Q2.String() {
 		switch b.Op {
@@ -185,7 +191,8 @@ func relate(b1, b2 model.DN) relation {
 }
 
 // emptyLike builds a constant-empty query that costs O(1) pages: a
-// base-scoped self-difference at q's shallowest base.
+// base-scoped self-difference at q's shallowest base. Both operands are
+// the same pointer, which is how rewriteBool recognizes the constant.
 func emptyLike(q query.Query) query.Query {
 	base := model.DN(nil)
 	if a, ok := q.(*query.Atomic); ok {

@@ -163,6 +163,20 @@ func TestFixpointTerminates(t *testing.T) {
 	if len(res.Rules) < 2 {
 		t.Errorf("rules = %v", res.Rules)
 	}
+	// The rule list names what fired on the user's query and nothing
+	// else: the planner's own empty constant is not rewritten again.
+	for _, tc := range []struct{ q, want string }{
+		{`(& (n=e0 ? sub ? tag=a) (n=e1 ? sub ? tag=b))`, "and-disjoint-empty"},
+		{`(- (n=e0 ? sub ? tag=a) (n=e0 ? sub ? tag=a))`, "self-difference"},
+	} {
+		res := planner.Optimize(query.MustParse(tc.q), planner.Info{})
+		if len(res.Rules) != 1 || res.Rules[0] != tc.want {
+			t.Errorf("%s: rules = %v, want [%s]", tc.q, res.Rules, tc.want)
+		}
+		if again := planner.Optimize(res.Query, planner.Info{}); len(again.Rules) != 0 || again.Query.String() != res.Query.String() {
+			t.Errorf("%s: not a fixpoint: %s, rules %v", tc.q, again.Query, again.Rules)
+		}
+	}
 }
 
 func TestOptimizePreservesRandomized(t *testing.T) {

@@ -53,13 +53,13 @@ func (l *List) Free() error {
 	return nil
 }
 
-// Writer appends records to a new list. It buffers exactly one page;
-// Append streams the encoded record across page boundaries, writing each
-// full page once.
+// Writer appends records to a new list. It buffers at most one page,
+// growing the buffer as records arrive so that a list of a few records
+// does not cost a page of memory to write; Append streams the encoded
+// record across page boundaries, writing each full page once.
 type Writer struct {
 	disk    *pager.Disk
-	page    []byte
-	off     int
+	page    []byte // bytes of the page being filled
 	pages   []pager.PageID
 	size    int64
 	count   int64
@@ -73,7 +73,7 @@ type Writer struct {
 // appended in non-decreasing order — every algorithm in the paper both
 // requires and preserves sortedness — unless Unordered is called.
 func NewWriter(disk *pager.Disk) *Writer {
-	return &Writer{disk: disk, page: make([]byte, disk.PageSize()), ordered: true}
+	return &Writer{disk: disk, ordered: true}
 }
 
 // Unordered disables the sorted-append check (used by sort-run
@@ -108,11 +108,11 @@ func (w *Writer) Append(r *Record) error {
 
 func (w *Writer) writeBytes(b []byte) error {
 	for len(b) > 0 {
-		n := copy(w.page[w.off:], b)
-		w.off += n
+		n := min(len(b), w.disk.PageSize()-len(w.page))
+		w.page = append(w.page, b[:n]...)
 		w.size += int64(n)
 		b = b[n:]
-		if w.off == len(w.page) {
+		if len(w.page) == w.disk.PageSize() {
 			if err := w.flushPage(); err != nil {
 				return err
 			}
@@ -127,12 +127,12 @@ func (w *Writer) flushPage() error {
 		w.err = err
 		return err
 	}
-	if err := w.disk.Write(id, w.page[:w.off]); err != nil {
+	if err := w.disk.Write(id, w.page); err != nil {
 		w.err = err
 		return err
 	}
 	w.pages = append(w.pages, id)
-	w.off = 0
+	w.page = w.page[:0]
 	return nil
 }
 
@@ -141,7 +141,7 @@ func (w *Writer) Close() (*List, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
-	if w.off > 0 {
+	if len(w.page) > 0 {
 		if err := w.flushPage(); err != nil {
 			return nil, err
 		}
@@ -172,7 +172,14 @@ func (l *List) Reader() *Reader {
 // underlying read handle, so iterating a list on a shared device counts
 // into the owning query's meter (nil meter = plain Reader).
 func (l *List) MeteredReader(m *pager.Meter) *Reader {
-	return &Reader{l: l, h: l.disk.NewMeteredReadHandle(m), page: make([]byte, l.disk.PageSize())}
+	return &Reader{l: l, h: l.disk.NewMeteredReadHandle(m), page: l.readBuf()}
+}
+
+// readBuf returns a sequential reader's buffer: one page, or the list's
+// bytes when they are fewer — the result of a point query is a few
+// hundred, and every query drains its result through a Reader.
+func (l *List) readBuf() []byte {
+	return make([]byte, min(int64(l.disk.PageSize()), l.size))
 }
 
 // ReaderAt returns an iterator positioned at stream offset off, which
@@ -184,7 +191,7 @@ func (l *List) ReaderAt(off int64) (*Reader, error) {
 
 // MeteredReaderAt is ReaderAt with a per-query meter (see MeteredReader).
 func (l *List) MeteredReaderAt(off int64, m *pager.Meter) (*Reader, error) {
-	r := &Reader{l: l, h: l.disk.NewMeteredReadHandle(m), page: make([]byte, l.disk.PageSize())}
+	r := &Reader{l: l, h: l.disk.NewMeteredReadHandle(m), page: l.readBuf()}
 	if off >= l.size {
 		r.read = l.size
 		return r, nil

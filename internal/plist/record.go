@@ -5,7 +5,7 @@
 //
 // A list is a sequence of variable-length records stored as a byte
 // stream across fixed-size pages of a pager.Disk. Readers and writers
-// hold exactly one page each, and the stack holds a bounded window of
+// hold at most one page each, and the stack holds a bounded window of
 // pages, so every operator runs in constant memory; everything else is
 // counted page I/O.
 package plist
@@ -265,6 +265,9 @@ func DecodeRecord(b []byte) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every pair is at least two bytes, which bounds what a corrupt count
+	// can reserve.
+	e.Grow(int(min(n, uint64(len(d.b)-d.i)/2)))
 	for i := uint64(0); i < n; i++ {
 		attr, err := d.str()
 		if err != nil {

@@ -42,9 +42,11 @@ func (s *Store) arenaEnv(a *pager.Arena) *evalEnv {
 // Eval evaluates an atomic query (Definition 4.1), producing a list of
 // the matching entries sorted by reverse-DN key. When the attribute
 // index is available and the filter is index-supported (equality,
-// presence, integer comparisons, wildcard strings), evaluation uses the
+// presence, integer comparisons, wildcard strings) and the catalog does
+// not expect a scan to be cheaper (preferScan), evaluation uses the
 // B+tree (and, for wildcards, the suffix index); otherwise it scans the
-// scope's contiguous master range.
+// scope's contiguous master range. That comparison, made here per
+// atomic, is the only access-path decision in the system.
 //
 // Result and intermediate lists are written to the store's own disk;
 // callers needing concurrent evaluation use EvalArena instead.
@@ -58,52 +60,6 @@ func (s *Store) Eval(q *query.Atomic) (*plist.List, error) {
 // EvalArena calls (on distinct arenas) may run concurrently.
 func (s *Store) EvalArena(a *pager.Arena, q *query.Atomic) (*plist.List, error) {
 	return s.arenaEnv(a).eval(q)
-}
-
-// EvalPath is Eval with the access path chosen by the caller — the
-// cost-based planner — instead of the store's own catalog comparison.
-// path is one of the Path* constants; "" falls back to the store's
-// choice. Every path is exact, so forcing one changes page I/O but
-// never the answer: a forced "index" on a shape the index cannot serve
-// degrades to the scan, and base scopes always take the point lookup
-// (there is nothing to choose for a single entry).
-func (s *Store) EvalPath(q *query.Atomic, path string) (*plist.List, error) {
-	return s.legacyEnv().evalPath(q, path)
-}
-
-// EvalPathArena is EvalPath in an arena environment (see EvalArena).
-func (s *Store) EvalPathArena(a *pager.Arena, q *query.Atomic, path string) (*plist.List, error) {
-	return s.arenaEnv(a).evalPath(q, path)
-}
-
-func (env *evalEnv) evalPath(q *query.Atomic, path string) (*plist.List, error) {
-	if q.Scope == query.ScopeBase {
-		return env.evalBase(q)
-	}
-	switch path {
-	case PathScan, PathKNNScan:
-		return env.evalScan(q)
-	case PathKNNIndex:
-		if q.Filter.Op == filter.OpKNN {
-			if ix := env.s.VectorIndex(q.Filter.Attr); ix != nil {
-				return env.knnIndex(q, ix)
-			}
-		}
-		return env.evalScan(q)
-	case PathIndex:
-		if env.s.attr != nil && q.Filter.Op != filter.OpKNN {
-			l, handled, err := env.indexEval(q)
-			if err != nil {
-				return nil, err
-			}
-			if handled {
-				return l, nil
-			}
-		}
-		return env.evalScan(q)
-	default:
-		return env.eval(q)
-	}
 }
 
 func (env *evalEnv) eval(q *query.Atomic) (*plist.List, error) {

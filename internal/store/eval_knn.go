@@ -128,14 +128,13 @@ func (s *Store) preferKNNScanMetered(q *query.Atomic, ix *vindex.Index, m *pager
 	if err != nil || scan == 0 {
 		return false
 	}
-	return s.knnIndexCostBytes(q, ix) > scan
-}
-
-// knnIndexCostBytes is the catalog's byte-cost model for the
-// vector-index path, shared by preferKNNScan and AccessPaths: the
-// scope's posting-range bytes plus ~k random master fetches.
-func (s *Store) knnIndexCostBytes(q *query.Atomic, ix *vindex.Index) int64 {
 	lo := q.Base.Key()
 	vecBytes := ix.RangeBytes(lo, model.SubtreeHigh(lo))
-	return vecBytes + 2*int64(q.Filter.K)*s.AvgEntryBytes()
+	avgRec := int64(64)
+	if s.stats != nil && s.stats.avgRecBytes > 0 {
+		avgRec = s.stats.avgRecBytes
+	} else if s.count > 0 {
+		avgRec = s.masterBytes() / int64(s.count)
+	}
+	return vecBytes+2*int64(q.Filter.K)*avgRec > scan
 }

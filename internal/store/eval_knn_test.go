@@ -127,8 +127,15 @@ func TestKNNIndexByteIdenticalToScan(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", text, err)
 				}
+				// The index path also where the store would not choose it.
+				lf, err := forcePath(st.legacyEnv(), q, PathKNNIndex)
+				if err != nil {
+					t.Fatalf("%s: %v", text, err)
+				}
 				label := fmt.Sprintf("base=%q scope=%s k=%d vec=%d", c.base, c.scope, k, vi)
-				sameRecords(t, label, drainRecords(t, li), drainRecords(t, ls))
+				want := drainRecords(t, ls)
+				sameRecords(t, label, drainRecords(t, li), want)
+				sameRecords(t, label+" forced knn-index", drainRecords(t, lf), want)
 				if st.ExplainAtomic(q).Path == "knn-index" {
 					sawIndexPath = true
 				}

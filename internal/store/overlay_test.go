@@ -107,8 +107,8 @@ func TestApplyOpsMatchesOracle(t *testing.T) {
 				t.Errorf("indexed=%v %s:\n got %v\nwant %v", indexed, c, got, want)
 			}
 			// Every forced access path must agree.
-			for _, path := range []string{PathScan, PathIndex} {
-				lp, err := ns.EvalPath(q, path)
+			for _, path := range forcedPaths {
+				lp, err := forcePath(ns.legacyEnv(), q, path)
 				if err != nil {
 					t.Fatalf("indexed=%v %s path=%s: %v", indexed, c, path, err)
 				}
@@ -337,8 +337,8 @@ func TestOverlayReadersSeeOwnGeneration(t *testing.T) {
 		defer wg.Done()
 		want := fmt.Sprint(markers(g))
 		for done := false; !done; done = stop.Load() {
-			for _, path := range []string{PathScan, PathIndex} {
-				l, err := s.EvalPathArena(pager.NewArena(s.Disk()), q, path)
+			for _, path := range forcedPaths {
+				l, err := forcePath(s.arenaEnv(pager.NewArena(s.Disk())), q, path)
 				if err != nil {
 					t.Errorf("generation %d path %s: %v", g, path, err)
 					return

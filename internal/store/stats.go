@@ -232,10 +232,9 @@ func (s *Store) scanBytesMetered(q *query.Atomic, m *pager.Meter) (int64, error)
 	return end - start, nil
 }
 
-// The access-path names the store reports in Plan and PathCost and
-// accepts back in EvalPath: a DN-index point lookup for base scopes,
-// the attribute/suffix B+tree path, the contiguous scope scan, and the
-// two exact knn paths of DESIGN.md §12.
+// The access-path names the store reports in Plan: a DN-index point
+// lookup for base scopes, the attribute/suffix B+tree path, the
+// contiguous scope scan, and the two exact knn paths of DESIGN.md §12.
 const (
 	PathBasePoint = "base-point"
 	PathIndex     = "index"
@@ -290,73 +289,6 @@ func (s *Store) ExplainAtomic(q *query.Atomic) Plan {
 	return p
 }
 
-// PathCost is one feasible access path for an atomic query, priced by
-// the catalog: the byte volume the path is expected to read (the
-// store's comparison currency), the same volume in ceil pages (what
-// EXPLAIN prints), and the estimated result cardinality. The
-// cost-based planner (internal/planner) enumerates these, calibrates
-// them against observed statistics, and forces its choice back through
-// EvalPath.
-type PathCost struct {
-	// Path is one of the Path* constants.
-	Path string
-	// EstBytes is the catalog-estimated bytes read by this path.
-	EstBytes int64
-	// EstPages is EstBytes rounded up to whole pages (minimum 1).
-	EstPages int64
-	// EstHits is the estimated result cardinality: the catalog's
-	// posting estimate, k for knn, 1 for base-point, -1 unknown. It is
-	// a property of the query, so every path of one atomic carries the
-	// same value.
-	EstHits int64
-}
-
-// AccessPaths enumerates every access path the store could take for q,
-// each with the catalog's cost estimate, ordered the way the store's
-// own tie-break prefers them (index paths before the scan). The first
-// element whose EstBytes is minimal is exactly the path Eval would
-// choose; ExplainAtomic, preferScan, and AccessPaths share one cost
-// model, so they can never disagree.
-func (s *Store) AccessPaths(q *query.Atomic) []PathCost {
-	ps := int64(s.disk.PageSize())
-	finish := func(out []PathCost) []PathCost {
-		for i := range out {
-			out[i].EstPages = (out[i].EstBytes + ps - 1) / ps
-			if out[i].EstPages < 1 {
-				out[i].EstPages = 1
-			}
-		}
-		return out
-	}
-	if q.Scope == query.ScopeBase {
-		// A DN-index probe plus one master record read; nothing to choose.
-		return finish([]PathCost{{Path: PathBasePoint, EstBytes: 2 * ps, EstHits: 1}})
-	}
-	scan, err := s.scanBytes(q)
-	if err != nil {
-		scan = 0
-	}
-	if q.Filter.Op == filter.OpKNN {
-		k := int64(q.Filter.K)
-		var out []PathCost
-		if ix := s.VectorIndex(q.Filter.Attr); ix != nil {
-			out = append(out, PathCost{Path: PathKNNIndex, EstBytes: s.knnIndexCostBytes(q, ix), EstHits: k})
-		}
-		return finish(append(out, PathCost{Path: PathKNNScan, EstBytes: scan, EstHits: k}))
-	}
-	hits, hitsOK := int64(-1), false
-	if s.stats != nil {
-		if h, ok := s.stats.estimateHits(s, q); ok {
-			hits, hitsOK = h, true
-		}
-	}
-	var out []PathCost
-	if s.attr != nil && hitsOK && indexSupported(s, q) {
-		out = append(out, PathCost{Path: PathIndex, EstBytes: s.indexCostBytes(q, hits, scan), EstHits: hits})
-	}
-	return finish(append(out, PathCost{Path: PathScan, EstBytes: scan, EstHits: hits}))
-}
-
 // indexSupported mirrors indexEval's shape dispatch without running it.
 func indexSupported(s *Store, q *query.Atomic) bool {
 	t, ok := s.schema.AttrType(q.Filter.Attr)
@@ -402,12 +334,12 @@ func (s *Store) preferScanMetered(q *query.Atomic, m *pager.Meter) bool {
 }
 
 // indexCostBytes is the catalog's byte-cost model for the
-// attribute-index path, shared by preferScan (the store's own choice)
-// and AccessPaths (the planner's enumeration). The catalog is
-// instance-global: the index plan walks the full composite-key range
-// for the filter (one leaf entry per global hit), but fetches master
-// records only for hits inside the scope — the fetch volume is scaled
-// by the scope's fraction of the master (attribute independence).
+// attribute-index path, which preferScan weighs against the scope's
+// scan extent. The catalog is instance-global: the index plan walks
+// the full composite-key range for the filter (one leaf entry per
+// global hit), but fetches master records only for hits inside the
+// scope — the fetch volume is scaled by the scope's fraction of the
+// master (attribute independence).
 // Multi-range shapes (presence, wildcards, integer ranges) additionally
 // spool, sort and de-duplicate the hits, so they carry a higher cost
 // factor than the single-range equality path.
@@ -423,20 +355,3 @@ func (s *Store) indexCostBytes(q *query.Atomic, hits, scan int64) int64 {
 	}
 	return hits*leafEntryBytes + factor*scopedHits*s.stats.avgRecBytes
 }
-
-// AvgEntryBytes reports the average master-record size: the catalog's
-// figure when present, the master extent divided by the entry count
-// otherwise, and a 64-byte floor for empty stores. The cost model uses
-// it to convert cardinalities into page volumes.
-func (s *Store) AvgEntryBytes() int64 {
-	if s.stats != nil && s.stats.avgRecBytes > 0 {
-		return s.stats.avgRecBytes
-	}
-	if s.count > 0 {
-		return s.masterBytes() / int64(s.count)
-	}
-	return 64
-}
-
-// PageSize reports the store disk's page size in bytes.
-func (s *Store) PageSize() int { return s.disk.PageSize() }

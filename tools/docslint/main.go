@@ -36,7 +36,6 @@ var docPackages = []string{
 	"internal/obs",
 	"internal/engine",
 	"internal/vindex",
-	"internal/qstats",
 	"internal/planner",
 	"internal/store",
 	"internal/btree",
