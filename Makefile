@@ -38,9 +38,11 @@ race:
 # differential oracle: the wildcard matcher vs a reference matcher and
 # a regexp, the filter parser's print/parse fixpoint, the query
 # canonicalizer's cache-key invariance, the durable-store decode
-# paths (checksum envelopes, the manifest, the full snapshot open path
-# and the B+tree page decoder must never panic or overallocate on
-# hostile bytes; an accepted page re-encodes to a fixpoint), and the
+# paths (checksum envelopes, the manifest, the full snapshot open path,
+# the B+tree page decoder and the list-record decoder must never panic
+# or overallocate on hostile bytes; an accepted page or record
+# re-encodes to a fixpoint, and an accepted record answers from its
+# bytes what its materialized entry answers), and the
 # LDIF binary-vector round trip (base64 wire form and textual form
 # must both be bit-lossless). CI runs this on every push; longer local
 # runs just raise FUZZTIME.
@@ -53,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/durable/ -run=^$$ -fuzz=FuzzManifest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=FuzzOpenSnapshot -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/btree/ -run=^$$ -fuzz=FuzzDecodeNode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/plist/ -run=^$$ -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ldif/ -run=^$$ -fuzz=FuzzVectorRoundTrip -fuzztime=$(FUZZTIME)
 
 # The kill -9 soak: a child dirserve under a live write stream is
@@ -76,10 +79,14 @@ docs:
 # brute-force oracle panics the run — so this doubles as an exactness
 # gate on the vector index. The write benchmark (one leaf add at 500
 # and at 2000 subscribers) runs 20 writes per size, enough to see that
-# it still runs and what it reports.
+# it still runs and what it reports. The read operators print beside it
+# — a boolean merge, a stack pass, a sort-merge join and a whole L2
+# query — so that every check shows their ns/op, allocs/op and
+# pageIO/op: the last must not move unless the change says why.
 bench-smoke:
 	$(GO) run ./cmd/dirbench -quick -only E22 >/dev/null
 	$(GO) test -run='^$$' -bench=BenchmarkUpdateEntries -benchtime=20x .
+	$(GO) test -run='^$$' -bench='BenchmarkOp(BooleanAnd|HSPCChildren|ERDV)$$|BenchmarkFullQueryL2' -benchtime=20x -benchmem .
 
 # Wire smoke: benchmark/dirload's four workloads (lookup, analytic,
 # policy, provision) each against a real dirserve child, every reply

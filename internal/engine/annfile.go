@@ -65,7 +65,7 @@ func (f *annFile) setStats(slot int64, stats []aggStats) error {
 	b := fr.Data[off : off+f.slotSize]
 	i := 0
 	for _, s := range stats {
-		for _, v := range s.encode(nil) {
+		for _, v := range s.ints() {
 			binary.LittleEndian.PutUint64(b[i:], uint64(v))
 			i += 8
 		}
@@ -74,25 +74,24 @@ func (f *annFile) setStats(slot int64, stats []aggStats) error {
 	return nil
 }
 
-// getStats reads the per-spec statistics for one slot.
-func (f *annFile) getStats(slot int64, nSpecs int) ([]aggStats, error) {
+// getStats reads the per-spec statistics for one slot into out.
+func (f *annFile) getStats(slot int64, out []aggStats) error {
 	fr, off, err := f.frame(slot)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.pool.Unpin(fr)
 	b := fr.Data[off : off+f.slotSize]
-	out := make([]aggStats, nSpecs)
-	ints := make([]int64, statsInts)
+	var ints [statsInts]int64
 	i := 0
-	for si := 0; si < nSpecs; si++ {
-		for j := 0; j < statsInts; j++ {
+	for si := range out {
+		for j := range ints {
 			ints[j] = int64(binary.LittleEndian.Uint64(b[i:]))
 			i += 8
 		}
-		out[si] = decodeStats(ints)
+		out[si] = decodeStats(ints[:])
 	}
-	return out, nil
+	return nil
 }
 
 // free releases the annotation pages.

@@ -23,7 +23,7 @@ func (e *Engine) EvalEmbedRef(op query.RefOp, l1, l2 *plist.List, attr string, s
 // dnValuesOf returns the distinct DN-valued entries of attr in e, as
 // reverse keys. Witness sets are sets: duplicate pairs in one entry must
 // not double-count.
-func dnValuesOf(e *model.Entry, attr string) []string {
+func dnValuesOf(e model.Attrs, attr string) []string {
 	var out []string
 	last := ""
 	for _, v := range e.Values(attr) { // sorted, so duplicates are adjacent
@@ -64,8 +64,9 @@ func (e *Engine) ComputeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggS
 		if err != nil {
 			return nil, err
 		}
-		for _, k := range dnValuesOf(rec.Entry, attr) {
-			if err := spool.Append(&plist.Record{Key: k, Entry: rec.Entry}); err != nil {
+		for _, k := range dnValuesOf(rec, attr) {
+			pair := rec.Under(k)
+			if err := spool.Append(&pair); err != nil {
 				return nil, err
 			}
 		}
@@ -89,6 +90,8 @@ func (e *Engine) ComputeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggS
 	l1rd := l1.Reader()
 	lprd := lp.Reader()
 	lpHead, lpErr := lprd.Next()
+	stats := make([]aggStats, len(specs))
+	var out plist.Record
 	for {
 		r1, err := l1rd.Next()
 		if err == io.EOF {
@@ -103,11 +106,11 @@ func (e *Engine) ComputeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggS
 		if lpErr != nil && lpErr != io.EOF {
 			return nil, lpErr
 		}
-		stats := make([]aggStats, len(specs))
+		clear(stats)
 		n := 0
 		for lpErr == nil && lpHead.Key == r1.Key {
 			for si, a := range specs {
-				s := foldEntryValues(lpHead.Entry, a)
+				s := foldEntryValues(lpHead, a)
 				stats[si].merge(s)
 			}
 			n++
@@ -119,11 +122,11 @@ func (e *Engine) ComputeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggS
 		if n == 0 {
 			continue
 		}
-		out := &plist.Record{Key: r1.Key}
+		out.Key, out.Aux = r1.Key, out.Aux[:0]
 		for _, s := range stats {
 			out.Aux = s.encode(out.Aux)
 		}
-		if err := annotated.Append(out); err != nil {
+		if err := annotated.Append(&out); err != nil {
 			return nil, err
 		}
 	}
@@ -159,10 +162,10 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 		if err != nil {
 			return nil, err
 		}
-		for _, k := range dnValuesOf(rec.Entry, attr) {
+		for _, k := range dnValuesOf(rec, attr) {
 			// Carry only the referencing entry's identity.
-			stub := model.NewEntry(rec.Entry.DN())
-			if err := spool.Append(&plist.Record{Key: k, Entry: stub}); err != nil {
+			pair := rec.DNOnly(k)
+			if err := spool.Append(&pair); err != nil {
 				return nil, err
 			}
 		}
@@ -185,6 +188,7 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 	l2rd := l2.Reader()
 	lprd := lp.Reader()
 	r2, r2Err := l2rd.Next()
+	var out plist.Record
 	for {
 		pair, err := lprd.Next()
 		if err == io.EOF {
@@ -200,12 +204,14 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 			return nil, r2Err
 		}
 		if r2Err == nil && r2.Key == pair.Key {
-			out := &plist.Record{Key: pair.Entry.Key()}
+			// The pair is keyed by the DN it embeds; the contribution goes
+			// under the referencing entry's own key, which its DN gives.
+			out.Key, out.Aux = pair.DN().Key(), out.Aux[:0]
 			for _, a := range specs {
-				s := foldEntryValues(r2.Entry, a)
+				s := foldEntryValues(r2, a)
 				out.Aux = s.encode(out.Aux)
 			}
-			if err := contribs.Append(out); err != nil {
+			if err := contribs.Append(&out); err != nil {
 				return nil, err
 			}
 		}
@@ -228,18 +234,19 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 	// Phase 3: group contributions per referencing entry.
 	annotated := plist.NewWriter(e.disk())
 	crd := sortedC.Reader()
-	var cur *plist.Record
-	var curStats []aggStats
+	var cur []byte // key of the group being folded, copied: c is the reader's
+	inGroup := false
+	curStats := make([]aggStats, len(specs))
 	flush := func() error {
-		if cur == nil {
+		if !inGroup {
 			return nil
 		}
-		out := &plist.Record{Key: cur.Key}
+		out.Key, out.Aux = string(cur), out.Aux[:0]
 		for _, s := range curStats {
 			out.Aux = s.encode(out.Aux)
 		}
-		cur = nil
-		return annotated.Append(out)
+		inGroup = false
+		return annotated.Append(&out)
 	}
 	for {
 		c, err := crd.Next()
@@ -249,12 +256,12 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 		if err != nil {
 			return nil, err
 		}
-		if cur == nil || cur.Key != c.Key {
+		if !inGroup || string(cur) != c.Key {
 			if err := flush(); err != nil {
 				return nil, err
 			}
-			cur = c
-			curStats = make([]aggStats, len(specs))
+			cur, inGroup = append(cur[:0], c.Key...), true
+			clear(curStats)
 		}
 		for si := range specs {
 			curStats[si].merge(decodeStats(c.Aux[si*statsInts : (si+1)*statsInts]))
@@ -282,6 +289,7 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 func (e *Engine) finishAnnotated(l1, al *plist.List, specs []string, sel *query.AggSel) (*plist.List, error) {
 	sa := &setAccs{n1: l1.Count()}
 	empty := make([]aggStats, len(specs))
+	found := make([]aggStats, len(specs))
 
 	scan := func(fn func(rec *plist.Record, wstats []aggStats) error) error {
 		l1rd := l1.Reader()
@@ -297,7 +305,7 @@ func (e *Engine) finishAnnotated(l1, al *plist.List, specs []string, sel *query.
 			}
 			wstats := empty
 			if aErr == nil && aHead.Key == rec.Key {
-				wstats = make([]aggStats, len(specs))
+				wstats = found
 				for si := range specs {
 					wstats[si] = decodeStats(aHead.Aux[si*statsInts : (si+1)*statsInts])
 				}
@@ -314,7 +322,7 @@ func (e *Engine) finishAnnotated(l1, al *plist.List, specs []string, sel *query.
 
 	if sel != nil && sel.UsesEntrySet() {
 		err := scan(func(rec *plist.Record, wstats []aggStats) error {
-			sa.foldSelf(sel, rec.Entry)
+			sa.foldSelf(sel, rec)
 			sa.foldWitness(sel, specs, wstats)
 			return nil
 		})
@@ -325,7 +333,7 @@ func (e *Engine) finishAnnotated(l1, al *plist.List, specs []string, sel *query.
 
 	w := plist.NewWriter(e.disk())
 	err := scan(func(rec *plist.Record, wstats []aggStats) error {
-		if evalAggSel(sel, rec.Entry, specs, wstats, sa) {
+		if evalAggSel(sel, rec, specs, wstats, sa) {
 			return w.Append(clean(rec))
 		}
 		return nil

@@ -345,8 +345,11 @@ func freeAll(ls ...*plist.List) {
 }
 
 // clean strips merge labels and operator annotations so results compose.
+// It works in place: rec is its reader's, about to be appended and then
+// overwritten by the next.
 func clean(rec *plist.Record) *plist.Record {
-	return &plist.Record{Key: rec.Key, Entry: rec.Entry}
+	rec.Label, rec.A, rec.B, rec.Aux = 0, 0, 0, rec.Aux[:0]
+	return rec
 }
 
 // EvalBool computes the L0 boolean operators by the linear list-merge

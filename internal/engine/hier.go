@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -22,42 +23,50 @@ const (
 // hsFrame is one stack entry of the algorithms: the element's key and
 // labels plus, per tracked aggregate spec, its own contribution and the
 // running above/below statistics. Frames live on the spillable stack;
-// the current top is kept decoded in a register.
+// the current top is kept decoded in a register. At most three are
+// decoded at a time (the top, the element arriving, the frame coming
+// back from the stack), so a pass recycles them: key and statistics are
+// buffers the frame owns.
 type hsFrame struct {
-	key     string
+	key     []byte
 	label   uint8
 	depth   int
-	slot    int64 // index into L1 (annotation slot), -1 if not in L1
+	slot    int64      // index into L1 (annotation slot), -1 if not in L1
+	stats   []aggStats // backs the three views below
 	contrib []aggStats
 	above   []aggStats
 	below   []aggStats
 }
 
-func encodeFrame(f *hsFrame) []byte {
-	b := make([]byte, 0, 64+len(f.key))
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v int64) {
-		n := binary.PutVarint(tmp[:], v)
-		b = append(b, tmp[:n]...)
-	}
-	put(int64(len(f.key)))
+func newFrame(nSpecs int) *hsFrame {
+	f := &hsFrame{stats: make([]aggStats, 3*nSpecs)}
+	f.contrib = f.stats[:nSpecs:nSpecs]
+	f.above = f.stats[nSpecs : 2*nSpecs : 2*nSpecs]
+	f.below = f.stats[2*nSpecs:]
+	return f
+}
+
+func keyIsAncestor(a, b []byte) bool { return len(a) < len(b) && bytes.HasPrefix(b, a) }
+
+// encodeFrame appends the frame's stack encoding to b.
+func encodeFrame(b []byte, f *hsFrame) []byte {
+	b = binary.AppendVarint(b, int64(len(f.key)))
 	b = append(b, f.key...)
 	b = append(b, f.label)
-	put(int64(f.depth))
-	put(f.slot)
-	var ints []int64
+	b = binary.AppendVarint(b, int64(f.depth))
+	b = binary.AppendVarint(b, f.slot)
 	for si := range f.contrib {
-		ints = f.contrib[si].encode(ints[:0])
-		ints = f.above[si].encode(ints)
-		ints = f.below[si].encode(ints)
-		for _, v := range ints {
-			put(v)
+		for _, s := range [...]aggStats{f.contrib[si], f.above[si], f.below[si]} {
+			for _, v := range s.ints() {
+				b = binary.AppendVarint(b, v)
+			}
 		}
 	}
 	return b
 }
 
-func decodeFrame(b []byte, nSpecs int) (*hsFrame, error) {
+// decodeFrame decodes b into f, whose statistics are sized already.
+func decodeFrame(b []byte, f *hsFrame) error {
 	i := 0
 	get := func() (int64, error) {
 		v, n := binary.Varint(b[i:])
@@ -69,52 +78,38 @@ func decodeFrame(b []byte, nSpecs int) (*hsFrame, error) {
 	}
 	klen, err := get()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if i+int(klen) > len(b) {
-		return nil, fmt.Errorf("engine: corrupt stack frame key")
+	if klen < 0 || klen > int64(len(b)-i) {
+		return fmt.Errorf("engine: corrupt stack frame key")
 	}
-	f := &hsFrame{key: string(b[i : i+int(klen)])}
+	f.key = append(f.key[:0], b[i:i+int(klen)]...)
 	i += int(klen)
 	if i >= len(b) {
-		return nil, fmt.Errorf("engine: corrupt stack frame label")
+		return fmt.Errorf("engine: corrupt stack frame label")
 	}
 	f.label = b[i]
 	i++
 	d, err := get()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f.depth = int(d)
 	if f.slot, err = get(); err != nil {
-		return nil, err
+		return err
 	}
-	f.contrib = make([]aggStats, nSpecs)
-	f.above = make([]aggStats, nSpecs)
-	f.below = make([]aggStats, nSpecs)
-	ints := make([]int64, statsInts)
-	read := func() (aggStats, error) {
-		for j := range ints {
-			v, err := get()
-			if err != nil {
-				return aggStats{}, err
+	var ints [statsInts]int64
+	for si := range f.contrib {
+		for _, dst := range [...]*aggStats{&f.contrib[si], &f.above[si], &f.below[si]} {
+			for j := range ints {
+				if ints[j], err = get(); err != nil {
+					return err
+				}
 			}
-			ints[j] = v
-		}
-		return decodeStats(ints), nil
-	}
-	for si := 0; si < nSpecs; si++ {
-		if f.contrib[si], err = read(); err != nil {
-			return nil, err
-		}
-		if f.above[si], err = read(); err != nil {
-			return nil, err
-		}
-		if f.below[si], err = read(); err != nil {
-			return nil, err
+			*dst = decodeStats(ints[:])
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // ComputeHSPC is Algorithm ComputeHSPC (Figure 2): the stack-based
@@ -193,6 +188,16 @@ func (e *Engine) EvalHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.Ag
 
 	var top *hsFrame
 	nextSlot := int64(0)
+	var free []*hsFrame // decoded frames not in use, recycled
+	getFrame := func() *hsFrame {
+		if n := len(free); n > 0 {
+			f := free[n-1]
+			free = free[:n-1]
+			return f
+		}
+		return newFrame(nSpecs)
+	}
+	var frameBuf []byte // encodeFrame's buffer; Push copies it
 
 	finalize := func(f *hsFrame) error {
 		if f.label&1 == 0 {
@@ -218,14 +223,15 @@ func (e *Engine) EvalHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.Ag
 		}
 		if stack.Empty() {
 			top = nil
+			free = append(free, t)
 			return nil
 		}
 		raw, err := stack.Pop()
 		if err != nil {
 			return err
 		}
-		nt, err := decodeFrame(raw, nSpecs)
-		if err != nil {
+		nt := getFrame()
+		if err := decodeFrame(raw, nt); err != nil {
 			return err
 		}
 		switch kind {
@@ -240,6 +246,7 @@ func (e *Engine) EvalHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.Ag
 				}
 			}
 		}
+		free = append(free, t)
 		top = nt
 		return nil
 	}
@@ -252,26 +259,21 @@ func (e *Engine) EvalHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.Ag
 		if err != nil {
 			return nil, err
 		}
-		f := &hsFrame{
-			key:     rec.Key,
-			label:   rec.Label,
-			depth:   model.KeyDepth(rec.Key),
-			slot:    -1,
-			contrib: make([]aggStats, nSpecs),
-			above:   make([]aggStats, nSpecs),
-			below:   make([]aggStats, nSpecs),
-		}
+		f := getFrame()
+		f.key = append(f.key[:0], rec.Key...)
+		f.label, f.depth, f.slot = rec.Label, model.KeyDepth(rec.Key), -1
+		clear(f.stats)
 		if rec.Label&1 != 0 {
 			f.slot = nextSlot
 			nextSlot++
 		}
 		if rec.Label&2 != 0 {
 			for si, attr := range specs {
-				f.contrib[si] = foldEntryValues(rec.Entry, attr)
+				f.contrib[si] = foldEntryValues(rec, attr)
 			}
 		}
 		// Pop non-ancestors of the new element.
-		for top != nil && !model.KeyIsAncestor(top.key, f.key) {
+		for top != nil && !keyIsAncestor(top.key, f.key) {
 			if err := pop(); err != nil {
 				return nil, err
 			}
@@ -320,9 +322,11 @@ func (e *Engine) EvalHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.Ag
 					}
 				}
 			}
-			if err := stack.Push(encodeFrame(t)); err != nil {
+			frameBuf = encodeFrame(frameBuf[:0], t)
+			if err := stack.Push(frameBuf); err != nil {
 				return nil, err
 			}
+			free = append(free, t)
 		}
 		top = f
 	}
@@ -343,7 +347,7 @@ func (e *Engine) EvalHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.Ag
 			if err != nil {
 				return nil, err
 			}
-			sa.foldSelf(sel, rec.Entry)
+			sa.foldSelf(sel, rec)
 		}
 	}
 
@@ -351,6 +355,7 @@ func (e *Engine) EvalHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.Ag
 	w := plist.NewWriter(e.disk())
 	rd := l1.Reader()
 	slot := int64(0)
+	wstats := make([]aggStats, nSpecs)
 	for {
 		rec, err := rd.Next()
 		if err == io.EOF {
@@ -359,12 +364,11 @@ func (e *Engine) EvalHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.Ag
 		if err != nil {
 			return nil, err
 		}
-		wstats, err := ann.getStats(slot, nSpecs)
-		if err != nil {
+		if err := ann.getStats(slot, wstats); err != nil {
 			return nil, err
 		}
 		slot++
-		if evalAggSel(sel, rec.Entry, specs, wstats, sa) {
+		if evalAggSel(sel, rec, specs, wstats, sa) {
 			if err := w.Append(clean(rec)); err != nil {
 				return nil, err
 			}

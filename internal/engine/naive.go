@@ -178,7 +178,7 @@ func (e *Engine) NaiveHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.A
 			}
 			found = true
 			for si, a := range specs {
-				s := foldEntryValues(r2.Entry, a)
+				s := foldEntryValues(r2, a)
 				stats[si].merge(s)
 			}
 		}
@@ -218,7 +218,7 @@ func (e *Engine) NaiveEmbedRef(op query.RefOp, l1, l2 *plist.List, attr string, 
 		}
 		var refs []string
 		if op == query.OpValueDN {
-			refs = dnValuesOf(r1.Entry, attr)
+			refs = dnValuesOf(r1, attr)
 		}
 		stats := make([]aggStats, len(specs))
 		found := false
@@ -240,7 +240,7 @@ func (e *Engine) NaiveEmbedRef(op query.RefOp, l1, l2 *plist.List, attr string, 
 					}
 				}
 			} else {
-				for _, k := range dnValuesOf(r2.Entry, attr) {
+				for _, k := range dnValuesOf(r2, attr) {
 					if k == r1.Key {
 						match = true
 						break
@@ -252,7 +252,7 @@ func (e *Engine) NaiveEmbedRef(op query.RefOp, l1, l2 *plist.List, attr string, 
 			}
 			found = true
 			for si, a := range specs {
-				s := foldEntryValues(r2.Entry, a)
+				s := foldEntryValues(r2, a)
 				stats[si].merge(s)
 			}
 		}

@@ -24,7 +24,7 @@ func (e *Engine) EvalSimpleAgg(l1 *plist.List, sel *query.AggSel) (*plist.List, 
 			if err != nil {
 				return nil, err
 			}
-			sa.foldSelf(sel, rec.Entry)
+			sa.foldSelf(sel, rec)
 		}
 	}
 	w := plist.NewWriter(e.disk())
@@ -37,7 +37,7 @@ func (e *Engine) EvalSimpleAgg(l1 *plist.List, sel *query.AggSel) (*plist.List, 
 		if err != nil {
 			return nil, err
 		}
-		if evalAggSel(sel, rec.Entry, nil, nil, sa) {
+		if evalAggSel(sel, rec, nil, nil, sa) {
 			if err := w.Append(clean(rec)); err != nil {
 				return nil, err
 			}

@@ -84,13 +84,19 @@ func (s aggStats) value(fn query.AggFunc) (v int64, ok bool) {
 	}
 }
 
-// encode appends the state as 5 int64s; decode reverses it.
-func (s aggStats) encode(dst []int64) []int64 {
+// ints is the state as 5 int64s; decodeStats reverses it.
+func (s aggStats) ints() [statsInts]int64 {
 	h := int64(0)
 	if s.has {
 		h = 1
 	}
-	return append(dst, s.count, s.sum, s.min, s.max, h)
+	return [statsInts]int64{s.count, s.sum, s.min, s.max, h}
+}
+
+// encode appends the state's ints to dst.
+func (s aggStats) encode(dst []int64) []int64 {
+	a := s.ints()
+	return append(dst, a[:]...)
 }
 
 const statsInts = 5
@@ -102,8 +108,9 @@ func decodeStats(src []int64) aggStats {
 // foldEntryValues folds the values of attr in e: every value counts
 // (count(SLAPVPRef) counts DN references too — Example 6.1), while the
 // numeric statistics fold only integer values. An empty attr folds the
-// entry itself (count($2) semantics).
-func foldEntryValues(e *model.Entry, attr string) aggStats {
+// entry itself (count($2) semantics) and reads nothing of it. e is a
+// list record as a rule, which answers from its encoded pairs.
+func foldEntryValues(e model.Attrs, attr string) aggStats {
 	var s aggStats
 	if attr == "" {
 		s.addEntry()
@@ -173,7 +180,7 @@ type setAccs struct {
 // foldSelf folds the self-based (non-witness) entry-set sides for one
 // R1 entry; used by the pre-pass of simple aggregate selection and
 // phase 2a of structural operators.
-func (sa *setAccs) foldSelf(sel *query.AggSel, e *model.Entry) {
+func (sa *setAccs) foldSelf(sel *query.AggSel, e model.Attrs) {
 	if sel == nil {
 		return
 	}
@@ -233,7 +240,7 @@ func needsSelfPrePass(sel *query.AggSel) bool {
 // evalSide evaluates one aggregate attribute for an R1 entry. wstats
 // holds the entry's witness statistics per spec (nil when the operator
 // has no witness notion, i.e. simple aggregate selection).
-func evalSide(sideIdx int, side query.AggAttr, e *model.Entry, specs []string, wstats []aggStats, sa *setAccs) (int64, bool) {
+func evalSide(sideIdx int, side query.AggAttr, e model.Attrs, specs []string, wstats []aggStats, sa *setAccs) (int64, bool) {
 	switch side.Kind {
 	case query.KindConst:
 		return side.Const, true
@@ -258,7 +265,7 @@ func evalSide(sideIdx int, side query.AggAttr, e *model.Entry, specs []string, w
 
 // evalAggSel applies the selection condition to one R1 entry. A nil
 // selection is the count($2) > 0 of the plain hierarchical operators.
-func evalAggSel(sel *query.AggSel, e *model.Entry, specs []string, wstats []aggStats, sa *setAccs) bool {
+func evalAggSel(sel *query.AggSel, e model.Attrs, specs []string, wstats []aggStats, sa *setAccs) bool {
 	if sel == nil {
 		si := specIndex(specs, "")
 		return si >= 0 && wstats != nil && wstats[si].count > 0

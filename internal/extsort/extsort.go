@@ -143,11 +143,12 @@ func formRuns(d *pager.Disk, in plist.RecordReader, cfg Config) ([]*plist.List, 
 			scanErr = err
 			break
 		}
-		batch = append(batch, rec)
-		bytes += len(rec.Key) + 64 // coarse in-memory footprint estimate
-		if rec.Entry != nil {
-			bytes += 32 * len(rec.Entry.Pairs())
-		}
+		// A batch outlives the input's next record, so it holds copies.
+		batch = append(batch, rec.Clone())
+		// The same coarse footprint estimate the sorter has always sized
+		// batches by — per pair, not per encoded byte — so run boundaries,
+		// and with them the page I/O, stay where they were.
+		bytes += len(rec.Key) + 64 + 32*rec.NumPairs()
 		if bytes >= cfg.MemBytes {
 			flush()
 		}

@@ -163,3 +163,51 @@ func TestSortLeavesNoTempPages(t *testing.T) {
 		t.Fatalf("temp pages leaked: disk has %d, result needs %d", d.NumPages(), l.Pages())
 	}
 }
+
+// TestSortFromReaderPoisoned sorts what a list Reader produces — records
+// that are the reader's until its next call — with plist.PoisonReads on,
+// at one and at several workers: run formation must hold copies, and
+// the run boundaries (sized from the encoded pair count) and output must
+// be those of the same records sorted from memory.
+func TestSortFromReaderPoisoned(t *testing.T) {
+	d := pager.NewDisk(256)
+	recs := randomRecords(rand.New(rand.NewSource(7)), 600)
+	in := plist.NewWriter(d).Unordered()
+	for _, r := range recs {
+		if err := in.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := in.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := SortSlice(d, recs, Config{MemBytes: 2048, FanIn: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRecs, err := plist.Drain(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plist.PoisonReads(true)
+	defer plist.PoisonReads(false)
+	for _, workers := range []int{1, 4} {
+		l, err := Sort(d, raw.Reader(), Config{MemBytes: 2048, FanIn: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Size() != want.Size() || l.Pages() != want.Pages() {
+			t.Fatalf("workers=%d: sorted list of %d bytes on %d pages, from memory %d on %d", workers, l.Size(), l.Pages(), want.Size(), want.Pages())
+		}
+		got, err := plist.Drain(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantRecs {
+			if got[i].Key != wantRecs[i].Key || got[i].A != wantRecs[i].A || !got[i].Entry.Equal(wantRecs[i].Entry) {
+				t.Fatalf("workers=%d: record %d = %q/%d, want %q/%d", workers, i, got[i].Key, got[i].A, wantRecs[i].Key, wantRecs[i].A)
+			}
+		}
+	}
+}

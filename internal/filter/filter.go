@@ -67,7 +67,7 @@ func (o Op) String() string {
 // (for LDAP) boolean combinations implement it.
 type Filter interface {
 	// Matches reports r |= F under schema s.
-	Matches(s *model.Schema, r *model.Entry) bool
+	Matches(s *model.Schema, r model.Attrs) bool
 	// String renders the filter in the paper's surface syntax.
 	String() string
 	// Atomic reports whether the filter is a single atomic comparison
@@ -148,7 +148,7 @@ func (a *Atom) String() string {
 // Matches implements the satisfaction relation r |= F of Section 4.1.
 // For OpKNN it reports candidacy only (see Atom); true top-k selection
 // happens in the store's evaluation, which sees the whole candidate set.
-func (a *Atom) Matches(s *model.Schema, r *model.Entry) bool {
+func (a *Atom) Matches(s *model.Schema, r model.Attrs) bool {
 	if a.Op == OpPresent {
 		return r.Has(a.Attr)
 	}
@@ -286,7 +286,7 @@ func (f Or) Atomic() bool { return false }
 func (f Not) Atomic() bool { return false }
 
 // Matches reports whether every conjunct matches.
-func (f And) Matches(s *model.Schema, r *model.Entry) bool {
+func (f And) Matches(s *model.Schema, r model.Attrs) bool {
 	for _, c := range f {
 		if !c.Matches(s, r) {
 			return false
@@ -296,7 +296,7 @@ func (f And) Matches(s *model.Schema, r *model.Entry) bool {
 }
 
 // Matches reports whether any disjunct matches.
-func (f Or) Matches(s *model.Schema, r *model.Entry) bool {
+func (f Or) Matches(s *model.Schema, r model.Attrs) bool {
 	for _, c := range f {
 		if c.Matches(s, r) {
 			return true
@@ -306,7 +306,7 @@ func (f Or) Matches(s *model.Schema, r *model.Entry) bool {
 }
 
 // Matches reports whether the operand does not match.
-func (f Not) Matches(s *model.Schema, r *model.Entry) bool {
+func (f Not) Matches(s *model.Schema, r model.Attrs) bool {
 	return !f.F.Matches(s, r)
 }
 

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"slices"
 	"sort"
 	"strings"
 )
@@ -25,9 +24,28 @@ type Entry struct {
 	avs []AV   // sorted by (attr, value) for determinism
 }
 
+// Attrs is read access to val(r) by attribute name: all that the atomic
+// filters, the aggregate folds and the embedded-reference joins ask of an
+// entry. *Entry implements it, and so does an encoded list record
+// (plist.Record), which answers from its bytes without building the entry.
+type Attrs interface {
+	// Values returns all values of attribute a, in stored order.
+	Values(a string) []Value
+	// Has reports whether at least one value is specified for a.
+	Has(a string) bool
+}
+
 // NewEntry creates an entry with the given DN and no attribute values.
 func NewEntry(dn DN) *Entry {
 	return &Entry{dn: dn, key: dn.Key()}
+}
+
+// EntryOf assembles an entry from parts a decoder already holds: the DN,
+// its reverse-DN key (dn.Key(), not recomputed here) and val(r) with
+// attribute names normalized and in attribute order, as Pairs returns
+// them. Nothing is checked or copied; the entry owns avs afterwards.
+func EntryOf(dn DN, key string, avs []AV) *Entry {
+	return &Entry{dn: dn, key: key, avs: avs}
 }
 
 // DN returns dn(r).
@@ -51,12 +69,6 @@ func (e *Entry) Add(attr string, v Value) *Entry {
 	copy(e.avs[i+1:], e.avs[i:])
 	e.avs[i] = AV{Attr: attr, Value: v}
 	return e
-}
-
-// Grow makes room for n more pairs, so that a decoder that knows how many
-// it is about to Add grows val(r) once and not by doubling.
-func (e *Entry) Grow(n int) {
-	e.avs = slices.Grow(e.avs, n)
 }
 
 // AddClass records membership in class c by adding an (objectClass, c)

@@ -164,22 +164,3 @@ func TestNewTraceID(t *testing.T) {
 		t.Fatal("two trace IDs collided")
 	}
 }
-
-func TestHistogramStateRoundTrip(t *testing.T) {
-	h := NewHistogram("h", "")
-	for _, v := range []int64{0, 1, 5, 100, 1 << 20} {
-		h.Observe(v)
-	}
-	st := h.State()
-	if st.Count != 5 {
-		t.Fatalf("state count = %d", st.Count)
-	}
-	h2 := NewHistogram("h2", "")
-	h2.Observe(7)
-	h2.AddState(st)
-	if h2.Count() != 6 || h2.Sum() != h.Sum()+7 {
-		t.Fatalf("folded count=%d sum=%d", h2.Count(), h2.Sum())
-	}
-	// Out-of-range bucket indexes are ignored, not a panic.
-	h2.AddState(HistState{Buckets: map[int]int64{-1: 3, 200: 4}})
-}

@@ -162,42 +162,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return lo
 }
 
-// HistState is a histogram's full serializable state: count, sum, and
-// the non-zero log₂ buckets as a sparse index→count map, so a
-// histogram can be persisted and folded back in with AddState.
-type HistState struct {
-	Count   int64         `json:"count"`
-	Sum     int64         `json:"sum"`
-	Buckets map[int]int64 `json:"buckets,omitempty"`
-}
-
-// State captures the histogram's full state for serialization.
-func (h *Histogram) State() HistState {
-	st := HistState{Count: h.count.Load(), Sum: h.sum.Load()}
-	for i := 0; i < histBuckets; i++ {
-		if c := h.buckets[i].Load(); c != 0 {
-			if st.Buckets == nil {
-				st.Buckets = make(map[int]int64)
-			}
-			st.Buckets[i] = c
-		}
-	}
-	return st
-}
-
-// AddState folds a previously captured state into the histogram —
-// recovery merges durable history with whatever was observed since
-// boot. Out-of-range bucket indexes are ignored.
-func (h *Histogram) AddState(st HistState) {
-	h.count.Add(st.Count)
-	h.sum.Add(st.Sum)
-	for i, c := range st.Buckets {
-		if i >= 0 && i < histBuckets {
-			h.buckets[i].Add(c)
-		}
-	}
-}
-
 // HistSnapshot is a point-in-time view of a histogram, with the
 // standard serving quantiles precomputed.
 type HistSnapshot struct {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"repro/internal/pager"
 )
@@ -64,7 +66,7 @@ type Writer struct {
 	size    int64
 	count   int64
 	scratch []byte
-	lastKey string
+	lastKey []byte
 	ordered bool
 	err     error
 }
@@ -83,16 +85,19 @@ func (w *Writer) Unordered() *Writer {
 	return w
 }
 
-// Append adds a record to the list.
+// Append adds a record to the list. An encoded entry (a record that came
+// from a reader) is copied through byte for byte; nothing of r is kept.
 func (w *Writer) Append(r *Record) error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.ordered && w.count > 0 && r.Key < w.lastKey {
-		w.err = fmt.Errorf("plist: unsorted append: %q after %q", r.Key, w.lastKey)
-		return w.err
+	if w.ordered {
+		if w.count > 0 && r.Key < aliasString(w.lastKey) {
+			w.err = fmt.Errorf("plist: unsorted append: %q after %q", r.Key, w.lastKey)
+			return w.err
+		}
+		w.lastKey = append(w.lastKey[:0], r.Key...)
 	}
-	w.lastKey = r.Key
 	w.scratch = AppendRecord(w.scratch[:0], r)
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(w.scratch)))
@@ -149,135 +154,36 @@ func (w *Writer) Close() (*List, error) {
 	return &List{disk: w.disk, pages: w.pages, size: w.size, count: w.count}, nil
 }
 
-// Reader iterates a list's records in order, buffering one page. Each
-// Reader owns a pager.ReadHandle, so any number of Readers — including
-// Readers over the same list — may run on different goroutines
-// concurrently (the per-goroutine read contract of DESIGN.md §9).
-type Reader struct {
-	l       *List
-	h       *pager.ReadHandle
-	page    []byte
-	pi      int   // index into l.pages of the page after the buffered one
-	off     int   // offset in page
-	read    int64 // stream bytes consumed
-	scratch []byte
-}
-
-// Reader returns a fresh iterator over the list.
-func (l *List) Reader() *Reader {
-	return l.MeteredReader(nil)
-}
-
-// MeteredReader is Reader with a per-query pager.Meter attached to the
-// underlying read handle, so iterating a list on a shared device counts
-// into the owning query's meter (nil meter = plain Reader).
-func (l *List) MeteredReader(m *pager.Meter) *Reader {
-	return &Reader{l: l, h: l.disk.NewMeteredReadHandle(m), page: l.readBuf()}
-}
-
-// readBuf returns a sequential reader's buffer: one page, or the list's
-// bytes when they are fewer — the result of a point query is a few
-// hundred, and every query drains its result through a Reader.
-func (l *List) readBuf() []byte {
-	return make([]byte, min(int64(l.disk.PageSize()), l.size))
-}
-
-// ReaderAt returns an iterator positioned at stream offset off, which
-// must be a record boundary previously obtained from a Writer's Offset
-// or a RandomReader. It reads the containing page immediately.
-func (l *List) ReaderAt(off int64) (*Reader, error) {
-	return l.MeteredReaderAt(off, nil)
-}
-
-// MeteredReaderAt is ReaderAt with a per-query meter (see MeteredReader).
-func (l *List) MeteredReaderAt(off int64, m *pager.Meter) (*Reader, error) {
-	r := &Reader{l: l, h: l.disk.NewMeteredReadHandle(m), page: l.readBuf()}
-	if off >= l.size {
-		r.read = l.size
-		return r, nil
-	}
-	ps := int64(l.disk.PageSize())
-	pi := int(off / ps)
-	if err := r.h.Read(l.pages[pi], r.page); err != nil {
-		return nil, err
-	}
-	r.pi = pi + 1
-	r.off = int(off % ps)
-	r.read = off
-	return r, nil
-}
-
-func (r *Reader) fill() error {
-	if r.pi >= len(r.l.pages) {
-		return io.EOF
-	}
-	if err := r.h.Read(r.l.pages[r.pi], r.page); err != nil {
-		return err
-	}
-	r.pi++
-	r.off = 0
-	return nil
-}
-
-func (r *Reader) readByte() (byte, error) {
-	if r.read >= r.l.size {
-		return 0, io.EOF
-	}
-	if r.off >= len(r.page) || (r.pi == 0) {
-		if err := r.fill(); err != nil {
-			return 0, err
-		}
-	}
-	c := r.page[r.off]
-	r.off++
-	r.read++
-	return c, nil
-}
-
-func (r *Reader) readFull(b []byte) error {
-	for i := range b {
-		c, err := r.readByte()
-		if err != nil {
-			if err == io.EOF {
-				return io.ErrUnexpectedEOF
-			}
-			return err
-		}
-		b[i] = c
-	}
-	return nil
-}
-
-// Next returns the next record, or io.EOF after the last.
-func (r *Reader) Next() (*Record, error) {
-	if r.read >= r.l.size {
-		return nil, io.EOF
-	}
-	n, err := binary.ReadUvarint(byteReaderFunc(r.readByte))
-	if err != nil {
-		if err == io.EOF && r.read < r.l.size {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	if cap(r.scratch) < int(n) {
-		r.scratch = make([]byte, n)
-	}
-	buf := r.scratch[:n]
-	if err := r.readFull(buf); err != nil {
-		return nil, err
-	}
-	return DecodeRecord(buf)
-}
-
-type byteReaderFunc func() (byte, error)
-
-func (f byteReaderFunc) ReadByte() (byte, error) { return f() }
-
 // Offset returns the stream offset at which the next appended record
 // will begin. Stored in an index, it allows later random access via
 // ReaderAt/RandomReader.
 func (w *Writer) Offset() int64 { return w.size }
+
+// poisonReads is the test hook behind PoisonReads.
+var poisonReads bool
+
+// PoisonReads is a test hook for the validity rule of Reader.Next: while
+// on, every Reader, RandomReader and Stack hands out its bytes from a
+// private buffer and fills that buffer with 0xDD before producing the
+// next, so code that keeps a record or frame too long reads garbage
+// instead of bytes that happen to be intact still. Page I/O is the same
+// either way. Switch it only while nothing is reading.
+func PoisonReads(on bool) { poisonReads = on }
+
+const poison = 0xDD
+
+// poisonRecord overwrites what a reader handed out last and drops the
+// buffers, so that the next record lands elsewhere and the scribble
+// stays visible to whoever still holds the old one.
+func poisonRecord(buf *[]byte, r *Record) {
+	for i := range *buf {
+		(*buf)[i] = poison
+	}
+	for i := range r.Aux {
+		r.Aux[i] = -0x2222222222222223 // 0xDD in every byte
+	}
+	*buf, r.Aux = nil, nil
+}
 
 // RandomReader reads single records at known stream offsets, caching the
 // most recently read page so that ascending-offset access patterns (the
@@ -288,8 +194,9 @@ type RandomReader struct {
 	l       *List
 	h       *pager.ReadHandle
 	page    []byte
-	cur     int // cached page index; -1 if none
-	scratch []byte
+	cur     int    // cached page index; -1 if none
+	scratch []byte // a record that straddles pages
+	rec     Record // the record handed out, reused
 }
 
 // RandomReader returns a positioned record reader for the list.
@@ -297,61 +204,155 @@ func (l *List) RandomReader() *RandomReader {
 	return l.MeteredRandomReader(nil)
 }
 
-// MeteredRandomReader is RandomReader with a per-query meter (see
-// MeteredReader).
+// MeteredRandomReader is RandomReader with a per-query pager.Meter
+// attached to the underlying read handle, so reading a list on a shared
+// device counts into the owning query's meter (nil meter = uncharged).
 func (l *List) MeteredRandomReader(m *pager.Meter) *RandomReader {
-	return &RandomReader{l: l, h: l.disk.NewMeteredReadHandle(m), page: make([]byte, l.disk.PageSize()), cur: -1}
+	rr := l.randomReader(m)
+	return &rr
 }
 
-func (rr *RandomReader) byteAt(off int64) (byte, error) {
-	if off >= rr.l.size {
-		return 0, io.ErrUnexpectedEOF
-	}
+func (l *List) randomReader(m *pager.Meter) RandomReader {
+	// One page, or the list's bytes when they are fewer — the result of a
+	// point query is a few hundred, and every query drains its result.
+	buf := make([]byte, min(int64(l.disk.PageSize()), l.size))
+	return RandomReader{l: l, h: l.disk.NewMeteredReadHandle(m), page: buf, cur: -1}
+}
+
+// view returns the stream's bytes from off to the end of the page that
+// holds off, reading that page unless it is the cached one.
+func (rr *RandomReader) view(off int64) ([]byte, error) {
 	ps := int64(rr.l.disk.PageSize())
 	pi := int(off / ps)
+	if off >= rr.l.size || pi >= len(rr.l.pages) {
+		return nil, io.ErrUnexpectedEOF
+	}
 	if pi != rr.cur {
+		rr.cur = -1
 		if err := rr.h.Read(rr.l.pages[pi], rr.page); err != nil {
-			return 0, err
+			return nil, err
 		}
 		rr.cur = pi
 	}
-	return rr.page[off%ps], nil
+	return rr.page[off%ps : min(ps, rr.l.size-int64(pi)*ps)], nil
 }
 
-// ReadAt decodes the record starting at stream offset off and returns it
-// together with the offset of the following record.
+// ReadAt decodes the header of the record starting at stream offset off
+// (see Record) and returns it together with the offset of the following
+// record. The record is the reader's: it is valid until the next ReadAt.
 func (rr *RandomReader) ReadAt(off int64) (*Record, int64, error) {
-	var n uint64
-	var shift uint
-	for {
-		c, err := rr.byteAt(off)
-		if err != nil {
-			return nil, 0, err
-		}
-		off++
-		n |= uint64(c&0x7f) << shift
-		if c < 0x80 {
-			break
-		}
-		shift += 7
+	if poisonReads {
+		poisonRecord(&rr.scratch, &rr.rec)
 	}
-	if cap(rr.scratch) < int(n) {
-		rr.scratch = make([]byte, n)
-	}
-	buf := rr.scratch[:n]
-	for i := range buf {
-		c, err := rr.byteAt(off)
-		if err != nil {
-			return nil, 0, err
-		}
-		buf[i] = c
-		off++
-	}
-	rec, err := DecodeRecord(buf)
+	v, err := rr.view(off)
 	if err != nil {
 		return nil, 0, err
 	}
-	return rec, off, nil
+	n, k := binary.Uvarint(v)
+	if k < 0 {
+		return nil, 0, corrupt("record length")
+	}
+	if k == 0 { // the length itself straddles pages
+		var shift uint
+		for {
+			if v, err = rr.view(off + int64(k)); err != nil {
+				return nil, 0, err
+			}
+			k++
+			n |= uint64(v[0]&0x7f) << shift
+			if v[0] < 0x80 {
+				break
+			}
+			if shift += 7; shift > 63 {
+				return nil, 0, corrupt("record length")
+			}
+		}
+		v = v[1:]
+	} else {
+		v = v[k:]
+	}
+	off += int64(k)
+	if n > uint64(rr.l.size-off) {
+		return nil, 0, corrupt("record length")
+	}
+	if uint64(len(v)) >= n && !poisonReads {
+		v = v[:n] // within the cached page: decode in place
+	} else {
+		rr.scratch = slices.Grow(rr.scratch[:0], int(n))[:n]
+		for at := 0; at < len(rr.scratch); {
+			if len(v) == 0 { // page boundary: the record goes on in the next
+				if v, err = rr.view(off + int64(at)); err != nil {
+					return nil, 0, err
+				}
+			}
+			c := copy(rr.scratch[at:], v)
+			at, v = at+c, v[c:]
+		}
+		v = rr.scratch
+	}
+	if err := decodeInto(&rr.rec, v); err != nil {
+		return nil, 0, err
+	}
+	return &rr.rec, off + int64(n), nil
+}
+
+// Reader iterates a list's records in order, buffering one page. Each
+// Reader owns a pager.ReadHandle, so any number of Readers — including
+// Readers over the same list — may run on different goroutines
+// concurrently (the per-goroutine read contract of DESIGN.md §9).
+type Reader struct {
+	rr  RandomReader
+	off int64 // stream offset of the next record
+}
+
+// Reader returns a fresh iterator over the list.
+func (l *List) Reader() *Reader {
+	return l.MeteredReader(nil)
+}
+
+// MeteredReader is Reader with a per-query meter (see
+// MeteredRandomReader).
+func (l *List) MeteredReader(m *pager.Meter) *Reader {
+	return &Reader{rr: l.randomReader(m)}
+}
+
+// ReaderAt returns an iterator positioned at stream offset off, which
+// must be a record boundary previously obtained from a Writer's Offset
+// or a RandomReader. It reads the containing page immediately.
+func (l *List) ReaderAt(off int64) (*Reader, error) {
+	return l.MeteredReaderAt(off, nil)
+}
+
+// MeteredReaderAt is ReaderAt with a per-query meter.
+func (l *List) MeteredReaderAt(off int64, m *pager.Meter) (*Reader, error) {
+	r := l.MeteredReader(m)
+	r.off = min(off, l.size)
+	if off < l.size {
+		if _, err := r.rr.view(off); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// Next returns the next record, or io.EOF after the last. Only the
+// record's header is decoded (see Record). The record is the reader's: it
+// and everything it aliases — its Key, its Aux, its encoded entry — are
+// valid until the next call to Next, which reuses them. Append it to a
+// Writer, read what is needed from it, or Clone it before then.
+func (r *Reader) Next() (*Record, error) {
+	if r.off >= r.rr.l.size {
+		if poisonReads {
+			poisonRecord(&r.rr.scratch, &r.rr.rec)
+		}
+		return nil, io.EOF
+	}
+	rec, next, err := r.rr.ReadAt(r.off)
+	if err != nil {
+		return nil, err
+	}
+	r.off = next
+	return rec, nil
 }
 
 // Build writes all records to a new list and closes it.
@@ -382,10 +383,12 @@ func Materialize(disk *pager.Disk, r RecordReader) (*List, error) {
 	}
 }
 
-// Drain reads every record of the list into memory (for tests and small
-// results).
+// Drain reads every record of the list into memory with its entry
+// materialized (Record.Materialize: the list must be keyed by its own
+// entries, as every query result is) — where entries leave the engine.
+// The records share nothing with the list.
 func Drain(l *List) ([]*Record, error) {
-	out := make([]*Record, 0, l.Count())
+	out := make([]*Record, 0, min(l.Count(), l.Size()))
 	rd := l.Reader()
 	for {
 		rec, err := rd.Next()
@@ -395,6 +398,10 @@ func Drain(l *List) ([]*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rec)
+		c := &Record{Key: strings.Clone(rec.Key), Label: rec.Label, A: rec.A, B: rec.B, Aux: slices.Clone(rec.Aux)}
+		if rec.HasEntry() {
+			c.Entry = rec.decodeEntry(c.Key)
+		}
+		out = append(out, c)
 	}
 }

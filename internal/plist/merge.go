@@ -9,6 +9,10 @@ import (
 // of records ending with io.EOF. Operators compose by consuming one or
 // more RecordReaders and exposing another, which is how the paper's
 // pipelined bottom-up query-tree evaluation (Section 8.2) is realized.
+//
+// A record belongs to the reader that returned it and is valid until
+// that reader's next call to Next (see Reader.Next); consumers that keep
+// one longer Clone it.
 type RecordReader interface {
 	Next() (*Record, error)
 }
@@ -58,7 +62,9 @@ func (m *Merge) fill(i int) error {
 	return nil
 }
 
-// Next returns the next record in key order, or io.EOF.
+// Next returns the next record in key order, or io.EOF. The record is
+// one of the inputs' (relabelled in place), so it is valid until the
+// next call.
 func (m *Merge) Next() (*Record, error) {
 	if m.err != nil {
 		return nil, m.err
@@ -84,9 +90,10 @@ func (m *Merge) Next() (*Record, error) {
 	// Combine equal keys from the other inputs.
 	for i := min + 1; i < len(m.in); i++ {
 		if m.heads[i] != nil && m.heads[i].Key == out.Key {
-			out.Label |= m.heads[i].Label
-			if out.Entry == nil {
-				out.Entry = m.heads[i].Entry
+			h := m.heads[i]
+			out.Label |= h.Label
+			if !out.HasEntry() {
+				out.Entry, out.dn, out.pairs = h.Entry, h.dn, h.pairs
 			}
 			m.heads[i] = nil
 		}
@@ -114,7 +121,7 @@ func (s *SliceReader) Next() (*Record, error) {
 	return r, nil
 }
 
-// DrainReader exhausts any RecordReader into memory.
+// DrainReader exhausts any RecordReader into memory, cloning each record.
 func DrainReader(r RecordReader) ([]*Record, error) {
 	var out []*Record
 	for {
@@ -125,6 +132,6 @@ func DrainReader(r RecordReader) ([]*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rec)
+		out = append(out, rec.Clone())
 	}
 }

@@ -39,8 +39,11 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		if got.Key != r.Key || got.Label != r.Label || got.A != r.A || got.B != r.B {
 			t.Fatalf("header mismatch: %+v vs %+v", got, r)
 		}
-		if !got.Entry.Equal(r.Entry) {
-			t.Fatalf("entry mismatch:\n%s\nvs\n%s", got.Entry, r.Entry)
+		if got.Entry != nil || !got.HasEntry() {
+			t.Fatalf("decoded record %d: Entry %v, HasEntry %v; want the entry encoded only", i, got.Entry, got.HasEntry())
+		}
+		if e := got.Materialize(); !e.Equal(r.Entry) || e.Key() != r.Key {
+			t.Fatalf("entry mismatch:\n%s\nvs\n%s", e, r.Entry)
 		}
 	}
 }
@@ -51,7 +54,7 @@ func TestRecordCodecNilEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Entry != nil || got.Key != r.Key || got.A != 9 {
+	if got.HasEntry() || got.Materialize() != nil || got.Key != r.Key || got.A != 9 {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -286,7 +289,7 @@ func TestStackRecords(t *testing.T) {
 		t.Fatalf("pop2: %v %v", got2, err)
 	}
 	got1, err := s.PopRecord()
-	if err != nil || !got1.Entry.Equal(r1.Entry) {
+	if err != nil || !got1.Materialize().Equal(r1.Entry) {
 		t.Fatalf("pop1: %v %v", got1, err)
 	}
 }

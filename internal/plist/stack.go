@@ -3,6 +3,7 @@ package plist
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/pager"
 )
@@ -22,6 +23,10 @@ type Stack struct {
 	resident map[int]struct{}
 	top      int64 // byte offset one past the stack top
 	count    int
+	free     [][]byte // page buffers of evicted and dropped chunks, reused
+	frame    []byte   // the frame Pop handed out last, reused
+	rec      Record   // the record PopRecord handed out last, reused
+	scratch  []byte   // PushRecord's encoding buffer
 }
 
 type stackChunk struct {
@@ -70,7 +75,11 @@ func (s *Stack) ensure(lo, hi int64) error {
 		if c.data != nil {
 			continue
 		}
-		c.data = make([]byte, s.pageSize())
+		if n := len(s.free); n > 0 {
+			c.data, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			c.data = make([]byte, s.pageSize())
+		}
 		if c.id != 0 {
 			if err := s.disk.Read(c.id, c.data); err != nil {
 				return err
@@ -105,6 +114,7 @@ func (s *Stack) evict(keepLo, keepHi int) error {
 		if err := s.disk.Write(c.id, c.data); err != nil {
 			return err
 		}
+		s.free = append(s.free, c.data)
 		c.data = nil
 		delete(s.resident, min)
 	}
@@ -156,24 +166,31 @@ func (s *Stack) Push(frame []byte) error {
 	return nil
 }
 
-// Pop removes and returns the top frame.
+// Pop removes and returns the top frame. The frame is the stack's: it is
+// valid until the next Pop.
 func (s *Stack) Pop() ([]byte, error) {
 	if s.count == 0 {
 		return nil, fmt.Errorf("plist: pop of empty stack")
+	}
+	if poisonReads {
+		poisonRecord(&s.frame, &s.rec)
 	}
 	var lenBuf [4]byte
 	if err := s.readAt(s.top-4, lenBuf[:]); err != nil {
 		return nil, err
 	}
 	n := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-	frame := make([]byte, n)
-	if err := s.readAt(s.top-4-n, frame); err != nil {
+	if n > s.top-4 {
+		return nil, fmt.Errorf("plist: stack frame of %d bytes on a %d-byte stack", n, s.top-4)
+	}
+	s.frame = slices.Grow(s.frame[:0], int(n))[:n]
+	if err := s.readAt(s.top-4-n, s.frame); err != nil {
 		return nil, err
 	}
 	s.top -= n + 4
 	s.count--
 	s.dropDead()
-	return frame, nil
+	return s.frame, nil
 }
 
 // dropDead frees chunks entirely above the top: their contents are
@@ -188,6 +205,9 @@ func (s *Stack) dropDead() {
 		if c.id != 0 {
 			_ = s.disk.Free(c.id)
 		}
+		if c.data != nil {
+			s.free = append(s.free, c.data)
+		}
 		delete(s.resident, i)
 	}
 	s.chunks = s.chunks[:live]
@@ -201,14 +221,19 @@ func (s *Stack) Release() {
 
 // PushRecord serializes a record onto the stack.
 func (s *Stack) PushRecord(r *Record) error {
-	return s.Push(AppendRecord(nil, r))
+	s.scratch = AppendRecord(s.scratch[:0], r)
+	return s.Push(s.scratch)
 }
 
-// PopRecord pops and deserializes a record.
+// PopRecord pops a record, decoding its header only (see Record). The
+// record is the stack's: it is valid until the next Pop or PopRecord.
 func (s *Stack) PopRecord() (*Record, error) {
 	b, err := s.Pop()
 	if err != nil {
 		return nil, err
 	}
-	return DecodeRecord(b)
+	if err := decodeInto(&s.rec, b); err != nil {
+		return nil, err
+	}
+	return &s.rec, nil
 }

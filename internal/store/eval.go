@@ -100,7 +100,7 @@ func (env *evalEnv) evalBase(q *query.Atomic) (*plist.List, error) {
 	if err != nil {
 		return nil, err
 	}
-	if q.Filter.Matches(s.schema, rec.Entry) {
+	if q.Filter.Matches(s.schema, rec) {
 		if err := w.Append(rec); err != nil {
 			return nil, err
 		}
@@ -126,9 +126,7 @@ func (env *evalEnv) evalScan(q *query.Atomic) (*plist.List, error) {
 		// so it stays usable as the oracle for every access path.
 		return env.knnScan(q)
 	}
-	return env.scanEval(q.Base, q.Scope, func(e *model.Entry) bool {
-		return q.Filter.Matches(env.s.schema, e)
-	})
+	return env.scanEval(q.Base, q.Scope, q.Filter)
 }
 
 // EvalLDAP evaluates an LDAP query — one base, one scope, a boolean
@@ -145,9 +143,7 @@ func (s *Store) EvalLDAPArena(a *pager.Arena, q *query.LDAP) (*plist.List, error
 }
 
 func (env *evalEnv) evalLDAP(q *query.LDAP) (*plist.List, error) {
-	return env.scanEval(q.Base, q.Scope, func(e *model.Entry) bool {
-		return q.Filter.Matches(env.s.schema, e)
-	})
+	return env.scanEval(q.Base, q.Scope, q.Filter)
 }
 
 // scopeOK reports whether an entry key already known to lie in the
@@ -163,7 +159,7 @@ func scopeOK(baseKey string, baseDepth int, scope query.Scope, key string) bool 
 	}
 }
 
-func (env *evalEnv) scanEval(base model.DN, scope query.Scope, match func(*model.Entry) bool) (*plist.List, error) {
+func (env *evalEnv) scanEval(base model.DN, scope query.Scope, f filter.Filter) (*plist.List, error) {
 	k := base.Key()
 	hi := model.SubtreeHigh(k)
 	depth := base.Depth()
@@ -184,7 +180,7 @@ func (env *evalEnv) scanEval(base model.DN, scope query.Scope, match func(*model
 		if !scopeOK(k, depth, scope, rec.Key) {
 			continue
 		}
-		if !match(rec.Entry) {
+		if !f.Matches(env.s.schema, rec) {
 			continue
 		}
 		if err := w.Append(rec); err != nil {
@@ -374,7 +370,7 @@ func (env *evalEnv) collectFetch(q *query.Atomic, ranges [][2][]byte, ordered bo
 	w := plist.NewWriter(env.out)
 	rr := s.master.MeteredRandomReader(env.m)
 	rd := sorted.Reader()
-	last := ""
+	var last []byte // the key before, copied: hit is the reader's
 	first := true
 	for {
 		hit, err := rd.Next()
@@ -384,10 +380,10 @@ func (env *evalEnv) collectFetch(q *query.Atomic, ranges [][2][]byte, ordered bo
 		if err != nil {
 			return nil, false, err
 		}
-		if !first && hit.Key == last {
+		if !first && hit.Key == string(last) {
 			continue // entry matched several values
 		}
-		first, last = false, hit.Key
+		first, last = false, append(last[:0], hit.Key...)
 		rec, err := env.fetchAt(rr, hit.Key, hit.A)
 		if err != nil {
 			return nil, false, err

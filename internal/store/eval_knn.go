@@ -72,7 +72,7 @@ func (env *evalEnv) knnScan(q *query.Atomic) (*plist.List, error) {
 		if !scopeOK(baseKey, depth, q.Scope, rec.Key) {
 			continue
 		}
-		dist, ok := knnEntryDist(rec.Entry, q.Filter.Attr, q.Filter.Vec)
+		dist, ok := knnEntryDist(rec, q.Filter.Attr, q.Filter.Vec)
 		if !ok {
 			continue
 		}
@@ -101,7 +101,7 @@ func (env *evalEnv) fetchNeighbors(nbrs []vindex.Neighbor) (*plist.List, error) 
 // knnEntryDist returns the entry's distance to the query vector: the
 // minimum squared L2 over its values of attr whose dimension matches.
 // ok is false when the entry is not a candidate (no such value).
-func knnEntryDist(e *model.Entry, attr string, qv []float32) (float64, bool) {
+func knnEntryDist(e model.Attrs, attr string, qv []float32) (float64, bool) {
 	best := math.Inf(1)
 	found := false
 	for _, v := range e.Values(attr) {

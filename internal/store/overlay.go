@@ -223,14 +223,16 @@ func (s *Store) applyRemove(dn model.DN) error {
 	} else if rec, err = s.overlayGet(key, nil); err != nil {
 		return err
 	}
-	if s.entryVectorIndexed(rec.Entry) {
+	// Removal is checked against, and unindexes, the whole entry.
+	e := rec.Materialize()
+	if s.entryVectorIndexed(e) {
 		return fmt.Errorf("%w: entry %s has vector-indexed values", ErrNeedsRebuild, dn)
 	}
 	if err := s.dn.Delete([]byte(key)); err != nil {
 		return err
 	}
 	if s.attr != nil {
-		for _, av := range rec.Entry.Pairs() {
+		for _, av := range e.Pairs() {
 			if av.Value.Kind() == model.KindVector {
 				continue
 			}
@@ -252,7 +254,9 @@ func (s *Store) applyRemove(dn model.DN) error {
 	return err
 }
 
-// overlayGet fetches the live overlay record stored under key.
+// overlayGet fetches the live overlay record stored under key, its entry
+// still encoded (plist.Record). The record aliases the tree's private
+// copy of the leaf, which nothing overwrites.
 func (s *Store) overlayGet(key string, m *pager.Meter) (*plist.Record, error) {
 	if s.over == nil {
 		return nil, fmt.Errorf("store: overlay record %q missing (no overlay)", key)
@@ -267,9 +271,9 @@ func (s *Store) overlayGet(key string, m *pager.Meter) (*plist.Record, error) {
 	return plist.DecodeRecord(v[1:])
 }
 
-// fetchAt materializes the entry behind an index locator: a master
-// stream offset, or the overlay record under key when the locator is
-// overlayLoc.
+// fetchAt reads the record behind an index locator: a master stream
+// offset, or the overlay record under key when the locator is
+// overlayLoc. A master record is rr's, valid until its next ReadAt.
 func (env *evalEnv) fetchAt(rr *plist.RandomReader, key string, off int64) (*plist.Record, error) {
 	if off >= 0 {
 		rec, _, err := rr.ReadAt(off)
@@ -295,7 +299,9 @@ type mergedIter struct {
 
 func (mi *mergedIter) pastHi(key string) bool { return mi.hi != "" && key >= mi.hi }
 
-// Next returns the next live record, or nil at the end of the range.
+// Next returns the next live record, or nil at the end of the range. The
+// record is valid until the call after (a master record is its
+// reader's).
 func (mi *mergedIter) Next() (*plist.Record, int64, error) {
 	for {
 		if !mi.basePending {
@@ -408,8 +414,8 @@ func (env *evalEnv) mergedScanOff(lo, hi string) (*mergedIter, error) {
 	return mi, nil
 }
 
-// forEachLiveEntry streams every live entry (master overlaid) in key
-// order, for Reopen's scan and for Instance.
+// forEachLiveEntry streams every live record (master overlaid) in key
+// order, for Reopen's scan and for Instance; fn must not keep rec.
 func (s *Store) forEachLiveEntry(fn func(*plist.Record) error) error {
 	env := &evalEnv{s: s}
 	mi, err := env.mergedScan("", "")

@@ -124,10 +124,17 @@ func Reopen(disk *pager.Disk, schema *model.Schema, manifest []byte) (*Store, er
 	strVals := make(stringValues)
 	live := gate{schema: schema}
 	if err := s.forEachLiveEntry(func(rec *plist.Record) error {
-		if err := live.admit(rec.Key, rec.Entry); err != nil || s.attr == nil {
+		// The one place every record is decoded whole. Materialize takes
+		// the record's key for the entry's, so that the two agree is
+		// checked here, against the DN, and not by the gate.
+		e := rec.Materialize()
+		if e != nil && e.DN().Key() != rec.Key {
+			return fmt.Errorf("store: record %q carries the entry %s", rec.Key, e.DN())
+		}
+		if err := live.admit(rec.Key, e); err != nil || s.attr == nil {
 			return err
 		}
-		for _, av := range rec.Entry.Pairs() {
+		for _, av := range e.Pairs() {
 			s.stats.observe(av.Attr, av.Value)
 			if av.Value.Kind() == model.KindString {
 				strVals.add(av.Attr, av.Value.Str())

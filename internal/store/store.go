@@ -84,6 +84,9 @@ func (g *gate) admit(key string, e *model.Entry) error {
 	if e == nil || e.Key() != key {
 		return fmt.Errorf("store: record %q carries no entry of that key", key)
 	}
+	// The stack keeps the key, so it takes the entry's: key may be a list
+	// record's, which its reader reuses.
+	key = e.Key()
 	if n := len(g.stack); n > 0 && key <= g.stack[n-1] { // the top is the key before
 		return fmt.Errorf("store: entry %s repeats or precedes the key before it", e.DN())
 	}
@@ -261,7 +264,7 @@ func (s *Store) Orphans() int { return s.orphans }
 // that shares nothing with the store — what a full rebuild starts from.
 func (s *Store) Instance() (*model.Instance, error) {
 	in := model.NewInstance(s.schema)
-	return in, s.forEachLiveEntry(func(rec *plist.Record) error { return in.Add(rec.Entry) })
+	return in, s.forEachLiveEntry(func(rec *plist.Record) error { return in.Add(rec.Materialize()) })
 }
 
 // MasterPages returns the size of the master list in pages — the |I|/B
@@ -298,7 +301,7 @@ func (s *Store) Get(dn model.DN) (*model.Entry, error) {
 	} else if rec, err = s.overlayGet(dn.Key(), nil); err != nil {
 		return nil, err
 	}
-	return rec.Entry, nil
+	return rec.Materialize(), nil
 }
 
 func (s *Store) masterBytes() int64 { return s.master.Size() }

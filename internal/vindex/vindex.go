@@ -32,6 +32,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/pager"
 	"repro/internal/plist"
@@ -304,9 +305,11 @@ func worse(a, b Neighbor) bool {
 }
 
 // Offer considers one candidate, keeping it iff it ranks among the k
-// best seen.
+// best seen. A kept candidate's key is copied, so n.Key may be a list
+// record's, which its reader reuses.
 func (t *Collector) Offer(n Neighbor) {
 	if len(t.heap) < t.k {
+		n.Key = strings.Clone(n.Key)
 		t.heap = append(t.heap, n)
 		i := len(t.heap) - 1
 		for i > 0 {
@@ -322,6 +325,7 @@ func (t *Collector) Offer(n Neighbor) {
 	if !worse(t.heap[0], n) {
 		return // candidate is no better than the current worst
 	}
+	n.Key = strings.Clone(n.Key)
 	t.heap[0] = n
 	i := 0
 	for {
