@@ -79,13 +79,15 @@ docs:
 # brute-force oracle panics the run — so this doubles as an exactness
 # gate on the vector index. The write benchmark (one leaf add at 500
 # and at 2000 subscribers) runs 20 writes per size, enough to see that
-# it still runs and what it reports. The read operators print beside it
+# it still runs and what it reports, B/op and allocs/op included (a
+# per-write copy of anything directory-sized shows there first). The
+# read operators print beside it
 # — a boolean merge, a stack pass, a sort-merge join and a whole L2
 # query — so that every check shows their ns/op, allocs/op and
 # pageIO/op: the last must not move unless the change says why.
 bench-smoke:
 	$(GO) run ./cmd/dirbench -quick -only E22 >/dev/null
-	$(GO) test -run='^$$' -bench=BenchmarkUpdateEntries -benchtime=20x .
+	$(GO) test -run='^$$' -bench=BenchmarkUpdateEntries -benchtime=20x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkOp(BooleanAnd|HSPCChildren|ERDV)$$|BenchmarkFullQueryL2' -benchtime=20x -benchmem .
 
 # Wire smoke: benchmark/dirload's four workloads (lookup, analytic,

@@ -280,9 +280,13 @@ func BenchmarkParseQuery(b *testing.B) {
 // path, at two directory sizes (4 325 and 16 955 entries). The write
 // touches one root-to-leaf path per tree and keeps no copy of the
 // directory, so allocs/op and dirty pages/op are flat in the directory
-// size. ns/op and B/op are not yet: each new CANumber is a new distinct
-// string value, and the store rebuilds that attribute's suffix array
-// over all its values (store.indexStrings).
+// size, and ns/op and B/op nearly: each new CANumber is a new distinct
+// string value, which goes to the suffix index's unsorted tail and to
+// the catalog's corrections, both copied per write and at most an
+// eighth of the attribute's values long (1.4x from 500 to 2000
+// subscribers, where re-sorting the suffix array per write was 4x).
+// About one write in base/8 re-sorts the array; -benchtime=100x sees
+// none, 3000x a few.
 func BenchmarkUpdateEntries(b *testing.B) {
 	for _, subs := range []int{500, 2000} {
 		b.Run(fmt.Sprintf("tops%d", subs), func(b *testing.B) {

@@ -66,7 +66,7 @@ var (
 
 	dataDir   = flag.String("data", "", "durable store directory: recover on boot, checkpoint while serving (off when empty)")
 	ckptEvery = flag.Duration("checkpoint-every", 0, "checkpoint cadence: 0 = synchronously before acknowledging each write, >0 = periodic background checkpoints")
-	keepGens  = flag.Int("keep", 0, "checkpoint generations to retain for rollback (0 = the durable store's default)")
+	keepGens  = flag.Int("keep", 0, "newest checkpoint generations to retain as rollback rungs, with whatever older segments they are deltas against (0 = the durable store's default, 3)")
 	mutable   = flag.Bool("mutable", false, `accept "add" and "del" requests (read-only without it)`)
 	deltaCkpt = flag.Bool("delta-checkpoints", false, "checkpoint writes as page deltas against the previous generation when possible (full images otherwise)")
 	faultProb = flag.Float64("fault-prob", 0, "inject storage faults (torn/short writes, fsync errors) with this probability — crash-harness use only")

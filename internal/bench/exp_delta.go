@@ -20,7 +20,9 @@ import (
 // the bytes a checkpoint of that write costs as a page delta against
 // the previous generation versus as a full image. Reported per
 // directory size: both update latencies, the dirty page count out of
-// the device total, and both checkpoint sizes with the shrink factor.
+// the device total, both checkpoint sizes with the shrink factor, and —
+// one-entry writes continuing, each checkpointed — the delta chain as
+// it stands when the next checkpoint is a full image again.
 //
 // The experiment is self-checking twice over: the shrink factor must
 // reach 10× (the point of the feature), and the delta chain is
@@ -32,7 +34,7 @@ func E24DeltaCheckpoint(sizes []int) *Table {
 		ID:     "E24",
 		Title:  "Incremental checkpoints: one-entry write, page delta vs full image",
 		Claim:  "entry-level writes dirty O(log N) pages; their checkpoints shrink >=10x",
-		Header: []string{"entries", "update fast (µs)", "update rebuild (µs)", "dirty/total pages", "full ckpt (B)", "delta ckpt (B)", "shrink"},
+		Header: []string{"entries", "update fast (µs)", "update rebuild (µs)", "dirty/total pages", "full ckpt (B)", "delta ckpt (B)", "shrink", "chain at fold (deltas, B)"},
 	}
 	for _, n := range sizes {
 		in := workload.GenTOPS(workload.TOPSConfig{Subscribers: n, Seed: 13})
@@ -108,6 +110,34 @@ func E24DeltaCheckpoint(sizes []int) *Table {
 			}
 		}
 
+		// One-entry writes, each checkpointed, until the chain folds: the
+		// deltas must have stayed lighter than the image under them, and
+		// come within two deltas of it before the full image was taken.
+		var atFold durable.Chain
+		for i := 0; ; i++ {
+			w, err := model.NewEntryFromDN(in.Schema(),
+				model.MustParseDN(fmt.Sprintf("uid=fold-probe-%d, ou=userProfiles, dc=research, dc=att, dc=com", i)))
+			if err != nil {
+				panic(err)
+			}
+			w.AddClass("inetOrgPerson")
+			w.Add("surName", model.String("fold-probe"))
+			if err := dir.UpdateEntries(store.EntryOp{Add: w}); err != nil {
+				panic(err)
+			}
+			gen, err := dir.Checkpoint(ds)
+			if err != nil {
+				panic(err)
+			}
+			if base, _ := ds.BaseOf(gen); base == 0 {
+				break
+			}
+			atFold = ds.Chain()
+		}
+		if atFold.DeltaBytes >= atFold.BaseBytes || atFold.DeltaBytes+2*deltaBytes < atFold.BaseBytes {
+			panic(fmt.Sprintf("bench: E24 chain folded at %+v, want delta bytes just under the image's at n=%d", atFold, n))
+		}
+
 		// The same one-entry write through the rebuild path, for the
 		// latency column (a fresh uid so the add is valid).
 		e2, err := model.NewEntryFromDN(in.Schema(),
@@ -125,13 +155,14 @@ func E24DeltaCheckpoint(sizes []int) *Table {
 
 		t.AddRow(n, fastLat.Microseconds(), rebuildLat.Microseconds(),
 			fmt.Sprintf("%d/%d", dirty, total), fullBytes, deltaBytes,
-			fmt.Sprintf("%.0fx", shrink))
+			fmt.Sprintf("%.0fx", shrink), fmt.Sprintf("%d, %d", atFold.Deltas, atFold.DeltaBytes))
 		os.RemoveAll(tmp)
 	}
 	t.Notes = append(t.Notes,
 		"fast path: UpdateEntries forks the page device copy-on-write and edits in place the B-tree leaves the entry lands in",
 		"delta checkpoint carries only the dirtied pages against the previous retained generation (core snapshot delta format, DESIGN.md §15)",
-		"self-check: shrink >= 10x enforced, and the full+delta chain is recovered from disk with answers compared to the live directory")
+		"self-check: shrink >= 10x enforced, and the full+delta chain is recovered from disk with answers compared to the live directory",
+		"chain at fold: checkpoints stay deltas until their bytes would reach the full image's, whatever the retention window (3 here)")
 	return t
 }
 

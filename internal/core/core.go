@@ -56,10 +56,10 @@ type Options struct {
 	// links the two. Deltas shrink checkpoint bytes to the dirty page
 	// set — O(log N) pages for an entry-level update — at the cost of a
 	// base-chain replay on recovery. Full images are still written
-	// whenever the chain would grow past the durable store's retention
-	// window, the dirty set covers most of the device, or the lineage is
-	// broken (any full-rebuild Update). Off by default: checkpoints are
-	// then always self-contained full images, exactly as before.
+	// whenever the chain's deltas would weigh as much as the full image
+	// beneath them, the dirty set covers most of the device, or the
+	// lineage is broken (any full-rebuild Update). Off by default:
+	// checkpoints are then always self-contained full images.
 	DeltaCheckpoints bool
 	// CacheBytes, when positive, enables the query-result cache: up to
 	// this many bytes of materialized results, keyed by (canonical

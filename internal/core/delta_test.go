@@ -13,6 +13,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/ldif"
 	"repro/internal/model"
+	"repro/internal/pager"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -233,8 +234,8 @@ func segSize(t *testing.T, root string, gen int64) int64 {
 // TestDeltaCheckpointRoundTrip drives the full incremental-checkpoint
 // cycle: full image, two deltas (each a small fraction of the full
 // image's bytes), a byte-identical recovery through the chain, and the
-// forced return to a full image when the chain reaches the retention
-// window.
+// return to a full image when the chain's deltas weigh as much as the
+// image beneath them.
 func TestDeltaCheckpointRoundTrip(t *testing.T) {
 	ds, root := newDurableStore(t)
 	dir := peopleDirectory(t, 300, Options{DeltaCheckpoints: true})
@@ -300,17 +301,229 @@ func TestDeltaCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The chain is now keep-1 deltas long; the next checkpoint must be
-	// forced back to a full image even though the lineage links it.
-	if err := dir.UpdateEntries(personOp(t, dir, "u9002", "delta")); err != nil {
+	// The chain folds by bytes, not at the retention window (3 here, and
+	// the chain is 2 deltas long already): checkpoints stay deltas while
+	// the chain's delta segments and the pages of the next weigh less
+	// than the full image beneath them, and the first one past that is a
+	// full image again.
+	for gen := int64(4); ; gen++ {
+		if gen > 100 {
+			t.Fatal("the chain never folded")
+		}
+		if err := dir.UpdateEntries(personOp(t, dir, fmt.Sprintf("u9%03d", gen), "delta")); err != nil {
+			t.Fatal(err)
+		}
+		chain := ds.Chain()
+		weight := chain.DeltaBytes + int64(dir.Disk().DirtyCount()*dir.Disk().PageSize())
+		if got, err := dir.Checkpoint(ds); err != nil || got != gen {
+			t.Fatalf("checkpoint %d: %d, %v", gen, got, err)
+		}
+		base, _ := ds.BaseOf(gen)
+		if weight >= chain.BaseBytes {
+			if base != 0 {
+				t.Fatalf("gen %d base = %d; chain of %d bytes over an image of %d wants a full image", gen, base, weight, chain.BaseBytes)
+			}
+			if chain.Deltas < 3 {
+				t.Fatalf("folded after %d deltas; a 300-person image should carry more than the retention window", chain.Deltas)
+			}
+			break
+		}
+		if base != gen-1 {
+			t.Fatalf("gen %d base = %d; chain of %d bytes under an image of %d wants a delta", gen, base, weight, chain.BaseBytes)
+		}
+	}
+	if c := ds.Chain(); c.Deltas != 0 || c.BaseBytes != segSize(t, root, dir.Generation()) {
+		t.Fatalf("chain after the fold = %+v", c)
+	}
+}
+
+// TestDeltaFoldBoundsWriteAmplification: 150 one-entry writes, each
+// checkpointed. An image is taken only once the deltas since the last
+// weigh as much, so everything fsynced — deltas, the images the folds
+// took, a manifest per commit — stays within 2.5 times the deltas plus
+// the first image, and no chain ever outweighs its image.
+func TestDeltaFoldBoundsWriteAmplification(t *testing.T) {
+	ds, root := newDurableStore(t)
+	dir := peopleDirectory(t, 1000, Options{DeltaCheckpoints: true})
+	if _, err := dir.Checkpoint(ds); err != nil {
 		t.Fatal(err)
 	}
-	if gen, err := dir.Checkpoint(ds); err != nil || gen != 4 {
-		t.Fatalf("checkpoint 4: %d, %v", gen, err)
+	floor, folds := segSize(t, root, 1), 0
+	for i := 0; i < 150; i++ {
+		if err := dir.UpdateEntries(personOp(t, dir, fmt.Sprintf("w%04d", i), "writer")); err != nil {
+			t.Fatal(err)
+		}
+		gen, err := dir.Checkpoint(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base, _ := ds.BaseOf(gen); base == 0 {
+			folds++
+		} else {
+			floor += segSize(t, root, gen)
+		}
+		if c := ds.Chain(); c.DeltaBytes > c.BaseBytes+c.BaseBytes/8 {
+			t.Fatalf("write %d: chain of %d delta bytes over an image of %d", i, c.DeltaBytes, c.BaseBytes)
+		}
 	}
-	if base, ok := ds.BaseOf(4); !ok || base != 0 {
-		t.Fatalf("gen 4 base = %d, %v; want forced full image at the chain cap", base, ok)
+	if folds == 0 || folds > 30 {
+		t.Fatalf("%d full images in 150 writes", folds)
 	}
+	if fsynced := ds.Stats().BytesFsynced; 2*fsynced > 5*floor {
+		t.Fatalf("fsynced %d bytes for %d bytes of deltas and first image (%d folds)", fsynced, floor, folds)
+	}
+}
+
+// topsWriter returns a 300-subscriber TOPS directory and the op of its
+// i-th write, a new call appearance: a 3.4 MB image whose one-entry
+// deltas are about 50 KB, so a chain may grow past fifty of them.
+func topsWriter(t *testing.T) (*Directory, func(i int) store.EntryOp) {
+	t.Helper()
+	dir, err := Open(workload.GenTOPS(workload.TOPSConfig{Subscribers: 300, Seed: 1}), Options{DeltaCheckpoints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, func(i int) store.EntryOp {
+		dn := model.MustParseDN(fmt.Sprintf(
+			"CANumber=555%07d, QHPName=qhp0, uid=sub%04d, ou=userProfiles, dc=research, dc=att, dc=com", i, i%300))
+		e, err := model.NewEntryFromDN(dir.Schema(), dn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store.EntryOp{Add: e.AddClass("callAppearance").Add("priority", model.Int(9))}
+	}
+}
+
+// segReads counts the segment files opened through it.
+type segReads struct {
+	pager.FileSystem
+	n int
+}
+
+func (fs *segReads) Open(name string) (pager.BlockFile, error) {
+	if strings.HasSuffix(name, ".seg") {
+		fs.n++
+	}
+	return fs.FileSystem.Open(name)
+}
+
+// TestLongDeltaChain: a full image under fifty deltas, which the byte
+// rule allows and the old cap at the retention window did not. It
+// recovers to the live directory byte for byte; and the ladder over it
+// stays linear when a segment is damaged — every rung above the damage
+// replays through it, and only the first of them reads anything to find
+// that out.
+func TestLongDeltaChain(t *testing.T) {
+	const deltas = 50
+	ds, root := newDurableStore(t)
+	dir, write := topsWriter(t)
+	if _, err := dir.Checkpoint(ds); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < deltas; i++ {
+		if err := dir.UpdateEntries(write(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dir.Checkpoint(ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := ds.Chain(); c.Deltas != deltas || c.DeltaBytes >= c.BaseBytes {
+		t.Fatalf("chain = %+v, want %d deltas under their image", c, deltas)
+	}
+	if gens := ds.Generations(); len(gens) != deltas+1 {
+		t.Fatalf("%d generations retained, want the whole chain of %d", len(gens), deltas+1)
+	}
+
+	// reopened copies the store's files, flips a payload bit in the given
+	// generation's segment (0: none) and opens the copy.
+	reopened := func(t *testing.T, damage int64) (*durable.Store, *segReads) {
+		t.Helper()
+		fs, err := pager.DirFS(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, de := range names {
+			buf, err := os.ReadFile(filepath.Join(root, de.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if damage != 0 && de.Name() == fmt.Sprintf("seg-%016d.seg", damage) {
+				buf[len(buf)/2] ^= 0x10
+			}
+			f, err := fs.Create(de.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(buf, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counted := &segReads{FileSystem: fs}
+		back, err := durable.Open(counted, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back, counted
+	}
+
+	t.Run("recovers-identically", func(t *testing.T) {
+		copied, fs := reopened(t, 0)
+		back, info, err := Recover(copied, Options{DeltaCheckpoints: true})
+		if err != nil || info.Gen != deltas+1 || info.Skipped != 0 {
+			t.Fatalf("recover: %+v, %v", info, err)
+		}
+		if fs.n != deltas+1 {
+			t.Fatalf("%d segment reads for a chain of %d", fs.n, deltas+1)
+		}
+		var live, recovered bytes.Buffer
+		if err := dir.SaveSnapshot(&live); err != nil {
+			t.Fatal(err)
+		}
+		if err := back.SaveSnapshot(&recovered); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(live.Bytes(), recovered.Bytes()) {
+			t.Fatal("recovered snapshot differs from the live one")
+		}
+	})
+	t.Run("corrupt-base", func(t *testing.T) {
+		copied, fs := reopened(t, 1)
+		_, info, err := Recover(copied, Options{DeltaCheckpoints: true})
+		if !errors.Is(err, durable.ErrNoIntactGeneration) || info.Skipped != deltas+1 {
+			t.Fatalf("recover over a corrupt base: %+v, %v", info, err)
+		}
+		if fs.n > 2*deltas+1 {
+			t.Fatalf("%d segment reads to refuse a chain of %d; the ladder went quadratic", fs.n, deltas+1)
+		}
+	})
+	t.Run("corrupt-delta", func(t *testing.T) {
+		const k = 20
+		copied, fs := reopened(t, k)
+		back, info, err := Recover(copied, Options{DeltaCheckpoints: true})
+		if err != nil || info.Gen != k-1 || info.Skipped != deltas+1-(k-1) {
+			t.Fatalf("recover over corrupt delta %d: %+v, %v", k, info, err)
+		}
+		if fs.n > 2*deltas+1 {
+			t.Fatalf("%d segment reads over a chain of %d; the ladder went quadratic", fs.n, deltas+1)
+		}
+		// Exactly the suffix is gone, from the store and from the answers:
+		// write i made generation i+2.
+		if gens := copied.Generations(); len(gens) != k-1 || gens[len(gens)-1] != k-1 {
+			t.Fatalf("generations after recovery = %v, want 1..%d", gens, k-1)
+		}
+		res, err := back.Search("(dc=com ? sub ? CANumber=555*)")
+		if err != nil || len(res.Entries) != k-2 {
+			t.Fatalf("recovered generation %d answers %d written entries, %v; want %d", k-1, len(res.Entries), err, k-2)
+		}
+	})
 }
 
 // TestRecoverAfterFullRebuildBreaksChain: a full-rebuild Update between

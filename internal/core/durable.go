@@ -62,18 +62,18 @@ func (d *Directory) Checkpoint(ds *durable.Store) (int64, error) {
 // deltaPlan decides whether the next checkpoint can be a page delta,
 // and against what. Three conditions gate it: the in-memory lineage
 // must link snap.gen down to the newest durable generation (any
-// full-rebuild Update in between breaks the chain); the resulting
-// delta chain must stay shorter than the retention window, so the
-// recovery ladder always retains at least one full image below every
-// delta; and the dirty union must stay under half the device — past
-// that a full image is barely larger to write and far cheaper to
-// recover.
+// full-rebuild Update in between breaks the chain); the dirty union
+// must stay under half the device — past that a full image is barely
+// larger to write and far cheaper to recover; and the chain's delta
+// segments, this one's pages included, must weigh less than the full
+// image beneath them. The last is the fold rule: it holds what
+// recovery reads under twice the image, and what a run of writes
+// commits under twice their deltas plus the images, whatever the
+// retention window is (the durable store keeps every base a retained
+// delta replays through).
 func (d *Directory) deltaPlan(ds *durable.Store, snap *snapshot) (base int64, dirty []pager.PageID, ok bool) {
 	newest, has := ds.Newest()
 	if !has || newest >= snap.gen {
-		return 0, nil, false
-	}
-	if ds.DeltaChainLen()+1 >= ds.Keep() {
 		return 0, nil, false
 	}
 	union := make(map[pager.PageID]struct{})
@@ -94,7 +94,11 @@ func (d *Directory) deltaPlan(ds *durable.Store, snap *snapshot) (base int64, di
 	if g != newest {
 		return 0, nil, false
 	}
-	if 2*len(union) >= snap.st.Disk().NumPages() {
+	disk := snap.st.Disk()
+	if 2*len(union) >= disk.NumPages() {
+		return 0, nil, false
+	}
+	if chain := ds.Chain(); chain.DeltaBytes+int64(len(union))*int64(disk.PageSize()) >= chain.BaseBytes {
 		return 0, nil, false
 	}
 	dirty = make([]pager.PageID, 0, len(union))
@@ -126,12 +130,17 @@ type RecoverInfo struct {
 // past. A delta generation is intact only if its whole base chain is —
 // every payload down to a full image, decodable and replayable; damage
 // anywhere in the chain fails that rung and recovery moves one
-// generation down the ladder, which (by deltaPlan's retention gate)
-// always reaches a full image. The restored Directory continues the
+// generation down the ladder, which (the durable store retains the base
+// of every retained delta) always reaches a full image. A damaged delta
+// therefore costs every generation above it in its chain, and a rung
+// that replays through a segment already found unreadable fails without
+// reading anything again. The restored Directory continues the
 // durable lineage — its generation is the recovered one, so the next
 // Update produces gen+1 and the next Checkpoint slots right after the
-// recovered segment. Its update lineage starts empty, so the first
-// checkpoint after recovery is always a self-contained full image.
+// recovered segment. Its update lineage starts empty, which is as much
+// as a delta needs: the recovered generation is the newest durable one,
+// so an UpdateEntries write on it checkpoints as a delta that extends
+// the recovered chain.
 //
 // An empty store is not an error: the returned info has Fresh set and
 // the Directory is nil — bootstrap, then Checkpoint. A store whose
@@ -144,9 +153,10 @@ func Recover(ds *durable.Store, opts Options) (*Directory, RecoverInfo, error) {
 		info.Fresh = true
 		return nil, info, nil
 	}
+	bad := make(map[int64]bool) // generations no rung can replay through
 	for i := len(gens) - 1; i >= 0; i-- {
 		gen := gens[i]
-		dir, err := recoverGeneration(ds, opts, gen)
+		dir, err := recoverGeneration(ds, opts, gen, bad)
 		if err != nil {
 			// Checksum damage, a broken delta chain, or a semantically
 			// undecodable payload — all just rungs on the ladder.
@@ -172,24 +182,36 @@ func Recover(ds *durable.Store, opts Options) (*Directory, RecoverInfo, error) {
 // durable store's directory scan recovers identically) down to a full
 // image, replays the page deltas oldest-first onto it, and assembles
 // with the newest payload's schema and manifest. Any failure anywhere
-// along the chain fails the whole rung.
-func recoverGeneration(ds *durable.Store, opts Options, gen int64) (*Directory, error) {
+// along the chain fails the whole rung; a segment that cannot be loaded
+// or decoded is recorded in bad with the generations that led to it, so
+// that the ladder's later rungs, which share the chain's lower part,
+// stop at them.
+func recoverGeneration(ds *durable.Store, opts Options, gen int64, bad map[int64]bool) (*Directory, error) {
 	var deltas []*deltaParts // newest first
 	cur := gen
 	seen := make(map[int64]bool)
+	fail := func(err error) (*Directory, error) {
+		for g := range seen {
+			bad[g] = true
+		}
+		return nil, err
+	}
 	for {
 		if seen[cur] {
-			return nil, fmt.Errorf("%w: delta base chain cycles at generation %d", ErrCorruptSnapshot, cur)
+			return fail(fmt.Errorf("%w: delta base chain cycles at generation %d", ErrCorruptSnapshot, cur))
 		}
 		seen[cur] = true
+		if bad[cur] {
+			return fail(fmt.Errorf("%w: generation %d replays through unreadable generation %d", ErrCorruptSnapshot, gen, cur))
+		}
 		payload, err := ds.Load(cur)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if bytes.HasPrefix(payload, snapshotDeltaMagic[:]) {
 			dp, err := decodeDeltaSnapshot(payload)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
 			dp.gen = cur
 			deltas = append(deltas, dp)
@@ -198,10 +220,13 @@ func recoverGeneration(ds *durable.Store, opts Options, gen int64) (*Directory, 
 		}
 		parts, err := decodeSnapshot(bytes.NewReader(payload))
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		for j := len(deltas) - 1; j >= 0; j-- {
 			if err := parts.disk.ApplyDelta(deltas[j].pages); err != nil {
+				for _, dp := range deltas[:j+1] {
+					bad[dp.gen] = true
+				}
 				return nil, fmt.Errorf("%w: page delta for generation %d: %v", ErrCorruptSnapshot, deltas[j].gen, err)
 			}
 		}

@@ -10,8 +10,10 @@
 // rename, so a crash — or any injected storage fault
 // (internal/faultfs) — at any instruction boundary leaves either the
 // previous committed state or the new one, never a mix. The last Keep
-// generations are retained for rollback; everything older is pruned
-// after the manifest that stops referencing it is durably committed.
+// generations are retained for rollback, and with them every older
+// segment one of them is a page delta against, directly or through
+// other deltas; everything else is pruned after the manifest that stops
+// referencing it is durably committed.
 //
 // DESIGN.md §11 walks through the commit protocol and the recovery
 // ladder; internal/durable/crashtest kill -9s a live server through
@@ -49,7 +51,9 @@ var (
 type Options struct {
 	// Keep is how many newest generations to retain for rollback
 	// (default 3, minimum 1). Older segments are pruned once a manifest
-	// that no longer references them is durably committed.
+	// that no longer references them is durably committed, except those
+	// a retained delta replays through. It does not bound how long a
+	// chain of deltas may grow: the committer decides that (Chain).
 	Keep int
 }
 
@@ -75,9 +79,18 @@ type segEntry struct {
 	// Base is the generation this segment is a page delta against; 0
 	// marks a self-contained full image. Pruning retains the transitive
 	// base closure of every kept segment, so an acknowledged delta's
-	// recovery chain can never be pruned out from under it.
+	// recovery chain can never be pruned out from under it. baseUnknown
+	// marks an entry rebuilt from the file alone, which does not say.
 	Base int64 `json:"base,omitempty"`
 }
+
+// baseUnknown is the Base of an entry the directory scan rebuilt after
+// the manifest was lost: only the payload, which this package does not
+// parse, says whether the segment is a delta and against what. Such an
+// entry may need any older segment, and pruning treats it so; it is
+// written to the next manifest as it is, so the doubt outlives a reopen
+// and ends when the entry leaves the keep window.
+const baseUnknown = -1
 
 // manifestBody is the manifest payload: the retained generations,
 // ascending.
@@ -113,8 +126,10 @@ func segName(gen int64) string { return fmt.Sprintf("seg-%016d%s", gen, segSuffi
 // commit left behind (they were never renamed, so they are by
 // definition uncommitted) and loading the manifest. A missing or
 // corrupt manifest is not fatal: the view is rebuilt by scanning the
-// segment files themselves, so losing the manifest costs nothing but
-// the cross-check.
+// segment files themselves, so losing the manifest costs the cross-check
+// and the record of which segment is a delta against which — until the
+// rebuilt entries age out of the keep window, nothing older than them
+// is pruned (baseUnknown).
 func Open(fs pager.FileSystem, opts Options) (*Store, error) {
 	if opts.Keep <= 0 {
 		opts.Keep = 3
@@ -174,7 +189,7 @@ func (s *Store) loadManifest(names []string) error {
 		}
 		// CRC 0 means "no manifest cross-check": verification then
 		// relies on the envelope alone.
-		s.entries = append(s.entries, segEntry{Gen: gen, File: name, Size: size})
+		s.entries = append(s.entries, segEntry{Gen: gen, File: name, Size: size, Base: baseUnknown})
 	}
 	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].Gen < s.entries[j].Gen })
 	return nil
@@ -280,25 +295,25 @@ func (s *Store) commitEntry(gen, base int64, write func(w io.Writer) error) erro
 // transitively, every base a retained delta depends on. A base pinned
 // by a retained delta survives even when it falls outside the keep
 // window — dropping it would leave the delta unreplayable, i.e. fewer
-// than keep recoverable generations.
+// than keep recoverable generations. A retained entry of unknown base
+// pins every older entry. A base is older than its delta, so one pass
+// from the newest entry down meets every delta before its base.
 func planPrune(entries []segEntry, keep int) (drop, next []segEntry) {
 	if len(entries) <= keep {
 		return nil, entries
 	}
-	byGen := make(map[int64]segEntry, len(entries))
-	for _, e := range entries {
-		byGen[e.Gen] = e
-	}
 	retain := make(map[int64]bool, keep)
-	for _, e := range entries[len(entries)-keep:] {
+	pinOlder := false
+	for i := len(entries) - 1; i >= 0; i-- {
+		e := entries[i]
+		if i < len(entries)-keep && !pinOlder && !retain[e.Gen] {
+			continue
+		}
 		retain[e.Gen] = true
-		for b := e.Base; b != 0; {
-			be, ok := byGen[b]
-			if !ok || retain[b] {
-				break
-			}
-			retain[b] = true
-			b = be.Base
+		if e.Base < 0 {
+			pinOlder = true
+		} else if e.Base != 0 {
+			retain[e.Base] = true
 		}
 	}
 	for _, e := range entries {
@@ -425,12 +440,10 @@ func (s *Store) Generations() []int64 {
 	return out
 }
 
-// Keep reports the retention window: how many newest generations the
-// store keeps for rollback.
-func (s *Store) Keep() int { return s.keep }
-
 // BaseOf returns the base generation the given segment is a delta
-// against (0 for a full image) and whether the generation is retained.
+// against (0 for a full image, negative when a manifest-loss scan
+// rebuilt the entry and the base is not known) and whether the
+// generation is retained.
 func (s *Store) BaseOf(gen int64) (int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -442,30 +455,48 @@ func (s *Store) BaseOf(gen int64) (int64, bool) {
 	return 0, false
 }
 
-// DeltaChainLen reports how many delta segments the newest generation's
-// recovery chain replays before reaching a full image (0 when the
-// newest generation is itself a full image, or the store is empty).
-// Checkpoint policies bound this to cap recovery work and delta pileup.
-func (s *Store) DeltaChainLen() int {
+// Chain describes the segments recovering the newest generation reads:
+// the deltas it replays, newest first, down to the full image beneath
+// them.
+type Chain struct {
+	Deltas     int   // delta segments above the full image
+	DeltaBytes int64 // their files' sizes, summed
+	// BaseBytes is the size of the full image's file; 0 when the store is
+	// empty or the chain does not reach one the manifest knows (a base
+	// unknown after a manifest loss, or missing).
+	BaseBytes int64
+}
+
+// Chain reports the newest generation's replay chain. A checkpoint
+// policy reads it to decide when the next checkpoint should be a full
+// image again: core.Directory takes one once the deltas would weigh as
+// much as the image under them.
+func (s *Store) Chain() Chain {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var c Chain
 	if len(s.entries) == 0 {
-		return 0
+		return c
 	}
-	byGen := make(map[int64]segEntry, len(s.entries))
-	for _, e := range s.entries {
-		byGen[e.Gen] = e
-	}
-	n := 0
-	for e := s.entries[len(s.entries)-1]; e.Base != 0 && n < len(s.entries); {
-		n++
-		b, ok := byGen[e.Base]
-		if !ok {
+	// Entries ascend by generation and a base is older than its delta, so
+	// one pass downward meets the chain's links in order; want is the next.
+	want := s.entries[len(s.entries)-1].Gen
+	for i := len(s.entries) - 1; i >= 0 && s.entries[i].Gen >= want; i-- {
+		e := s.entries[i]
+		if e.Gen != want {
+			continue
+		}
+		if e.Base == 0 {
+			c.BaseBytes = e.Size
+		}
+		if e.Base <= 0 {
 			break
 		}
-		e = b
+		c.Deltas++
+		c.DeltaBytes += e.Size
+		want = e.Base
 	}
-	return n
+	return c
 }
 
 // Newest returns the highest retained generation, or false when the
@@ -630,7 +661,9 @@ func (s *Store) Stats() Stats {
 // RegisterMetrics exposes the store's counters on reg under the given
 // prefix (e.g. "dirkit_durable"): commit count and latency histogram,
 // payload and fsynced byte totals, corrupt-segment skips, recoveries,
-// orphan cleanups, pruned segments, and the retained generation count.
+// orphan cleanups, pruned segments, the retained generation count, and
+// the newest generation's replay chain (Chain): when its delta bytes
+// near its base bytes, the next checkpoint is due to be a full image.
 func (s *Store) RegisterMetrics(reg *obs.Registry, prefix string) {
 	s.latency = reg.Histogram(prefix+"_commit_latency_us", "per-checkpoint commit wall time (microseconds)")
 	reg.GaugeFunc(prefix+"_commits", "successful durable commits", s.commits.Load)
@@ -645,4 +678,7 @@ func (s *Store) RegisterMetrics(reg *obs.Registry, prefix string) {
 		defer s.mu.Unlock()
 		return int64(len(s.entries))
 	})
+	reg.GaugeFunc(prefix+"_chain_deltas", "delta segments the newest generation replays", func() int64 { return int64(s.Chain().Deltas) })
+	reg.GaugeFunc(prefix+"_chain_bytes", "bytes of those delta segments", func() int64 { return s.Chain().DeltaBytes })
+	reg.GaugeFunc(prefix+"_chain_base_bytes", "bytes of the full image beneath them", func() int64 { return s.Chain().BaseBytes })
 }

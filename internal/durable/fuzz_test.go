@@ -42,6 +42,9 @@ func FuzzManifest(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte("{"))
 	f.Add([]byte{})
+	baseless, _ := json.Marshal(manifestBody{Generations: []segEntry{
+		{Gen: 1, File: segName(1), Size: 53, Base: baseUnknown}, {Gen: 2, File: segName(2), Base: 1}}})
+	f.Add(sealEnvelope(manMagic, 2, baseless)) // the view a scan rebuild leaves, and a delta above it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		root := t.TempDir()
 		fs, err := pager.DirFS(root)

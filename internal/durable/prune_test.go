@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"testing"
 
@@ -208,6 +209,20 @@ func TestPlanPruneRetainsDeltaBases(t *testing.T) {
 			next:    "[3 4]",
 		},
 		{
+			name:    "unknown-base-pins-everything-older",
+			entries: []segEntry{seg(1, 0), seg(2, 0), seg(3, baseUnknown), seg(4, 0), seg(5, 0)},
+			keep:    3,
+			drop:    "[]",
+			next:    "[1 2 3 4 5]",
+		},
+		{
+			name:    "unknown-base-out-of-window-pins-nothing",
+			entries: []segEntry{seg(1, 0), seg(2, baseUnknown), seg(3, 0), seg(4, 0), seg(5, 4)},
+			keep:    3,
+			drop:    "[1 2]",
+			next:    "[3 4 5]",
+		},
+		{
 			name:    "under-window-keeps-all",
 			entries: []segEntry{seg(1, 0), seg(2, 1)},
 			keep:    3,
@@ -254,30 +269,103 @@ func TestCommitDeltaValidation(t *testing.T) {
 	}
 }
 
-// TestDeltaChainLen tracks the newest generation's replay depth.
-func TestDeltaChainLen(t *testing.T) {
+// TestChain tracks the newest generation's replay chain: how many
+// deltas, their bytes, and the bytes of the full image beneath them.
+func TestChain(t *testing.T) {
 	s, _ := newStore(t, Options{Keep: 8})
-	if n := s.DeltaChainLen(); n != 0 {
-		t.Fatalf("empty store chain len %d", n)
+	if c := s.Chain(); c != (Chain{}) {
+		t.Fatalf("empty store chain %+v", c)
 	}
 	deltaPayload := func(w io.Writer) error {
 		_, err := io.WriteString(w, "x")
 		return err
 	}
 	commitString(t, s, 1, "full")
-	if n := s.DeltaChainLen(); n != 0 {
-		t.Fatalf("after full image chain len %d", n)
+	full := Chain{BaseBytes: headerSize + 4}
+	if c := s.Chain(); c != full {
+		t.Fatalf("after full image chain %+v, want %+v", c, full)
 	}
 	for i := int64(2); i <= 4; i++ {
 		if err := s.CommitDelta(i, i-1, deltaPayload); err != nil {
 			t.Fatal(err)
 		}
-		if n := s.DeltaChainLen(); n != int(i-1) {
-			t.Fatalf("after delta %d chain len %d, want %d", i, n, i-1)
+		want := Chain{Deltas: int(i - 1), DeltaBytes: (i - 1) * (headerSize + 1), BaseBytes: full.BaseBytes}
+		if c := s.Chain(); c != want {
+			t.Fatalf("after delta %d chain %+v, want %+v", i, c, want)
 		}
 	}
 	commitString(t, s, 5, "full again")
-	if n := s.DeltaChainLen(); n != 0 {
-		t.Fatalf("after new full image chain len %d", n)
+	if c := s.Chain(); c != (Chain{BaseBytes: headerSize + 10}) {
+		t.Fatalf("after new full image chain %+v", c)
+	}
+}
+
+// TestScanRebuildKeepsDeltaBases: a manifest rebuilt from the segment
+// files does not know which segment is a delta against which, so until
+// the rebuilt entries leave the keep window no commit may remove a
+// segment older than them — the full image under two retained deltas
+// here. The doubt is in the rewritten manifest too: it holds across a
+// second reopen.
+func TestScanRebuildKeepsDeltaBases(t *testing.T) {
+	s, fs := newStore(t, Options{Keep: 3})
+	deltaPayload := func(w io.Writer) error {
+		_, err := io.WriteString(w, "delta")
+		return err
+	}
+	commitString(t, s, 1, "full")
+	for gen := int64(2); gen <= 3; gen++ {
+		if err := s.CommitDelta(gen, gen-1, deltaPayload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Remove(manifestName); err != nil {
+		t.Fatal(err)
+	}
+	reopen := func() *Store {
+		t.Helper()
+		s, err := Open(fs, Options{Keep: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s = reopen()
+	if c := s.Chain(); c != (Chain{}) {
+		t.Fatalf("chain over scan-built entries = %+v, want none known", c)
+	}
+	onDisk := func() string {
+		t.Helper()
+		names, err := fs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var segs []string
+		for _, n := range names {
+			if strings.HasSuffix(n, segSuffix) {
+				segs = append(segs, n)
+			}
+		}
+		sort.Strings(segs)
+		return fmt.Sprint(segs)
+	}
+	segs := func(gens ...int64) string {
+		names := make([]string, len(gens))
+		for i, g := range gens {
+			names[i] = segName(g)
+		}
+		return fmt.Sprint(names)
+	}
+	commitString(t, s, 4, "full again")
+	if got, want := onDisk(), segs(1, 2, 3, 4); got != want {
+		t.Fatalf("after commit 4: %s on disk, want %s (gens 2 and 3 replay through 1)", got, want)
+	}
+	s = reopen() // from the manifest commit 4 wrote
+	commitString(t, s, 5, "five")
+	if got, want := onDisk(), segs(1, 2, 3, 4, 5); got != want {
+		t.Fatalf("after commit 5: %s on disk, want %s (gen 3 is still retained)", got, want)
+	}
+	commitString(t, s, 6, "six")
+	if got, want := onDisk(), segs(4, 5, 6); got != want {
+		t.Fatalf("after commit 6: %s on disk, want %s", got, want)
 	}
 }

@@ -224,7 +224,7 @@ func (env *evalEnv) indexEval(q *query.Atomic) (l *plist.List, handled bool, err
 			}
 			var ranges [][2][]byte
 			for _, vi := range sfx.MatchWildcard(q.Filter.Operand) {
-				p := valuePrefix(attr, []byte(sfx.Values()[vi]))
+				p := valuePrefix(attr, []byte(sfx.Value(vi)))
 				ranges = append(ranges, [2][]byte{p, prefixEnd(p)})
 			}
 			return env.collectFetch(q, ranges, len(ranges) <= 1)

@@ -194,8 +194,8 @@ func (s *Store) applyAdd(e *model.Entry, newStr stringValues) error {
 			if err := s.attr.Insert(compositeKey(av.Attr, ordValue(av.Value), key), offsetValue(overlayLoc)); err != nil {
 				return err
 			}
-			s.stats.observeSorted(av.Attr, av.Value)
-			if av.Value.Kind() == model.KindString {
+			// A value with postings is in the suffix index already.
+			if s.stats.observeSorted(av.Attr, av.Value) && av.Value.Kind() == model.KindString {
 				newStr.add(av.Attr, av.Value.Str())
 			}
 		}

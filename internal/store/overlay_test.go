@@ -126,6 +126,123 @@ func TestApplyOpsMatchesOracle(t *testing.T) {
 		if got := keysOf(t, l); len(got) != 0 {
 			t.Errorf("indexed=%v: published store sees post-fork entries: %v", indexed, got)
 		}
+		if indexed {
+			checkEstimates(t, "after one batch", ns, in, overlayCases)
+		}
+	}
+}
+
+// checkEstimates recounts, from the oracle instance, the postings the
+// catalog estimates for each case it can estimate: they must be equal.
+func checkEstimates(t *testing.T, label string, st *Store, in *model.Instance, cases []string) {
+	t.Helper()
+	for _, c := range cases {
+		q := query.MustParse(c).(*query.Atomic)
+		if est, ok := st.stats.estimateHits(st, q); ok && est != truthPostings(in, q) {
+			t.Errorf("%s: %s: estimate %d, recount %d", label, c, est, truthPostings(in, q))
+		}
+	}
+}
+
+// TestApplyOpsChainMatchesOracle is TestApplyOpsMatchesOracle over 200
+// generations, each forked from the one before: a new person and QHP in,
+// those of nine generations ago out. Nearly every surName is a new
+// distinct value, so the suffix index's tail grows and is re-sorted and
+// the catalog's string and int corrections fold, many times; every
+// tenth reuses a surName whose entries are all gone, a stale value of
+// the index that becomes live again. Answers by every path and
+// estimates are checked against the oracle along the way.
+func TestApplyOpsChainMatchesOracle(t *testing.T) {
+	const gens, window = 200, 9
+	in := buildTestInstance(t, 60)
+	st, err := Build(pager.NewDisk(pager.DefaultPageSize), in, Options{AttrIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := append([]string{
+		"(dc=com ? sub ? surName=chain*)",
+		"(dc=com ? sub ? surName=*n1*)",
+		"(dc=com ? sub ? surName=chain010)",
+		"(dc=com ? sub ? commonName=*chain0*)",
+		"(dc=com ? sub ? priority>=40)",
+		"(dc=com ? sub ? priority=42)",
+		"(dc=com ? sub ? priority<41)",
+	}, overlayCases...)
+	personDN := func(g int) model.DN {
+		return model.MustParseDN(fmt.Sprintf("uid=c%03d, ou=userProfiles, dc=research, dc=att, dc=com", g))
+	}
+	qhpDN := func(g int) model.DN { return model.MustParseDN("QHPName=q0, " + personDN(g).String()) }
+	entry := func(dn model.DN, class string) *model.Entry {
+		e, err := model.NewEntryFromDN(in.Schema(), dn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.AddClass(class)
+	}
+	surname := func(g int) string {
+		if g%10 == 0 && g > 2*window {
+			g -= 2 * window
+		}
+		return fmt.Sprintf("chain%03d", g)
+	}
+	strFolds, intFolds := 0, 0
+	for g := 1; g <= gens; g++ {
+		person := entry(personDN(g), "inetOrgPerson")
+		person.Add("surName", model.String(surname(g)))
+		person.Add("commonName", model.String("x "+surname(g)))
+		ops := []EntryOp{{Add: person}, {Add: entry(qhpDN(g), "QHP").Add("priority", model.Int(int64(40+g%5)))}}
+		if g > window {
+			ops = append(ops, EntryOp{Remove: qhpDN(g - window)}, EntryOp{Remove: personDN(g - window)})
+		}
+		for _, op := range ops {
+			if op.Add != nil {
+				if err := in.Add(op.Add); err != nil {
+					t.Fatal(err)
+				}
+			} else if !in.Remove(op.Remove) {
+				t.Fatalf("oracle remove %s: not found", op.Remove)
+			}
+		}
+		next, err := st.ApplyOps(st.Disk().Fork(), ops)
+		if err != nil {
+			t.Fatalf("generation %d: %v", g, err)
+		}
+		// A fold leaves a touched attribute without corrections.
+		if sn := next.stats.attrs["surname"]; len(sn.strDelta) == 0 {
+			strFolds++
+		}
+		if pr := next.stats.attrs["priority"]; len(pr.intAdd)+len(pr.intDel) == 0 {
+			intFolds++
+		}
+		st = next
+		if g%20 != 0 {
+			continue
+		}
+		label := fmt.Sprintf("generation %d", g)
+		for _, c := range cases {
+			q := query.MustParse(c).(*query.Atomic)
+			want := fmt.Sprint(oracle(in, q))
+			l, err := st.Eval(q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", label, c, err)
+			}
+			if got := fmt.Sprint(keysOf(t, l)); got != want {
+				t.Errorf("%s %s:\n got %v\nwant %v", label, c, got, want)
+			}
+			for _, path := range forcedPaths {
+				lp, err := forcePath(st.legacyEnv(), q, path)
+				if err != nil {
+					t.Fatalf("%s %s path=%s: %v", label, c, path, err)
+				}
+				if got := fmt.Sprint(keysOf(t, lp)); got != want {
+					t.Errorf("%s %s path=%s:\n got %v\nwant %v", label, c, path, got, want)
+				}
+			}
+		}
+		checkEstimates(t, label, st, in, cases)
+	}
+	if strFolds == 0 || strFolds == gens || intFolds == 0 || intFolds == gens {
+		t.Errorf("of %d generations %d folded surName's counts and %d priority's values; want some and not all", gens, strFolds, intFolds)
 	}
 }
 
@@ -300,14 +417,17 @@ func TestReopenRejectsLegacyOverlay(t *testing.T) {
 	}
 }
 
-// TestOverlayReadersSeeOwnGeneration: every generation of a
-// Fork()+ApplyOps chain is published to a reader that keeps scanning
-// and point-fetching its overlay while the writer forks it and mutates
-// the children. pager.Fork is the only copy-on-write mechanism under
-// the overlay tree, so each reader must keep seeing exactly the marker
-// entries of its own generation. Run under -race.
+// TestOverlayReadersSeeOwnGeneration: a chain of 200 generations, each a
+// Fork()+ApplyOps of the one before, some of them forked a second time
+// into a sibling that is thrown away. Every generation sees its own
+// state whatever its descendants and siblings do: readers of sampled
+// generations run while the chain grows (the race detector's part), and
+// at the end every generation answers the wildcard atoms, and estimates
+// them, exactly as it did when it was made. Each marker's surName is a
+// new distinct value, so the chain grows and re-sorts the suffix
+// index's tail and folds the catalog's corrections many times over.
 func TestOverlayReadersSeeOwnGeneration(t *testing.T) {
-	const gens = 12
+	const gens = 200
 	in := buildTestInstance(t, 40)
 	d := pager.NewDisk(pager.DefaultPageSize)
 	st, err := Build(d, in, Options{AttrIndex: true})
@@ -315,7 +435,17 @@ func TestOverlayReadersSeeOwnGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	markerDN := func(g int) model.DN {
-		return model.MustParseDN(fmt.Sprintf("uid=m%02d, ou=userProfiles, dc=research, dc=att, dc=com", g))
+		return model.MustParseDN(fmt.Sprintf("uid=m%03d, ou=userProfiles, dc=research, dc=att, dc=com", g))
+	}
+	marker := func(g int, surname string) *model.Entry {
+		e, err := model.NewEntryFromDN(in.Schema(), markerDN(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.AddClass("inetOrgPerson")
+		e.Add("surName", model.String(surname))
+		e.Add("description", model.String(strings.Repeat("d", 900)))
+		return e
 	}
 	// Generation g adds marker g and removes marker g-window, so overlays
 	// hold live records and tombstones; five ~900-byte records overflow a
@@ -329,7 +459,23 @@ func TestOverlayReadersSeeOwnGeneration(t *testing.T) {
 		sort.Strings(keys)
 		return keys
 	}
-	q := query.MustParse("(ou=userProfiles, dc=research, dc=att, dc=com ? one ? surName=marker)").(*query.Atomic)
+	q := query.MustParse("(ou=userProfiles, dc=research, dc=att, dc=com ? one ? surName=marker*)").(*query.Atomic)
+	probes := []*query.Atomic{q,
+		query.MustParse("( ? sub ? surName=*ker0*)").(*query.Atomic),
+	}
+	// view is what a generation answers and estimates for the probes.
+	view := func(s *Store) string {
+		var b strings.Builder
+		for _, p := range probes {
+			l, err := forcePath(s.arenaEnv(pager.NewArena(s.Disk())), p, PathIndex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, _ := s.stats.estimateHits(s, p)
+			fmt.Fprintln(&b, keysOf(t, l), est)
+		}
+		return b.String()
+	}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -357,6 +503,10 @@ func TestOverlayReadersSeeOwnGeneration(t *testing.T) {
 					return
 				}
 			}
+			if est, ok := s.stats.estimateHits(s, q); !ok || est != int64(len(markers(g))) {
+				t.Errorf("generation %d estimates %d markers (%v), holds %d", g, est, ok, len(markers(g)))
+				return
+			}
 			if _, err := s.Get(markerDN(g)); err != nil {
 				t.Errorf("generation %d lost its own marker: %v", g, err)
 				return
@@ -370,15 +520,15 @@ func TestOverlayReadersSeeOwnGeneration(t *testing.T) {
 
 	cur := st
 	var firstRoot pager.PageID
+	chain := []*Store{st}
+	views := []string{view(st)}
 	for g := 1; g <= gens; g++ {
-		e, err := model.NewEntryFromDN(in.Schema(), markerDN(g))
-		if err != nil {
-			t.Fatal(err)
+		if g%7 == 0 { // a sibling of generation g, grown from the same parent
+			if _, err := cur.ApplyOps(cur.Disk().Fork(), []EntryOp{{Add: marker(g, fmt.Sprintf("markersibling%03d", g))}}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		e.AddClass("inetOrgPerson")
-		e.Add("surName", model.String("marker"))
-		e.Add("description", model.String(strings.Repeat("d", 900)))
-		ops := []EntryOp{{Add: e}}
+		ops := []EntryOp{{Add: marker(g, fmt.Sprintf("marker%03d", g))}}
 		if g > window {
 			ops = append(ops, EntryOp{Remove: markerDN(g - window)})
 		}
@@ -392,11 +542,22 @@ func TestOverlayReadersSeeOwnGeneration(t *testing.T) {
 		if g == 1 {
 			firstRoot = cur.over.Root()
 		}
-		wg.Add(1)
-		go reader(g, cur)
+		chain, views = append(chain, cur), append(views, view(cur))
+		if g <= 2 || g%50 == 0 {
+			wg.Add(1)
+			go reader(g, cur)
+		}
 	}
 	stop.Store(true)
 	wg.Wait()
+	for g, s := range chain {
+		if got := view(s); got != views[g] {
+			t.Errorf("generation %d answers differently after its descendants' writes:\n was %s\n now %s", g, views[g], got)
+		}
+		if want := fmt.Sprint(markers(g)); !strings.HasPrefix(views[g], want+" ") {
+			t.Errorf("generation %d saw %s, want the markers %s", g, views[g], want)
+		}
+	}
 	if cur.OverlayLen() != gens {
 		t.Errorf("overlay holds %d keys after %d generations", cur.OverlayLen(), gens)
 	}

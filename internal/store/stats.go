@@ -1,6 +1,8 @@
 package store
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/filter"
@@ -14,111 +16,197 @@ import (
 // sorted multiset of values for integer attributes. Like a commercial
 // system's catalog, it is memory-resident; the data it summarizes is
 // what lives on disk.
+//
+// A published catalog is immutable. A write works on a clone that shares
+// every attribute's statistics until it touches them, and a touched
+// attribute shares its base with the generation before: see attrStats.
 type catalog struct {
 	avgRecBytes int64
 	attrs       map[string]*attrStats
+	touched     map[string]bool // attributes whose attrStats a clone has made its own
 }
 
+// attrStats is one attribute's statistics: a base that Build and Reopen
+// fill and every later generation shares, and the few corrections the
+// writes since have made, which a clone copies when it touches the
+// attribute. Once the corrections number 1/foldFraction of the base
+// they are folded into a new base, so a write copies O(corrections)
+// and a fold, O(base), comes once per base/foldFraction writes.
 type attrStats struct {
-	postings  int64            // total (attr, value) pairs
-	strCounts map[string]int64 // per-value posting counts (string kinds)
-	intVals   []int64          // sorted int values (multiset)
+	postings int64 // total (attr, value) pairs
+	// Per-value posting counts (string kinds): strBase[k] + strDelta[k].
+	strBase  map[string]int64
+	strDelta map[string]int64 // signed, no zero entries
+	// The int values, a sorted multiset: intBase with intAdd merged in
+	// and one occurrence of each intDel element taken out. All three are
+	// sorted, and intDel is a sub-multiset of intBase.
+	intBase, intAdd, intDel []int64
 }
+
+// foldFraction is the base-to-corrections ratio at which an attribute's
+// corrections are folded into a new base (strindex uses the same one for
+// its tail).
+const foldFraction = 8
 
 func newCatalog() *catalog { return &catalog{attrs: make(map[string]*attrStats)} }
 
+// observe counts one value into the base of a catalog under construction
+// (Build, Reopen); finish sorts the int values afterwards.
 func (c *catalog) observe(attr string, v model.Value) {
 	if v.Kind() == model.KindVector {
 		return // embeddings are summarized by the vector index itself
 	}
 	st := c.attrs[attr]
 	if st == nil {
-		st = &attrStats{strCounts: make(map[string]int64)}
+		st = &attrStats{strBase: make(map[string]int64)}
 		c.attrs[attr] = st
 	}
 	st.postings++
 	switch v.Kind() {
 	case model.KindInt:
-		st.intVals = append(st.intVals, v.Int())
+		st.intBase = append(st.intBase, v.Int())
 	case model.KindDN:
-		st.strCounts[v.DN().Key()]++
+		st.strBase[v.DN().Key()]++
 	default:
-		st.strCounts[v.Str()]++
+		st.strBase[v.Str()]++
 	}
 }
 
-// clone deep-copies the catalog so the incremental mutation path can
-// maintain a forked store's statistics without touching the published
-// snapshot's.
+// clone returns a catalog the incremental mutation path can maintain
+// without touching the published one: it shares every attrStats until
+// touch replaces it.
 func (c *catalog) clone() *catalog {
 	out := &catalog{avgRecBytes: c.avgRecBytes, attrs: make(map[string]*attrStats, len(c.attrs))}
 	for a, st := range c.attrs {
-		ns := &attrStats{
-			postings:  st.postings,
-			strCounts: make(map[string]int64, len(st.strCounts)),
-			intVals:   append([]int64(nil), st.intVals...),
-		}
-		for k, v := range st.strCounts {
-			ns.strCounts[k] = v
-		}
-		out.attrs[a] = ns
+		out.attrs[a] = st
 	}
 	return out
 }
 
-// observeSorted is observe for a finished catalog: integer values are
-// inserted in place so intVals stays sorted without a full re-sort.
-func (c *catalog) observeSorted(attr string, v model.Value) {
-	if v.Kind() == model.KindVector {
+// touch returns attr's statistics for writing: on a clone's first touch,
+// a copy that shares the bases and owns its corrections.
+func (c *catalog) touch(attr string) *attrStats {
+	if c.touched[attr] {
+		return c.attrs[attr]
+	}
+	st := &attrStats{}
+	if old := c.attrs[attr]; old != nil {
+		*st = *old
+		st.strDelta = maps.Clone(old.strDelta)
+		st.intAdd = slices.Clone(old.intAdd)
+		st.intDel = slices.Clone(old.intDel)
+	}
+	if c.touched == nil {
+		c.touched = make(map[string]bool)
+	}
+	c.attrs[attr], c.touched[attr] = st, true
+	return st
+}
+
+// strCount returns the posting count of one string-kind value.
+func (st *attrStats) strCount(k string) int64 { return st.strBase[k] + st.strDelta[k] }
+
+// adjust moves a string-kind value's count by d (+1 or -1).
+func (st *attrStats) adjust(k string, d int64) {
+	if st.strDelta == nil {
+		st.strDelta = make(map[string]int64)
+	}
+	if st.strDelta[k] += d; st.strDelta[k] == 0 {
+		delete(st.strDelta, k)
+	}
+	if len(st.strDelta)*foldFraction <= len(st.strBase) {
 		return
 	}
-	st := c.attrs[attr]
-	if st == nil {
-		st = &attrStats{strCounts: make(map[string]int64)}
-		c.attrs[attr] = st
+	base := make(map[string]int64, len(st.strBase)+len(st.strDelta))
+	for k, n := range st.strBase {
+		base[k] = n
 	}
+	for k, d := range st.strDelta {
+		if base[k] += d; base[k] <= 0 {
+			delete(base, k) // dropped, so estimateHits stays exact
+		}
+	}
+	st.strBase, st.strDelta = base, nil
+}
+
+// intBelow counts the int values <= x.
+func (st *attrStats) intBelow(x int64) int64 {
+	return below(st.intBase, x) + below(st.intAdd, x) - below(st.intDel, x)
+}
+
+// below counts the elements <= x of a sorted slice.
+func below(vals []int64, x int64) int64 {
+	return int64(sort.Search(len(vals), func(i int) bool { return vals[i] > x }))
+}
+
+// foldInts merges the int corrections into a new base once they number
+// 1/foldFraction of it.
+func (st *attrStats) foldInts() {
+	if (len(st.intAdd)+len(st.intDel))*foldFraction <= len(st.intBase) {
+		return
+	}
+	base := make([]int64, 0, len(st.intBase)+len(st.intAdd)-len(st.intDel))
+	add, del := st.intAdd, st.intDel
+	for _, x := range st.intBase {
+		for len(add) > 0 && add[0] <= x {
+			base, add = append(base, add[0]), add[1:]
+		}
+		if len(del) > 0 && del[0] == x {
+			del = del[1:]
+			continue
+		}
+		base = append(base, x)
+	}
+	st.intBase, st.intAdd, st.intDel = append(base, add...), nil, nil
+}
+
+// observeSorted counts one value into a cloned catalog (the incremental
+// path's add) and reports whether it is a string-kind value that had no
+// posting before.
+func (c *catalog) observeSorted(attr string, v model.Value) (first bool) {
+	if v.Kind() == model.KindVector {
+		return false
+	}
+	st := c.touch(attr)
 	st.postings++
+	k := ""
 	switch v.Kind() {
 	case model.KindInt:
 		x := v.Int()
-		i := sort.Search(len(st.intVals), func(i int) bool { return st.intVals[i] >= x })
-		st.intVals = append(st.intVals, 0)
-		copy(st.intVals[i+1:], st.intVals[i:])
-		st.intVals[i] = x
+		st.intAdd = slices.Insert(st.intAdd, int(below(st.intAdd, x)), x)
+		st.foldInts()
+		return false
 	case model.KindDN:
-		st.strCounts[v.DN().Key()]++
+		k = v.DN().Key()
 	default:
-		st.strCounts[v.Str()]++
+		k = v.Str()
 	}
+	first = st.strCount(k) == 0
+	st.adjust(k, 1)
+	return first
 }
 
 // unobserve reverses one observe: entry deletion on the incremental
 // path. Counts that reach zero are dropped so estimateHits stays exact.
 func (c *catalog) unobserve(attr string, v model.Value) {
-	if v.Kind() == model.KindVector {
+	if v.Kind() == model.KindVector || c.attrs[attr] == nil {
 		return
 	}
-	st := c.attrs[attr]
-	if st == nil {
-		return
-	}
+	st := c.touch(attr)
 	st.postings--
-	dec := func(k string) {
-		if st.strCounts[k]--; st.strCounts[k] <= 0 {
-			delete(st.strCounts, k)
-		}
-	}
 	switch v.Kind() {
 	case model.KindInt:
 		x := v.Int()
-		i := sort.Search(len(st.intVals), func(i int) bool { return st.intVals[i] >= x })
-		if i < len(st.intVals) && st.intVals[i] == x {
-			st.intVals = append(st.intVals[:i], st.intVals[i+1:]...)
+		if i := int(below(st.intAdd, x)) - 1; i >= 0 && st.intAdd[i] == x {
+			st.intAdd = slices.Delete(st.intAdd, i, i+1)
+		} else if st.intBelow(x) > st.intBelow(x-1) { // present, so in the base
+			st.intDel = slices.Insert(st.intDel, int(below(st.intDel, x)), x)
 		}
+		st.foldInts()
 	case model.KindDN:
-		dec(v.DN().Key())
+		st.adjust(v.DN().Key(), -1)
 	default:
-		dec(v.Str())
+		st.adjust(v.Str(), -1)
 	}
 }
 
@@ -127,7 +215,7 @@ func (c *catalog) finish(totalBytes, count int64) {
 		c.avgRecBytes = totalBytes / count
 	}
 	for _, st := range c.attrs {
-		sort.Slice(st.intVals, func(i, j int) bool { return st.intVals[i] < st.intVals[j] })
+		slices.Sort(st.intBase)
 	}
 }
 
@@ -155,7 +243,7 @@ func (c *catalog) estimateHits(s *Store, q *query.Atomic) (int64, bool) {
 			}
 			var sum int64
 			for _, vi := range sfx.MatchWildcard(q.Filter.Operand) {
-				sum += st.strCounts[sfx.Values()[vi]]
+				sum += st.strCount(sfx.Value(vi))
 			}
 			return sum, true
 		}
@@ -165,11 +253,11 @@ func (c *catalog) estimateHits(s *Store, q *query.Atomic) (int64, bool) {
 		}
 		switch kind {
 		case model.KindInt:
-			return c.intRangeCount(st, v.Int(), v.Int()), true
+			return st.intBelow(v.Int()) - st.intBelow(v.Int()-1), true
 		case model.KindDN:
-			return st.strCounts[v.DN().Key()], true
+			return st.strCount(v.DN().Key()), true
 		default:
-			return st.strCounts[v.Str()], true
+			return st.strCount(v.Str()), true
 		}
 	case filter.OpLT, filter.OpLE, filter.OpGT, filter.OpGE:
 		if kind != model.KindInt {
@@ -182,26 +270,17 @@ func (c *catalog) estimateHits(s *Store, q *query.Atomic) (int64, bool) {
 		x := v.Int()
 		switch q.Filter.Op {
 		case filter.OpLT:
-			return c.intRangeBelow(st, x-1), true
+			return st.intBelow(x - 1), true
 		case filter.OpLE:
-			return c.intRangeBelow(st, x), true
+			return st.intBelow(x), true
 		case filter.OpGT:
-			return st.postings - c.intRangeBelow(st, x), true
+			return st.postings - st.intBelow(x), true
 		default: // GE
-			return st.postings - c.intRangeBelow(st, x-1), true
+			return st.postings - st.intBelow(x-1), true
 		}
 	default:
 		return 0, false
 	}
-}
-
-// intRangeBelow counts values <= x.
-func (c *catalog) intRangeBelow(st *attrStats, x int64) int64 {
-	return int64(sort.Search(len(st.intVals), func(i int) bool { return st.intVals[i] > x }))
-}
-
-func (c *catalog) intRangeCount(st *attrStats, lo, hi int64) int64 {
-	return c.intRangeBelow(st, hi) - c.intRangeBelow(st, lo-1)
 }
 
 // scanBytes returns the exact master-byte extent of the query's scope

@@ -17,8 +17,15 @@
 //     the sub scope is a single sequential scan;
 //   - a DN B+tree: reverse key -> master stream offset;
 //   - optionally, an attribute B+tree over composite (attr, value,
-//     reverse-key) keys, plus an in-memory suffix-array index over each
-//     string attribute's distinct values for wildcard filters;
+//     reverse-key) keys, plus, in memory, a suffix-array index over each
+//     string attribute's distinct values for wildcard filters and the
+//     catalog of value counts the access-path choice reads. Both are a
+//     base that Build and Reopen make and later generations share, and
+//     the little the writes since have added, folded into a new base
+//     when it reaches an eighth of it (strindex.SuffixIndex.With,
+//     attrStats) — a write copies neither. The suffix index keeps the
+//     values of removed entries: such a value maps to an empty posting
+//     range and a zero count, and the next Reopen or rebuild sheds it;
 //   - after the first entry-level mutation (ApplyOps), an overlay
 //     B+tree of added records and tombstones masking the master list.
 //
@@ -117,27 +124,24 @@ func (sv stringValues) add(attr, v string) {
 	set[v] = true
 }
 
-// indexStrings brings the suffix-array indexes up to date with sv: each
-// attribute that gained a value gets a new index over the old values
-// plus the new ones. Values are never dropped here — a stale value
-// makes a wildcard scan an empty posting range, which is harmless;
+// indexStrings brings the suffix-array indexes up to date with sv: an
+// attribute without one gets an index sorted over its values (Build,
+// Reopen), one that has it an index grown by them (ApplyOps — see
+// strindex.SuffixIndex.With; the index before stays as it was, for the
+// generation that owns it). Values are never dropped here — a stale
+// value makes a wildcard scan an empty posting range, which is harmless;
 // Reopen and the next full rebuild shed them.
 func (s *Store) indexStrings(sv stringValues) {
 	for attr, set := range sv {
-		var vals []string
-		if old := s.suffix[attr]; old != nil {
-			vals = append(vals, old.Values()...)
-			for _, v := range vals {
-				delete(set, v)
-			}
-		}
-		if len(set) == 0 {
-			continue
-		}
+		vals := make([]string, 0, len(set))
 		for v := range set {
 			vals = append(vals, v)
 		}
-		s.suffix[attr] = strindex.BuildSuffix(vals)
+		if old := s.suffix[attr]; old != nil {
+			s.suffix[attr] = old.With(vals)
+		} else {
+			s.suffix[attr] = strindex.BuildSuffix(vals)
+		}
 	}
 }
 

@@ -10,7 +10,9 @@
 //   - /debug/queries retains exactly 50 traces, each under the trace
 //     ID the client minted, and serves the full span tree per trace,
 //   - the slow-query log recorded one line per query, each with its
-//     trace ID.
+//     trace ID,
+//   - after a few durable writes, /metrics shows the newest generation's
+//     replay chain: one delta per write, lighter than the image beneath.
 //
 // Any disagreement exits non-zero — the point is that the tracing,
 // flight-recorder, and metrics paths cannot drift apart silently.
@@ -40,6 +42,7 @@ import (
 
 const (
 	queries = 50
+	writes  = 3
 	forestN = 500 // must match the -gen forest -n flag handed to the child
 )
 
@@ -70,6 +73,7 @@ func run() error {
 		"-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0",
 		"-flight", "256", "-grace", "300ms",
 		"-slowlog", slowPath, "-slow-ms", "0", // thresholds zero: log every query
+		"-data", filepath.Join(tmp, "data"), "-mutable", "-delta-checkpoints",
 	)
 	stdout, err := child.StdoutPipe()
 	if err != nil {
@@ -206,6 +210,28 @@ func run() error {
 		if !traceIDs[sl.Trace] {
 			return fmt.Errorf("slow log line %d carries unknown trace %q", i, sl.Trace)
 		}
+	}
+
+	// Ledger 4: the durable store's replay chain. Each write is
+	// acknowledged after its checkpoint, a page delta on the boot image.
+	for i := 0; i < writes; i++ {
+		entry := fmt.Sprintf("dn: n=w%d\nobjectClass: node\nn: w%d\ntag: a\n", i, i)
+		if _, err := cl.Call(ctx, serveAddr, "add", entry); err != nil {
+			return fmt.Errorf("write %d: %v", i, err)
+		}
+	}
+	if metrics, err = get("http://" + adminAddr + "/metrics"); err != nil {
+		return err
+	}
+	chain := make(map[string]int64)
+	for _, m := range []string{"dirkit_durable_chain_deltas", "dirkit_durable_chain_bytes", "dirkit_durable_chain_base_bytes"} {
+		if chain[m], err = promValue(metrics, m); err != nil {
+			return err
+		}
+	}
+	if chain["dirkit_durable_chain_deltas"] != writes ||
+		chain["dirkit_durable_chain_bytes"] <= 0 || chain["dirkit_durable_chain_bytes"] >= chain["dirkit_durable_chain_base_bytes"] {
+		return fmt.Errorf("after %d writes the replay chain reads %v; want one delta each, lighter than their image", writes, chain)
 	}
 
 	// Clean shutdown so the child's drain path runs too.
