@@ -84,11 +84,16 @@ docs:
 # read operators print beside it
 # — a boolean merge, a stack pass, a sort-merge join and a whole L2
 # query — so that every check shows their ns/op, allocs/op and
-# pageIO/op: the last must not move unless the change says why.
+# pageIO/op: the last must not move unless the change says why. Below
+# them the build (core.Open at both sizes, with the device's pages and
+# each structure's) and the B+tree's point read and leaf scan, which
+# read pages in place: Get allocates only its value, Scan nothing.
 bench-smoke:
 	$(GO) run ./cmd/dirbench -quick -only E22 >/dev/null
 	$(GO) test -run='^$$' -bench=BenchmarkUpdateEntries -benchtime=20x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkOp(BooleanAnd|HSPCChildren|ERDV)$$|BenchmarkFullQueryL2' -benchtime=20x -benchmem .
+	$(GO) test -run='^$$' -bench=BenchmarkOpen -benchtime=3x -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkGet|BenchmarkScan' -benchtime=2000x -benchmem ./internal/btree/
 
 # Wire smoke: benchmark/dirload's four workloads (lookup, analytic,
 # policy, provision) each against a real dirserve child, every reply

@@ -317,3 +317,34 @@ func BenchmarkUpdateEntries(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOpen is core.Open of a generated TOPS directory (4 325 and
+// 16 955 entries): validate every entry, write the master list,
+// bulk-load the DN and attribute B+trees, build the suffix and vector
+// indexes. Beside time and memory it reports what the device is made
+// of, in pages: the whole device and each structure on it.
+func BenchmarkOpen(b *testing.B) {
+	for _, subs := range []int{500, 2000} {
+		b.Run(fmt.Sprintf("tops%d", subs), func(b *testing.B) {
+			in := workload.GenTOPS(workload.TOPSConfig{Subscribers: subs, Seed: 1})
+			var dir *core.Directory
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if dir, err = core.Open(in, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			pc, err := dir.Engine().Store().PageCounts()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(dir.Disk().NumPages()), "device-pages/op")
+			b.ReportMetric(float64(pc.Master), "master-pages/op")
+			b.ReportMetric(float64(pc.DN), "dn-pages/op")
+			b.ReportMetric(float64(pc.Attr), "attr-pages/op")
+		})
+	}
+}

@@ -11,9 +11,17 @@
 // only tree: a new store generation gets copy-on-write by opening the
 // same trees over a pager.Disk.Fork of its parent's disk.
 //
+// A tree is made in one of two ways. Build bulk-loads it (Loader): the
+// keys arrive sorted, leaves are packed left to right and every page is
+// written once. Insert and Delete are for the writes that follow, on a
+// fork. Both make the same node layout, so every reader serves either.
+//
 // Interior pages are cached in a pinning buffer pool so repeated
 // traversals cost I/O only at the leaf level; all page traffic is
-// counted by the underlying disk.
+// counted by the underlying disk. Get and Scan read the pinned pages
+// where they lie — Get copies out only the value, and Scan's callback
+// gets views of the page that are valid for the call — while the pull
+// Iter keeps a private copy of its leaf.
 package btree
 
 import (
@@ -80,7 +88,9 @@ func Open(disk *pager.Disk, poolPages int, root pager.PageID, n int) *Tree {
 // Flush writes all dirty buffered pages to disk.
 func (t *Tree) Flush() error { return t.pool.Flush() }
 
-// node is the decoded form of a tree page.
+// node is the decoded form of a tree page: what Insert and Delete edit
+// and what Iter walks. The loader writes the same layout without
+// building one, and Get, Scan and the descent read it in place.
 //
 // Page layout:
 //
@@ -157,8 +167,8 @@ func (nd *node) encode(page []byte) {
 // point into the page: its keys and values are views of one private
 // copy of the page's used bytes. One allocation per page, not one per
 // key, because allocation and collection are the larger part of what a
-// point query costs. For the same reason a leaf decoded for a reader
-// leaves out the items it will not visit, those whose keys sort before
+// read costs. For the same reason a leaf decoded for Iter leaves out
+// the items it will not visit, those whose keys sort before
 // from (nil keeps all, and an interior node is always whole): the copy
 // starts at the first item kept.
 func decodeNode(page, from []byte) (*node, error) {
@@ -323,25 +333,46 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 
 // GetMetered is Get with per-query I/O attribution: pool misses along
 // the root-to-leaf path are charged to m. Safe for concurrent readers
-// (the pool serializes its own bookkeeping; the meter is atomic).
+// (the pool serializes its own bookkeeping; the meter is atomic). The
+// leaf is searched where it lies; the value returned is the caller's
+// own copy, the one allocation a hit makes.
 func (t *Tree) GetMetered(key []byte, m *pager.Meter) ([]byte, error) {
-	nd, err := t.leafFor(key, m)
+	f, err := t.leafFrame(key, m)
 	if err != nil {
 		return nil, err
 	}
-	i, ok := nd.leafIndex(key)
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return nd.vals[i], nil
+	defer t.pool.Unpin(f)
+	v, err := leafGet(f.Data, key)
+	return bytes.Clone(v), err
 }
 
-// leafFor descends from the root to the leaf that may hold key and
-// decodes it from key on. Interior pages are read where they lie, under
-// their pin: choosing a child takes one pass over the separators
-// (childOnPage), not a private copy of the page, so a read allocates
-// only for the part of one leaf it can reach.
-func (t *Tree) leafFor(key []byte, m *pager.Meter) (*node, error) {
+// leafGet searches a leaf page image in place for key and returns its
+// value as a view of the page, or ErrNotFound at the first larger key.
+func leafGet(page, key []byte) ([]byte, error) {
+	c, err := newLeafCursor(page)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		if ok, err := c.next(); err != nil {
+			return nil, err
+		} else if !ok {
+			return nil, ErrNotFound
+		}
+		switch bytes.Compare(c.key, key) {
+		case 0:
+			return c.val, nil
+		case 1:
+			return nil, ErrNotFound
+		}
+	}
+}
+
+// leafFrame descends from the root to the leaf that may hold key and
+// returns its frame, pinned. Interior pages are read where they lie,
+// under their pin: choosing a child takes one pass over the separators
+// (childOnPage), not a private copy of the page.
+func (t *Tree) leafFrame(key []byte, m *pager.Meter) (*pager.Frame, error) {
 	id := t.root
 	for {
 		f, err := t.pool.GetMetered(id, m)
@@ -349,9 +380,7 @@ func (t *Tree) leafFor(key []byte, m *pager.Meter) (*node, error) {
 			return nil, err
 		}
 		if len(f.Data) < 7 || f.Data[0] == 1 {
-			nd, err := decodeNode(f.Data, key)
-			t.pool.Unpin(f)
-			return nd, err
+			return f, nil
 		}
 		id, err = childOnPage(f.Data, key)
 		t.pool.Unpin(f)
@@ -359,6 +388,45 @@ func (t *Tree) leafFor(key []byte, m *pager.Meter) (*node, error) {
 			return nil, err
 		}
 	}
+}
+
+// leafCursor reads a leaf page image in place, item by item. Like
+// decodeNode it checks each length against the page before using it,
+// but only for the items it reaches: a read stops where its answer is.
+// key and val are views of the page.
+type leafCursor struct {
+	page     []byte
+	n, i     int // items on the page, items read
+	off      int
+	key, val []byte
+}
+
+func newLeafCursor(page []byte) (leafCursor, error) {
+	if len(page) < 7 || page[0] != 1 {
+		return leafCursor{}, fmt.Errorf("%w: not a leaf page", ErrCorrupt)
+	}
+	return leafCursor{page: page, n: int(binary.LittleEndian.Uint16(page[1:])), off: 7}, nil
+}
+
+// next reads the following item into key and val; false past the last.
+func (c *leafCursor) next() (bool, error) {
+	if c.i >= c.n {
+		return false, nil
+	}
+	var ok bool
+	if c.key, c.off, ok = lenPrefixed(c.page, c.off); !ok {
+		return false, fmt.Errorf("%w (key %d)", ErrCorrupt, c.i)
+	}
+	if c.val, c.off, ok = lenPrefixed(c.page, c.off); !ok {
+		return false, fmt.Errorf("%w (val %d)", ErrCorrupt, c.i)
+	}
+	c.i++
+	return true, nil
+}
+
+// nextLeaf is the page id of the leaf after this one (0 for the last).
+func (c *leafCursor) nextLeaf() pager.PageID {
+	return pager.PageID(binary.LittleEndian.Uint32(c.page[3:]))
 }
 
 // childOnPage is childIndex on an interior page image: the child after
@@ -387,13 +455,17 @@ func childOnPage(page, key []byte) (pager.PageID, error) {
 // after an overflow the node holds at most pageSize + MaxItem payload
 // bytes; the left half exceeds half the total by at most one item, so
 // it stays within pageSize/2 + 1.5*MaxItem + header <= pageSize when
-// MaxItem <= pageSize/3 - 8.
-func (t *Tree) MaxItem() int { return t.pool.Disk().PageSize()/3 - 8 }
+// MaxItem <= pageSize/3 - 8. The loader enforces the same bound, so a
+// loaded tree takes inserts.
+func (t *Tree) MaxItem() int { return maxItem(t.pool.Disk().PageSize()) }
 
-// Insert stores (key, value), replacing any existing value for key.
+func maxItem(pageSize int) int { return pageSize/3 - 8 }
+
+// Insert stores (key, value), replacing any existing value for key. It
+// is the write path of a forked generation; a whole tree is bulk-loaded
+// (Loader).
 func (t *Tree) Insert(key, value []byte) error {
-	maxItem := t.MaxItem()
-	if len(key)+len(value) > maxItem {
+	if len(key)+len(value) > t.MaxItem() {
 		return fmt.Errorf("%w: %d bytes", ErrTooBig, len(key)+len(value))
 	}
 	sep, right, replaced, err := t.insert(t.root, key, value)
@@ -516,28 +588,57 @@ func (t *Tree) Delete(key []byte) error {
 }
 
 // Scan calls fn for each (key, value) with lo <= key < hi in key order,
-// stopping if fn returns false. A nil hi means "to the end".
+// stopping if fn returns false. A nil hi means "to the end". key and
+// value are read-only views of the pinned leaf, valid only for the
+// call: fn copies what it keeps.
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	return t.ScanMetered(lo, hi, nil, fn)
 }
 
 // ScanMetered is Scan with per-query I/O attribution (see GetMetered).
+// It walks each leaf in place under its pin and reads the next leaf of
+// the chain only when this one is used up, so it touches the pages Iter
+// would, and allocates nothing.
 func (t *Tree) ScanMetered(lo, hi []byte, m *pager.Meter, fn func(key, value []byte) bool) error {
-	it := t.Seek(lo, m)
-	for ; it.Valid(); it.Next() {
-		if hi != nil && bytes.Compare(it.Key(), hi) >= 0 {
+	f, err := t.leafFrame(lo, m)
+	for err == nil {
+		var next pager.PageID
+		next, err = scanLeaf(f.Data, lo, hi, fn)
+		t.pool.Unpin(f)
+		if err != nil || next == 0 {
 			break
 		}
-		if !fn(it.Key(), it.Val()) {
-			break
-		}
+		lo = nil
+		f, err = t.pool.GetMetered(next, m)
 	}
-	return it.Err()
+	return err
 }
 
-// Iter is a pull iterator over the tree's keys in ascending order: the
-// one leaf walk, which ScanMetered drives with a callback and the
-// store's merged scans pull from beside a second stream. Keys and
+// scanLeaf calls fn with the items of one leaf page with lo <= key < hi
+// and returns the page id of the leaf after it, or 0 when the scan ends
+// here: at the end of the chain, at hi, or because fn said stop.
+func scanLeaf(page, lo, hi []byte, fn func(key, value []byte) bool) (pager.PageID, error) {
+	c, err := newLeafCursor(page)
+	if err != nil {
+		return 0, err
+	}
+	for {
+		if ok, err := c.next(); err != nil {
+			return 0, err
+		} else if !ok {
+			return c.nextLeaf(), nil
+		}
+		if bytes.Compare(c.key, lo) < 0 {
+			continue
+		}
+		if hi != nil && bytes.Compare(c.key, hi) >= 0 || !fn(c.key, c.val) {
+			return 0, nil
+		}
+	}
+}
+
+// Iter is a pull iterator over the tree's keys in ascending order, which
+// the store's merged scans pull from beside a second stream. Keys and
 // values are read-only views of the iterator's copy of a leaf; they stay
 // valid after Next. The zero Iter is an exhausted iterator.
 type Iter struct {
@@ -553,7 +654,14 @@ type Iter struct {
 // uncharged). Safe for concurrent readers, like GetMetered.
 func (t *Tree) Seek(lo []byte, m *pager.Meter) Iter {
 	it := Iter{t: t, m: m}
-	if it.nd, it.err = t.leafFor(lo, m); it.err != nil {
+	f, err := t.leafFrame(lo, m)
+	if err != nil {
+		it.err = err
+		return it
+	}
+	it.nd, it.err = decodeNode(f.Data, lo)
+	t.pool.Unpin(f)
+	if it.err != nil {
 		return it
 	}
 	it.i, _ = it.nd.leafIndex(lo)
@@ -569,6 +677,9 @@ func (it *Iter) settle() {
 		it.nd, it.i = nil, 0
 		if next != 0 {
 			it.nd, it.err = it.t.loadMetered(next, it.m)
+			if it.nd != nil && !it.nd.leaf {
+				it.nd, it.err = nil, fmt.Errorf("%w: the leaf chain reaches interior page %d", ErrCorrupt, next)
+			}
 		}
 	}
 }
@@ -609,4 +720,57 @@ func prefixUpperBound(prefix []byte) []byte {
 		}
 	}
 	return nil
+}
+
+// Pages counts the pages the tree occupies: its interior pages, level by
+// level down from the root, then the leaf chain from the first leaf.
+// It reads the disk image, not the pool, so counting leaves the pool's
+// working set alone; the tree must be flushed (Build, Reopen and
+// ApplyOps leave it so). The reads are charged to m.
+func (t *Tree) Pages(m *pager.Meter) (int, error) {
+	disk := t.pool.Disk()
+	h := disk.NewMeteredReadHandle(m)
+	page := make([]byte, disk.PageSize())
+	limit := disk.NumPages() // a walk past it is a cycle
+	n := 0
+	level := []pager.PageID{t.root}
+	for {
+		var below []pager.PageID
+		for _, id := range level {
+			if err := h.Read(id, page); err != nil {
+				return 0, err
+			}
+			if page[0] == 1 {
+				if len(below) > 0 {
+					return 0, fmt.Errorf("%w: leaf page %d beside interior pages", ErrCorrupt, id)
+				}
+				break
+			}
+			nd, err := decodeNode(page, nil)
+			if err != nil {
+				return 0, err
+			}
+			below = append(below, nd.children...)
+		}
+		if len(below) == 0 {
+			break
+		}
+		if n += len(level); n > limit {
+			return 0, fmt.Errorf("%w: interior pages form a cycle", ErrCorrupt)
+		}
+		level = below
+	}
+	for id := level[0]; id != 0; n++ {
+		if n > limit {
+			return 0, fmt.Errorf("%w: the leaf chain forms a cycle", ErrCorrupt)
+		}
+		if err := h.Read(id, page[:7]); err != nil {
+			return 0, err
+		}
+		if page[0] != 1 {
+			return 0, fmt.Errorf("%w: the leaf chain reaches interior page %d", ErrCorrupt, id)
+		}
+		id = pager.PageID(binary.LittleEndian.Uint32(page[3:]))
+	}
+	return n, nil
 }

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -432,5 +433,80 @@ func TestCorruptPageIsAnError(t *testing.T) {
 	}
 	if it := tr.Seek([]byte("k"), nil); it.Valid() || !errors.Is(it.Err(), ErrCorrupt) {
 		t.Errorf("Seek under a corrupt interior root: valid=%v err=%v", it.Valid(), it.Err())
+	}
+
+	// A leaf below the root whose third item overruns the page. Get and
+	// Scan read leaves in place and check only the items they reach: a
+	// Get of the first key still answers, a Get past the damage and a
+	// Scan across it (entering the leaf from the chain) are ErrCorrupt.
+	d = pager.NewDisk(256)
+	l := NewLoader(d)
+	for i := 0; i < 100; i++ {
+		if err := l.Add([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr, err = l.Finish(8); err != nil {
+		t.Fatal(err)
+	}
+	second, err := tr.leafFrame([]byte("k0050"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := bytes.Clone(second.Data)
+	tr.pool.Unpin(second)
+	c, _ := newLeafCursor(page)
+	c.next()
+	c.next()
+	first := string(page[8 : 8+page[7]])
+	page[c.off], page[c.off+1] = 0xff, 0x7f // the third key's length, 16383: past the page's end
+	if err := d.Write(second.ID, page); err != nil {
+		t.Fatal(err)
+	}
+	tr = Open(d, 8, tr.Root(), tr.Len())
+	if v, err := tr.Get([]byte(first)); err != nil || string(v) != "v" {
+		t.Errorf("Get of a key before the damage: %q, %v", v, err)
+	}
+	if _, err := tr.Get([]byte("k0099")); err != nil {
+		t.Errorf("Get in an undamaged leaf: %v", err)
+	}
+	if _, err := tr.Get([]byte("k0050")); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Get past a corrupt item: %v", err)
+	}
+	n := 0
+	if err := tr.Scan(nil, nil, func(_, _ []byte) bool { n++; return true }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Scan across a corrupt leaf: %v after %d items", err, n)
+	}
+	it := tr.Seek(nil, nil)
+	for it.Valid() {
+		it.Next()
+	}
+	if !errors.Is(it.Err(), ErrCorrupt) {
+		t.Errorf("Iter across a corrupt leaf: %v", it.Err())
+	}
+
+	// A leaf chain that leads to an interior page (here the root): a walk
+	// along the chain must not read it as a leaf.
+	firstLeaf, err := tr.leafFrame(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page = bytes.Clone(firstLeaf.Data)
+	tr.pool.Unpin(firstLeaf)
+	binary.LittleEndian.PutUint32(page[3:], uint32(tr.Root()))
+	if err := d.Write(firstLeaf.ID, page); err != nil {
+		t.Fatal(err)
+	}
+	tr = Open(d, 8, tr.Root(), tr.Len())
+	if err := tr.Scan(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Scan along a chain into an interior page: %v", err)
+	}
+	for it = tr.Seek(nil, nil); it.Valid(); it.Next() {
+	}
+	if !errors.Is(it.Err(), ErrCorrupt) {
+		t.Errorf("Iter along a chain into an interior page: %v", it.Err())
+	}
+	if _, err := tr.Pages(nil); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Pages along a chain into an interior page: %v", err)
 	}
 }

@@ -15,12 +15,14 @@ import (
 // allocation), and for accepted pages encode∘decode is a fixpoint: the
 // re-encoded image decodes and encodes to the same bytes.
 //
-// The read path does less than a whole decode — childOnPage picks a
-// child from an interior page in place, and a leaf is decoded from the
-// sought key on — so both are held to the whole decode here: on any
-// image they return ErrCorrupt or a result, and on an accepted image
-// whose keys ascend, as a tree writes them, the result is the one the
-// whole node gives (childIndex's child, the items from leafIndex on).
+// The read paths do less than a whole decode — childOnPage picks a
+// child from an interior page in place, Get (leafGet) and Scan
+// (scanLeaf) walk a leaf in place, and Iter decodes a leaf from the
+// sought key on — so each is held to the whole decode here: on any
+// image they return ErrCorrupt or a result, never a panic, and on an
+// accepted image whose keys ascend, as a tree writes them, the result is
+// the one the whole node gives (childIndex's child; leafIndex's value;
+// the items from leafIndex on, then the next leaf).
 func FuzzDecodeNode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(malformedLeaf(64))
@@ -54,12 +56,35 @@ func FuzzDecodeNode(f *testing.F) {
 			if (terr == nil) != (err == nil) {
 				t.Fatalf("decode from %q: %v; whole decode: %v", key, terr, err)
 			}
+			val, gerr := leafGet(page, key)
+			if gerr != nil && !errors.Is(gerr, ErrCorrupt) && !errors.Is(gerr, ErrNotFound) {
+				t.Fatalf("untyped leafGet error: %v", gerr)
+			}
+			var scanned [][]byte
+			next, serr := scanLeaf(page, key, nil, func(k, v []byte) bool {
+				scanned = append(scanned, k, v)
+				return true
+			})
+			if serr != nil && !errors.Is(serr, ErrCorrupt) {
+				t.Fatalf("untyped scanLeaf error: %v", serr)
+			}
 			if !sorted {
 				continue
 			}
-			i, _ := nd.leafIndex(key)
+			i, found := nd.leafIndex(key)
 			if tail.next != nd.next || !slices.EqualFunc(tail.keys, nd.keys[i:], bytes.Equal) || !slices.EqualFunc(tail.vals, nd.vals[i:], bytes.Equal) {
 				t.Fatalf("decode from %q kept %d items, the whole leaf has %d from there", key, len(tail.keys), len(nd.keys)-i)
+			}
+			if (gerr == nil) != found || found && !bytes.Equal(val, nd.vals[i]) {
+				t.Fatalf("leafGet(%q) = %q, %v; the decoded leaf holds it: %v", key, val, gerr, found)
+			}
+			var want [][]byte
+			for j := i; j < len(nd.keys); j++ {
+				want = append(want, nd.keys[j], nd.vals[j])
+			}
+			if serr != nil || next != nd.next || !slices.EqualFunc(scanned, want, bytes.Equal) {
+				t.Fatalf("scanLeaf from %q: %d items, next %d, %v; the decoded leaf has %d from there, next %d",
+					key, len(scanned)/2, next, serr, len(want)/2, nd.next)
 			}
 		}
 		if err != nil {

@@ -664,6 +664,23 @@ func (d *Directory) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("dirkit_dir_entries", "entries in the directory", func() int64 { return int64(d.Count()) })
 	reg.GaugeFunc("dirkit_dir_generation", "store generation (bumps on every Update)", d.Generation)
 	reg.GaugeFunc("dirkit_dir_pages", "live pages on the simulated disk", func() int64 { return int64(d.Disk().NumPages()) })
+	for _, owner := range []struct {
+		name, what string
+		n          func(store.PageCounts) int
+	}{
+		{"master", "the master list", func(pc store.PageCounts) int { return pc.Master }},
+		{"dn", "the DN B+tree", func(pc store.PageCounts) int { return pc.DN }},
+		{"attr", "the attribute B+tree", func(pc store.PageCounts) int { return pc.Attr }},
+		{"overlay", "the entry overlay B+tree", func(pc store.PageCounts) int { return pc.Overlay }},
+	} {
+		reg.GaugeFunc("dirkit_dir_pages_"+owner.name, "pages of "+owner.what+" (-1: its walk failed)", func() int64 {
+			pc, err := d.snap.Load().st.PageCounts()
+			if err != nil {
+				return -1
+			}
+			return int64(owner.n(pc))
+		})
+	}
 	reg.GaugeFunc("dirkit_dir_swaps", "completed copy-on-write store swaps (successful Updates)", d.swaps.Load)
 	reg.GaugeFunc("dirkit_dir_rebuild_ms", "wall time of the last successful write (validate + apply/rebuild + publish) (ms)",
 		func() int64 { return d.rebuildNS.Load() / int64(time.Millisecond) })

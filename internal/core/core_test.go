@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -153,4 +154,36 @@ func TestResultHeterogeneity(t *testing.T) {
 	if len(classes) < 4 {
 		t.Errorf("expected heterogeneous classes, got %v", classes)
 	}
+}
+
+// TestPageGaugesSplitTheDevice: the dirkit_dir_pages_* gauges say what
+// the device is made of. Master list, DN tree, attribute tree and
+// overlay add up to dirkit_dir_pages (the TOPS directory has no vector
+// index) on the opened directory, where the overlay is empty, and on
+// the generation an entry-level write made.
+func TestPageGaugesSplitTheDevice(t *testing.T) {
+	dir, write := topsWriter(t)
+	reg := obs.NewRegistry()
+	dir.RegisterMetrics(reg)
+	check := func(label string, wantOverlay bool) {
+		t.Helper()
+		m := reg.Snapshot()
+		owners := []string{"master", "dn", "attr", "overlay"}
+		var sum int64
+		for _, o := range owners {
+			n := m["dirkit_dir_pages_"+o].(int64)
+			if n < 0 || (n == 0) != (o == "overlay" && !wantOverlay) {
+				t.Errorf("%s: dirkit_dir_pages_%s = %d", label, o, n)
+			}
+			sum += n
+		}
+		if total := m["dirkit_dir_pages"].(int64); sum != total {
+			t.Errorf("%s: the owners' gauges sum to %d pages, dirkit_dir_pages is %d", label, sum, total)
+		}
+	}
+	check("opened", false)
+	if err := dir.UpdateEntries(write(0)); err != nil {
+		t.Fatal(err)
+	}
+	check("after a write", true)
 }

@@ -238,7 +238,7 @@ func segSize(t *testing.T, root string, gen int64) int64 {
 // image beneath them.
 func TestDeltaCheckpointRoundTrip(t *testing.T) {
 	ds, root := newDurableStore(t)
-	dir := peopleDirectory(t, 300, Options{DeltaCheckpoints: true})
+	dir := peopleDirectory(t, 450, Options{DeltaCheckpoints: true})
 
 	if gen, err := dir.Checkpoint(ds); err != nil || gen != 1 {
 		t.Fatalf("checkpoint 1: %d, %v", gen, err)
@@ -324,7 +324,7 @@ func TestDeltaCheckpointRoundTrip(t *testing.T) {
 				t.Fatalf("gen %d base = %d; chain of %d bytes over an image of %d wants a full image", gen, base, weight, chain.BaseBytes)
 			}
 			if chain.Deltas < 3 {
-				t.Fatalf("folded after %d deltas; a 300-person image should carry more than the retention window", chain.Deltas)
+				t.Fatalf("folded after %d deltas; a 450-person image should carry more than the retention window", chain.Deltas)
 			}
 			break
 		}
@@ -374,18 +374,18 @@ func TestDeltaFoldBoundsWriteAmplification(t *testing.T) {
 	}
 }
 
-// topsWriter returns a 300-subscriber TOPS directory and the op of its
+// topsWriter returns a 450-subscriber TOPS directory and the op of its
 // i-th write, a new call appearance: a 3.4 MB image whose one-entry
-// deltas are about 50 KB, so a chain may grow past fifty of them.
+// deltas are about 55 KB, so a chain may grow past fifty of them.
 func topsWriter(t *testing.T) (*Directory, func(i int) store.EntryOp) {
 	t.Helper()
-	dir, err := Open(workload.GenTOPS(workload.TOPSConfig{Subscribers: 300, Seed: 1}), Options{DeltaCheckpoints: true})
+	dir, err := Open(workload.GenTOPS(workload.TOPSConfig{Subscribers: 450, Seed: 1}), Options{DeltaCheckpoints: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return dir, func(i int) store.EntryOp {
 		dn := model.MustParseDN(fmt.Sprintf(
-			"CANumber=555%07d, QHPName=qhp0, uid=sub%04d, ou=userProfiles, dc=research, dc=att, dc=com", i, i%300))
+			"CANumber=555%07d, QHPName=qhp0, uid=sub%04d, ou=userProfiles, dc=research, dc=att, dc=com", i, i%450))
 		e, err := model.NewEntryFromDN(dir.Schema(), dn)
 		if err != nil {
 			t.Fatal(err)

@@ -235,7 +235,7 @@ func (env *evalEnv) indexEval(q *query.Atomic) (l *plist.List, handled bool, err
 			empty, err := plist.Build(env.out, nil)
 			return empty, true, err
 		}
-		p := valuePrefix(attr, ordValue(v))
+		p := encValue(attrPrefix(attr), v)
 		return env.collectFetch(q, [][2][]byte{{p, prefixEnd(p)}}, true)
 
 	case filter.OpLT, filter.OpLE, filter.OpGT, filter.OpGE:

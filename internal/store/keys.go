@@ -18,9 +18,9 @@ import (
 // yields hits ordered by reverse-DN key — exactly the order the
 // evaluation algorithms need.
 
-func encBytes(dst []byte, b []byte) []byte {
-	for _, c := range b {
-		if c == 0x00 {
+func encBytes[S string | []byte](dst []byte, b S) []byte {
+	for i := 0; i < len(b); i++ {
+		if c := b[i]; c == 0x00 {
 			dst = append(dst, 0x00, 0xff)
 		} else {
 			dst = append(dst, c)
@@ -36,36 +36,34 @@ func ordInt(v int64) []byte {
 	return b[:]
 }
 
-// ordValue returns the order-preserving raw encoding of a value.
-func ordValue(v model.Value) []byte {
+// encValue appends enc(ordval) of v to dst.
+func encValue(dst []byte, v model.Value) []byte {
 	switch v.Kind() {
 	case model.KindInt:
-		return ordInt(v.Int())
+		return encBytes(dst, ordInt(v.Int()))
 	case model.KindDN:
-		return []byte(v.DN().Key())
+		return encBytes(dst, v.DN().Key())
 	default:
-		return []byte(v.Str())
+		return encBytes(dst, v.Str())
 	}
 }
 
 // attrPrefix returns the composite-key prefix covering every value of
 // attr.
 func attrPrefix(attr string) []byte {
-	return encBytes(nil, []byte(attr))
+	return encBytes(nil, attr)
 }
 
 // valuePrefix returns the composite-key prefix covering one (attr,
 // value) pair across all entries.
 func valuePrefix(attr string, ordVal []byte) []byte {
-	k := encBytes(nil, []byte(attr))
-	return encBytes(k, ordVal)
+	return encBytes(attrPrefix(attr), ordVal)
 }
 
-// compositeKey builds the full index key for one (attr, value) pair of
-// the entry with the given reverse-DN key.
-func compositeKey(attr string, ordVal []byte, revKey string) []byte {
-	k := valuePrefix(attr, ordVal)
-	return append(k, revKey...)
+// compositeKey appends to dst the full index key for one (attr, value)
+// pair of the entry with the given reverse-DN key.
+func compositeKey(dst []byte, attr string, v model.Value, revKey string) []byte {
+	return append(encValue(encBytes(dst, attr), v), revKey...)
 }
 
 // splitRevKey extracts the reverse-DN key suffix from a composite key:

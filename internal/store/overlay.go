@@ -191,7 +191,7 @@ func (s *Store) applyAdd(e *model.Entry, newStr stringValues) error {
 			if av.Value.Kind() == model.KindVector {
 				continue // non-schema vectors are unindexed, like Build
 			}
-			if err := s.attr.Insert(compositeKey(av.Attr, ordValue(av.Value), key), offsetValue(overlayLoc)); err != nil {
+			if err := s.attr.Insert(compositeKey(nil, av.Attr, av.Value, key), offsetValue(overlayLoc)); err != nil {
 				return err
 			}
 			// A value with postings is in the suffix index already.
@@ -236,7 +236,7 @@ func (s *Store) applyRemove(dn model.DN) error {
 			if av.Value.Kind() == model.KindVector {
 				continue
 			}
-			if err := s.attr.Delete(compositeKey(av.Attr, ordValue(av.Value), key)); err != nil {
+			if err := s.attr.Delete(compositeKey(nil, av.Attr, av.Value, key)); err != nil {
 				return err
 			}
 			s.stats.unobserve(av.Attr, av.Value)
@@ -255,8 +255,8 @@ func (s *Store) applyRemove(dn model.DN) error {
 }
 
 // overlayGet fetches the live overlay record stored under key, its entry
-// still encoded (plist.Record). The record aliases the tree's private
-// copy of the leaf, which nothing overwrites.
+// still encoded (plist.Record). The record aliases the value Get copied
+// out of the leaf, which is this call's own.
 func (s *Store) overlayGet(key string, m *pager.Meter) (*plist.Record, error) {
 	if s.over == nil {
 		return nil, fmt.Errorf("store: overlay record %q missing (no overlay)", key)

@@ -39,8 +39,11 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/model"
@@ -145,19 +148,56 @@ func (s *Store) indexStrings(sv stringValues) {
 	}
 }
 
-// Build writes the instance to disk and constructs the indexes,
-// checking every entry against the schema (model.ValidateEntry) on the
-// way in.
-func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
-	s := &Store{disk: disk, schema: in.Schema()}
-	var err error
-	if s.dn, err = btree.New(disk, poolPages); err != nil {
-		return nil, err
-	}
-	if opts.AttrIndex {
-		if s.attr, err = btree.New(disk, poolPages); err != nil {
+// attrItems gathers Build's attribute-index items, every (composite
+// key, master offset), in one growing buffer, so that the attribute tree
+// is loaded from one sort instead of a B+tree insert per value.
+type attrItems struct {
+	buf   []byte
+	items []attrItem
+}
+
+type attrItem struct {
+	start, end uint32 // the composite key, buf[start:end]
+	off        int64
+}
+
+func (a *attrItems) add(attr string, v model.Value, revKey string, off int64) {
+	start := len(a.buf)
+	a.buf = compositeKey(a.buf, attr, v, revKey)
+	a.items = append(a.items, attrItem{uint32(start), uint32(len(a.buf)), off})
+}
+
+func (a *attrItems) key(it attrItem) []byte { return a.buf[it.start:it.end] }
+
+// load sorts the items and bulk-loads them onto disk. A key met twice
+// is an entry holding one value twice: it is indexed once.
+func (a *attrItems) load(disk *pager.Disk) (*btree.Tree, error) {
+	slices.SortFunc(a.items, func(x, y attrItem) int { return bytes.Compare(a.key(x), a.key(y)) })
+	l := btree.NewLoader(disk)
+	var val []byte
+	for i, it := range a.items {
+		if i > 0 && bytes.Equal(a.key(it), a.key(a.items[i-1])) {
+			continue
+		}
+		val = binary.LittleEndian.AppendUint64(val[:0], uint64(it.off))
+		if err := l.Add(a.key(it), val); err != nil {
 			return nil, err
 		}
+	}
+	return l.Finish(poolPages)
+}
+
+// Build writes the instance to disk and constructs the indexes,
+// checking every entry against the schema (model.ValidateEntry) on the
+// way in. Both B+trees are bulk-loaded (btree.Loader): the DN tree
+// straight from the gate's ascending stream, the attribute tree from
+// its items sorted once at the end.
+func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
+	s := &Store{disk: disk, schema: in.Schema()}
+	dn := btree.NewLoader(disk)
+	var attrs *attrItems // nil without AttrIndex
+	if opts.AttrIndex {
+		attrs = &attrItems{}
 		s.suffix = make(map[string]*strindex.SuffixIndex)
 		s.stats = newCatalog()
 	}
@@ -166,19 +206,23 @@ func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
 	strVals := make(stringValues)
 	vb := make(map[string]*vindex.Builder) // attr -> vector-index builder
 	var entryVecs map[string][][]float32   // per-entry vector values, reused
+	var keyBuf, offBuf []byte
 	admitted := gate{schema: s.schema}
 	for _, e := range in.Entries() {
-		if err := admitted.admit(e.Key(), e); err != nil {
+		key := e.Key()
+		if err := admitted.admit(key, e); err != nil {
 			return nil, err
 		}
 		off := w.Offset()
 		if err := w.Append(plist.FromEntry(e)); err != nil {
 			return nil, err
 		}
-		if err := s.dn.Insert([]byte(e.Key()), offsetValue(off)); err != nil {
+		keyBuf = append(keyBuf[:0], key...)
+		offBuf = binary.LittleEndian.AppendUint64(offBuf[:0], uint64(off))
+		if err := dn.Add(keyBuf, offBuf); err != nil {
 			return nil, err
 		}
-		if s.attr == nil {
+		if attrs == nil {
 			continue
 		}
 		for k := range entryVecs {
@@ -202,10 +246,7 @@ func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
 				entryVecs[av.Attr] = append(entryVecs[av.Attr], av.Value.Vec())
 				continue
 			}
-			ov := ordValue(av.Value)
-			if err := s.attr.Insert(compositeKey(av.Attr, ov, e.Key()), offsetValue(off)); err != nil {
-				return nil, err
-			}
+			attrs.add(av.Attr, av.Value, key, off)
 			s.stats.observe(av.Attr, av.Value)
 			if av.Value.Kind() == model.KindString {
 				strVals.add(av.Attr, av.Value.Str())
@@ -224,14 +265,15 @@ func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
 			}
 		}
 	}
+	var err error
 	if s.master, err = w.Close(); err != nil {
 		return nil, err
 	}
-	if err := s.dn.Flush(); err != nil {
+	if s.dn, err = dn.Finish(poolPages); err != nil {
 		return nil, err
 	}
-	if s.attr != nil {
-		if err := s.attr.Flush(); err != nil {
+	if attrs != nil {
+		if s.attr, err = attrs.load(disk); err != nil {
 			return nil, err
 		}
 		s.vecs = make(map[string]*vindex.Index, len(vb))
@@ -274,6 +316,37 @@ func (s *Store) Instance() (*model.Instance, error) {
 // MasterPages returns the size of the master list in pages — the |I|/B
 // of the whole instance.
 func (s *Store) MasterPages() int { return s.master.Pages() }
+
+// PageCounts is what the store's device is made of: the pages each of
+// its structures occupies.
+type PageCounts struct {
+	Master, DN, Attr, Overlay, Vectors int
+}
+
+// PageCounts counts the pages of each structure: the master list and
+// the vector indexes from their page lists, the three B+trees by a walk
+// of the disk image (btree.Tree.Pages; uncharged, and outside the trees'
+// buffer pools). On a freshly built store they sum to the disk's
+// NumPages.
+func (s *Store) PageCounts() (PageCounts, error) {
+	pc := PageCounts{Master: s.master.Pages()}
+	for _, ix := range s.vecs {
+		pc.Vectors += ix.Pages()
+	}
+	for _, t := range []struct {
+		tree *btree.Tree
+		n    *int
+	}{{s.dn, &pc.DN}, {s.attr, &pc.Attr}, {s.over, &pc.Overlay}} {
+		if t.tree == nil {
+			continue
+		}
+		var err error
+		if *t.n, err = t.tree.Pages(nil); err != nil {
+			return PageCounts{}, err
+		}
+	}
+	return pc, nil
+}
 
 // Indexed reports whether the attribute index was built.
 func (s *Store) Indexed() bool { return s.attr != nil }

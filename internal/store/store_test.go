@@ -215,6 +215,50 @@ func TestGet(t *testing.T) {
 	}
 }
 
+// TestPageCountsSumToDevice: the page counts say what the whole device
+// is made of. On a freshly built store — unindexed, indexed, with vector
+// indexes — master list, trees and vector indexes add up to every page
+// the disk holds, and so do they on a generation ApplyOps made on a
+// fork, overlay included: no page is unaccounted for.
+func TestPageCountsSumToDevice(t *testing.T) {
+	check := func(label string, st *Store, wantOverlay bool) {
+		t.Helper()
+		pc, err := st.PageCounts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := pc.Master + pc.DN + pc.Attr + pc.Overlay + pc.Vectors; sum != st.Disk().NumPages() {
+			t.Errorf("%s: %+v sums to %d pages, the disk holds %d", label, pc, sum, st.Disk().NumPages())
+		}
+		if pc.Master != st.MasterPages() || pc.DN == 0 || (pc.Attr > 0) != st.Indexed() || (pc.Overlay > 0) != wantOverlay {
+			t.Errorf("%s: %+v", label, pc)
+		}
+	}
+	for _, c := range []struct {
+		label string
+		in    *model.Instance
+		opts  Options
+	}{
+		{"unindexed", buildTestInstance(t, 200), Options{}},
+		{"indexed", buildTestInstance(t, 200), Options{AttrIndex: true}},
+		{"vectors", knnInstance(300, 5), Options{AttrIndex: true}},
+	} {
+		st, err := Build(pager.NewDisk(1024), c.in, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(c.label, st, false)
+		if c.label == "vectors" {
+			if pc, _ := st.PageCounts(); pc.Vectors == 0 {
+				t.Errorf("vectors: no vector-index pages counted")
+			}
+			continue
+		}
+		ns, _ := mutateBoth(t, st, c.in)
+		check(c.label+" after ApplyOps", ns, true)
+	}
+}
+
 func TestEvalLDAP(t *testing.T) {
 	in := buildTestInstance(t, 30)
 	d := pager.NewDisk(1024)
