@@ -87,13 +87,16 @@ docs:
 # pageIO/op: the last must not move unless the change says why. Below
 # them the build (core.Open at both sizes, with the device's pages and
 # each structure's) and the B+tree's point read and leaf scan, which
-# read pages in place: Get allocates only its value, Scan nothing.
+# read pages in place: Get allocates only its value, Scan nothing. Last
+# the distributed path: E14's three queries through a coordinator over
+# two loopback servers, from parallel goroutines.
 bench-smoke:
 	$(GO) run ./cmd/dirbench -quick -only E22 >/dev/null
 	$(GO) test -run='^$$' -bench=BenchmarkUpdateEntries -benchtime=20x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkOp(BooleanAnd|HSPCChildren|ERDV)$$|BenchmarkFullQueryL2' -benchtime=20x -benchmem .
 	$(GO) test -run='^$$' -bench=BenchmarkOpen -benchtime=3x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkGet|BenchmarkScan' -benchtime=2000x -benchmem ./internal/btree/
+	$(GO) test -run='^$$' -bench=BenchmarkCoordinatorSearch -benchtime=200x -benchmem ./internal/dirserver/
 
 # Wire smoke: benchmark/dirload's four workloads (lookup, analytic,
 # policy, provision) each against a real dirserve child, every reply

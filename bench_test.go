@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/pager"
 	"repro/internal/plist"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -81,22 +82,27 @@ func BenchmarkAblationPlanner(b *testing.B)     { runSpec(b, "A4") }
 
 // ---- fine-grained operator benchmarks -------------------------------
 
+// opEnv is one operator benchmark's session: the operand lists and
+// every output live on arena, whose counters pageIO/op reads.
 type opEnv struct {
-	dir *core.Directory
-	eng *engine.Engine
-	ls  []*plist.List
+	arena *pager.Arena
+	eng   *engine.Engine // a session on arena
+	ls    []*plist.List
 }
 
-func newOpEnv(b *testing.B, atoms ...string) *opEnv {
+// newOpEnv opens a random forest of n entries and evaluates the
+// operand atomics on a fresh session.
+func newOpEnv(b *testing.B, n int, atoms ...string) *opEnv {
 	b.Helper()
-	in := workload.RandomForest(workload.ForestConfig{N: 3000, Seed: 99})
+	in := workload.RandomForest(workload.ForestConfig{N: n, Seed: 99})
 	dir, err := core.Open(in, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	env := &opEnv{dir: dir, eng: dir.Engine()}
+	env := &opEnv{arena: pager.NewArena(dir.Disk())}
+	env.eng = dir.Engine().Session(env.arena)
 	for _, a := range atoms {
-		l, err := dir.Engine().Store().Eval(query.MustParse(a).(*query.Atomic))
+		l, err := env.eng.Store().EvalArena(env.arena, query.MustParse(a).(*query.Atomic))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +113,7 @@ func newOpEnv(b *testing.B, atoms ...string) *opEnv {
 
 func (e *opEnv) run(b *testing.B, fn func() (*plist.List, error)) {
 	b.Helper()
-	before := e.dir.Disk().Stats()
+	before := e.arena.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := fn()
@@ -118,34 +124,34 @@ func (e *opEnv) run(b *testing.B, fn func() (*plist.List, error)) {
 			b.Fatal(err)
 		}
 	}
-	io := e.dir.Disk().Stats().Sub(before).IO()
+	io := e.arena.Stats().Sub(before).IO()
 	b.ReportMetric(float64(io)/float64(b.N), "pageIO/op")
 }
 
 func BenchmarkOpBooleanAnd(b *testing.B) {
-	e := newOpEnv(b, "( ? sub ? tag=a)", "( ? sub ? val<4)")
+	e := newOpEnv(b, 3000, "( ? sub ? tag=a)", "( ? sub ? val<4)")
 	e.run(b, func() (*plist.List, error) { return e.eng.EvalBool(query.OpAnd, e.ls[0], e.ls[1]) })
 }
 
 func BenchmarkOpHSPCChildren(b *testing.B) {
-	e := newOpEnv(b, "( ? sub ? tag=a)", "( ? sub ? tag=b)")
+	e := newOpEnv(b, 3000, "( ? sub ? tag=a)", "( ? sub ? tag=b)")
 	e.run(b, func() (*plist.List, error) { return e.eng.ComputeHSPC(query.OpChildren, e.ls[0], e.ls[1]) })
 }
 
 func BenchmarkOpHSADAncestors(b *testing.B) {
-	e := newOpEnv(b, "( ? sub ? tag=a)", "( ? sub ? tag=b)")
+	e := newOpEnv(b, 3000, "( ? sub ? tag=a)", "( ? sub ? tag=b)")
 	e.run(b, func() (*plist.List, error) { return e.eng.ComputeHSAD(query.OpAncestors, e.ls[0], e.ls[1]) })
 }
 
 func BenchmarkOpHSADcDescendants(b *testing.B) {
-	e := newOpEnv(b, "( ? sub ? tag=a)", "( ? sub ? tag=b)", "( ? sub ? tag=c)")
+	e := newOpEnv(b, 3000, "( ? sub ? tag=a)", "( ? sub ? tag=b)", "( ? sub ? tag=c)")
 	e.run(b, func() (*plist.List, error) {
 		return e.eng.ComputeHSADc(query.OpDescendantsC, e.ls[0], e.ls[1], e.ls[2])
 	})
 }
 
 func BenchmarkOpHSAggMaxCount(b *testing.B) {
-	e := newOpEnv(b, "( ? sub ? tag=a)", "( ? sub ? tag=b)")
+	e := newOpEnv(b, 3000, "( ? sub ? tag=a)", "( ? sub ? tag=b)")
 	sel, err := query.ParseAggSel("count($2) = max(count($2))")
 	if err != nil {
 		b.Fatal(err)
@@ -156,7 +162,7 @@ func BenchmarkOpHSAggMaxCount(b *testing.B) {
 }
 
 func BenchmarkOpSimpleAgg(b *testing.B) {
-	e := newOpEnv(b, "( ? sub ? objectClass=node)")
+	e := newOpEnv(b, 3000, "( ? sub ? objectClass=node)")
 	sel, err := query.ParseAggSel("count(val) > 1")
 	if err != nil {
 		b.Fatal(err)
@@ -165,33 +171,21 @@ func BenchmarkOpSimpleAgg(b *testing.B) {
 }
 
 func BenchmarkOpERDV(b *testing.B) {
-	e := newOpEnv(b, "( ? sub ? tag=a)", "( ? sub ? tag=b)")
+	e := newOpEnv(b, 3000, "( ? sub ? tag=a)", "( ? sub ? tag=b)")
 	e.run(b, func() (*plist.List, error) {
 		return e.eng.ComputeERAggDV(e.ls[0], e.ls[1], "ref", nil)
 	})
 }
 
 func BenchmarkOpERVD(b *testing.B) {
-	e := newOpEnv(b, "( ? sub ? tag=a)", "( ? sub ? tag=b)")
+	e := newOpEnv(b, 3000, "( ? sub ? tag=a)", "( ? sub ? tag=b)")
 	e.run(b, func() (*plist.List, error) {
 		return e.eng.ComputeERAggVD(e.ls[0], e.ls[1], "ref", nil)
 	})
 }
 
 func BenchmarkOpNaiveHier(b *testing.B) {
-	in := workload.RandomForest(workload.ForestConfig{N: 400, Seed: 99})
-	dir, err := core.Open(in, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := &opEnv{dir: dir, eng: dir.Engine()}
-	for _, a := range []string{"( ? sub ? tag=a)", "( ? sub ? tag=b)"} {
-		l, err := dir.Engine().Store().Eval(query.MustParse(a).(*query.Atomic))
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.ls = append(e.ls, l)
-	}
+	e := newOpEnv(b, 400, "( ? sub ? tag=a)", "( ? sub ? tag=b)")
 	e.run(b, func() (*plist.List, error) {
 		return e.eng.NaiveHier(query.OpAncestors, e.ls[0], e.ls[1], nil, nil)
 	})
@@ -206,9 +200,10 @@ func BenchmarkFullQueryL2(b *testing.B) {
 	q := query.MustParse(`(c (dc=com ? sub ? objectClass=TOPSSubscriber)
 	                         (dc=com ? sub ? objectClass=QHP)
 	                         count($2) >= 3)`)
+	sess := dir.Engine().Session(pager.NewArena(dir.Disk()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := dir.Engine().Eval(q)
+		l, err := sess.Eval(q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,9 +223,10 @@ func BenchmarkFullQueryL3(b *testing.B) {
 	                          (dc=att, dc=com ? sub ? objectClass=trafficProfile)
 	                          SLATPRef
 	                          count($2) >= 1)`)
+	sess := dir.Engine().Session(pager.NewArena(dir.Disk()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := dir.Engine().Eval(q)
+		l, err := sess.Eval(q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,9 +243,10 @@ func BenchmarkAtomicIndexedEval(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := query.MustParse("(dc=com ? sub ? surName=jagadish)").(*query.Atomic)
+	st, arena := dir.Engine().Store(), pager.NewArena(dir.Disk())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := dir.Engine().Store().Eval(q)
+		l, err := st.EvalArena(arena, q)
 		if err != nil {
 			b.Fatal(err)
 		}

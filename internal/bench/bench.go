@@ -106,13 +106,22 @@ func Slope(xs, ys []float64) float64 {
 	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }
 
-// Env is a prepared experiment environment: a directory plus direct
-// access to its engine and disk.
+// Env is a prepared experiment environment: a directory and one
+// evaluation session over it. Eng evaluates on Arena — operand lists,
+// intermediates and results land on its scratch disk, store reads are
+// charged to its meter — and MeasureIO reads that arena's counters.
 type Env struct {
 	Dir    *core.Directory
-	Eng    *engine.Engine
-	Disk   *pager.Disk
+	Eng    *engine.Engine // a session on Arena
+	Arena  *pager.Arena
 	Schema *model.Schema
+}
+
+// newEnv opens one session over dir's current snapshot.
+func newEnv(dir *core.Directory) *Env {
+	eng := dir.Engine()
+	arena := pager.NewArena(eng.Store().Disk())
+	return &Env{Dir: dir, Eng: eng.Session(arena), Arena: arena, Schema: dir.Schema()}
 }
 
 // ForestEnv builds a random-forest directory of n entries.
@@ -143,7 +152,7 @@ func openEnv(in *model.Instance, pageSize int) *Env {
 	if err != nil {
 		panic(err)
 	}
-	return &Env{Dir: dir, Eng: dir.Engine(), Disk: dir.Disk(), Schema: dir.Schema()}
+	return newEnv(dir)
 }
 
 // Lists evaluates atomic queries into operand lists (outside the
@@ -152,7 +161,7 @@ func (e *Env) Lists(atomics ...string) []*plist.List {
 	out := make([]*plist.List, len(atomics))
 	for i, a := range atomics {
 		q := query.MustParse(a).(*query.Atomic)
-		l, err := e.Eng.Store().Eval(q)
+		l, err := e.Eng.Store().EvalArena(e.Arena, q)
 		if err != nil {
 			panic(err)
 		}
@@ -166,10 +175,11 @@ func (e *Env) Lists(atomics ...string) []*plist.List {
 // experiments run one at a time, so a package variable suffices.
 var latHist *obs.Histogram
 
-// MeasureIO runs fn and returns the page I/O it performed, recording
-// fn's wall time in the current experiment's latency histogram.
+// MeasureIO runs fn and returns the page I/O it performed on the
+// environment's arena, recording fn's wall time in the current
+// experiment's latency histogram.
 func (e *Env) MeasureIO(fn func() error) int64 {
-	before := e.Disk.Stats()
+	before := e.Arena.Stats()
 	start := time.Now()
 	if err := fn(); err != nil {
 		panic(err)
@@ -177,7 +187,7 @@ func (e *Env) MeasureIO(fn func() error) int64 {
 	if latHist != nil {
 		latHist.ObserveDuration(time.Since(start))
 	}
-	return e.Disk.Stats().Sub(before).IO()
+	return e.Arena.Stats().Sub(before).IO()
 }
 
 // pagesOf sums list page counts.
@@ -198,12 +208,11 @@ func freeLists(ls ...*plist.List) {
 	}
 }
 
-// storeOptions exposes an unindexed store for E15.
-func unindexedEnv(in *model.Instance, pageSize int) (*store.Store, *pager.Disk) {
-	d := pager.NewDisk(pageSize)
-	st, err := store.Build(d, in, store.Options{AttrIndex: false})
+// unindexedStore builds an unindexed store for E15.
+func unindexedStore(in *model.Instance, pageSize int) *store.Store {
+	st, err := store.Build(pager.NewDisk(pageSize), in, store.Options{AttrIndex: false})
 	if err != nil {
 		panic(err)
 	}
-	return st, d
+	return st
 }

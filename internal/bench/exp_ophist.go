@@ -39,7 +39,7 @@ func OperatorProfile(n, rounds int) *Table {
 	for r := 0; r < rounds; r++ {
 		for _, qs := range queries {
 			q := query.MustParse(qs)
-			tr := obs.NewTracer(env.Disk)
+			tr := obs.NewTracer(env.Arena)
 			l, err := env.Eng.EvalContext(obs.WithTracer(context.Background(), tr), q)
 			if err != nil {
 				panic(err)

@@ -74,7 +74,7 @@ func E8PipelineL2(sizes []int) *Table {
 			atomPages := 0
 			query.Walk(q, func(node query.Query) {
 				if a, ok := node.(*query.Atomic); ok {
-					l, err := env.Eng.Store().Eval(a)
+					l, err := env.Eng.Store().EvalArena(env.Arena, a)
 					if err != nil {
 						panic(err)
 					}
@@ -114,7 +114,7 @@ func E9PipelineL3(sizes []int) *Table {
 		atomPages := 0
 		query.Walk(q, func(node query.Query) {
 			if a, ok := node.(*query.Atomic); ok {
-				l, err := env.Eng.Store().Eval(a)
+				l, err := env.Eng.Store().EvalArena(env.Arena, a)
 				if err != nil {
 					panic(err)
 				}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/extsort"
 	"repro/internal/model"
+	"repro/internal/pager"
 	"repro/internal/plist"
 	"repro/internal/query"
 	"repro/internal/workload"
@@ -128,7 +129,7 @@ func E15AtomicIndex(n int) *Table {
 	}
 	in := workload.GenTOPS(workload.TOPSConfig{Subscribers: n, Seed: 13})
 	env := openEnv(in, 0)
-	stScan, dScan := unindexedEnv(in, 0)
+	stScan := unindexedStore(in, 0)
 	cases := []string{
 		"(dc=com ? sub ? surName=jagadish)",
 		"(dc=com ? sub ? surName=*adi*)",
@@ -142,17 +143,17 @@ func E15AtomicIndex(n int) *Table {
 		var out *plist.List
 		ioIdx := env.MeasureIO(func() error {
 			var e error
-			out, e = env.Eng.Store().Eval(q)
+			out, e = env.Eng.Store().EvalArena(env.Arena, q)
 			return e
 		})
 		count := out.Count()
 		freeLists(out)
-		before := dScan.Stats()
-		out, err := stScan.Eval(q)
+		scan := pager.NewArena(stScan.Disk())
+		out, err := stScan.EvalArena(scan, q)
 		if err != nil {
 			panic(err)
 		}
-		ioScan := dScan.Stats().Sub(before).IO()
+		ioScan := scan.Stats().IO()
 		freeLists(out)
 		t.AddRow(q.Filter.String(), count, ioIdx, ioScan, float64(ioScan)/float64(ioIdx))
 	}
@@ -258,7 +259,7 @@ func AblationStackWindow(n int, windows []int) *Table {
 		if err != nil {
 			panic(err)
 		}
-		env := &Env{Dir: dir, Eng: dir.Engine(), Disk: dir.Disk(), Schema: dir.Schema()}
+		env := newEnv(dir)
 		ls := env.Lists("( ? sub ? tag=a)", "( ? sub ? tag=b)")
 		var out *plist.List
 		io := env.MeasureIO(func() error {
@@ -332,7 +333,7 @@ func AblationResort(n int) *Table {
 		if e != nil {
 			return e
 		}
-		sorted, e := extsort.Sort(env.Disk, inter.Reader(), extsort.Config{})
+		sorted, e := extsort.Sort(env.Arena.Scratch(), inter.Reader(), extsort.Config{})
 		if e != nil {
 			return e
 		}

@@ -132,7 +132,7 @@ func E22VectorScope(sizes []int) *Table {
 				// Exact scoped answer (brute-force oracle) for recall.
 				qtext := fmt.Sprintf("(%s ? sub ? knn(emb,%s,%d))", b.dn, model.FormatVector(qvec), e22K)
 				q := query.MustParse(qtext).(*query.Atomic)
-				oracleList, err := st.EvalScan(q)
+				oracleList, err := st.EvalScanArena(env.Arena, q)
 				if err != nil {
 					panic(err)
 				}

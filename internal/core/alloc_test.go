@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/pager"
 	"repro/internal/plist"
 	"repro/internal/query"
 	"repro/internal/workload"
@@ -28,10 +29,11 @@ func TestBooleanMergeAllocatesPerPage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := dir.Engine()
+		arena := pager.NewArena(dir.Disk())
+		eng := dir.Engine().Session(arena)
 		var ls [2]*plist.List
 		for i, a := range []string{"( ? sub ? tag=a)", "( ? sub ? val<4)"} {
-			if ls[i], err = eng.Store().Eval(query.MustParse(a).(*query.Atomic)); err != nil {
+			if ls[i], err = eng.Store().EvalArena(arena, query.MustParse(a).(*query.Atomic)); err != nil {
 				t.Fatal(err)
 			}
 		}

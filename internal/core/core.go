@@ -231,8 +231,13 @@ type snapshot struct {
 	gen int64
 }
 
-// newSnapshot wraps a finished store as generation gen's read state.
+// newSnapshot wraps a finished store as generation gen's read state and
+// seals its disk: every publish path (Open, OpenSnapshot, Recover,
+// Update, UpdateEntries) comes through here, and from now on the store
+// is only read — queries write to their arenas, the next writer to a
+// fork.
 func newSnapshot(st *store.Store, opts Options, gen int64) *snapshot {
+	st.Disk().Seal()
 	return &snapshot{st: st, eng: engine.New(st, opts.Engine), strict: st.Orphans() == 0, gen: gen}
 }
 
@@ -411,17 +416,19 @@ func (d *Directory) Schema() *model.Schema { return d.snap.Load().st.Schema() }
 func (d *Directory) Count() int { return d.snap.Load().st.Count() }
 
 // Engine exposes the current snapshot's evaluation engine (for
-// benchmarks and tools that need streaming results or custom
-// configurations). The returned engine evaluates on the shared store
-// disk; callers using it directly bypass the per-query arenas and must
-// serialize their own evaluations (or wrap the engine in Session with
-// an arena of their own). It keeps describing the snapshot current at
-// call time even after later Updates swap in new stores.
+// benchmarks, tools and the distributed Coordinator, which need
+// streaming results or a per-query resolver). It is shared by every
+// caller of the snapshot: evaluate on Session with an arena over its
+// store's disk, and set per-query hooks such as a resolver on that
+// session, never on the shared engine. Its Eval opens an arena of its
+// own. It keeps describing the snapshot current at call time even after
+// later Updates swap in new stores.
 func (d *Directory) Engine() *engine.Engine { return d.snap.Load().eng }
 
 // Disk exposes the current snapshot's simulated device for I/O
-// accounting. Like Engine, it is pinned to the snapshot current at
-// call time.
+// accounting and as the base of query arenas. Like Engine, it is pinned
+// to the snapshot current at call time. It is sealed: it is read, never
+// written (pager.ErrSealed).
 func (d *Directory) Disk() *pager.Disk { return d.snap.Load().st.Disk() }
 
 // Get fetches one entry by DN. Lock-free: the lookup reads the loaded

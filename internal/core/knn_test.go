@@ -291,7 +291,7 @@ func TestKNNConcurrentSearchAndUpdate(t *testing.T) {
 
 // TestKNNTraceIOConservation extends the obs conservation law to the
 // vector read path: in a traced evaluation mixing a knn atomic with a
-// regular one, per-operator self-I/O sums exactly to the disk delta,
+// regular one, per-operator self-I/O sums exactly to the arena delta,
 // and the knn span is tagged with its access path.
 func TestKNNTraceIOConservation(t *testing.T) {
 	dir := knnForestDir(t, 800, 55, Options{})
@@ -301,16 +301,15 @@ func TestKNNTraceIOConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := dir.Engine()
-	disk := dir.Disk()
-	tr := obs.NewTracer(disk)
+	arena := pager.NewArena(dir.Disk())
+	tr := obs.NewTracer(arena)
 	ctx := obs.WithTracer(context.Background(), tr)
-	before := disk.Stats()
-	l, err := eng.EvalContext(ctx, q)
+	before := arena.Stats()
+	l, err := dir.Engine().Session(arena).EvalContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := disk.Stats().Sub(before)
+	delta := arena.Stats().Sub(before)
 	if err := l.Free(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +321,7 @@ func TestKNNTraceIOConservation(t *testing.T) {
 		t.Fatal("query performed no I/O; the conservation check is vacuous")
 	}
 	if root.IO != delta {
-		t.Fatalf("root span IO %v != disk delta %v", root.IO, delta)
+		t.Fatalf("root span IO %v != arena delta %v", root.IO, delta)
 	}
 	var sum pager.Stats
 	knnTagged := ""
@@ -335,7 +334,7 @@ func TestKNNTraceIOConservation(t *testing.T) {
 		}
 	})
 	if sum != delta {
-		t.Fatalf("summed per-operator self IO %v != disk delta %v", sum, delta)
+		t.Fatalf("summed per-operator self IO %v != arena delta %v", sum, delta)
 	}
 	if knnTagged != "knn-index" && knnTagged != "knn-scan" {
 		t.Fatalf("knn span not tagged with its access path (got %q)", knnTagged)

@@ -30,8 +30,8 @@ func forestDir(t testing.TB, n int) *Directory {
 
 // TestTraceIOConservation is the tentpole acceptance check: on an L2
 // query over the bench preset, the span tree's per-operator pager.Stats
-// deltas sum exactly to the query's total Disk.Stats() delta — every
-// page access is attributed to exactly one operator.
+// deltas sum exactly to the query's total arena delta — every page
+// access is attributed to exactly one operator.
 func TestTraceIOConservation(t *testing.T) {
 	dir := forestDir(t, 1500)
 	q, err := query.Parse(l2Query)
@@ -39,17 +39,16 @@ func TestTraceIOConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Measure the raw engine delta around the traced evaluation.
-	eng := dir.Engine()
-	disk := dir.Disk()
-	tr := obs.NewTracer(disk)
+	// Measure the raw session delta around the traced evaluation.
+	arena := pager.NewArena(dir.Disk())
+	tr := obs.NewTracer(arena)
 	ctx := obs.WithTracer(context.Background(), tr)
-	before := disk.Stats()
-	l, err := eng.EvalContext(ctx, q)
+	before := arena.Stats()
+	l, err := dir.Engine().Session(arena).EvalContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := disk.Stats().Sub(before)
+	delta := arena.Stats().Sub(before)
 	if err := l.Free(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestTraceIOConservation(t *testing.T) {
 		t.Fatal("query performed no I/O; the conservation check is vacuous")
 	}
 	if root.IO != delta {
-		t.Fatalf("root span IO %v != disk delta %v", root.IO, delta)
+		t.Fatalf("root span IO %v != arena delta %v", root.IO, delta)
 	}
 	var sum pager.Stats
 	var spans int
@@ -71,7 +70,7 @@ func TestTraceIOConservation(t *testing.T) {
 		spans++
 	})
 	if sum != delta {
-		t.Fatalf("summed per-operator self IO %v != disk delta %v", sum, delta)
+		t.Fatalf("summed per-operator self IO %v != arena delta %v", sum, delta)
 	}
 	// The L2 tree has 7 operators: c, &, |, and four atomics.
 	if spans != 7 {

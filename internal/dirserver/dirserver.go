@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/ldif"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -656,27 +655,24 @@ type CoordinatorStats struct {
 // pooled retrying Client, and per-address breakers steer around
 // unhealthy replicas.
 //
-// Like core.Directory, one coordinator serializes pipeline evaluation
-// internally — queries run one at a time so each windowed I/O delta
-// belongs to one query (the pager ownership rule) — so Search is safe
-// to call from many goroutines. Within one query, an engine built with
-// Workers > 1 evaluates independent subtrees concurrently, and their
-// atomic sub-queries fan out to replicas in parallel through this
-// coordinator's resolver: the pooled client, breakers, result cache,
-// and stats all carry their own synchronization, so concurrent resolver
-// calls compose with the existing deadline and failover machinery
-// unchanged (DESIGN.md §9). A coordinator wraps the directory's engine
-// as built; directories mutated with Update need a fresh coordinator.
+// Each Search evaluates like core.Directory's: it loads the directory's
+// current snapshot once and runs on a session over a fresh per-query
+// arena, with this coordinator's resolver bound to that session alone.
+// Local atomics, remote answers, intermediates and results all land on
+// the arena's scratch disk; the directory's store disk is only read.
+// So Search takes no lock, any number run concurrently with exact
+// per-query I/O, a coordinator follows the directory's updates, and
+// plain dir.Search calls never see the resolver. Within one query, an
+// engine built with Workers > 1 evaluates independent subtrees
+// concurrently, and their atomic sub-queries fan out to replicas in
+// parallel: the pooled client, breakers, result cache, and stats all
+// carry their own synchronization (DESIGN.md §9).
 type Coordinator struct {
 	dir      *core.Directory
-	eng      *engine.Engine
-	disk     *pager.Disk
 	reg      *Registry
 	selfAddr string
 	client   *Client
 	health   *health
-
-	evalMu sync.Mutex // one pipeline evaluation at a time
 
 	// Remote-result cache (nil unless CoordinatorConfig.CacheBytes > 0).
 	// lastGen tracks the newest store generation each replica has echoed
@@ -717,8 +713,6 @@ func NewCoordinator(dir *core.Directory, reg *Registry, selfAddr string) *Coordi
 func NewCoordinatorWith(dir *core.Directory, reg *Registry, selfAddr string, cfg CoordinatorConfig) *Coordinator {
 	c := &Coordinator{
 		dir:      dir,
-		eng:      dir.Engine(),
-		disk:     dir.Disk(),
 		reg:      reg,
 		selfAddr: selfAddr,
 	}
@@ -734,7 +728,6 @@ func NewCoordinatorWith(dir *core.Directory, reg *Registry, selfAddr string, cfg
 		}
 		c.lastGen = make(map[string]int64)
 	}
-	c.eng.SetResolver(c.resolveAtomic)
 	return c
 }
 
@@ -790,17 +783,21 @@ func (c *Coordinator) RemoteAtomics() int { return int(c.Stats().RemoteAtomics) 
 // "half-open") for tools and tests.
 func (c *Coordinator) BreakerState(addr string) string { return c.health.snapshot(addr) }
 
-func (c *Coordinator) resolveAtomic(ctx context.Context, q *query.Atomic) (*plist.List, error) {
+// resolveAtomic is one query's resolver: it answers q from st, the
+// query's snapshot store, when this server owns q's base (or nobody
+// does), and from a replica otherwise. Either way the list it returns
+// lives on the query's arena.
+func (c *Coordinator) resolveAtomic(ctx context.Context, st *store.Store, arena *pager.Arena, q *query.Atomic) (*plist.List, error) {
 	tr := obs.FromContext(ctx) // nil (no-op) unless the caller traced
 	addrs, ok := c.reg.LookupAll(q.Base)
 	if !ok {
-		return c.eng.Store().Eval(q)
+		return st.EvalArena(arena, q)
 	}
 	for _, a := range addrs {
 		if a == c.selfAddr {
 			c.bump(func(s *CoordinatorStats) { s.LocalAtomics++ })
 			tr.Annotate("resolve", "local")
-			return c.eng.Store().Eval(q)
+			return st.EvalArena(arena, q)
 		}
 	}
 	c.bump(func(s *CoordinatorStats) { s.RemoteAtomics++ })
@@ -813,7 +810,7 @@ func (c *Coordinator) resolveAtomic(ctx context.Context, q *query.Atomic) (*plis
 		if entries, ok := c.cacheLookup(addrs, canon, true); ok {
 			c.bump(func(s *CoordinatorStats) { s.CacheHits++ })
 			tr.Annotate("resolve", "cache")
-			return c.materialize(entries)
+			return materialize(arena, entries)
 		}
 	}
 
@@ -855,7 +852,7 @@ func (c *Coordinator) resolveAtomic(ctx context.Context, q *query.Atomic) (*plis
 				c.cacheStore(addr, gen, canon, entries)
 			}
 			c.finishRemote(tr, addr, i, retriesBefore, cand.probe, rt)
-			return c.materialize(entries)
+			return materialize(arena, entries)
 		}
 		if errors.Is(err, ErrRemote) {
 			// The server answered with an error: it is healthy, and
@@ -877,7 +874,7 @@ func (c *Coordinator) resolveAtomic(ctx context.Context, q *query.Atomic) (*plis
 		if entries, ok := c.cacheLookup(addrs, canon, false); ok {
 			c.bump(func(s *CoordinatorStats) { s.CacheMasked++ })
 			tr.Annotate("resolve", "cache-stale")
-			return c.materialize(entries)
+			return materialize(arena, entries)
 		}
 	}
 	return nil, fmt.Errorf("%w: all servers for %q unreachable: %v", ErrUnavailable, q.Base, lastErr)
@@ -987,11 +984,11 @@ func entriesCost(entries []*model.Entry) int64 {
 	return n
 }
 
-// materialize writes remote results to the local disk for the
+// materialize writes remote results to the query's scratch disk for the
 // pipeline. Results arrive in reverse-DN order (every server's
 // evaluation preserves it).
-func (c *Coordinator) materialize(entries []*model.Entry) (*plist.List, error) {
-	w := plist.NewWriter(c.disk)
+func materialize(arena *pager.Arena, entries []*model.Entry) (*plist.List, error) {
+	w := plist.NewWriter(arena.Scratch())
 	for _, e := range entries {
 		if err := w.Append(plist.FromEntry(e)); err != nil {
 			return nil, err
@@ -1004,28 +1001,8 @@ func (c *Coordinator) materialize(entries []*model.Entry) (*plist.List, error) {
 // needed. The context's deadline bounds the whole evaluation,
 // including every remote hop.
 func (c *Coordinator) Search(ctx context.Context, text string) ([]*model.Entry, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	if err := query.Validate(c.dir.Schema(), q); err != nil {
-		return nil, err
-	}
-	c.evalMu.Lock()
-	defer c.evalMu.Unlock()
-	l, err := c.eng.EvalContext(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := plist.Drain(l)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*model.Entry, len(recs))
-	for i, r := range recs {
-		out[i] = r.Entry
-	}
-	return out, l.Free()
+	out, _, err := c.search(ctx, text, false)
+	return out, err
 }
 
 // SearchTraced is Search under a fresh 128-bit trace ID: every
@@ -1034,32 +1011,46 @@ func (c *Coordinator) Search(ctx context.Context, text string) ([]*model.Entry, 
 // the merged tree is returned beside the entries. On evaluation error
 // the partial tree recorded so far is still returned, so a lost
 // replica reply leaves a well-formed (if truncated) trace. The span
-// tree's I/O deltas are windowed on the shared disk, exact under the
-// coordinator's serialized evaluation (evalMu).
+// tree's I/O deltas window the query's private arena, so they are
+// exact however many queries run at once.
 func (c *Coordinator) SearchTraced(ctx context.Context, text string) ([]*model.Entry, *obs.Span, error) {
+	return c.search(ctx, text, true)
+}
+
+// search is the one body behind Search and SearchTraced: one snapshot,
+// one arena, one session carrying this query's resolver.
+func (c *Coordinator) search(ctx context.Context, text string, traced bool) (out []*model.Entry, root *obs.Span, err error) {
 	q, err := query.Parse(text)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := query.Validate(c.dir.Schema(), q); err != nil {
+	eng := c.dir.Engine()
+	st := eng.Store()
+	if err := query.Validate(st.Schema(), q); err != nil {
 		return nil, nil, err
 	}
-	c.evalMu.Lock()
-	defer c.evalMu.Unlock()
-	tr := obs.NewTracer(c.disk)
-	tr.SetTraceID(obs.NewTraceID())
-	ctx = obs.WithTracer(ctx, tr)
-	l, err := c.eng.EvalContext(ctx, q)
+	arena := pager.NewArena(st.Disk())
+	sess := eng.Session(arena)
+	sess.SetResolver(func(ctx context.Context, a *query.Atomic) (*plist.List, error) {
+		return c.resolveAtomic(ctx, st, arena, a)
+	})
+	if traced {
+		tr := obs.NewTracer(arena)
+		tr.SetTraceID(obs.NewTraceID())
+		ctx = obs.WithTracer(ctx, tr)
+		defer func() { root = tr.Root() }()
+	}
+	l, err := sess.EvalContext(ctx, q)
 	if err != nil {
-		return nil, tr.Root(), err
+		return nil, nil, err
 	}
 	recs, err := plist.Drain(l)
 	if err != nil {
-		return nil, tr.Root(), err
+		return nil, nil, err
 	}
-	out := make([]*model.Entry, len(recs))
+	out = make([]*model.Entry, len(recs))
 	for i, r := range recs {
 		out[i] = r.Entry
 	}
-	return out, tr.Root(), l.Free()
+	return out, nil, l.Free()
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ldif"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -204,24 +203,11 @@ func TestServedCacheFollowsTraceRule(t *testing.T) {
 // and returns a coordinator on the upper server.
 func federatedPair(t *testing.T, cfg CoordinatorConfig) (*Coordinator, func()) {
 	t.Helper()
-	_, upper, policies := splitPaperDirectory(t)
-	upSrv, err := Serve(upper, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	polSrv, err := Serve(policies, "127.0.0.1:0")
-	if err != nil {
-		upSrv.Close()
-		t.Fatal(err)
-	}
-	var reg Registry
-	reg.Register(model.MustParseDN("dc=com"), upSrv.Addr())
-	reg.Register(model.MustParseDN("ou=networkPolicies, dc=research, dc=att, dc=com"), polSrv.Addr())
-	coord := NewCoordinatorWith(upper, &reg, upSrv.Addr(), cfg)
+	fed := newFederation(t, core.Options{})
+	coord := NewCoordinatorWith(fed.upper, fed.reg, fed.self, cfg)
 	return coord, func() {
 		coord.Close()
-		polSrv.Close()
-		upSrv.Close()
+		fed.close()
 	}
 }
 
@@ -335,12 +321,10 @@ func TestCoordinatorSpanAnnotations(t *testing.T) {
 	q := `(| (dc=com ? sub ? objectClass=TOPSSubscriber)
 	         (ou=networkPolicies, dc=research, dc=att, dc=com ? sub ? objectClass=SLADSAction))`
 
-	tr := obs.NewTracer(coord.dir.Disk())
-	ctx := obs.WithTracer(context.Background(), tr)
-	if _, err := coord.Search(ctx, q); err != nil {
+	_, root, err := coord.SearchTraced(context.Background(), q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	root := tr.Root()
 	if root == nil {
 		t.Fatal("no span tree")
 	}
@@ -360,12 +344,12 @@ func TestCoordinatorSpanAnnotations(t *testing.T) {
 	}
 
 	// Second traced run: the remote atomic is answered from the cache.
-	tr2 := obs.NewTracer(coord.dir.Disk())
-	if _, err := coord.Search(obs.WithTracer(context.Background(), tr2), q); err != nil {
+	_, root, err = coord.SearchTraced(context.Background(), q)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cached := 0
-	tr2.Root().Walk(func(s *obs.Span) {
+	root.Walk(func(s *obs.Span) {
 		if v, _ := s.TagValue("resolve"); v == "cache" {
 			cached++
 		}

@@ -57,12 +57,12 @@ func TestDeepChainCorrectness(t *testing.T) {
 	spilled := false
 	for _, qs := range queries {
 		q := query.MustParse(qs)
-		before := d.Stats()
-		l, err := e.Eval(q)
+		arena := pager.NewArena(d)
+		l, err := e.Session(arena).Eval(q)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
-		if d.Stats().Sub(before).Writes > int64(l.Pages())+20 {
+		if arena.Stats().Writes > int64(l.Pages())+20 {
 			spilled = true // wrote noticeably more than the output: stack spill
 		}
 		got := resultKeys(t, l)

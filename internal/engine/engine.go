@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/extsort"
 	"repro/internal/filter"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pager"
 	"repro/internal/plist"
@@ -77,10 +76,10 @@ type Engine struct {
 	// Acquisition is always non-blocking with an inline-evaluation
 	// fallback, so nested operators can never deadlock on it.
 	sem chan struct{}
-	// arena, when set, is the per-query workspace of a Session:
-	// intermediates and results are written to its scratch disk and
-	// store reads are charged to its meter, leaving the store's disk
-	// read-only. Nil on the base engine (legacy shared-disk evaluation).
+	// arena is the per-query workspace of a Session: intermediates and
+	// results are written to its scratch disk and store reads are
+	// charged to its meter, leaving the store's disk read-only. Nil on a
+	// base engine, whose Eval opens a fresh arena per call.
 	arena *pager.Arena
 }
 
@@ -90,6 +89,11 @@ type Engine struct {
 // and feed the returned sorted lists into the local operator pipeline.
 // The context passed to EvalContext flows through unchanged, so remote
 // resolution honors the caller's deadline and cancellation.
+//
+// It is a per-session hook: set it on the Session a query evaluates
+// on. Sessions copy their base engine's resolver, so one set on a
+// shared base engine (core.Directory.Engine's) would redirect every
+// query of every caller of that snapshot.
 func (e *Engine) SetResolver(r func(context.Context, *query.Atomic) (*plist.List, error)) {
 	e.resolver = r
 }
@@ -113,30 +117,28 @@ func (e *Engine) Store() *store.Store { return e.st }
 // meter). Sessions share the base engine's store, configuration,
 // resolver, and worker semaphore — the worker budget is global across
 // concurrent sessions — so creating one is a struct copy. Each arena
-// must be used by at most one evaluation at a time; concurrent queries
-// take one session each.
+// must be used by at most one query at a time; concurrent queries take
+// one session each. The operator methods (EvalBool, Compute*, Naive*,
+// EvalHier, EvalSimpleAgg, EvalEmbedRef) write their output to the
+// session's scratch disk, so they are called on a session.
 func (e *Engine) Session(a *pager.Arena) *Engine {
 	s := *e
 	s.arena = a
 	return &s
 }
 
-// disk returns the device operator intermediates are written to: the
-// session's scratch disk, or (legacy shared-disk evaluation) the
-// store's own disk.
-func (e *Engine) disk() *pager.Disk {
-	if e.arena != nil {
-		return e.arena.Scratch()
-	}
-	return e.st.Disk()
-}
+// disk returns the session's scratch disk, the device operator
+// intermediates and results are written to.
+func (e *Engine) disk() *pager.Disk { return e.arena.Scratch() }
 
 func (e *Engine) sortCfg() extsort.Config {
 	return extsort.Config{MemBytes: e.cfg.SortMemBytes, Workers: e.cfg.Workers}
 }
 
 // Eval evaluates a query tree and returns the result list, sorted by
-// reverse-DN key. Intermediate lists are freed as they are consumed.
+// reverse-DN key. Intermediate lists are freed as they are consumed. On
+// a base engine it evaluates on a fresh arena over the store's disk; the
+// result lives on that arena's scratch disk and is freed like any list.
 func (e *Engine) Eval(q query.Query) (*plist.List, error) {
 	return e.EvalContext(context.Background(), q)
 }
@@ -150,9 +152,13 @@ func (e *Engine) Eval(q query.Query) (*plist.List, error) {
 // When the context carries an obs.Tracer, every operator is wrapped in
 // a span recording its wall time, input/output cardinalities, and exact
 // pager.Stats delta — the per-operator cost breakdown the paper's
-// Section 9 tables report, measured live. Without a tracer the
-// instrumentation is a nil check per node.
+// Section 9 tables report, measured live. The tracer must window the
+// arena the query runs on, so a traced query evaluates on a Session.
+// Without a tracer the instrumentation is a nil check per node.
 func (e *Engine) EvalContext(ctx context.Context, q query.Query) (*plist.List, error) {
+	if e.arena == nil {
+		return e.Session(pager.NewArena(e.st.Disk())).EvalContext(ctx, q)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -229,16 +235,10 @@ func (e *Engine) evalNode(ctx context.Context, sp *obs.Span, q query.Query) (*pl
 				sp.Tag("knn", plan.Path)
 			}
 		}
-		if e.arena != nil {
-			return e.st.EvalArena(e.arena, n)
-		}
-		return e.st.Eval(n)
+		return e.st.EvalArena(e.arena, n)
 
 	case *query.LDAP:
-		if e.arena != nil {
-			return e.st.EvalLDAPArena(e.arena, n)
-		}
-		return e.st.EvalLDAP(n)
+		return e.st.EvalLDAPArena(e.arena, n)
 
 	case *query.Bool:
 		ls, err := e.evalChildren(ctx, n.Q1, n.Q2)
@@ -303,37 +303,6 @@ func (e *Engine) evalNode(ctx context.Context, sp *obs.Span, q query.Query) (*pl
 	default:
 		return nil, fmt.Errorf("engine: unknown query node %T", q)
 	}
-}
-
-// EvalString parses, validates, and evaluates a query in the paper's
-// surface syntax.
-func (e *Engine) EvalString(text string) (*plist.List, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	if err := query.Validate(e.st.Schema(), q); err != nil {
-		return nil, err
-	}
-	return e.Eval(q)
-}
-
-// Entries evaluates a query and drains the result into memory — for
-// small results, tools, and tests.
-func (e *Engine) Entries(q query.Query) ([]*model.Entry, error) {
-	l, err := e.Eval(q)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := plist.Drain(l)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*model.Entry, len(recs))
-	for i, r := range recs {
-		out[i] = r.Entry
-	}
-	return out, l.Free()
 }
 
 func freeAll(ls ...*plist.List) {

@@ -276,7 +276,7 @@ func TestPaperWorkedHierExamples(t *testing.T) {
 
 	// children: ou=research and ou=deep directly contain a jagadish;
 	// ou=labs only transitively, so it must be excluded.
-	got, err := e.Entries(query.MustParse(
+	got, err := entriesOf(e, query.MustParse(
 		`(c (dc=att, dc=com ? sub ? objectClass=organizationalUnit)
 		    (dc=att, dc=com ? sub ? surName=jagadish))`))
 	if err != nil {
@@ -293,7 +293,7 @@ func TestPaperWorkedHierExamples(t *testing.T) {
 
 	// ancestors (d-style, Example 5.2 shape): org units with some
 	// jagadish descendant: research, labs, deep.
-	got, err = e.Entries(query.MustParse(
+	got, err = entriesOf(e, query.MustParse(
 		`(d (dc=att, dc=com ? sub ? objectClass=organizationalUnit)
 		    (dc=att, dc=com ? sub ? surName=jagadish))`))
 	if err != nil {
@@ -327,7 +327,7 @@ func TestDifferenceExample41(t *testing.T) {
 	mk("uid=j2, dc=research, dc=att, dc=com", "inetOrgPerson", "jagadish")
 
 	e := newEngineFromInstance(t, in)
-	got, err := e.Entries(query.MustParse(
+	got, err := entriesOf(e, query.MustParse(
 		`(- (dc=att, dc=com ? sub ? surName=jagadish)
 		    (dc=research, dc=att, dc=com ? sub ? surName=jagadish))`))
 	if err != nil {
@@ -338,6 +338,23 @@ func TestDifferenceExample41(t *testing.T) {
 	}
 }
 
+// entriesOf evaluates q and drains the result into memory.
+func entriesOf(e *Engine, q query.Query) ([]*model.Entry, error) {
+	l, err := e.Eval(q)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := plist.Drain(l)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*model.Entry, len(recs))
+	for i, r := range recs {
+		out[i] = r.Entry
+	}
+	return out, l.Free()
+}
+
 func newEngineFromInstance(t testing.TB, in *model.Instance) *Engine {
 	t.Helper()
 	d := pager.NewDisk(512)
@@ -346,22 +363,6 @@ func newEngineFromInstance(t testing.TB, in *model.Instance) *Engine {
 		t.Fatal(err)
 	}
 	return New(st, Config{})
-}
-
-func TestEvalStringValidates(t *testing.T) {
-	r := rand.New(rand.NewSource(30))
-	in := randForest(t, r, 10)
-	e := newEngine(t, in, Config{})
-	if _, err := e.EvalString("( ? sub ? nosuch=1)"); err == nil {
-		t.Error("unknown attribute accepted")
-	}
-	l, err := e.EvalString("( ? sub ? tag=a)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Count() == 0 {
-		t.Error("expected matches")
-	}
 }
 
 func TestStackWindowInvariance(t *testing.T) {
@@ -392,7 +393,9 @@ func TestHierLinearIOvsNaiveQuadratic(t *testing.T) {
 	measure := func(naive bool, n int) (io int64, pages int) {
 		r := rand.New(rand.NewSource(40))
 		in := randForest(t, r, n)
-		e := newEngine(t, in, Config{Naive: naive})
+		base := newEngine(t, in, Config{Naive: naive})
+		arena := pager.NewArena(base.Store().Disk())
+		e := base.Session(arena)
 		q := query.MustParse("(a ( ? sub ? tag=a) ( ? sub ? tag=b))")
 		l1, err := e.Eval(q.(*query.Hier).Q1)
 		if err != nil {
@@ -403,7 +406,7 @@ func TestHierLinearIOvsNaiveQuadratic(t *testing.T) {
 			t.Fatal(err)
 		}
 		pages = l1.Pages() + l2.Pages()
-		e.disk().ResetStats()
+		before := arena.Stats()
 		var out *plist.List
 		if naive {
 			out, err = e.NaiveHier(query.OpAncestors, l1, l2, nil, nil)
@@ -414,7 +417,7 @@ func TestHierLinearIOvsNaiveQuadratic(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = out
-		return e.disk().Stats().IO(), pages
+		return arena.Stats().Sub(before).IO(), pages
 	}
 	fastSmall, pSmall := measure(false, 200)
 	fastBig, pBig := measure(false, 1600)
@@ -437,14 +440,16 @@ func TestHierLinearIOvsNaiveQuadratic(t *testing.T) {
 func TestEngineFreesIntermediates(t *testing.T) {
 	r := rand.New(rand.NewSource(50))
 	in := randForest(t, r, 80)
-	e := newEngine(t, in, Config{})
-	before := e.disk().NumPages()
+	base := newEngine(t, in, Config{})
+	arena := pager.NewArena(base.Store().Disk())
+	e := base.Session(arena)
+	before := arena.Scratch().NumPages()
 	q := query.MustParse("(c (& ( ? sub ? tag=a) ( ? sub ? val<4)) (| ( ? sub ? tag=b) ( ? sub ? tag=c)) count($2) > 0)")
 	l, err := e.Eval(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := e.disk().NumPages()
+	after := arena.Scratch().NumPages()
 	if after > before+l.Pages() {
 		t.Errorf("leaked pages: %d before, %d after, result %d", before, after, l.Pages())
 	}

@@ -5,9 +5,21 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/pager"
 	"repro/internal/query"
 )
+
+// faultySession returns a session whose store disk and scratch disk
+// both consult fault — every page the evaluation reads or writes.
+func faultySession(t *testing.T, in *model.Instance, cfg Config, fault func(string, pager.PageID) error) *Engine {
+	t.Helper()
+	base := newEngine(t, in, cfg)
+	arena := pager.NewArena(base.Store().Disk())
+	arena.Base().SetFault(fault)
+	arena.Scratch().SetFault(fault)
+	return base.Session(arena)
+}
 
 // TestFaultInjectionPropagates drives every operator over a disk that
 // fails after a budget of operations and asserts the failure surfaces
@@ -31,26 +43,22 @@ func TestFaultInjectionPropagates(t *testing.T) {
 		q := query.MustParse(qs)
 		// Find the fault-free operation count, then fail at a few points
 		// inside it.
-		e := newEngine(t, in, Config{StackWindow: 2})
-		d := e.disk()
 		var total int64
-		d.SetFault(func(op string, _ pager.PageID) error {
+		e := faultySession(t, in, Config{StackWindow: 2}, func(op string, _ pager.PageID) error {
 			total++
 			return nil
 		})
 		if _, err := e.Eval(q); err != nil {
 			t.Fatalf("%s: fault-free eval failed: %v", qs, err)
 		}
-		d.SetFault(nil)
 
 		for _, frac := range []float64{0.1, 0.5, 0.9} {
 			budget := int64(float64(total) * frac)
 			if budget == 0 {
 				continue
 			}
-			e := newEngine(t, in, Config{StackWindow: 2})
 			var n int64
-			e.disk().SetFault(func(op string, _ pager.PageID) error {
+			e := faultySession(t, in, Config{StackWindow: 2}, func(op string, _ pager.PageID) error {
 				n++
 				if n > budget {
 					return boom
@@ -73,10 +81,9 @@ func TestFaultInjectionPropagates(t *testing.T) {
 func TestFaultDuringAtomicEval(t *testing.T) {
 	r := rand.New(rand.NewSource(112))
 	in := randForest(t, r, 200)
-	e := newEngine(t, in, Config{})
 	boom := errors.New("boom")
 	var n int
-	e.disk().SetFault(func(op string, _ pager.PageID) error {
+	e := faultySession(t, in, Config{}, func(op string, _ pager.PageID) error {
 		n++
 		if op == "read" && n > 10 {
 			return boom

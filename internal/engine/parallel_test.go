@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ldif"
+	"repro/internal/pager"
 	"repro/internal/plist"
 	"repro/internal/query"
 )
@@ -99,7 +100,9 @@ func TestParallelResolverErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	var calls int32
 	var mu sync.Mutex
-	e.SetResolver(func(ctx context.Context, q *query.Atomic) (*plist.List, error) {
+	arena := pager.NewArena(e.st.Disk())
+	sess := e.Session(arena)
+	sess.SetResolver(func(ctx context.Context, q *query.Atomic) (*plist.List, error) {
 		mu.Lock()
 		calls++
 		n := calls
@@ -107,10 +110,10 @@ func TestParallelResolverErrorWins(t *testing.T) {
 		if n == 1 {
 			return nil, boom
 		}
-		return e.st.Eval(q)
+		return e.st.EvalArena(arena, q)
 	})
 	q := query.MustParse("(| (& ( ? sub ? tag=a) ( ? sub ? tag=b)) (& ( ? sub ? val<3) ( ? sub ? val>=1)))")
-	if _, err := e.Eval(q); !errors.Is(err, boom) {
+	if _, err := sess.Eval(q); !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want %v", err, boom)
 	}
 }

@@ -63,7 +63,7 @@ type Tag struct {
 // Span records the evaluation of one plan operator. IO and Dur cover
 // the whole subtree (children included); Self* subtract the children,
 // so summing Self I/O over a tree reproduces the root's total exactly —
-// the conservation law the tracer tests assert against Disk.Stats().
+// the conservation law the tracer tests assert against Arena.Stats().
 type Span struct {
 	Op       string        `json:"op"`               // operator mnemonic: atomic, ldap, &, |, -, p, c, a, d, ac, dc, g, vd, dv
 	Detail   string        `json:"detail,omitempty"` // e.g. the atomic query text
@@ -309,10 +309,12 @@ func fmtDur(d time.Duration) string {
 // valid no-op receiver for every method, so instrumented code pays one
 // nil check — no allocation, no lock — when tracing is off.
 //
-// A tracer is single-goroutine, like the evaluation it observes:
-// core.Directory and dirserver.Coordinator serialize pipeline
-// evaluation, which is also what makes the recorded pager.Stats deltas
-// exact (see the ownership rule on pager.Stats).
+// A tracer is single-goroutine, like the traced evaluation it observes
+// (traced queries run serially). core.Directory and
+// dirserver.Coordinator give every traced query a tracer over its own
+// pager.Arena, which is what makes the recorded pager.Stats deltas
+// exact while other queries run (see the ownership rule on
+// pager.Stats).
 type Tracer struct {
 	src     StatsSource
 	stack   []*Span
@@ -322,10 +324,10 @@ type Tracer struct {
 }
 
 // StatsSource is anything whose cumulative page-I/O counters a Tracer
-// can window: a shared *pager.Disk (exact only under the serialized
-// evaluation of the ownership rule) or a per-query *pager.Arena (exact
-// even while other queries run, because the arena's counters are
-// private to the one evaluation being traced).
+// can window: in practice a per-query *pager.Arena, exact even while
+// other queries run because the arena's counters are private to the one
+// evaluation being traced. A *pager.Disk also qualifies, exact only
+// while nothing else touches it (the ownership rule).
 type StatsSource interface {
 	Stats() pager.Stats
 }

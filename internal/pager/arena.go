@@ -51,11 +51,11 @@ func (m *Meter) Stats() Stats {
 // (intermediate lists, spools, sort runs, stacks, annotation files,
 // the result list) goes to a private scratch disk, and every page it
 // reads from the shared base disk (master-list entries, index pages)
-// is additionally counted on the arena's meter. The base disk is never
-// written between store swaps, so any number of arenas evaluate
+// is additionally counted on the arena's meter. A published base disk
+// is sealed and never written, so any number of arenas evaluate
 // concurrently, and each one's Stats are exact without any
-// serialization — the per-query replacement for the windowed
-// Disk.Stats deltas that required one-evaluation-at-a-time discipline.
+// serialization. It is the only evaluation mode: nothing takes windowed
+// Disk.Stats deltas of a shared disk.
 type Arena struct {
 	base    *Disk
 	scratch *Disk

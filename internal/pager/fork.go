@@ -15,11 +15,12 @@ import (
 // which pages it dirtied, which is exactly the page set a delta
 // checkpoint (WriteDeltaTo) must carry against the parent's image.
 //
-// Safety model: forks rely on the same invariant the snapshot-swap
-// core already enforces — a published store's Disk is never written
-// again. The fork therefore reads shared page slices without taking
-// the parent's lock, and a Write on a shared page installs a fresh
-// private slice instead of zeroing the shared one in place.
+// Safety model: a published store's Disk is never written again. core
+// seals every disk it publishes (Seal), so a write to one fails with
+// ErrSealed instead of racing its readers and forks. The fork therefore
+// reads shared page slices without taking the parent's lock, and a
+// Write on a shared page installs a fresh private slice instead of
+// zeroing the shared one in place.
 
 // Fork returns a copy-on-write child of the device. The child sees the
 // parent's current pages and free list; writes, allocations, and frees
@@ -143,8 +144,12 @@ func (d *Disk) WriteDeltaTo(w io.Writer, dirty []PageID) (int64, error) {
 // same incremental-allocation discipline as ReadDisk applies — lying
 // headers on truncated streams fail at the truncation point. The
 // caller owns d exclusively (recovery replays deltas onto a private
-// disk before anything is published).
+// disk before anything is published); a sealed d refuses with
+// ErrSealed.
 func (d *Disk) ApplyDelta(r io.Reader) error {
+	if d.sealed.Load() {
+		return ErrSealed
+	}
 	br := bufio.NewReader(r)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {

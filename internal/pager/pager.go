@@ -34,14 +34,13 @@ const DefaultPageSize = 4096
 // but a windowed delta (Stats-before subtracted from Stats-after)
 // attributes I/O to the measurer only if nothing else touches the
 // Disk during the window. Readers that share a Disk see each other's
-// page accesses in their deltas. Every per-query delta in this
-// repository is therefore taken under serialized evaluation —
-// core.Directory's mutex, the Coordinator's evalMu — and the obs
-// tracer documents the same requirement. Intra-query parallelism
-// (engine Workers > 1) does not violate the rule: the whole parallel
-// evaluation happens inside one serialized window, so its delta still
-// belongs to that one query. TestStatsDeltaOwnership asserts both
-// halves of the rule.
+// page accesses in their deltas. Per-query accounting in this
+// repository therefore never windows a shared disk: every evaluation
+// runs on its own Arena, whose scratch disk and meter no other query
+// touches, and the obs tracer windows that arena. Intra-query
+// parallelism (engine Workers > 1) shares one arena and still belongs
+// to the one query. TestStatsDeltaOwnership asserts both halves of
+// the rule.
 type Stats struct {
 	Reads  int64 // pages read
 	Writes int64 // pages written
@@ -62,6 +61,7 @@ func (s Stats) Sub(t Stats) Stats {
 // IO returns reads + writes, the quantity the paper's theorems bound.
 func (s Stats) IO() int64 { return s.Reads + s.Writes }
 
+// String formats the counters for logs and test failures.
 func (s Stats) String() string {
 	return fmt.Sprintf("reads=%d writes=%d allocs=%d frees=%d", s.Reads, s.Writes, s.Allocs, s.Frees)
 }
@@ -103,6 +103,9 @@ type Disk struct {
 	owned   map[PageID]bool
 	dirty   map[PageID]struct{}
 
+	// sealed makes the device read-only (see Seal).
+	sealed atomic.Bool
+
 	shards     [statsShards]statsShard
 	nextHandle atomic.Uint32
 }
@@ -111,6 +114,8 @@ type Disk struct {
 var (
 	ErrBadPage  = errors.New("pager: invalid page id")
 	ErrPageSize = errors.New("pager: data exceeds page size")
+	// ErrSealed is returned by every mutator of a sealed disk.
+	ErrSealed = errors.New("pager: disk is sealed")
 )
 
 // NewDisk creates a device with the given page size (DefaultPageSize if
@@ -136,6 +141,13 @@ func (d *Disk) SetFault(f func(op string, id PageID) error) {
 	d.mu.Unlock()
 }
 
+// Seal makes the device read-only for good: Write, Alloc, Free and
+// ApplyDelta return ErrSealed from now on, while reads, Fork, WriteTo,
+// WriteDeltaTo, Dirty and Stats work as before. A fork of a sealed disk
+// is an ordinary writable disk. Publishing a store seals its disk, which
+// turns the fork safety model (fork.go) into a checked invariant.
+func (d *Disk) Seal() { d.sealed.Store(true) }
+
 // shardFor picks the counter shard for direct (handle-less) operations:
 // keyed by page id so concurrent readers of different pages touch
 // different cache lines.
@@ -145,6 +157,9 @@ func (d *Disk) shardFor(id PageID) *statsShard {
 
 // Alloc reserves a fresh (zeroed) page.
 func (d *Disk) Alloc() (PageID, error) {
+	if d.sealed.Load() {
+		return 0, ErrSealed
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.fault != nil {
@@ -172,6 +187,9 @@ func (d *Disk) Alloc() (PageID, error) {
 
 // Free releases a page for reuse.
 func (d *Disk) Free(id PageID) error {
+	if d.sealed.Load() {
+		return ErrSealed
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if int(id) <= 0 || int(id) >= len(d.pages) {
@@ -224,6 +242,9 @@ func (d *Disk) readCounted(id PageID, buf []byte, sh *statsShard) error {
 // Write stores data (at most PageSize bytes) as the new content of page
 // id and counts one page write.
 func (d *Disk) Write(id PageID, data []byte) error {
+	if d.sealed.Load() {
+		return ErrSealed
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if int(id) <= 0 || int(id) >= len(d.pages) {
@@ -258,9 +279,9 @@ func (d *Disk) Write(id PageID, data []byte) error {
 }
 
 // Stats returns a snapshot of the I/O counters: the sum over all
-// shards. Under quiescence (or serialized evaluation — see the
-// ownership rule) the snapshot is exact; concurrent operations land in
-// either the before or the after of a windowed delta, never nowhere.
+// shards. Under quiescence the snapshot is exact; concurrent operations
+// land in either the before or the after of a windowed delta, never
+// nowhere.
 // Code that needs per-query exactness on a concurrently shared disk
 // should not take windowed deltas here at all — it should evaluate on
 // an Arena, whose Stats are query-private by construction.

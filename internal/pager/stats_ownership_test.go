@@ -11,7 +11,8 @@ import (
 //  1. the global counters are exact under concurrency — G readers
 //     sharing one Disk lose no updates;
 //  2. a windowed delta taken while others use the Disk includes their
-//     I/O too, so per-query deltas require serialized evaluation.
+//     I/O too, so per-query deltas need a disk of their own (an
+//     Arena's scratch and meter).
 func TestStatsDeltaOwnership(t *testing.T) {
 	const (
 		goroutines = 8
@@ -83,8 +84,8 @@ func TestStatsDeltaOwnership(t *testing.T) {
 		t.Fatalf("window delta %d exceeds global delta %d", windowDelta.Reads, total.Reads)
 	}
 
-	// With the disk to itself, the same window is exact — the
-	// serialized-evaluation discipline every per-query delta relies on.
+	// With the disk to itself, the same window is exact — which is why
+	// per-query accounting windows a private arena, never a shared disk.
 	solo := d.Stats()
 	buf := make([]byte, 512)
 	for i := 0; i < readsEach; i++ {

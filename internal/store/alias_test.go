@@ -54,7 +54,7 @@ func TestPoisonedReadsSameAnswers(t *testing.T) {
 				q := query.MustParse(c).(*query.Atomic)
 				want := fmt.Sprint(oracle(in, q))
 				for _, path := range forcedPaths {
-					l, err := forcePath(ns.legacyEnv(), q, path)
+					l, err := forcePath(testEnv(ns), q, path)
 					if err != nil {
 						t.Fatalf("indexed=%v %s path=%s: %v", indexed, c, path, err)
 					}

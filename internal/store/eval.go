@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"repro/internal/btree"
@@ -14,50 +13,36 @@ import (
 	"repro/internal/query"
 )
 
-// evalEnv binds one atomic evaluation to its output device and its I/O
-// attribution sink. Two configurations exist:
-//
-//   - the legacy environment (out = the store's own disk, no meter):
-//     intermediates and results land next to the data, and callers
-//     account I/O with windowed Disk.Stats deltas under serialized
-//     evaluation — the pre-snapshot-swap discipline, still used by the
-//     distributed Coordinator and by direct store/engine tools;
-//   - an arena environment (out = the arena's scratch disk, meter = the
-//     arena's): the store disk is only read, every written page goes to
-//     query-private scratch, and base-disk reads are charged to the
-//     meter — which is what lets any number of evaluations run
-//     concurrently with exact per-query accounting.
+// evalEnv binds one atomic evaluation to its arena: every page the
+// evaluation writes (spools, sort runs, the result list) goes to the
+// arena's scratch disk, and every read of the store's disk is charged to
+// the arena's meter. The store's disk is only read, so any number of
+// evaluations, on distinct arenas, run concurrently with exact
+// per-query accounting.
 type evalEnv struct {
 	s   *Store
 	out *pager.Disk  // destination for spools, sort runs, result lists
-	m   *pager.Meter // charged for reads of the store's disk (nil = uncharged)
+	m   *pager.Meter // charged for reads of the store's disk
 }
-
-func (s *Store) legacyEnv() *evalEnv { return &evalEnv{s: s, out: s.disk} }
 
 func (s *Store) arenaEnv(a *pager.Arena) *evalEnv {
 	return &evalEnv{s: s, out: a.Scratch(), m: a.Meter()}
 }
 
-// Eval evaluates an atomic query (Definition 4.1), producing a list of
-// the matching entries sorted by reverse-DN key. When the attribute
-// index is available and the filter is index-supported (equality,
-// presence, integer comparisons, wildcard strings) and the catalog does
-// not expect a scan to be cheaper (preferScan), evaluation uses the
-// B+tree (and, for wildcards, the suffix index); otherwise it scans the
-// scope's contiguous master range. That comparison, made here per
-// atomic, is the only access-path decision in the system.
+// EvalArena evaluates an atomic query (Definition 4.1) on the arena,
+// producing a list of the matching entries sorted by reverse-DN key.
+// When the attribute index is available and the filter is
+// index-supported (equality, presence, integer comparisons, wildcard
+// strings) and the catalog does not expect a scan to be cheaper
+// (preferScan), evaluation uses the B+tree (and, for wildcards, the
+// suffix index); otherwise it scans the scope's contiguous master range.
+// That comparison, made here per atomic, is the only access-path
+// decision in the system.
 //
-// Result and intermediate lists are written to the store's own disk;
-// callers needing concurrent evaluation use EvalArena instead.
-func (s *Store) Eval(q *query.Atomic) (*plist.List, error) {
-	return s.legacyEnv().eval(q)
-}
-
-// EvalArena is Eval with all written pages placed on the arena's
-// private scratch disk and all reads of the store's disk charged to the
-// arena's meter. The store's disk is never written, so any number of
-// EvalArena calls (on distinct arenas) may run concurrently.
+// All written pages land on the arena's private scratch disk and all
+// reads of the store's disk are charged to the arena's meter. The
+// store's disk is never written, so any number of EvalArena calls (on
+// distinct arenas) may run concurrently.
 func (s *Store) EvalArena(a *pager.Arena, q *query.Atomic) (*plist.List, error) {
 	return s.arenaEnv(a).eval(q)
 }
@@ -108,13 +93,9 @@ func (env *evalEnv) evalBase(q *query.Atomic) (*plist.List, error) {
 	return w.Close()
 }
 
-// EvalScan evaluates an atomic query by scanning the scope range,
-// ignoring any indexes — the baseline for experiment E15.
-func (s *Store) EvalScan(q *query.Atomic) (*plist.List, error) {
-	return s.legacyEnv().evalScan(q)
-}
-
-// EvalScanArena is EvalScan in an arena environment (see EvalArena).
+// EvalScanArena evaluates an atomic query on the arena (see EvalArena)
+// by scanning the scope range, ignoring any indexes — the baseline for
+// experiment E15.
 func (s *Store) EvalScanArena(a *pager.Arena, q *query.Atomic) (*plist.List, error) {
 	return s.arenaEnv(a).evalScan(q)
 }
@@ -122,22 +103,17 @@ func (s *Store) EvalScanArena(a *pager.Arena, q *query.Atomic) (*plist.List, err
 func (env *evalEnv) evalScan(q *query.Atomic) (*plist.List, error) {
 	if q.Filter.Op == filter.OpKNN && q.Scope != query.ScopeBase {
 		// A per-entry scan cannot express top-k; the forced-scan path for
-		// knn is the brute-force selection — which keeps EvalScan exact,
-		// so it stays usable as the oracle for every access path.
+		// knn is the brute-force selection — which keeps EvalScanArena
+		// exact, so it stays usable as the oracle for every access path.
 		return env.knnScan(q)
 	}
 	return env.scanEval(q.Base, q.Scope, q.Filter)
 }
 
-// EvalLDAP evaluates an LDAP query — one base, one scope, a boolean
-// combination of atomic filters — by scanning the scope range. This is
-// the paper's baseline language; its single-scan evaluation is exactly
-// what deployed servers do.
-func (s *Store) EvalLDAP(q *query.LDAP) (*plist.List, error) {
-	return s.legacyEnv().evalLDAP(q)
-}
-
-// EvalLDAPArena is EvalLDAP in an arena environment (see EvalArena).
+// EvalLDAPArena evaluates an LDAP query — one base, one scope, a
+// boolean combination of atomic filters — on the arena (see EvalArena)
+// by scanning the scope range. This is the paper's baseline language;
+// its single-scan evaluation is exactly what deployed servers do.
 func (s *Store) EvalLDAPArena(a *pager.Arena, q *query.LDAP) (*plist.List, error) {
 	return s.arenaEnv(a).evalLDAP(q)
 }
@@ -397,18 +373,4 @@ func (env *evalEnv) collectFetch(q *query.Atomic, ranges [][2][]byte, ordered bo
 	}
 	l, err := w.Close()
 	return l, true, err
-}
-
-// EvalString parses and evaluates an atomic query given in surface
-// syntax; a convenience for tools and tests.
-func (s *Store) EvalString(text string) (*plist.List, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	a, ok := q.(*query.Atomic)
-	if !ok {
-		return nil, fmt.Errorf("store: %q is not atomic; use the engine for composite queries", text)
-	}
-	return s.Eval(a)
 }

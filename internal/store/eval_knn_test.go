@@ -119,16 +119,16 @@ func TestKNNIndexByteIdenticalToScan(t *testing.T) {
 			for vi, vec := range vectors {
 				text := knnQuery(c.base, c.scope, vec, k)
 				q := query.MustParse(text).(*query.Atomic)
-				li, err := st.Eval(q)
+				li, err := evalAtomic(st, q)
 				if err != nil {
 					t.Fatalf("%s: %v", text, err)
 				}
-				ls, err := st.EvalScan(q)
+				ls, err := evalScan(st, q)
 				if err != nil {
 					t.Fatalf("%s: %v", text, err)
 				}
 				// The index path also where the store would not choose it.
-				lf, err := forcePath(st.legacyEnv(), q, PathKNNIndex)
+				lf, err := forcePath(testEnv(st), q, PathKNNIndex)
 				if err != nil {
 					t.Fatalf("%s: %v", text, err)
 				}
@@ -173,11 +173,11 @@ func TestKNNTieBreak(t *testing.T) {
 	}
 	for _, k := range []int{1, 2, 3, 5, 9} {
 		q := query.MustParse(knnQuery("n=root", "sub", []float32{0, 0}, k)).(*query.Atomic)
-		li, err := st.Eval(q)
+		li, err := evalAtomic(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, err := st.EvalScan(q)
+		ls, err := evalScan(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,13 +51,13 @@ func TestEvalPathByteIdentity(t *testing.T) {
 	}
 	for _, c := range atomicCases {
 		q := query.MustParse(c).(*query.Atomic)
-		l, err := st.Eval(q)
+		l, err := evalAtomic(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := keysOf(t, l)
 		for _, path := range forcedPaths {
-			lp, err := forcePath(st.legacyEnv(), q, path)
+			lp, err := forcePath(testEnv(st), q, path)
 			if err != nil {
 				t.Fatalf("%s path %s: %v", c, path, err)
 			}

@@ -99,7 +99,7 @@ func TestApplyOpsMatchesOracle(t *testing.T) {
 		for _, c := range overlayCases {
 			q := query.MustParse(c).(*query.Atomic)
 			want := oracle(in, q)
-			l, err := ns.Eval(q)
+			l, err := evalAtomic(ns, q)
 			if err != nil {
 				t.Fatalf("indexed=%v %s: %v", indexed, c, err)
 			}
@@ -108,7 +108,7 @@ func TestApplyOpsMatchesOracle(t *testing.T) {
 			}
 			// Every forced access path must agree.
 			for _, path := range forcedPaths {
-				lp, err := forcePath(ns.legacyEnv(), q, path)
+				lp, err := forcePath(testEnv(ns), q, path)
 				if err != nil {
 					t.Fatalf("indexed=%v %s path=%s: %v", indexed, c, path, err)
 				}
@@ -119,7 +119,7 @@ func TestApplyOpsMatchesOracle(t *testing.T) {
 		}
 		// The unmutated store still answers from its own (old) snapshot.
 		q := query.MustParse("(dc=com ? sub ? surName=newcomer)").(*query.Atomic)
-		l, err := st.Eval(q)
+		l, err := evalAtomic(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestApplyOpsChainMatchesOracle(t *testing.T) {
 		for _, c := range cases {
 			q := query.MustParse(c).(*query.Atomic)
 			want := fmt.Sprint(oracle(in, q))
-			l, err := st.Eval(q)
+			l, err := evalAtomic(st, q)
 			if err != nil {
 				t.Fatalf("%s %s: %v", label, c, err)
 			}
@@ -230,7 +230,7 @@ func TestApplyOpsChainMatchesOracle(t *testing.T) {
 				t.Errorf("%s %s:\n got %v\nwant %v", label, c, got, want)
 			}
 			for _, path := range forcedPaths {
-				lp, err := forcePath(st.legacyEnv(), q, path)
+				lp, err := forcePath(testEnv(st), q, path)
 				if err != nil {
 					t.Fatalf("%s %s path=%s: %v", label, c, path, err)
 				}
@@ -276,7 +276,7 @@ func TestApplyOpsReopenRoundTrip(t *testing.T) {
 	for _, c := range overlayCases {
 		q := query.MustParse(c).(*query.Atomic)
 		want := oracle(in, q)
-		l, err := ro.Eval(q)
+		l, err := evalAtomic(ro, q)
 		if err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}
@@ -467,7 +467,7 @@ func TestOverlayReadersSeeOwnGeneration(t *testing.T) {
 	view := func(s *Store) string {
 		var b strings.Builder
 		for _, p := range probes {
-			l, err := forcePath(s.arenaEnv(pager.NewArena(s.Disk())), p, PathIndex)
+			l, err := forcePath(testEnv(s), p, PathIndex)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -484,7 +484,7 @@ func TestOverlayReadersSeeOwnGeneration(t *testing.T) {
 		want := fmt.Sprint(markers(g))
 		for done := false; !done; done = stop.Load() {
 			for _, path := range forcedPaths {
-				l, err := forcePath(s.arenaEnv(pager.NewArena(s.Disk())), q, path)
+				l, err := forcePath(testEnv(s), q, path)
 				if err != nil {
 					t.Errorf("generation %d path %s: %v", g, path, err)
 					return

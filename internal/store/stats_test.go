@@ -92,11 +92,11 @@ func TestCostBasedChoiceKeepsAnswers(t *testing.T) {
 	}
 	for _, qs := range atomicCases {
 		q := query.MustParse(qs).(*query.Atomic)
-		a, err := st.Eval(q)
+		a, err := evalAtomic(st, q)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
-		b, err := st.EvalScan(q)
+		b, err := evalScan(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}

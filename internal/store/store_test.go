@@ -149,6 +149,25 @@ var atomicCases = []string{
 	"(dc=com ? sub ? surName<m)",
 }
 
+// testEnv returns an evaluation environment on a fresh arena over s's
+// disk.
+func testEnv(s *Store) *evalEnv { return s.arenaEnv(pager.NewArena(s.Disk())) }
+
+// evalAtomic evaluates q on a fresh arena over st's disk.
+func evalAtomic(st *Store, q *query.Atomic) (*plist.List, error) {
+	return st.EvalArena(pager.NewArena(st.Disk()), q)
+}
+
+// evalScan is evalAtomic with the access path forced to the scope scan.
+func evalScan(st *Store, q *query.Atomic) (*plist.List, error) {
+	return st.EvalScanArena(pager.NewArena(st.Disk()), q)
+}
+
+// evalLDAP evaluates an LDAP query on a fresh arena over st's disk.
+func evalLDAP(st *Store, q *query.LDAP) (*plist.List, error) {
+	return st.EvalLDAPArena(pager.NewArena(st.Disk()), q)
+}
+
 func TestEvalMatchesOracle(t *testing.T) {
 	in := buildTestInstance(t, 60)
 	for _, indexed := range []bool{true, false} {
@@ -160,7 +179,7 @@ func TestEvalMatchesOracle(t *testing.T) {
 		for _, c := range atomicCases {
 			q := query.MustParse(c).(*query.Atomic)
 			want := oracle(in, q)
-			l, err := st.Eval(q)
+			l, err := evalAtomic(st, q)
 			if err != nil {
 				t.Fatalf("indexed=%v %s: %v", indexed, c, err)
 			}
@@ -181,11 +200,11 @@ func TestEvalScanAlwaysAgreesWithIndex(t *testing.T) {
 	}
 	for _, c := range atomicCases {
 		q := query.MustParse(c).(*query.Atomic)
-		li, err := st.Eval(q)
+		li, err := evalAtomic(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, err := st.EvalScan(q)
+		ls, err := evalScan(st, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +289,7 @@ func TestEvalLDAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := st.EvalLDAP(q)
+	l, err := evalLDAP(st, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +321,8 @@ func TestSubScopeIsContiguousScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := query.MustParse("(dc=ibm, dc=com ? sub ? objectClass=*)").(*query.Atomic)
-	d.ResetStats()
-	l, err := st.Eval(q)
+	arena := pager.NewArena(d)
+	l, err := st.EvalArena(arena, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,24 +332,8 @@ func TestSubScopeIsContiguousScan(t *testing.T) {
 	}
 	// The ibm subtree holds 1 entry; a full scan would read every master
 	// page. Expect a handful of pages: btree descent + 1-2 master pages.
-	if io := d.Stats().IO(); io > 15 {
+	if io := arena.Stats().IO(); io > 15 {
 		t.Errorf("tiny-subtree sub scan cost %d I/Os (master has %d pages)", io, st.MasterPages())
-	}
-}
-
-func TestEvalStringConvenience(t *testing.T) {
-	in := buildTestInstance(t, 5)
-	d := pager.NewDisk(1024)
-	st, _ := Build(d, in, Options{AttrIndex: true})
-	l, err := st.EvalString("(dc=com ? sub ? objectClass=dcObject)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Count() != 4 {
-		t.Errorf("count = %d, want 4", l.Count())
-	}
-	if _, err := st.EvalString("(& (dc=com ? sub ? dc=*) (dc=com ? sub ? dc=*))"); err == nil {
-		t.Error("composite accepted by EvalString")
 	}
 }
 
@@ -343,7 +346,7 @@ func TestUnknownAttributeFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := &query.Atomic{Base: nil, Scope: query.ScopeSub, Filter: atom}
-	l, err := st.Eval(q)
+	l, err := evalAtomic(st, q)
 	if err != nil {
 		t.Fatal(err)
 	}

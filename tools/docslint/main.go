@@ -39,6 +39,8 @@ var docPackages = []string{
 	"internal/planner",
 	"internal/store",
 	"internal/btree",
+	"internal/pager",
+	"internal/dirserver",
 }
 
 // historyDocs record what past changes did and may name packages that
