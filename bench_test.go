@@ -345,3 +345,59 @@ func BenchmarkOpen(b *testing.B) {
 		})
 	}
 }
+
+// analyticQueries is dirload's analytic mix (benchmark/dirload,
+// workloads.go): every L0–L3 plan operator over the whole forest.
+var analyticQueries = []string{
+	`( ? sub ? tag=a)`,
+	`(- ( ? sub ? tag=a) ( ? sub ? val<2))`,
+	`(p ( ? sub ? tag=a) ( ? sub ? tag=b))`,
+	`(a ( ? sub ? tag=a) ( ? sub ? tag=b))`,
+	`(ac ( ? sub ? tag=a) ( ? sub ? tag=b) ( ? sub ? tag=c))`,
+	`(c (& ( ? sub ? tag=a) ( ? sub ? val<5)) (| ( ? sub ? tag=b) ( ? sub ? tag=c)) count($2) > 0)`,
+	`(dc (& ( ? sub ? tag=a) ( ? sub ? tag=a)) (d ( ? sub ? tag=b) ( ? sub ? val>=1)) ( ? sub ? tag=c) count($2) >= 1)`,
+	`(vd (g ( ? sub ? tag=a) count(ref) >= 1) (d ( ? sub ? tag=b) ( ? sub ? val<6)) ref)`,
+	`(dv ( ? sub ? tag=a) ( ? sub ? tag=b) ref count($2) >= 1)`,
+	`(& ( ? sub ? tag=a) ( ? sub ? val<5))`,
+	`(d ( ? sub ? tag=a) ( ? sub ? tag=b))`,
+	`(g ( ? sub ? tag=a) count(ref) >= 1)`,
+}
+
+// BenchmarkAnalytic is the in-process analytic row: one op is the whole
+// 12-query mix on a random forest of 3 000 entries (seed 1), each query
+// evaluated on a fresh session and its result drained to entries, as a
+// served query is. Beside time and allocations it reports the mix's
+// page I/O split in two: reads of the store's disk (basePages/op) and
+// the traffic on the sessions' scratch disks (scratchPages/op).
+func BenchmarkAnalytic(b *testing.B) {
+	dir, err := core.Open(workload.RandomForest(workload.ForestConfig{N: 3000, Seed: 1}), core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := make([]query.Query, len(analyticQueries))
+	for i, text := range analyticQueries {
+		qs[i] = query.MustParse(text)
+	}
+	var base, scratch int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			arena := pager.NewArena(dir.Disk())
+			l, err := dir.Engine().Session(arena).Eval(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := plist.Drain(l); err != nil {
+				b.Fatal(err)
+			}
+			if err := l.Free(); err != nil {
+				b.Fatal(err)
+			}
+			base += arena.Meter().Stats().IO()
+			scratch += arena.Scratch().Stats().IO()
+		}
+	}
+	b.ReportMetric(float64(base)/float64(b.N), "basePages/op")
+	b.ReportMetric(float64(scratch)/float64(b.N), "scratchPages/op")
+}
