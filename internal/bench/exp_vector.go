@@ -7,6 +7,7 @@ import (
 	"repro/internal/pager"
 	"repro/internal/plist"
 	"repro/internal/query"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -183,7 +184,7 @@ func E22VectorScope(sizes []int) *Table {
 					ratio = fmt.Sprintf("%.1fx", float64(gp)/float64(sp))
 				}
 				t.AddRow(n, fmt.Sprintf("depth %d", b.dn.Depth()), b.count, qc.label,
-					st.ExplainAtomic(q).Path, sp, gp, ratio,
+					st.ExplainAtomic(q, store.NeedAll).Path, sp, gp, ratio,
 					fmt.Sprintf("%.2f", scopedRecall),
 					fmt.Sprintf("%.2f", e22Recall(exact, postGot)))
 			}

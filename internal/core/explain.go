@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // Explain describes how a query would be evaluated, without running it:
@@ -19,12 +20,14 @@ type Explain struct {
 	Atoms     []AtomPlan
 }
 
-// AtomPlan is the plan for one atomic leaf: the access path the store
-// would take and the catalog's estimate. The actual cardinality and
-// I/O are on the atomic's span when the query is evaluated traced.
+// AtomPlan is the plan for one atomic leaf: what its consumer reads of
+// it, the access path the store would take for that, and the catalog's
+// estimate. The actual cardinality and I/O are on the atomic's span
+// when the query is evaluated traced.
 type AtomPlan struct {
 	Query     string
 	Path      string // base-point | index | scan | knn-index | knn-scan
+	Need      string // all | keys
 	EstHits   int64  // -1 if the catalog cannot estimate; k for knn
 	ScanBytes int64
 }
@@ -40,7 +43,7 @@ func (e *Explain) String() string {
 		fmt.Fprintf(&b, "rules: %s\n", strings.Join(e.Rules, ", "))
 	}
 	for _, a := range e.Atoms {
-		fmt.Fprintf(&b, "atom %-10s est=%-6d scope=%dB  %s\n", a.Path, a.EstHits, a.ScanBytes, a.Query)
+		fmt.Fprintf(&b, "atom %-10s need=%-4s est=%-6d scope=%dB  %s\n", a.Path, a.Need, a.EstHits, a.ScanBytes, a.Query)
 	}
 	return b.String()
 }
@@ -59,15 +62,16 @@ func (d *Directory) ExplainQuery(text string) (*Explain, error) {
 	}
 	plan := d.planQuery(snap, q)
 	ex := &Explain{Language: q.Language(), Original: q.String(), Optimized: plan.Query.String(), Rules: plan.Rules}
-	query.Walk(plan.Query, func(node query.Query) {
+	snap.eng.WalkNeeds(plan.Query, func(node query.Query, need store.Need) {
 		a, ok := node.(*query.Atomic)
 		if !ok {
 			return
 		}
-		p := snap.st.ExplainAtomic(a)
+		p := snap.st.ExplainAtomic(a, need)
 		ex.Atoms = append(ex.Atoms, AtomPlan{
 			Query:     a.String(),
 			Path:      p.Path,
+			Need:      p.Need.String(),
 			EstHits:   p.EstHits,
 			ScanBytes: p.ScanBytes,
 		})

@@ -7,18 +7,8 @@ import (
 	"repro/internal/model"
 	"repro/internal/plist"
 	"repro/internal/query"
+	"repro/internal/store"
 )
-
-// EvalEmbedRef evaluates the L3 embedded-reference operators by the
-// sort-merge technique of Section 7.2 (Algorithm ComputeERAggDV, Fig 3,
-// and its symmetric vd counterpart), with or without aggregate
-// selection. A nil sel means the plain semijoin semantics (count($2)>0).
-func (e *Engine) EvalEmbedRef(op query.RefOp, l1, l2 *plist.List, attr string, sel *query.AggSel) (*plist.List, error) {
-	if op == query.OpDNValue {
-		return e.ComputeERAggDV(l1, l2, attr, sel)
-	}
-	return e.ComputeERAggVD(l1, l2, attr, sel)
-}
 
 // dnValuesOf returns the distinct DN-valued entries of attr in e, as
 // reverse keys. Witness sets are sets: duplicate pairs in one entry must
@@ -50,6 +40,16 @@ func dnValuesOf(e model.Attrs, attr string) []string {
 // merge-joins LP against L1 (both sorted the same way), folding witness
 // statistics per L1 entry. Phase 3 applies the aggregate selection.
 func (e *Engine) ComputeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggSel) (*plist.List, error) {
+	return e.computeERAggDV(l1, l2, attr, sel, store.NeedAll)
+}
+
+// computeERAggDV is ComputeERAggDV with LP's pairs cut to what the
+// witness folds read: under NeedKeys (every fold is count($2), see
+// witnessNeed) a pair is the embedded DN's key alone, not that key with
+// the whole referencing entry, which shrinks the sort of Theorem 7.1.
+// The evaluator passes the need it derives; an operator called on its
+// own keeps Figure 3's (DN, entry) pairs.
+func (e *Engine) computeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggSel, pairs store.Need) (*plist.List, error) {
 	attr = model.NormalizeAttr(attr)
 	specs := witnessSpecs(sel)
 
@@ -65,7 +65,10 @@ func (e *Engine) ComputeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggS
 			return nil, err
 		}
 		for _, k := range dnValuesOf(rec, attr) {
-			pair := rec.Under(k)
+			pair := plist.Record{Key: k}
+			if pairs == store.NeedAll {
+				pair = rec.Under(k)
+			}
 			if err := spool.Append(&pair); err != nil {
 				return nil, err
 			}

@@ -64,10 +64,15 @@ func (c Config) withDefaults() Config {
 }
 
 // Engine evaluates L0..L3 query trees bottom-up against a directory
-// store, pipelining sorted intermediate lists between operators
-// (Section 8.2): atomic queries evaluate through the store's indexes,
-// every operator consumes sorted lists and emits a sorted list, and no
-// intermediate re-sorting is ever needed.
+// store, passing sorted intermediate lists between operators (Section
+// 8.2): atomic queries evaluate through the store's indexes, every
+// operator consumes sorted lists and emits a sorted list, and no
+// intermediate re-sorting is ever needed. It does not pipeline: each
+// operator writes its whole result to the session's scratch disk
+// before its consumer reads it (streaming operators into each other is
+// ROADMAP item 8). What it does cut is what an intermediate carries: an
+// operand whose consumer reads only keys is evaluated to keys
+// (operandNeeds).
 type Engine struct {
 	st       *store.Store
 	cfg      Config
@@ -81,6 +86,10 @@ type Engine struct {
 	// charged to its meter, leaving the store's disk read-only. Nil on a
 	// base engine, whose Eval opens a fresh arena per call.
 	arena *pager.Arena
+	// allNeeds makes every operand need whole entries while keeping the
+	// stack operators: the reference the package's tests hold the
+	// derived needs to.
+	allNeeds bool
 }
 
 // SetResolver installs an atomic-query resolver consulted instead of the
@@ -119,8 +128,8 @@ func (e *Engine) Store() *store.Store { return e.st }
 // concurrent sessions — so creating one is a struct copy. Each arena
 // must be used by at most one query at a time; concurrent queries take
 // one session each. The operator methods (EvalBool, Compute*, Naive*,
-// EvalHier, EvalSimpleAgg, EvalEmbedRef) write their output to the
-// session's scratch disk, so they are called on a session.
+// EvalHier, EvalSimpleAgg) write their output to the session's scratch
+// disk, so they are called on a session.
 func (e *Engine) Session(a *pager.Arena) *Engine {
 	s := *e
 	s.arena = a
@@ -159,6 +168,13 @@ func (e *Engine) EvalContext(ctx context.Context, q query.Query) (*plist.List, e
 	if e.arena == nil {
 		return e.Session(pager.NewArena(e.st.Disk())).EvalContext(ctx, q)
 	}
+	return e.eval(ctx, q, store.NeedAll)
+}
+
+// eval evaluates q for a consumer that reads need of each result
+// record. The root of a query needs whole entries; each operator
+// derives its operands' needs (operandNeeds) and passes them down.
+func (e *Engine) eval(ctx context.Context, q query.Query, need store.Need) (*plist.List, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -167,7 +183,7 @@ func (e *Engine) EvalContext(ctx context.Context, q query.Query) (*plist.List, e
 	if sp != nil && e.cfg.Naive {
 		sp.Tag("impl", "naive")
 	}
-	l, err := e.evalNode(ctx, sp, q)
+	l, err := e.evalNode(ctx, sp, q, need)
 	if err != nil {
 		tr.Fail(sp, err)
 		return nil, err
@@ -214,34 +230,108 @@ func opDetail(q query.Query) string {
 	}
 }
 
-// evalNode dispatches one operator under an open span (sp may be nil).
-// Children recurse through EvalContext, so their spans nest under sp
-// and sp's I/O delta covers the whole subtree.
-func (e *Engine) evalNode(ctx context.Context, sp *obs.Span, q query.Query) (*plist.List, error) {
+// operandNeeds returns what operator q reads of each of its operands,
+// in operand order, when q's own consumer reads need (DESIGN.md §16).
+// Every operator's result is a subset of its first operand, so the
+// first operand inherits need unless an aggregate selection reads its
+// entries. A witness or blocker operand is read for its keys alone
+// unless the selection folds one of its attributes, and an operand
+// whose attribute an operator joins on is read whole. Naive evaluation
+// reads every operand whole, which keeps it an independent oracle for
+// the derived needs.
+func (e *Engine) operandNeeds(q query.Query, need store.Need) (ns [3]store.Need) {
+	if e.cfg.Naive || e.allNeeds {
+		return ns
+	}
+	self := func(sel *query.AggSel) store.Need {
+		if sel != nil {
+			return store.NeedAll
+		}
+		return need
+	}
+	switch n := q.(type) {
+	case *query.Bool:
+		// & and - keep entries of the left operand only; an entry the
+		// merge takes from the left needs none from the right.
+		ns[0], ns[1] = need, store.NeedKeys
+		if n.Op == query.OpOr {
+			ns[1] = need
+		}
+	case *query.Hier:
+		ns[0], ns[1], ns[2] = self(n.AggSel), e.witnessNeed(n.AggSel), store.NeedKeys
+	case *query.EmbedRef:
+		// The operand holding the references (dv's L2, vd's L1) is read
+		// whole.
+		if n.Op == query.OpDNValue {
+			ns[0] = self(n.AggSel)
+		} else {
+			ns[1] = e.witnessNeed(n.AggSel)
+		}
+	}
+	return ns
+}
+
+// WalkNeeds calls fn for every node of q, root first and operands in
+// order (query.Walk's order), with the need the evaluator derives for
+// it: what EXPLAIN reports beside each atomic's access path.
+func (e *Engine) WalkNeeds(q query.Query, fn func(query.Query, store.Need)) {
+	e.walkNeeds(q, store.NeedAll, fn)
+}
+
+func (e *Engine) walkNeeds(q query.Query, need store.Need, fn func(query.Query, store.Need)) {
+	fn(q, need)
+	ns := e.operandNeeds(q, need)
+	for i, c := range q.Subqueries() {
+		e.walkNeeds(c, ns[i], fn)
+	}
+}
+
+// witnessNeed is the need of a witness operand under the selection: its
+// keys alone when every fold over it is count($2). dv's pairs (see
+// computeERAggDV) take the same need.
+func (e *Engine) witnessNeed(sel *query.AggSel) store.Need {
+	if e.cfg.Naive || e.allNeeds {
+		return store.NeedAll
+	}
+	for _, a := range witnessSpecs(sel) {
+		if a != "" {
+			return store.NeedAll
+		}
+	}
+	return store.NeedKeys
+}
+
+// evalNode dispatches one operator under an open span (sp may be nil)
+// for a consumer that reads need of its records. Children recurse
+// through eval, so their spans nest under sp and sp's I/O delta covers
+// the whole subtree.
+func (e *Engine) evalNode(ctx context.Context, sp *obs.Span, q query.Query, need store.Need) (*plist.List, error) {
+	ns := e.operandNeeds(q, need)
 	switch n := q.(type) {
 	case *query.Atomic:
 		if e.resolver != nil {
+			// A resolver returns whole records, which satisfy any need.
 			return e.resolver(ctx, n)
 		}
+		l, plan, err := e.st.EvalNeed(e.arena, n, need)
 		if sp != nil {
-			// Surface the plan on the operator's span — access path and
-			// catalog estimate — so trace trees show which plan ran, and
-			// what the catalog expected, next to the exact cardinality
-			// and page I/O.
-			plan := e.st.ExplainAtomic(n)
+			// Surface the plan that ran on the operator's span — access
+			// path, need and catalog estimate — next to the exact
+			// cardinality and page I/O.
 			sp.Tag("path", plan.Path)
+			sp.Tag("need", plan.Need.String())
 			sp.Tag("est", strconv.FormatInt(plan.EstHits, 10))
 			if n.Filter.Op == filter.OpKNN {
 				sp.Tag("knn", plan.Path)
 			}
 		}
-		return e.st.EvalArena(e.arena, n)
+		return l, err
 
 	case *query.LDAP:
 		return e.st.EvalLDAPArena(e.arena, n)
 
 	case *query.Bool:
-		ls, err := e.evalChildren(ctx, n.Q1, n.Q2)
+		ls, err := e.evalChildren(ctx, ns, n.Q1, n.Q2)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +348,7 @@ func (e *Engine) evalNode(ctx context.Context, sp *obs.Span, q query.Query) (*pl
 		if n.Q3 != nil {
 			qs = append(qs, n.Q3)
 		}
-		ls, err := e.evalChildren(ctx, qs...)
+		ls, err := e.evalChildren(ctx, ns, qs...)
 		if err != nil {
 			return nil, err
 		}
@@ -279,7 +369,7 @@ func (e *Engine) evalNode(ctx context.Context, sp *obs.Span, q query.Query) (*pl
 		return e.EvalHier(n.Op, l1, l2, l3, n.AggSel)
 
 	case *query.SimpleAgg:
-		l1, err := e.EvalContext(ctx, n.Q)
+		l1, err := e.eval(ctx, n.Q, ns[0])
 		if err != nil {
 			return nil, err
 		}
@@ -288,7 +378,7 @@ func (e *Engine) evalNode(ctx context.Context, sp *obs.Span, q query.Query) (*pl
 		return e.EvalSimpleAgg(l1, n.AggSel)
 
 	case *query.EmbedRef:
-		ls, err := e.evalChildren(ctx, n.Q1, n.Q2)
+		ls, err := e.evalChildren(ctx, ns, n.Q1, n.Q2)
 		if err != nil {
 			return nil, err
 		}
@@ -298,7 +388,12 @@ func (e *Engine) evalNode(ctx context.Context, sp *obs.Span, q query.Query) (*pl
 		if e.cfg.Naive {
 			return e.NaiveEmbedRef(n.Op, l1, l2, n.Attr, n.AggSel)
 		}
-		return e.EvalEmbedRef(n.Op, l1, l2, n.Attr, n.AggSel)
+		// The sort-merge technique of Section 7.2: Algorithm
+		// ComputeERAggDV (Fig 3) and its symmetric vd counterpart.
+		if n.Op == query.OpDNValue {
+			return e.computeERAggDV(l1, l2, n.Attr, n.AggSel, e.witnessNeed(n.AggSel))
+		}
+		return e.ComputeERAggVD(l1, l2, n.Attr, n.AggSel)
 
 	default:
 		return nil, fmt.Errorf("engine: unknown query node %T", q)

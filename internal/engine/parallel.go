@@ -8,10 +8,12 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plist"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
-// evalChildren evaluates the operands of one operator and returns their
-// result lists in operand order. This is the engine's only scheduling
+// evalChildren evaluates the operands of one operator, operand i for a
+// consumer reading needs[i], and returns their result lists in operand
+// order. This is the engine's only scheduling
 // point (DESIGN.md §9): with Workers > 1 and no tracer attached, each
 // operand after the first is handed to a pool goroutine when a worker
 // slot is free, and evaluated inline otherwise; the first operand always
@@ -30,11 +32,11 @@ import (
 // list is freed, and the first non-cancellation error is returned (so a
 // real failure is not masked by the context.Canceled its cancellation
 // induced in siblings).
-func (e *Engine) evalChildren(ctx context.Context, qs ...query.Query) ([]*plist.List, error) {
+func (e *Engine) evalChildren(ctx context.Context, needs [3]store.Need, qs ...query.Query) ([]*plist.List, error) {
 	if e.sem == nil || len(qs) < 2 || obs.FromContext(ctx) != nil {
 		out := make([]*plist.List, len(qs))
 		for i, q := range qs {
-			l, err := e.EvalContext(ctx, q)
+			l, err := e.eval(ctx, q, needs[i])
 			if err != nil {
 				freeAll(out...)
 				return nil, err
@@ -56,19 +58,19 @@ func (e *Engine) evalChildren(ctx context.Context, qs ...query.Query) ([]*plist.
 			go func(i int) {
 				defer wg.Done()
 				defer func() { <-e.sem }()
-				out[i], errs[i] = e.EvalContext(ctx, qs[i])
+				out[i], errs[i] = e.eval(ctx, qs[i], needs[i])
 				if errs[i] != nil {
 					cancel()
 				}
 			}(i)
 		default:
-			out[i], errs[i] = e.EvalContext(ctx, qs[i])
+			out[i], errs[i] = e.eval(ctx, qs[i], needs[i])
 			if errs[i] != nil {
 				cancel()
 			}
 		}
 	}
-	out[0], errs[0] = e.EvalContext(ctx, qs[0])
+	out[0], errs[0] = e.eval(ctx, qs[0], needs[0])
 	if errs[0] != nil {
 		cancel()
 	}

@@ -10,42 +10,55 @@ import (
 	"repro/internal/query"
 )
 
+// vocab is the vocabulary of random queries: the generator of their
+// atomic leaves, the integer attribute their aggregate selections fold,
+// and the DN-valued attribute their embedded references follow.
+type vocab struct {
+	atomic   func(*rand.Rand) *query.Atomic
+	val, ref string
+}
+
+// forestVocab is randForest's vocabulary.
+var forestVocab = vocab{atomic: randAtomic, val: "val", ref: "ref"}
+
 // randQuery generates a random query tree of bounded depth over the
 // random-forest vocabulary, covering every node type and aggregate
 // form. Together with TestQuickRandomQueriesMatchOracle it extends the
 // fixed query pool to the full AST space.
-func randQuery(r *rand.Rand, depth int) query.Query {
+func randQuery(r *rand.Rand, depth int) query.Query { return forestVocab.query(r, depth) }
+
+func (v vocab) query(r *rand.Rand, depth int) query.Query {
 	if depth <= 0 || r.Intn(3) == 0 {
-		return randAtomic(r)
+		return v.atomic(r)
 	}
 	switch r.Intn(8) {
 	case 0, 1:
 		return &query.Bool{
 			Op: query.BoolOp(r.Intn(3)),
-			Q1: randQuery(r, depth-1),
-			Q2: randQuery(r, depth-1),
+			Q1: v.query(r, depth-1),
+			Q2: v.query(r, depth-1),
 		}
 	case 2, 3, 4:
 		op := query.HierOp(r.Intn(6))
-		h := &query.Hier{Op: op, Q1: randQuery(r, depth-1), Q2: randQuery(r, depth-1)}
+		h := &query.Hier{Op: op, Q1: v.query(r, depth-1), Q2: v.query(r, depth-1)}
 		if op.Ternary() {
-			h.Q3 = randQuery(r, depth-1)
+			h.Q3 = v.query(r, depth-1)
 		}
 		if r.Intn(2) == 0 {
-			h.AggSel = randAggSel(r, true)
+			h.AggSel = v.aggSel(r, true)
 		}
 		return h
 	case 5:
-		return &query.SimpleAgg{Q: randQuery(r, depth-1), AggSel: randAggSel(r, false)}
+		return &query.SimpleAgg{Q: v.query(r, depth-1), AggSel: v.aggSel(r, false)}
 	default:
 		e := &query.EmbedRef{
 			Op:   query.RefOp(r.Intn(2)),
-			Q1:   randQuery(r, depth-1),
-			Q2:   randQuery(r, depth-1),
-			Attr: "ref",
+			Q1:   v.query(r, depth-1),
+			Q2:   v.query(r, depth-1),
+			Attr: v.ref,
 		}
 		if r.Intn(2) == 0 {
-			e.AggSel = randAggSel(r, true)
+			e.AggSel = v.aggSel(r, true)
 		}
 		return e
 	}
@@ -69,7 +82,7 @@ func randAtomic(r *rand.Rand) *query.Atomic {
 	}
 }
 
-func randAggSel(r *rand.Rand, structural bool) *query.AggSel {
+func (v vocab) aggSel(r *rand.Rand, structural bool) *query.AggSel {
 	fns := []query.AggFunc{query.AggMin, query.AggMax, query.AggCount, query.AggSum, query.AggAvg}
 	mkSide := func() query.AggAttr {
 		k := r.Intn(4)
@@ -80,17 +93,17 @@ func randAggSel(r *rand.Rand, structural bool) *query.AggSel {
 		case 0:
 			return query.ConstAttr(int64(r.Intn(6)))
 		case 1:
-			return query.EntryAttr(fns[r.Intn(len(fns))], query.VarSelf, "val")
+			return query.EntryAttr(fns[r.Intn(len(fns))], query.VarSelf, v.val)
 		case 2:
 			if r.Intn(2) == 0 {
 				return query.CountWitness()
 			}
-			return query.EntryAttr(fns[r.Intn(len(fns))], query.VarWitness, "val")
+			return query.EntryAttr(fns[r.Intn(len(fns))], query.VarWitness, v.val)
 		default:
 			if r.Intn(3) == 0 {
 				return query.AggAttr{Kind: query.KindEntrySet, Form: query.SetCountAll}
 			}
-			inner := query.EntryAgg{Fn: fns[r.Intn(len(fns))], Over: query.Var(r.Intn(2)), Attr: "val"}
+			inner := query.EntryAgg{Fn: fns[r.Intn(len(fns))], Over: query.Var(r.Intn(2)), Attr: v.val}
 			if r.Intn(4) == 0 {
 				inner = query.EntryAgg{Fn: query.AggCount, Over: query.VarWitness} // count($2)
 			}

@@ -5,8 +5,8 @@
 // generalizations ComputeHSAgg (Fig 6, Section 6.4), simple aggregate
 // selection (Section 6.3), the sort-merge embedded-reference algorithms
 // ComputeERAggDV/VD (Fig 3, Section 7.2), the naive quadratic baselines
-// each of those sections starts from, and the pipelined bottom-up
-// query-tree executor of Section 8.2.
+// each of those sections starts from, and the bottom-up query-tree
+// executor of Section 8.2.
 //
 // All operators consume and produce lists sorted by reverse-DN key, use
 // O(1) buffered pages (stacks spill through plist.Stack), and perform

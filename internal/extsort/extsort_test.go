@@ -71,7 +71,7 @@ func TestSortPreservesDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plist.Drain(l)
+	got, err := plist.DrainReader(l.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSortAlreadySorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plist.Drain(l)
+	got, err := plist.DrainReader(l.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestParallelSortPreservesDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plist.Drain(l)
+	got, err := plist.DrainReader(l.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -386,7 +386,8 @@ func Materialize(disk *pager.Disk, r RecordReader) (*List, error) {
 // Drain reads every record of the list into memory with its entry
 // materialized (Record.Materialize: the list must be keyed by its own
 // entries, as every query result is) — where entries leave the engine.
-// The records share nothing with the list.
+// A record without an entry is refused with ErrNoEntry. The records
+// share nothing with the list.
 func Drain(l *List) ([]*Record, error) {
 	out := make([]*Record, 0, min(l.Count(), l.Size()))
 	rd := l.Reader()
@@ -398,10 +399,11 @@ func Drain(l *List) ([]*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := &Record{Key: strings.Clone(rec.Key), Label: rec.Label, A: rec.A, B: rec.B, Aux: slices.Clone(rec.Aux)}
-		if rec.HasEntry() {
-			c.Entry = rec.decodeEntry(c.Key)
+		if !rec.HasEntry() {
+			return nil, fmt.Errorf("%w: %q", ErrNoEntry, rec.Key)
 		}
+		c := &Record{Key: strings.Clone(rec.Key), Label: rec.Label, A: rec.A, B: rec.B, Aux: slices.Clone(rec.Aux)}
+		c.Entry = rec.decodeEntry(c.Key)
 		out = append(out, c)
 	}
 }

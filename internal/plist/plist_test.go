@@ -1,6 +1,7 @@
 package plist
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -42,8 +43,8 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		if got.Entry != nil || !got.HasEntry() {
 			t.Fatalf("decoded record %d: Entry %v, HasEntry %v; want the entry encoded only", i, got.Entry, got.HasEntry())
 		}
-		if e := got.Materialize(); !e.Equal(r.Entry) || e.Key() != r.Key {
-			t.Fatalf("entry mismatch:\n%s\nvs\n%s", e, r.Entry)
+		if e, err := got.Materialize(); err != nil || !e.Equal(r.Entry) || e.Key() != r.Key {
+			t.Fatalf("entry mismatch (%v):\n%s\nvs\n%s", err, e, r.Entry)
 		}
 	}
 }
@@ -54,8 +55,8 @@ func TestRecordCodecNilEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.HasEntry() || got.Materialize() != nil || got.Key != r.Key || got.A != 9 {
-		t.Fatalf("got %+v", got)
+	if _, merr := got.Materialize(); got.HasEntry() || !errors.Is(merr, ErrNoEntry) || got.Key != r.Key || got.A != 9 {
+		t.Fatalf("got %+v, Materialize: %v", got, merr)
 	}
 }
 
@@ -289,7 +290,10 @@ func TestStackRecords(t *testing.T) {
 		t.Fatalf("pop2: %v %v", got2, err)
 	}
 	got1, err := s.PopRecord()
-	if err != nil || !got1.Materialize().Equal(r1.Entry) {
+	if err != nil {
+		t.Fatalf("pop1: %v", err)
+	}
+	if e, err := got1.Materialize(); err != nil || !e.Equal(r1.Entry) {
 		t.Fatalf("pop1: %v %v", got1, err)
 	}
 }

@@ -38,6 +38,11 @@ var ErrCorrupt = errors.New("plist: corrupt record")
 
 func corrupt(what string) error { return fmt.Errorf("%w (%s)", ErrCorrupt, what) }
 
+// ErrNoEntry reports a record that carries no entry — a key-only record
+// of an operand evaluated for its keys — where an entry must leave the
+// engine.
+var ErrNoEntry = errors.New("plist: record carries no entry")
+
 // Record is one element of a list: a directory entry tagged with its
 // reverse-DN key, the label of which input lists it came from (the
 // label(rl) = {i | rl in Li} of Figures 2/4/5), and two operator-specific
@@ -134,16 +139,19 @@ func (r *Record) NumPairs() int {
 }
 
 // Materialize returns the record's entry, building it from the encoded
-// form on first use (nil if the record has none). The entry takes the
-// record's key as its own instead of deriving it from the DN again, so
-// this is for records keyed by their own entry — every list but the
-// pair lists Under and DNOnly make. The entry shares no memory with the
-// record's bytes.
-func (r *Record) Materialize() *model.Entry {
+// form on first use, or ErrNoEntry if the record has none. The entry
+// takes the record's key as its own instead of deriving it from the DN
+// again, so this is for records keyed by their own entry — every list
+// but the pair lists Under and DNOnly make. The entry shares no memory
+// with the record's bytes.
+func (r *Record) Materialize() (*model.Entry, error) {
 	if r.Entry == nil && r.pairs != nil {
 		r.Entry = r.decodeEntry(strings.Clone(r.Key))
 	}
-	return r.Entry
+	if r.Entry == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoEntry, r.Key)
+	}
+	return r.Entry, nil
 }
 
 func (r *Record) decodeEntry(key string) *model.Entry {

@@ -213,8 +213,8 @@ func TestRecordAnswersFromBytes(t *testing.T) {
 		if got.Entry != nil {
 			t.Fatal("reading attributes materialized the entry")
 		}
-		if e := got.Materialize(); !e.Equal(r.Entry) || e.Key() != r.Key {
-			t.Fatalf("materialized %s, want %s", e, r.Entry)
+		if e, err := got.Materialize(); err != nil || !e.Equal(r.Entry) || e.Key() != r.Key {
+			t.Fatalf("materialized %s (%v), want %s", e, err, r.Entry)
 		}
 		checkAgainstEntry(t, got, r.Entry) // now answered by the entry: same answers
 

@@ -11,24 +11,17 @@ import (
 	"repro/internal/vindex"
 )
 
-// evalKNN evaluates a knn(attr, vec, k) atomic filter under a one or
-// sub scope: the k entries of the scoped candidate set nearest to the
-// query vector (squared L2, ties by reverse-DN key), emitted as a
+// A knn(attr, vec, k) atomic filter under a one or sub scope selects
+// the k entries of the scoped candidate set nearest to the query vector
+// (squared L2, ties by reverse-DN key), emitted as a
 // reverse-DN-key-sorted list like every other atomic result. Two access
-// paths exist, chosen by scope selectivity, both exact: the flat vector
-// index (read only the posting pages overlapping the scope's contiguous
-// key range, then fetch the k winners from the master list) and a
-// brute-force scan of the scope's master range. The paths share the
-// distance function and the tie-break, so their answers are
-// byte-identical — knnScan is the oracle the index path is tested
+// paths exist, chosen by scope selectivity (preferKNNScanMetered), both
+// exact: the flat vector index (read only the posting pages overlapping
+// the scope's contiguous key range, then fetch the k winners from the
+// master list) and a brute-force scan of the scope's master range. The
+// paths share the distance function and the tie-break, so their answers
+// are byte-identical — knnScan is the oracle the index path is tested
 // against.
-func (env *evalEnv) evalKNN(q *query.Atomic) (*plist.List, error) {
-	ix := env.s.VectorIndex(q.Filter.Attr)
-	if ix == nil || env.s.preferKNNScanMetered(q, ix, env.m) {
-		return env.knnScan(q)
-	}
-	return env.knnIndex(q, ix)
-}
 
 // knnIndex is the index-backed path: a fence-guided scan of the posting
 // range [baseKey, SubtreeHigh(baseKey)), then k master fetches.
@@ -81,17 +74,14 @@ func (env *evalEnv) knnScan(q *query.Atomic) (*plist.List, error) {
 	return env.fetchNeighbors(top.Sorted())
 }
 
-// fetchNeighbors materializes the winners as a key-sorted entry list.
+// fetchNeighbors writes the winners as a key-sorted list, fetching
+// their entries unless the evaluation needs keys only.
 func (env *evalEnv) fetchNeighbors(nbrs []vindex.Neighbor) (*plist.List, error) {
 	sort.Slice(nbrs, func(i, j int) bool { return nbrs[i].Key < nbrs[j].Key })
 	w := plist.NewWriter(env.out)
 	rr := env.s.master.MeteredRandomReader(env.m)
 	for _, n := range nbrs {
-		rec, err := env.fetchAt(rr, n.Key, n.Off)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.Append(rec); err != nil {
+		if err := env.emit(w, rr, n.Key, n.Off); err != nil {
 			return nil, err
 		}
 	}

@@ -136,7 +136,7 @@ func TestKNNIndexByteIdenticalToScan(t *testing.T) {
 				want := drainRecords(t, ls)
 				sameRecords(t, label, drainRecords(t, li), want)
 				sameRecords(t, label+" forced knn-index", drainRecords(t, lf), want)
-				if st.ExplainAtomic(q).Path == "knn-index" {
+				if st.ExplainAtomic(q, NeedAll).Path == "knn-index" {
 					sawIndexPath = true
 				}
 			}
@@ -233,7 +233,7 @@ func TestKNNExplainPaths(t *testing.T) {
 	}
 	vec := make([]float32, knnDim)
 	q := query.MustParse(knnQuery(deep, "sub", vec, 2)).(*query.Atomic)
-	p := st.ExplainAtomic(q)
+	p := st.ExplainAtomic(q, NeedAll)
 	if p.Path != "knn-index" {
 		t.Errorf("deep subtree path = %q, want knn-index", p.Path)
 	}
@@ -242,7 +242,7 @@ func TestKNNExplainPaths(t *testing.T) {
 	}
 	// Base scope stays a point lookup regardless of the filter.
 	qb := query.MustParse(knnQuery(deep, "base", vec, 2)).(*query.Atomic)
-	if p := st.ExplainAtomic(qb); p.Path != "base-point" {
+	if p := st.ExplainAtomic(qb, NeedAll); p.Path != "base-point" {
 		t.Errorf("base scope path = %q, want base-point", p.Path)
 	}
 	// Without the attribute index there is no vector index: scan.
@@ -250,7 +250,7 @@ func TestKNNExplainPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := st2.ExplainAtomic(q); p.Path != "knn-scan" {
+	if p := st2.ExplainAtomic(q, NeedAll); p.Path != "knn-scan" {
 		t.Errorf("unindexed path = %q, want knn-scan", p.Path)
 	}
 }

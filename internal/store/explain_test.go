@@ -26,7 +26,7 @@ func TestExplainAtomicPaths(t *testing.T) {
 	}
 	for _, c := range cases {
 		q := query.MustParse(c.q).(*query.Atomic)
-		p := st.ExplainAtomic(q)
+		p := st.ExplainAtomic(q, NeedAll)
 		if p.Path != c.path {
 			t.Errorf("ExplainAtomic(%s).Path = %s, want %s", c.q, p.Path, c.path)
 		}
@@ -36,7 +36,7 @@ func TestExplainAtomicPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := stScan.ExplainAtomic(query.MustParse("( ? sub ? uid=u0003)").(*query.Atomic))
+	p := stScan.ExplainAtomic(query.MustParse("( ? sub ? uid=u0003)").(*query.Atomic), NeedAll)
 	if p.Path != "scan" || p.EstHits != -1 {
 		t.Errorf("unindexed plan = %+v", p)
 	}

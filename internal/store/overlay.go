@@ -224,7 +224,10 @@ func (s *Store) applyRemove(dn model.DN) error {
 		return err
 	}
 	// Removal is checked against, and unindexes, the whole entry.
-	e := rec.Materialize()
+	e, err := rec.Materialize()
+	if err != nil {
+		return err
+	}
 	if s.entryVectorIndexed(e) {
 		return fmt.Errorf("%w: entry %s has vector-indexed values", ErrNeedsRebuild, dn)
 	}
@@ -232,14 +235,18 @@ func (s *Store) applyRemove(dn model.DN) error {
 		return err
 	}
 	if s.attr != nil {
-		for _, av := range e.Pairs() {
+		pairs := e.Pairs()
+		for i, av := range pairs {
 			if av.Value.Kind() == model.KindVector {
 				continue
+			}
+			s.stats.unobserve(av.Attr, av.Value)
+			if i > 0 && pairs[i-1].Attr == av.Attr && pairs[i-1].Value.Equal(av.Value) {
+				continue // a value held twice has one posting (attrItems.load)
 			}
 			if err := s.attr.Delete(compositeKey(nil, av.Attr, av.Value, key)); err != nil {
 				return err
 			}
-			s.stats.unobserve(av.Attr, av.Value)
 		}
 	}
 	// Always tombstone: the key may shadow a master record (including

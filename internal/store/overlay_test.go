@@ -716,3 +716,72 @@ func TestReopenRefusesDamagedImage(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoveEntryHoldingAValueTwice: val(r) is a multiset, so an entry
+// may hold one value twice. The value has one posting (Build indexes a
+// key met twice once), and removing the entry deletes that posting once
+// instead of failing on the second delete.
+func TestRemoveEntryHoldingAValueTwice(t *testing.T) {
+	in := buildTestInstance(t, 10)
+	dn := model.MustParseDN("uid=twice, ou=userProfiles, dc=research, dc=att, dc=com")
+	e, err := model.NewEntryFromDN(in.Schema(), dn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AddClass("inetOrgPerson").Add("surName", model.String("twice")).Add("surName", model.String("twice"))
+	in.MustAdd(e)
+	st, err := Build(pager.NewDisk(pager.DefaultPageSize), in, Options{AttrIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := st.ApplyOps(st.Disk().Fork(), []EntryOp{{Remove: dn}})
+	if err != nil {
+		t.Fatalf("removing an entry that holds a value twice: %v", err)
+	}
+	l, err := evalAtomic(ns, query.MustParse("(dc=com ? sub ? surName=twice)").(*query.Atomic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keysOf(t, l); len(got) != 0 {
+		t.Errorf("removed entry still found: %v", got)
+	}
+	// Added back the same way, it is found once.
+	if ns, err = ns.ApplyOps(ns.Disk().Fork(), []EntryOp{{Add: e.Clone()}}); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = evalAtomic(ns, query.MustParse("(dc=com ? sub ? surName=twice)").(*query.Atomic)); err != nil {
+		t.Fatal(err)
+	}
+	if got := keysOf(t, l); len(got) != 1 {
+		t.Errorf("re-added entry found %d times", len(got))
+	}
+}
+
+// TestKeysOnlyPathsAfterApplyOps: after entry-level writes every access
+// path still answers a keys-only evaluation with exactly the keys of
+// the oracle. The keys-only index plan reads the attribute index alone,
+// which ApplyOps keeps exact: overlay postings for added entries, none
+// for removed ones.
+func TestKeysOnlyPathsAfterApplyOps(t *testing.T) {
+	in := buildTestInstance(t, 60)
+	st, err := Build(pager.NewDisk(pager.DefaultPageSize), in, Options{AttrIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, _ := mutateBoth(t, st, in)
+	for _, c := range overlayCases {
+		q := query.MustParse(c).(*query.Atomic)
+		want := oracle(in, q)
+		for _, path := range forcedPaths {
+			env := testEnv(ns)
+			env.need = NeedKeys
+			l, err := forcePath(env, q, path)
+			if err != nil {
+				t.Fatalf("%s path=%s: %v", c, path, err)
+			}
+			if got := onlyKeys(t, l); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s path=%s, keys:\n got %v\nwant %v", c, path, got, want)
+			}
+		}
+	}
+}

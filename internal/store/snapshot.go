@@ -127,8 +127,11 @@ func Reopen(disk *pager.Disk, schema *model.Schema, manifest []byte) (*Store, er
 		// The one place every record is decoded whole. Materialize takes
 		// the record's key for the entry's, so that the two agree is
 		// checked here, against the DN, and not by the gate.
-		e := rec.Materialize()
-		if e != nil && e.DN().Key() != rec.Key {
+		e, err := rec.Materialize()
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		if e.DN().Key() != rec.Key {
 			return fmt.Errorf("store: record %q carries the entry %s", rec.Key, e.DN())
 		}
 		if err := live.admit(rec.Key, e); err != nil || s.attr == nil {

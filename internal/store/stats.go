@@ -322,82 +322,82 @@ const (
 	PathKNNScan   = "knn-scan"
 )
 
-// Plan describes how the store would evaluate an atomic query.
+// Plan describes how the store evaluates an atomic query for one need.
 type Plan struct {
 	// Path is one of "base-point", "index", "scan", "knn-index", or
 	// "knn-scan".
 	Path string
+	// Need is what the plan's consumer reads of each record.
+	Need Need
 	// EstHits is the catalog's posting estimate (index-supported shapes
 	// only; -1 when unavailable). For knn it is the requested k.
 	EstHits int64
-	// ScanBytes is the scope range's exact master extent.
+	// ScanBytes is the scope range's exact master extent (ExplainAtomic
+	// only; an evaluation leaves it 0).
 	ScanBytes int64
 }
 
-// ExplainAtomic reports the access path Eval would choose, without
-// evaluating.
-func (s *Store) ExplainAtomic(q *query.Atomic) Plan {
-	p := Plan{EstHits: -1}
-	if q.Scope == query.ScopeBase {
+// plan chooses the access path of one atomic evaluation under need —
+// the only access-path decision in the system. The DN-index probes
+// behind the cost comparison are charged to m (nil = uncharged).
+func (s *Store) plan(q *query.Atomic, need Need, m *pager.Meter) Plan {
+	p := Plan{Path: PathScan, Need: need, EstHits: -1}
+	switch {
+	case q.Scope == query.ScopeBase:
 		p.Path = PathBasePoint
-		return p
-	}
-	if sb, err := s.scanBytes(q); err == nil {
-		p.ScanBytes = sb
-	}
-	if q.Filter.Op == filter.OpKNN {
-		p.EstHits = int64(q.Filter.K)
-		ix := s.VectorIndex(q.Filter.Attr)
-		if ix != nil && !s.preferKNNScanMetered(q, ix, nil) {
+	case q.Filter.Op == filter.OpKNN:
+		p.EstHits, p.Path = int64(q.Filter.K), PathKNNScan
+		if ix := s.VectorIndex(q.Filter.Attr); ix != nil && !s.preferKNNScanMetered(q, ix, m) {
 			p.Path = PathKNNIndex
-		} else {
-			p.Path = PathKNNScan
 		}
-		return p
-	}
-	if s.stats != nil {
-		if est, ok := s.stats.estimateHits(s, q); ok {
-			p.EstHits = est
+	default:
+		if s.stats != nil {
+			if est, ok := s.stats.estimateHits(s, q); ok {
+				p.EstHits = est
+			}
 		}
-	}
-	if s.attr != nil && !s.preferScan(q) && indexSupported(s, q) {
-		p.Path = PathIndex
-	} else {
-		p.Path = PathScan
+		if s.attr != nil && indexSupported(s, q) && !s.preferScan(q, need, m) {
+			p.Path = PathIndex
+		}
 	}
 	return p
 }
 
-// indexSupported mirrors indexEval's shape dispatch without running it.
+// ExplainAtomic reports the plan EvalNeed would run for need, without
+// evaluating, and the scope's master extent.
+func (s *Store) ExplainAtomic(q *query.Atomic, need Need) Plan {
+	p := s.plan(q, need, nil)
+	if p.Path != PathBasePoint {
+		p.ScanBytes, _ = s.scanBytes(q)
+	}
+	return p
+}
+
+// indexSupported reports whether the attribute index can serve the
+// filter's shape (indexEval's cases): presence, equality and wildcards
+// on any indexed attribute and comparisons on integer ones. Vectors have
+// no composite-key postings.
 func indexSupported(s *Store, q *query.Atomic) bool {
 	t, ok := s.schema.AttrType(q.Filter.Attr)
 	if !ok {
 		return true // degenerate: resolved to empty by the index path
 	}
-	switch q.Filter.Op {
+	switch kind := model.TypeKind(t); q.Filter.Op {
 	case filter.OpPresent, filter.OpEq:
-		return true
+		return kind != model.KindVector
 	case filter.OpLT, filter.OpLE, filter.OpGT, filter.OpGE:
-		return model.TypeKind(t) == model.KindInt
+		return kind == model.KindInt
 	default:
 		return false
 	}
 }
 
 // preferScan decides, per the catalog, whether a scope scan is expected
-// to beat the index for this filter. The single-range equality path
-// streams hits in key order (roughly one master-page touch per hit
-// page); the multi-range shapes (presence, wildcards, integer ranges)
-// additionally spool, sort and de-duplicate the hits, so they carry a
-// higher cost factor. Once the weighted hit volume approaches the
-// scope's byte extent, the contiguous scan wins.
-func (s *Store) preferScan(q *query.Atomic) bool {
-	return s.preferScanMetered(q, nil)
-}
-
-// preferScanMetered is preferScan with its DN-index probes charged to
-// the per-query meter.
-func (s *Store) preferScanMetered(q *query.Atomic, m *pager.Meter) bool {
+// to beat the index for this filter and need (see indexCostBytes). Once
+// the weighted hit volume approaches the scope's byte extent, the
+// contiguous scan wins. The two DN-index probes that measure the extent
+// are charged to m.
+func (s *Store) preferScan(q *query.Atomic, need Need, m *pager.Meter) bool {
 	if s.stats == nil {
 		return false
 	}
@@ -409,21 +409,26 @@ func (s *Store) preferScanMetered(q *query.Atomic, m *pager.Meter) bool {
 	if err != nil || scan == 0 {
 		return false
 	}
-	return s.indexCostBytes(q, hits, scan) > scan
+	return s.indexCostBytes(q, need, hits, scan) > scan
 }
 
 // indexCostBytes is the catalog's byte-cost model for the
 // attribute-index path, which preferScan weighs against the scope's
 // scan extent. The catalog is instance-global: the index plan walks
 // the full composite-key range for the filter (one leaf entry per
-// global hit), but fetches master records only for hits inside the
+// global hit). A keys-only plan costs that walk alone. A plan that
+// needs entries also fetches master records for the hits inside the
 // scope — the fetch volume is scaled by the scope's fraction of the
-// master (attribute independence).
-// Multi-range shapes (presence, wildcards, integer ranges) additionally
-// spool, sort and de-duplicate the hits, so they carry a higher cost
-// factor than the single-range equality path.
-func (s *Store) indexCostBytes(q *query.Atomic, hits, scan int64) int64 {
+// master (attribute independence) — and the single-range equality path
+// streams them in key order (roughly one master-page touch per hit
+// page), while the multi-range shapes (presence, wildcards, integer
+// ranges) additionally spool, sort and de-duplicate the hits, so they
+// carry a higher cost factor.
+func (s *Store) indexCostBytes(q *query.Atomic, need Need, hits, scan int64) int64 {
 	const leafEntryBytes = 64
+	if need == NeedKeys {
+		return hits * leafEntryBytes
+	}
 	scopedHits := hits
 	if mb := s.masterBytes(); mb > 0 && scan < mb {
 		scopedHits = hits * scan / mb

@@ -67,19 +67,19 @@ func TestPreferScanChoosesSensibly(t *testing.T) {
 	// Whole-directory presence of a universal attribute: the scan must
 	// win.
 	broad := query.MustParse("( ? sub ? objectClass=*)").(*query.Atomic)
-	if !st.preferScan(broad) {
+	if !st.preferScan(broad, NeedAll, nil) {
 		t.Error("preferScan(objectClass=*) = false; index plan would fetch every entry")
 	}
 	// A single rare value: the index must win.
 	narrow := query.MustParse("( ? sub ? uid=u0003)").(*query.Atomic)
-	if st.preferScan(narrow) {
+	if st.preferScan(narrow, NeedAll, nil) {
 		t.Error("preferScan(uid=u0003) = true; point query should use the index")
 	}
 	// A deep base makes even broad filters scan-cheap (exact scope
 	// extent from the DN index) — any choice is fine, but the call must
 	// not error; just exercise it.
 	deep := query.MustParse("(uid=u0003, ou=userProfiles, dc=research, dc=att, dc=com ? sub ? objectClass=*)").(*query.Atomic)
-	_ = st.preferScan(deep)
+	_ = st.preferScan(deep, NeedAll, nil)
 }
 
 func TestCostBasedChoiceKeepsAnswers(t *testing.T) {

@@ -310,7 +310,13 @@ func (s *Store) Orphans() int { return s.orphans }
 // that shares nothing with the store — what a full rebuild starts from.
 func (s *Store) Instance() (*model.Instance, error) {
 	in := model.NewInstance(s.schema)
-	return in, s.forEachLiveEntry(func(rec *plist.Record) error { return in.Add(rec.Materialize()) })
+	return in, s.forEachLiveEntry(func(rec *plist.Record) error {
+		e, err := rec.Materialize()
+		if err != nil {
+			return err
+		}
+		return in.Add(e)
+	})
 }
 
 // MasterPages returns the size of the master list in pages — the |I|/B
@@ -378,7 +384,7 @@ func (s *Store) Get(dn model.DN) (*model.Entry, error) {
 	} else if rec, err = s.overlayGet(dn.Key(), nil); err != nil {
 		return nil, err
 	}
-	return rec.Materialize(), nil
+	return rec.Materialize()
 }
 
 func (s *Store) masterBytes() int64 { return s.master.Size() }
