@@ -20,7 +20,7 @@ test:
 # the distributed evaluation substrate (pooled client, breakers,
 # chaos failover), the snapshot-swap core (lock-free reads during
 # copy-on-write updates, internal/core/swap_test.go), the shared-Disk
-# pager and per-query arenas, the parallel engine and external sorter,
+# pager and per-query arenas, the engine's concurrent sessions,
 # the durable checkpoint store (checkpoint-during-swap chaos), the
 # metrics/tracing subsystem, and the vector index plus its store-level
 # knn paths (concurrent searches against copy-on-write swaps). The
@@ -69,8 +69,10 @@ CRASH_ITERS ?= 30
 crash:
 	DIRKIT_CRASH_ITERS=$(CRASH_ITERS) $(GO) test ./internal/durable/crashtest/ -count=1 -v
 
-# Documentation gate: intra-repo markdown links must resolve, and the
-# packages docslint lists must document every exported identifier.
+# Documentation gate: intra-repo markdown links must resolve, a
+# dirserve/dirq/dirgen/dirbench command line in markdown may pass only
+# flags its main.go declares, and the packages docslint lists must
+# document every exported identifier.
 docs:
 	$(GO) run ./tools/docslint
 

@@ -73,7 +73,6 @@ func BenchmarkE15AtomicIndex(b *testing.B)  { runSpec(b, "E15") }
 func BenchmarkE16Apps(b *testing.B)         { runSpec(b, "E16") }
 func BenchmarkE17Operators(b *testing.B)    { runSpec(b, "E17") }
 func BenchmarkE18CacheZipf(b *testing.B)    { runSpec(b, "E18") }
-func BenchmarkE19Parallel(b *testing.B)     { runSpec(b, "E19") }
 
 func BenchmarkAblationStackWindow(b *testing.B) { runSpec(b, "A1") }
 func BenchmarkAblationBlockSize(b *testing.B)   { runSpec(b, "A2") }

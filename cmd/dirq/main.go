@@ -39,7 +39,6 @@ import (
 	"repro/internal/apps/qos"
 	"repro/internal/core"
 	"repro/internal/dirserver"
-	"repro/internal/engine"
 	"repro/internal/ldif"
 	"repro/internal/model"
 	"repro/internal/query"
@@ -66,11 +65,10 @@ func main() {
 		server      = flag.String("server", "", "evaluate at this remote dirserve address instead of locally (-gen/-ldif still select the schema)")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request deadline for -server calls")
 		retries     = flag.Int("retries", 2, "transient-failure retries for -server calls")
-		workers     = flag.Int("workers", 1, "evaluate independent query subtrees on up to this many goroutines (1 = serial; see DESIGN.md §9)")
 		peers       = flag.String("peers", "", `federate through a Coordinator: ";"-separated "dn@addr" zone registrations (-explain traces across the wire)`)
 	)
 	flag.Parse()
-	opts := core.Options{NoAttrIndex: *noIndex, Optimize: *optimize, CacheBytes: *cacheBytes, Engine: engine.Config{Workers: *workers}}
+	opts := core.Options{NoAttrIndex: *noIndex, Optimize: *optimize, CacheBytes: *cacheBytes}
 
 	if *server != "" {
 		runRemote(*server, *timeout, *retries, *ldifPath, *gen, *n, *seed, *queryStr, *ldapStr)

@@ -42,7 +42,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dirserver"
 	"repro/internal/durable"
-	"repro/internal/engine"
 	"repro/internal/faultfs"
 	"repro/internal/ldif"
 	"repro/internal/model"
@@ -60,7 +59,6 @@ var (
 	slowMs       = flag.Duration("slow-ms", 100*time.Millisecond, "log queries at least this slow (0 disables the latency threshold)")
 	slowIO       = flag.Int64("slow-io", 0, "log queries costing at least this many page I/Os (0 disables the I/O threshold)")
 	cacheBytes   = flag.Int64("cache", 0, "enable the served directory's query-result cache with this byte budget (0 = off)")
-	workers      = flag.Int("workers", 1, "evaluate independent query subtrees on up to this many goroutines (1 = serial; see DESIGN.md §9)")
 	optimize     = flag.Bool("optimize", false, "run the algebraic planner on every served query")
 	flightN      = flag.Int("flight", 256, "retain the last N completed query traces in the flight recorder at /debug/queries (0 = off)")
 
@@ -76,7 +74,7 @@ var (
 // options assembles the served directory's core.Options from the flags.
 func options() core.Options {
 	return core.Options{CacheBytes: *cacheBytes, Optimize: *optimize,
-		DeltaCheckpoints: *deltaCkpt, Engine: engine.Config{Workers: *workers}}
+		DeltaCheckpoints: *deltaCkpt}
 }
 
 func main() {

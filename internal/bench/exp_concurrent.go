@@ -67,7 +67,31 @@ func runConcurrentReaders(d *core.Directory, stream []string, r int) (time.Durat
 	return time.Since(start), sum.Load()
 }
 
-// E20ConcurrentSearch runs the wide-query stream of E19 at 1/2/4/8
+// wideQuery builds the i-th eight-leaf query: atomics over the random
+// forest's vocabulary, paired into four independent subtrees, joined by
+// a rotating mix of |, & and d so every boolean operator participates.
+func wideQuery(i int) string {
+	leaf := func(j int) string {
+		k := i + 3*j
+		if k%2 == 0 {
+			return fmt.Sprintf("( ? sub ? tag=%c)", 'a'+k%3)
+		}
+		return fmt.Sprintf("( ? sub ? val>=%d)", k%8)
+	}
+	ops := []string{"|", "&", "d"}
+	pair := func(n int, a, b string) string {
+		return fmt.Sprintf("(%s %s %s)", ops[(i+n)%len(ops)], a, b)
+	}
+	p0 := pair(0, leaf(0), leaf(1))
+	p1 := pair(1, leaf(2), leaf(3))
+	p2 := pair(2, leaf(4), leaf(5))
+	p3 := pair(3, leaf(6), leaf(7))
+	// The top join is always | so no subtree can annul the others and
+	// every row hashes a non-trivial result.
+	return fmt.Sprintf("(| (| %s %s) (| %s %s))", p0, p1, p2, p3)
+}
+
+// E20ConcurrentSearch runs the stream of wide queries at 1/2/4/8
 // reader goroutines over a forest of n entries, ops evaluations per
 // row, with and without a background updater. Zero arguments select
 // defaults.

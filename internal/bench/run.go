@@ -80,7 +80,6 @@ var Specs = []Spec{
 	{"E16", func(p Preset) *Table { return E16Apps(p.AppScale) }},
 	{"E17", func(Preset) *Table { return E17Operators([]int{3, 4, 5, 6, 8}) }},
 	{"E18", func(p Preset) *Table { return E18CacheZipf(p.CacheN, p.CacheOps) }},
-	{"E19", func(p Preset) *Table { return E19Parallel(p.CacheN, p.CacheOps) }},
 	{"E20", func(p Preset) *Table { return E20ConcurrentSearch(p.CacheN, p.CacheOps) }},
 	{"E22", func(p Preset) *Table { return E22VectorScope(p.VecN) }},
 	{"E24", func(p Preset) *Table { return E24DeltaCheckpoint(p.DeltaN) }},

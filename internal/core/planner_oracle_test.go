@@ -17,8 +17,7 @@ import (
 // randPlanQuery generates random L0–L2 trees over the random-forest
 // vocabulary: atomics on both sides of the store's index-vs-scan
 // comparison, nested sub scopes the planner narrows, boolean chains and
-// hierarchy operators whose operands the worker pool evaluates
-// concurrently.
+// hierarchy operators.
 func randPlanQuery(r *rand.Rand, depth int) query.Query {
 	if depth <= 0 || r.Intn(3) == 0 {
 		return randPlanAtomic(r)
@@ -57,17 +56,17 @@ func randPlanAtomic(r *rand.Rand) *query.Atomic {
 }
 
 // TestPlannerOracle is the core-level differential that crosses
-// rewrites × worker pool × arena sessions: on randomized query trees, a
-// directory opened with Optimize and a three-worker pool answers
-// byte-identically to the naive engine with no planner at all, through
-// Search (pool on) and through SearchTraced (serial, spans on).
+// rewrites × arena sessions × tracing: on randomized query trees, a
+// directory opened with Optimize answers byte-identically to the naive
+// engine with no planner at all, through Search and through
+// SearchTraced (spans on).
 func TestPlannerOracle(t *testing.T) {
 	in := workload.RandomForest(workload.ForestConfig{N: 500, Seed: 23})
 	naive, err := Open(in, Options{Engine: engine.Config{Naive: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := Open(in, Options{Optimize: true, Engine: engine.Config{Workers: 3}})
+	twin, err := Open(in, Options{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestPlannerOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("naive %s: %v", q, err)
 		}
-		pooled, err := twin.SearchQuery(q)
+		plain, err := twin.SearchQuery(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -90,7 +89,7 @@ func TestPlannerOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("traced %s: %v", q, err)
 		}
-		for path, got := range map[string]*Result{"pooled": pooled, "traced": traced} {
+		for path, got := range map[string]*Result{"plain": plain, "traced": traced} {
 			if strings.Join(got.DNs(), "\n") != strings.Join(want.DNs(), "\n") {
 				t.Fatalf("optimized %s plan diverges on %s:\n got %d entries\nwant %d entries",
 					path, q, len(got.Entries), len(want.Entries))

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/store"
 )
@@ -23,9 +22,9 @@ type federation struct {
 	close        func()
 }
 
-func newFederation(t *testing.T, opts core.Options) *federation {
+func newFederation(t *testing.T) *federation {
 	t.Helper()
-	whole, upper, policies := splitPaperDirectoryOpts(t, opts)
+	whole, upper, policies := splitPaperDirectory(t)
 	upSrv, err := Serve(upper, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +73,7 @@ func dnsOf(es []*model.Entry) string {
 // remote or mixed — write, allocate or free a page of the directory's
 // store disk.
 func TestCoordinatorLeavesDirectoryAlone(t *testing.T) {
-	fed := newFederation(t, core.Options{})
+	fed := newFederation(t)
 	defer fed.close()
 	probe := federatedQueries[0]
 	// The first search warms the index pools; the second is the one
@@ -131,7 +130,7 @@ func TestCoordinatorLeavesDirectoryAlone(t *testing.T) {
 // TestCoordinatorFollowsUpdates: a coordinator built before an
 // UpdateEntries answers at the directory's new generation.
 func TestCoordinatorFollowsUpdates(t *testing.T) {
-	fed := newFederation(t, core.Options{})
+	fed := newFederation(t)
 	defer fed.close()
 	coord := NewCoordinator(fed.upper, fed.reg, fed.self)
 	defer coord.Close()
@@ -160,42 +159,38 @@ func TestCoordinatorFollowsUpdates(t *testing.T) {
 }
 
 // TestCoordinatorConcurrentSearches: eight goroutines share one
-// coordinator, serial and with a parallel engine, and every answer
-// equals the one the same query gets alone.
+// coordinator, and every answer equals the one the same query gets
+// alone.
 func TestCoordinatorConcurrentSearches(t *testing.T) {
-	for _, opts := range []core.Options{{}, {Engine: engine.Config{Workers: 3}}} {
-		t.Run(fmt.Sprintf("workers%d", opts.Engine.Workers), func(t *testing.T) {
-			fed := newFederation(t, opts)
-			defer fed.close()
-			coord := NewCoordinator(fed.upper, fed.reg, fed.self)
-			defer coord.Close()
-			serial := make([]string, len(federatedQueries))
-			for i, q := range federatedQueries {
-				got, err := coord.Search(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial[i] = dnsOf(got)
-			}
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for round := 0; round < 10; round++ {
-						i := (g + round) % len(federatedQueries)
-						got, err := coord.Search(context.Background(), federatedQueries[i])
-						if err != nil {
-							t.Errorf("goroutine %d round %d: %v", g, round, err)
-							return
-						}
-						if dnsOf(got) != serial[i] {
-							t.Errorf("goroutine %d round %d: %s answered differently under concurrency", g, round, federatedQueries[i])
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-		})
+	fed := newFederation(t)
+	defer fed.close()
+	coord := NewCoordinator(fed.upper, fed.reg, fed.self)
+	defer coord.Close()
+	serial := make([]string, len(federatedQueries))
+	for i, q := range federatedQueries {
+		got, err := coord.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = dnsOf(got)
 	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				i := (g + round) % len(federatedQueries)
+				got, err := coord.Search(context.Background(), federatedQueries[i])
+				if err != nil {
+					t.Errorf("goroutine %d round %d: %v", g, round, err)
+					return
+				}
+				if dnsOf(got) != serial[i] {
+					t.Errorf("goroutine %d round %d: %s answered differently under concurrency", g, round, federatedQueries[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

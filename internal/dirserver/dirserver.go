@@ -662,11 +662,10 @@ type CoordinatorStats struct {
 // the arena's scratch disk; the directory's store disk is only read.
 // So Search takes no lock, any number run concurrently with exact
 // per-query I/O, a coordinator follows the directory's updates, and
-// plain dir.Search calls never see the resolver. Within one query, an
-// engine built with Workers > 1 evaluates independent subtrees
-// concurrently, and their atomic sub-queries fan out to replicas in
-// parallel: the pooled client, breakers, result cache, and stats all
-// carry their own synchronization (DESIGN.md §9).
+// plain dir.Search calls never see the resolver. Within one query the
+// remote atomics resolve one after another, in operand order; the
+// pooled client, breakers, result cache and stats carry their own
+// synchronization because concurrent Searches share them.
 type Coordinator struct {
 	dir      *core.Directory
 	reg      *Registry

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -20,13 +19,6 @@ import (
 // the userProfiles subtree, one for the research networkPolicies
 // subtree.
 func splitPaperDirectory(t *testing.T) (whole, upper, policies *core.Directory) {
-	t.Helper()
-	return splitPaperDirectoryOpts(t, core.Options{})
-}
-
-// splitPaperDirectoryOpts is splitPaperDirectory with explicit
-// directory options (e.g. a parallel engine) applied to all three.
-func splitPaperDirectoryOpts(t *testing.T, opts core.Options) (whole, upper, policies *core.Directory) {
 	t.Helper()
 	full := workload.PaperInstance()
 	s := full.Schema()
@@ -44,10 +36,10 @@ func splitPaperDirectoryOpts(t *testing.T, opts core.Options) (whole, upper, pol
 	if whole, err = core.Open(full, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if upper, err = core.Open(upperIn, opts); err != nil {
+	if upper, err = core.Open(upperIn, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if policies, err = core.Open(polIn, opts); err != nil {
+	if policies, err = core.Open(polIn, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return whole, upper, policies
@@ -187,71 +179,6 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 		for i := range got {
 			if !got[i].DN().Equal(want.Entries[i].DN()) {
 				t.Errorf("%s: entry %d differs: %s vs %s", qs, i, got[i].DN(), want.Entries[i].DN())
-			}
-		}
-	}
-	if coord.RemoteAtomics() == 0 {
-		t.Error("no atomic sub-queries were shipped remotely")
-	}
-}
-
-// TestParallelCoordinatorEqualsCentralized re-runs the federation
-// oracle with a Workers=8 engine behind the coordinator: independent
-// subtrees fan their atomic sub-queries to the replicas concurrently
-// (DESIGN.md §9), and the results must still match the centralized
-// serial evaluation entry for entry.
-func TestParallelCoordinatorEqualsCentralized(t *testing.T) {
-	whole, upper, policies := splitPaperDirectoryOpts(t, core.Options{Engine: engine.Config{Workers: 8}})
-
-	upSrv, err := Serve(upper, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer upSrv.Close()
-	polSrv, err := Serve(policies, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer polSrv.Close()
-
-	var reg Registry
-	reg.Register(model.MustParseDN("dc=com"), upSrv.Addr())
-	reg.Register(model.MustParseDN("ou=networkPolicies, dc=research, dc=att, dc=com"), polSrv.Addr())
-	coord := NewCoordinator(upper, &reg, upSrv.Addr())
-	defer coord.Close()
-
-	queries := []string{
-		// Wide boolean fan-out: four remote atomics under independent
-		// subtrees, all in flight at once.
-		`(| (| (ou=networkPolicies, dc=research, dc=att, dc=com ? sub ? objectClass=SLAPolicyRules)
-		       (ou=networkPolicies, dc=research, dc=att, dc=com ? sub ? objectClass=trafficProfile))
-		    (| (ou=networkPolicies, dc=research, dc=att, dc=com ? sub ? objectClass=SLADSAction)
-		       (dc=com ? sub ? objectClass=TOPSSubscriber)))`,
-		// Hierarchy operator with mixed local/remote operands.
-		`(a (ou=networkPolicies, dc=research, dc=att, dc=com ? sub ? objectClass=trafficProfile)
-		    (ou=networkPolicies, dc=research, dc=att, dc=com ? sub ? ou=networkPolicies))`,
-		// L3 across the wire.
-		`(vd (ou=networkPolicies, dc=research, dc=att, dc=com ? sub ? objectClass=SLAPolicyRules)
-		     (ou=networkPolicies, dc=research, dc=att, dc=com ? sub ? destinationPort=25)
-		     SLATPRef)`,
-	}
-	for trial := 0; trial < 5; trial++ {
-		for _, qs := range queries {
-			want, err := whole.Search(qs)
-			if err != nil {
-				t.Fatalf("central %s: %v", qs, err)
-			}
-			got, err := coord.Search(context.Background(), qs)
-			if err != nil {
-				t.Fatalf("distributed %s: %v", qs, err)
-			}
-			if len(got) != len(want.Entries) {
-				t.Fatalf("%s: distributed %d vs central %d", qs, len(got), len(want.Entries))
-			}
-			for i := range got {
-				if !got[i].DN().Equal(want.Entries[i].DN()) {
-					t.Fatalf("%s: entry %d differs: %s vs %s", qs, i, got[i].DN(), want.Entries[i].DN())
-				}
 			}
 		}
 	}

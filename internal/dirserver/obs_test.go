@@ -203,7 +203,7 @@ func TestServedCacheFollowsTraceRule(t *testing.T) {
 // and returns a coordinator on the upper server.
 func federatedPair(t *testing.T, cfg CoordinatorConfig) (*Coordinator, func()) {
 	t.Helper()
-	fed := newFederation(t, core.Options{})
+	fed := newFederation(t)
 	coord := NewCoordinatorWith(fed.upper, fed.reg, fed.self, cfg)
 	return coord, func() {
 		coord.Close()

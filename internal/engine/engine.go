@@ -5,11 +5,9 @@
 // joins (Section 7), all over sorted reverse-DN-key lists so no
 // intermediate re-sorting is ever needed (Section 8.2).
 //
-// With Config.Workers > 1 the engine evaluates independent plan
-// subtrees — the operands of &, |, - and of the hierarchy and
-// embedded-reference operators — concurrently on a bounded worker
-// pool, joining at the existing sort-merge points (DESIGN.md §9).
-// Results are byte-identical at any worker count.
+// A query's operators run one after another on the caller's goroutine;
+// concurrency exists only between queries, each on its own session
+// (DESIGN.md §9).
 package engine
 
 import (
@@ -43,11 +41,6 @@ type Config struct {
 	// way" baseline (Sections 5.3 and 7.2) — for the crossover
 	// experiments.
 	Naive bool
-	// Workers bounds the number of goroutines evaluating independent
-	// plan subtrees concurrently (and the external sorter's
-	// parallelism). 0 or 1 evaluates serially. Results are identical
-	// at any setting; see DESIGN.md §9.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -56,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AnnPoolPages < 2 {
 		c.AnnPoolPages = 16
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	return c
 }
@@ -77,10 +67,6 @@ type Engine struct {
 	st       *store.Store
 	cfg      Config
 	resolver func(context.Context, *query.Atomic) (*plist.List, error)
-	// sem holds Workers-1 grantable worker slots (nil when serial).
-	// Acquisition is always non-blocking with an inline-evaluation
-	// fallback, so nested operators can never deadlock on it.
-	sem chan struct{}
 	// arena is the per-query workspace of a Session: intermediates and
 	// results are written to its scratch disk and store reads are
 	// charged to its meter, leaving the store's disk read-only. Nil on a
@@ -109,11 +95,7 @@ func (e *Engine) SetResolver(r func(context.Context, *query.Atomic) (*plist.List
 
 // New creates an engine over a store.
 func New(st *store.Store, cfg Config) *Engine {
-	e := &Engine{st: st, cfg: cfg.withDefaults()}
-	if e.cfg.Workers > 1 {
-		e.sem = make(chan struct{}, e.cfg.Workers-1)
-	}
-	return e
+	return &Engine{st: st, cfg: cfg.withDefaults()}
 }
 
 // Store returns the engine's store.
@@ -123,11 +105,10 @@ func (e *Engine) Store() *store.Store { return e.st }
 // arena: atomic queries evaluate through the store's arena path, every
 // intermediate and result list lands on the arena's scratch disk, and
 // the store's disk is only read (with reads charged to the arena's
-// meter). Sessions share the base engine's store, configuration,
-// resolver, and worker semaphore — the worker budget is global across
-// concurrent sessions — so creating one is a struct copy. Each arena
-// must be used by at most one query at a time; concurrent queries take
-// one session each. The operator methods (EvalBool, Compute*, Naive*,
+// meter). Sessions share the base engine's store, configuration and
+// resolver, so creating one is a struct copy. Each arena must be used
+// by at most one query at a time; concurrent queries take one session
+// each. The operator methods (EvalBool, Compute*, Naive*,
 // EvalHier, EvalSimpleAgg) write their output to the session's scratch
 // disk, so they are called on a session.
 func (e *Engine) Session(a *pager.Arena) *Engine {
@@ -141,7 +122,7 @@ func (e *Engine) Session(a *pager.Arena) *Engine {
 func (e *Engine) disk() *pager.Disk { return e.arena.Scratch() }
 
 func (e *Engine) sortCfg() extsort.Config {
-	return extsort.Config{MemBytes: e.cfg.SortMemBytes, Workers: e.cfg.Workers}
+	return extsort.Config{MemBytes: e.cfg.SortMemBytes}
 }
 
 // Eval evaluates a query tree and returns the result list, sorted by
@@ -190,6 +171,22 @@ func (e *Engine) eval(ctx context.Context, q query.Query, need store.Need) (*pli
 	}
 	tr.End(sp, l.Count())
 	return l, nil
+}
+
+// evalChildren evaluates the operands of one operator in operand order,
+// operand i for a consumer reading needs[i], and returns their result
+// lists. On error it frees the lists already built.
+func (e *Engine) evalChildren(ctx context.Context, needs [3]store.Need, qs ...query.Query) ([]*plist.List, error) {
+	out := make([]*plist.List, len(qs))
+	for i, q := range qs {
+		l, err := e.eval(ctx, q, needs[i])
+		if err != nil {
+			freeAll(out...)
+			return nil, err
+		}
+		out[i] = l
+	}
+	return out, nil
 }
 
 // opName returns the span mnemonic for a query node — the paper's

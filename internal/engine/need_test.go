@@ -118,31 +118,26 @@ func listBytes(t *testing.T, l *plist.List) []byte {
 	}
 }
 
-// sameUnderNeeds evaluates q on s twice at each of Workers 1 and 3, with
-// the derived needs and with every operand read whole, and fails unless
-// the two result lists are byte-identical, Count included. It returns
-// the result's Count.
+// sameUnderNeeds evaluates q on s twice, with the derived needs and
+// with every operand read whole, and fails unless the two result lists
+// are byte-identical, Count included. It returns the result's Count.
 func sameUnderNeeds(t *testing.T, s *store.Store, q query.Query) int64 {
 	t.Helper()
-	var n int64
-	for _, workers := range []int{1, 3} {
-		cfg := Config{StackWindow: 2, Workers: workers, SortMemBytes: 1024}
-		derived, all := New(s, cfg), New(s, cfg)
-		all.allNeeds = true
-		ld, err := derived.Eval(q)
-		if err != nil {
-			t.Fatalf("%s: derived needs: %v", q, err)
-		}
-		la, err := all.Eval(q)
-		if err != nil {
-			t.Fatalf("%s: all needs: %v", q, err)
-		}
-		if ld.Count() != la.Count() || !bytes.Equal(listBytes(t, ld), listBytes(t, la)) {
-			t.Fatalf("workers %d: %s\nderived needs give %d records, all needs %d", workers, q, ld.Count(), la.Count())
-		}
-		n = la.Count()
+	cfg := Config{StackWindow: 2, SortMemBytes: 1024}
+	derived, all := New(s, cfg), New(s, cfg)
+	all.allNeeds = true
+	ld, err := derived.Eval(q)
+	if err != nil {
+		t.Fatalf("%s: derived needs: %v", q, err)
 	}
-	return n
+	la, err := all.Eval(q)
+	if err != nil {
+		t.Fatalf("%s: all needs: %v", q, err)
+	}
+	if ld.Count() != la.Count() || !bytes.Equal(listBytes(t, ld), listBytes(t, la)) {
+		t.Fatalf("%s\nderived needs give %d records, all needs %d", q, ld.Count(), la.Count())
+	}
+	return la.Count()
 }
 
 // TestDerivedNeedsMatchAllNeeds is the property behind operandNeeds:
@@ -151,7 +146,7 @@ func sameUnderNeeds(t *testing.T, s *store.Store, q query.Query) int64 {
 // included, that evaluating every operand whole does. It runs random
 // L0–L3 queries, drawn until a number of them answer non-empty, on
 // random forests and on TOPS, plus the package's fixed query pool on
-// the forests — at Workers 1 and 3, before and after a batch of adds
+// the forests — before and after a batch of adds
 // and removes puts overlay postings in the attribute index.
 func TestDerivedNeedsMatchAllNeeds(t *testing.T) {
 	r := rand.New(rand.NewSource(401))

@@ -11,20 +11,11 @@
 // Unlike plist.Merge, the merge here preserves duplicate keys: the list
 // of pairs LP legitimately contains several pairs with the same embedded
 // DN.
-//
-// With Config.Workers > 1 the sorter overlaps work in both phases:
-// filled batches are sorted and written as runs by a bounded pool of
-// goroutines while the input scan continues, and each merge pass merges
-// its FanIn-sized groups concurrently. Batch boundaries, run order, and
-// the merge tree are fixed by the input alone — never by goroutine
-// scheduling — so the output list is identical for any worker count
-// (DESIGN.md §9).
 package extsort
 
 import (
 	"io"
 	"sort"
-	"sync"
 
 	"repro/internal/pager"
 	"repro/internal/plist"
@@ -37,11 +28,6 @@ type Config struct {
 	MemBytes int
 	// FanIn bounds how many runs are merged per pass (default 16).
 	FanIn int
-	// Workers bounds the goroutines used for concurrent run formation
-	// and parallel merge passes; 0 or 1 sorts serially. With W workers
-	// up to W batches are in flight at once, so peak run-formation
-	// memory is W × MemBytes. Output is identical at any setting.
-	Workers int
 }
 
 func (c Config) withDefaults(d *pager.Disk) Config {
@@ -50,9 +36,6 @@ func (c Config) withDefaults(d *pager.Disk) Config {
 	}
 	if c.FanIn < 2 {
 		c.FanIn = 16
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	return c
 }
@@ -75,73 +58,46 @@ func SortSlice(d *pager.Disk, recs []*plist.Record, cfg Config) (*plist.List, er
 }
 
 // formRuns reads the input, accumulating up to MemBytes of records,
-// sorting each batch in memory and writing it out as a sorted run.
-//
-// The input scan is always serial (RecordReaders are single-goroutine),
-// so batch boundaries — and therefore the runs' contents and order —
-// are identical at every worker count. With Workers > 1 the sort+write
-// of each filled batch is handed to a pool goroutine (ownership of the
-// batch slice transfers with it; the scan allocates a fresh one) while
-// the scan keeps reading.
+// sorting each batch in memory and writing it out as a sorted run. It
+// stops at the first error, after freeing the runs already written.
 func formRuns(d *pager.Disk, in plist.RecordReader, cfg Config) ([]*plist.List, error) {
-	// runSlot receives one batch's finished run; slots are appended in
-	// batch order, and workers fill their own slot through its pointer,
-	// so slice growth in the scanning goroutine never races them.
-	type runSlot struct {
-		list *plist.List
-		err  error
-	}
 	var (
-		slots []*runSlot
+		runs  []*plist.List
 		batch []*plist.Record
 		bytes int
-		wg    sync.WaitGroup
-		sem   chan struct{}
 	)
-	if cfg.Workers > 1 {
-		sem = make(chan struct{}, cfg.Workers)
-	}
-	writeRun := func(batch []*plist.Record, s *runSlot) {
+	flush := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
 		sort.SliceStable(batch, func(i, j int) bool { return batch[i].Key < batch[j].Key })
 		w := plist.NewWriter(d)
 		for _, r := range batch {
 			if err := w.Append(r); err != nil {
-				s.err = err
-				return
+				return err
 			}
 		}
-		s.list, s.err = w.Close()
-	}
-	flush := func() {
-		if len(batch) == 0 {
-			return
+		run, err := w.Close()
+		if err != nil {
+			return err
 		}
-		s := &runSlot{}
-		slots = append(slots, s)
-		b := batch
-		batch, bytes = nil, 0
-		if sem == nil {
-			writeRun(b, s)
-			batch = b[:0] // serial path: safe to reuse the slice
-			return
-		}
-		sem <- struct{}{} // bounds in-flight batches to Workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			writeRun(b, s)
-		}()
+		runs = append(runs, run)
+		batch, bytes = batch[:0], 0
+		return nil
 	}
-	var scanErr error
+	fail := func(err error) ([]*plist.List, error) {
+		for _, r := range runs {
+			_ = r.Free()
+		}
+		return nil, err
+	}
 	for {
 		rec, err := in.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			scanErr = err
-			break
+			return fail(err)
 		}
 		// A batch outlives the input's next record, so it holds copies.
 		batch = append(batch, rec.Clone())
@@ -150,82 +106,38 @@ func formRuns(d *pager.Disk, in plist.RecordReader, cfg Config) ([]*plist.List, 
 		// and with them the page I/O, stay where they were.
 		bytes += len(rec.Key) + 64 + 32*rec.NumPairs()
 		if bytes >= cfg.MemBytes {
-			flush()
+			if err := flush(); err != nil {
+				return fail(err)
+			}
 		}
 	}
-	if scanErr == nil {
-		flush()
-	}
-	wg.Wait()
-	runs := make([]*plist.List, 0, len(slots))
-	for _, s := range slots {
-		if s.err != nil && scanErr == nil {
-			scanErr = s.err
-		}
-		if s.list != nil {
-			runs = append(runs, s.list)
-		}
-	}
-	if scanErr != nil {
-		for _, r := range runs {
-			_ = r.Free()
-		}
-		return nil, scanErr
+	if err := flush(); err != nil {
+		return fail(err)
 	}
 	return runs, nil
 }
 
-// mergeRuns repeatedly merges groups of FanIn runs until one remains.
-// Groups within a pass touch disjoint runs, so with Workers > 1 they
-// merge concurrently; the next pass's run order is the group order
-// either way, keeping the merge tree — and the final list — identical
-// at any worker count.
+// mergeRuns repeatedly merges groups of FanIn runs until one remains;
+// each pass's output runs are in group order.
 func mergeRuns(d *pager.Disk, runs []*plist.List, cfg Config) (*plist.List, error) {
 	if len(runs) == 0 {
 		return plist.Build(d, nil)
 	}
 	for len(runs) > 1 {
-		var groups [][]*plist.List
+		var next []*plist.List
 		for lo := 0; lo < len(runs); lo += cfg.FanIn {
-			hi := lo + cfg.FanIn
-			if hi > len(runs) {
-				hi = len(runs)
-			}
-			groups = append(groups, runs[lo:hi])
-		}
-		next := make([]*plist.List, len(groups))
-		errs := make([]error, len(groups))
-		if cfg.Workers > 1 && len(groups) > 1 {
-			sem := make(chan struct{}, cfg.Workers)
-			var wg sync.WaitGroup
-			for gi, g := range groups {
-				sem <- struct{}{}
-				wg.Add(1)
-				go func(gi int, g []*plist.List) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					next[gi], errs[gi] = mergeGroup(d, g)
-				}(gi, g)
-			}
-			wg.Wait()
-		} else {
-			for gi, g := range groups {
-				next[gi], errs[gi] = mergeGroup(d, g)
-			}
-		}
-		for _, err := range errs {
+			merged, err := mergeGroup(d, runs[lo:min(lo+cfg.FanIn, len(runs))])
 			if err != nil {
 				return nil, err
 			}
+			next = append(next, merged)
 		}
 		runs = next
 	}
 	return runs[0], nil
 }
 
-// mergeGroup merges one group of runs and frees the inputs (each group
-// reads only its own runs, so concurrent groups never touch each
-// other's pages).
+// mergeGroup merges one group of runs and frees the inputs.
 func mergeGroup(d *pager.Disk, g []*plist.List) (*plist.List, error) {
 	merged, err := mergeOnce(d, g)
 	if err != nil {

@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -165,10 +166,10 @@ func TestSortLeavesNoTempPages(t *testing.T) {
 }
 
 // TestSortFromReaderPoisoned sorts what a list Reader produces — records
-// that are the reader's until its next call — with plist.PoisonReads on,
-// at one and at several workers: run formation must hold copies, and
-// the run boundaries (sized from the encoded pair count) and output must
-// be those of the same records sorted from memory.
+// that are the reader's until its next call — with plist.PoisonReads on:
+// run formation must hold copies, and the run boundaries (sized from the
+// encoded pair count) and output must be those of the same records
+// sorted from memory.
 func TestSortFromReaderPoisoned(t *testing.T) {
 	d := pager.NewDisk(256)
 	recs := randomRecords(rand.New(rand.NewSource(7)), 600)
@@ -192,22 +193,64 @@ func TestSortFromReaderPoisoned(t *testing.T) {
 	}
 	plist.PoisonReads(true)
 	defer plist.PoisonReads(false)
-	for _, workers := range []int{1, 4} {
-		l, err := Sort(d, raw.Reader(), Config{MemBytes: 2048, FanIn: 3, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	l, err := Sort(d, raw.Reader(), Config{MemBytes: 2048, FanIn: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Size() != want.Size() || l.Pages() != want.Pages() {
+		t.Fatalf("sorted list of %d bytes on %d pages, from memory %d on %d", l.Size(), l.Pages(), want.Size(), want.Pages())
+	}
+	got, err := plist.Drain(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantRecs {
+		if got[i].Key != wantRecs[i].Key || got[i].A != wantRecs[i].A || !got[i].Entry.Equal(wantRecs[i].Entry) {
+			t.Fatalf("record %d = %q/%d, want %q/%d", i, got[i].Key, got[i].A, wantRecs[i].Key, wantRecs[i].A)
 		}
-		if l.Size() != want.Size() || l.Pages() != want.Pages() {
-			t.Fatalf("workers=%d: sorted list of %d bytes on %d pages, from memory %d on %d", workers, l.Size(), l.Pages(), want.Size(), want.Pages())
-		}
-		got, err := plist.Drain(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantRecs {
-			if got[i].Key != wantRecs[i].Key || got[i].A != wantRecs[i].A || !got[i].Entry.Equal(wantRecs[i].Entry) {
-				t.Fatalf("workers=%d: record %d = %q/%d, want %q/%d", workers, i, got[i].Key, got[i].A, wantRecs[i].Key, wantRecs[i].A)
+	}
+}
+
+// TestSortStopsAtFirstWriteError fails one page write during run
+// formation and checks that Sort returns that error without touching
+// the disk again: no further page is allocated or written, and the
+// runs already written are freed, so at most the pages of the run being
+// written stay allocated.
+func TestSortStopsAtFirstWriteError(t *testing.T) {
+	recs := randomRecords(rand.New(rand.NewSource(11)), 5000)
+	cfg := Config{MemBytes: 4096}
+	runs, err := formRuns(pager.NewDisk(512), plist.NewSliceReader(recs), cfg.withDefaults(pager.NewDisk(512)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxRun := 0
+	for _, r := range runs {
+		maxRun = max(maxRun, r.Pages())
+	}
+	boom := errors.New("boom")
+	for _, failAt := range []int{1, 40} {
+		d := pager.NewDisk(512)
+		writes, after := 0, 0
+		d.SetFault(func(op string, _ pager.PageID) error {
+			if writes >= failAt {
+				after++
+				return nil
 			}
+			if op == "write" {
+				if writes++; writes == failAt {
+					return boom
+				}
+			}
+			return nil
+		})
+		if _, err := SortSlice(d, recs, cfg); !errors.Is(err, boom) {
+			t.Fatalf("write %d failing: Sort error = %v, want %v", failAt, err, boom)
+		}
+		if after != 0 {
+			t.Fatalf("write %d failing: %d more disk operations after the failed write", failAt, after)
+		}
+		if d.NumPages() > maxRun {
+			t.Fatalf("write %d failing: %d pages left allocated, more than a run's %d", failAt, d.NumPages(), maxRun)
 		}
 	}
 }

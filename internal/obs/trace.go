@@ -13,13 +13,12 @@
 // registry aggregates what the Coordinator, circuit breakers, query
 // caches, and servers previously counted ad hoc; see DESIGN.md §8.
 //
-// Tracing and parallelism: a Tracer is single-goroutine, and a span's
-// I/O delta attributes pages to its operator only when operators run
-// one at a time (the ownership rule in pager.Stats). The engine
-// therefore evaluates serially whenever a tracer rides the context,
-// even with Workers > 1 configured — EXPLAIN reports the serial
-// plan's exact per-operator costs, while untraced evaluation runs
-// parallel (DESIGN.md §9).
+// A Tracer is single-goroutine, and a span's I/O delta attributes
+// pages to its operator because a query's operators run one at a time
+// on its own arena (the ownership rule in pager.Stats). Traced and
+// untraced evaluation run the same plan the same way, so EXPLAIN
+// reports the costs of the evaluation that serving performs (DESIGN.md
+// §9).
 package obs
 
 import (

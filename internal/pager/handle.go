@@ -1,32 +1,23 @@
 package pager
 
-// ReadHandle is a per-goroutine read path onto a Disk: it performs the
-// same counted page reads as Disk.Read, but accumulates onto a shard
-// assigned at creation (so a fleet of handles never contends on one
-// counter word) and additionally keeps a handle-local Stats of the I/O
-// performed through it.
+// ReadHandle is a reader's path onto a Disk: it performs the same
+// counted page reads as Disk.Read, but accumulates onto a shard
+// assigned at creation, so the many readers of concurrent queries on
+// one shared disk never contend on one counter word, and optionally
+// also onto a query's Meter.
 //
-// This is the concurrency contract the parallel evaluator relies on
-// (DESIGN.md §9): every plist.Reader and plist.RandomReader owns one
-// ReadHandle, readers are never shared between goroutines, and the
-// Disk's global counters stay exact no matter how many handles read
-// concurrently — each page access lands exactly one atomic increment.
-// The handle-local Stats give per-worker accounting without windowed
-// deltas, which the ownership rule (see Stats) forbids under
-// concurrency.
-//
-// A ReadHandle itself must not be shared between goroutines without
-// external synchronization: the local counter is a plain field.
+// Every plist.Reader and plist.RandomReader owns one ReadHandle, and
+// the Disk's global counters stay exact no matter how many handles
+// read concurrently: each page access lands exactly one atomic
+// increment (DESIGN.md §10).
 type ReadHandle struct {
 	d     *Disk
 	shard *statsShard
 	meter *Meter // optional per-query attribution sink
-	local Stats
 }
 
 // NewReadHandle creates a read handle for this device. Handles are
-// cheap; create one per reader (or per worker goroutine), not one per
-// read.
+// cheap; create one per reader, not one per read.
 func (d *Disk) NewReadHandle() *ReadHandle {
 	i := d.nextHandle.Add(1)
 	return &ReadHandle{d: d, shard: &d.shards[i&(statsShards-1)]}
@@ -43,22 +34,16 @@ func (d *Disk) NewMeteredReadHandle(m *Meter) *ReadHandle {
 }
 
 // Read copies page id into buf exactly like Disk.Read, counting the
-// read both globally (on the handle's shard) and locally.
+// read on the handle's shard and on its meter, if any.
 func (h *ReadHandle) Read(id PageID, buf []byte) error {
 	if err := h.d.readCounted(id, buf, h.shard); err != nil {
 		return err
 	}
-	h.local.Reads++
 	if h.meter != nil {
 		h.meter.reads.Add(1)
 	}
 	return nil
 }
-
-// Stats returns the I/O performed through this handle — exact without
-// any serialization requirement, because only the owning goroutine
-// touches it.
-func (h *ReadHandle) Stats() Stats { return h.local }
 
 // Disk returns the device this handle reads from.
 func (h *ReadHandle) Disk() *Disk { return h.d }

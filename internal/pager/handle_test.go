@@ -8,7 +8,7 @@ import (
 // TestReadHandleConcurrentExactness is the sharded-stats half of the
 // ownership rule: any number of handles reading concurrently must lose
 // no counts — the global Reads counter equals the exact number of page
-// reads issued, and each handle's local Stats counts exactly its own.
+// reads issued, and each handle's meter counts exactly its own.
 func TestReadHandleConcurrentExactness(t *testing.T) {
 	d := NewDisk(256)
 	const nPages = 64
@@ -36,7 +36,8 @@ func TestReadHandleConcurrentExactness(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			h := d.NewReadHandle()
+			var m Meter
+			h := d.NewMeteredReadHandle(&m)
 			buf := make([]byte, d.PageSize())
 			for i := 0; i < readsPerGoro; i++ {
 				pi := (g*readsPerGoro + i) % nPages
@@ -49,7 +50,7 @@ func TestReadHandleConcurrentExactness(t *testing.T) {
 					return
 				}
 			}
-			locals[g] = h.Stats()
+			locals[g] = m.Stats()
 		}(g)
 	}
 	wg.Wait()
@@ -61,12 +62,12 @@ func TestReadHandleConcurrentExactness(t *testing.T) {
 	var localSum int64
 	for g, s := range locals {
 		if s.Reads != readsPerGoro {
-			t.Fatalf("handle %d local Reads = %d, want %d", g, s.Reads, readsPerGoro)
+			t.Fatalf("handle %d metered Reads = %d, want %d", g, s.Reads, readsPerGoro)
 		}
 		localSum += s.Reads
 	}
 	if localSum != delta.Reads {
-		t.Fatalf("local sum %d != global delta %d", localSum, delta.Reads)
+		t.Fatalf("metered sum %d != global delta %d", localSum, delta.Reads)
 	}
 }
 

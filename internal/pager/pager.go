@@ -37,10 +37,8 @@ const DefaultPageSize = 4096
 // page accesses in their deltas. Per-query accounting in this
 // repository therefore never windows a shared disk: every evaluation
 // runs on its own Arena, whose scratch disk and meter no other query
-// touches, and the obs tracer windows that arena. Intra-query
-// parallelism (engine Workers > 1) shares one arena and still belongs
-// to the one query. TestStatsDeltaOwnership asserts both halves of
-// the rule.
+// touches, and the obs tracer windows that arena.
+// TestStatsDeltaOwnership asserts both halves of the rule.
 type Stats struct {
 	Reads  int64 // pages read
 	Writes int64 // pages written
@@ -85,9 +83,8 @@ type statsShard struct {
 // allocation, counted reads and writes. It is safe for concurrent use:
 // reads share a read lock (page contents are immutable while no write
 // runs), structural mutations (Write, Alloc, Free) take the write
-// lock, and the I/O counters are sharded atomics, so concurrent
-// readers — the engine's parallel workers — never serialize on
-// accounting.
+// lock, and the I/O counters are sharded atomics, so the readers of
+// concurrent queries never serialize on accounting.
 type Disk struct {
 	mu       sync.RWMutex
 	pageSize int
@@ -133,7 +130,7 @@ func (d *Disk) PageSize() int { return d.pageSize }
 // SetFault installs a fault injector invoked before each operation
 // ("read", "write", "alloc") with the page involved; a non-nil return is
 // surfaced to the caller. Used by failure-injection tests. An injector
-// used together with parallel evaluation must itself be safe for
+// on a disk that concurrent queries read must itself be safe for
 // concurrent calls (reads invoke it under the shared read lock).
 func (d *Disk) SetFault(f func(op string, id PageID) error) {
 	d.mu.Lock()

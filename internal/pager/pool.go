@@ -26,8 +26,8 @@ func (f *Frame) SetDirty() { f.dirty = true }
 // leaf-level traffic is still counted faithfully.
 //
 // Pool bookkeeping (the frame map, LRU order, pin counts) is guarded by
-// an internal mutex, so concurrent readers — the engine's parallel
-// workers traversing one shared B+tree — are safe. Frame *contents* are
+// an internal mutex, so concurrent readers — concurrent queries
+// traversing one shared B+tree — are safe. Frame *contents* are
 // not guarded: concurrent users may share frames read-only (which is
 // how the read-optimized store uses its index pools after build), but
 // writers that dirty frames must be serialized externally, exactly as

@@ -299,7 +299,7 @@ func (rr *RandomReader) ReadAt(off int64) (*Record, int64, error) {
 // Reader iterates a list's records in order, buffering one page. Each
 // Reader owns a pager.ReadHandle, so any number of Readers — including
 // Readers over the same list — may run on different goroutines
-// concurrently (the per-goroutine read contract of DESIGN.md §9).
+// concurrently (the read-handle contract of DESIGN.md §10).
 type Reader struct {
 	rr  RandomReader
 	off int64 // stream offset of the next record
