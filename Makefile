@@ -29,10 +29,13 @@ test:
 # runs under the race detector here. The store package also
 # carries the overlay generation test: readers of each published store
 # against a chain of Fork()+ApplyOps generations mutating its children;
-# the B+tree those trees are made of rides along. CI additionally runs
-# `go test -race ./...` over the whole module.
+# the B+tree those trees are made of rides along. The result cache's
+# single-flight fill, which every concurrent search for one query waits
+# on, and the list layer every query writes its arena through run
+# here too. CI additionally runs `go test -race ./...` over the whole
+# module.
 race:
-	$(GO) test -race ./internal/dirserver/ ./internal/faultnet/ ./internal/core/ ./internal/pager/ ./internal/obs/ ./internal/engine/ ./internal/extsort/ ./internal/durable/ ./internal/faultfs/ ./internal/vindex/ ./internal/store/ ./internal/planner/ ./internal/btree/
+	$(GO) test -race ./internal/dirserver/ ./internal/faultnet/ ./internal/core/ ./internal/pager/ ./internal/obs/ ./internal/engine/ ./internal/extsort/ ./internal/durable/ ./internal/faultfs/ ./internal/vindex/ ./internal/store/ ./internal/planner/ ./internal/btree/ ./internal/qcache/ ./internal/plist/
 
 # Short-budget fuzzing of the parser/matcher surfaces that each carry a
 # differential oracle: the wildcard matcher vs a reference matcher and

@@ -293,19 +293,12 @@ func runTraced(dir *core.Directory, text string, quiet bool) {
 }
 
 func runQuery(dir *core.Directory, text string, asLDAP, quiet bool) {
-	var res *core.Result
-	var err error
-	if asLDAP {
-		res, err = dir.SearchLDAP(text)
-	} else {
-		var lang query.Language
-		if lang, err = core.Language(text); err == nil {
-			fmt.Printf("query language: %s\n", lang)
-			res, err = dir.Search(text)
-		}
-	}
+	q, res, err := search(dir, text, asLDAP)
 	if err != nil {
 		fatal(err)
+	}
+	if !asLDAP {
+		fmt.Printf("query language: %s\n", q.Language())
 	}
 	if !quiet {
 		for _, e := range res.Entries {
@@ -315,6 +308,23 @@ func runQuery(dir *core.Directory, text string, asLDAP, quiet bool) {
 	}
 	fmt.Printf("%d entries, I/O: %s (total %d page accesses)\n",
 		len(res.Entries), res.IO, res.IO.IO())
+}
+
+// search parses text in the LDAP baseline syntax or as an L0..L3 query
+// and evaluates it.
+func search(dir *core.Directory, text string, asLDAP bool) (query.Query, *core.Result, error) {
+	var q query.Query
+	var err error
+	if asLDAP {
+		q, err = query.ParseLDAP(text)
+	} else {
+		q, err = query.Parse(text)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	res, _, err := dir.SearchWith(context.Background(), core.Request{Query: q})
+	return q, res, err
 }
 
 // repl reads one query per line from stdin. Lines starting with "ldap "
@@ -337,13 +347,7 @@ func repl(dir *core.Directory, quiet bool) {
 		if strings.HasPrefix(line, "ldap ") {
 			asLDAP, line = true, strings.TrimPrefix(line, "ldap ")
 		}
-		var res *core.Result
-		var err error
-		if asLDAP {
-			res, err = dir.SearchLDAP(line)
-		} else {
-			res, err = dir.Search(line)
-		}
+		_, res, err := search(dir, line, asLDAP)
 		if err != nil {
 			fmt.Println("error:", err)
 			continue

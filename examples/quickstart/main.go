@@ -7,10 +7,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -24,16 +26,16 @@ func main() {
 	}
 	fmt.Printf("directory holds %d entries\n\n", dir.Count())
 
-	run := func(title, q string) {
-		lang, err := core.Language(q)
+	run := func(title, text string) {
+		q, err := query.Parse(text)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := dir.Search(q)
+		res, _, err := dir.SearchWith(context.Background(), core.Request{Query: q})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("--- %s [%s]\n%s\n", title, lang, q)
+		fmt.Printf("--- %s [%s]\n%s\n", title, q.Language(), text)
 		for _, dn := range res.DNs() {
 			fmt.Printf("    -> %s\n", dn)
 		}
@@ -63,7 +65,11 @@ func main() {
 
 	// The LDAP baseline for comparison: one base, one scope, one
 	// composite filter.
-	res, err := dir.SearchLDAP(`(dc=com ? sub ? (&(objectClass=QHP)(priority<=1)))`)
+	ldap, err := query.ParseLDAP(`(dc=com ? sub ? (&(objectClass=QHP)(priority<=1)))`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, _, err := dir.SearchWith(context.Background(), core.Request{Query: ldap})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,13 @@
 // operators, aggregate selection, and the embedded-reference operators —
 // and returns entries in reverse-DN order along with the exact page I/O
 // the evaluation performed.
+//
+// Every search has one body, Directory.SearchWith: Search and
+// SearchTraced, the queries a dirserver serves and its Coordinator's
+// federated ones all reach it. Its Request carries the parsed query
+// (L0–L3 or the LDAP baseline), whether to trace, and an optional
+// resolver for atomic sub-queries; the cache, trace and LDAP
+// differences follow from those fields.
 package core
 
 import (
@@ -168,12 +175,13 @@ func newDirectory(st *store.Store, opts Options, gen int64) *Directory {
 // with lock-free reads: the whole read state — store, engine,
 // strictness, generation — lives in one immutable snapshot behind an
 // atomic pointer, and the store is the only copy of the entries.
-// Search/Get/Explain load the pointer and evaluate on a per-query
-// scratch arena (pager.Arena), touching the shared store disk only with
-// reads, so any number of queries run concurrently without a
-// directory-level lock. The two writers build the next store beside the
-// live one — UpdateEntries on a copy-on-write fork of its disk, Update
-// by rebuilding on a fresh disk — and atomically swap the snapshot in:
+// SearchWith (behind every Search variant), Get and ExplainQuery load
+// the pointer once, and a search evaluates on a per-query scratch arena
+// (pager.Arena), touching the shared store disk only with reads, so any
+// number of queries run concurrently without a directory-level lock.
+// The two writers build the next store beside the live one —
+// UpdateEntries on a copy-on-write fork of its disk, Update by
+// rebuilding on a fresh disk — and atomically swap the snapshot in:
 // readers mid-flight finish against the snapshot they loaded, new
 // readers see the new generation, and a failure at any point (invalid
 // entry, mutation error, store build error) leaves the live directory
@@ -457,155 +465,153 @@ func (d *Directory) CacheStats() qcache.Stats {
 	return d.cache.Stats()
 }
 
-// Search parses, validates, and evaluates a query in the paper's
-// surface syntax, materializing the result.
+// Search parses, validates and evaluates a query in the paper's surface
+// syntax, materializing the result: SearchWith on a plain Request.
 func (d *Directory) Search(text string) (*Result, error) {
 	q, err := query.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	return d.SearchQuery(q)
+	res, _, err := d.SearchWith(context.Background(), Request{Query: q})
+	return res, err
 }
 
-// SearchQuery evaluates a parsed query tree, consulting the result
-// cache first when one is configured: semantically identical queries
-// (same canonical form, internal/query.Canonical) at the same store
-// generation share one cached answer, and concurrent identical misses
-// evaluate once. A cache hit performs zero page I/O.
-func (d *Directory) SearchQuery(q query.Query) (*Result, error) {
-	return d.searchCached("", q, true)
-}
-
-// SearchLDAP evaluates an LDAP baseline query: a single base and scope
-// with a boolean combination of atomic filters.
-func (d *Directory) SearchLDAP(text string) (*Result, error) {
-	q, err := query.ParseLDAP(text)
+// SearchTraced is Search with per-operator tracing: SearchWith on a
+// Request with Trace set, returning the span tree beside the result.
+func (d *Directory) SearchTraced(text string) (*Result, *obs.Span, error) {
+	q, err := query.Parse(text)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// LDAP evaluation skips L0-level validation, so its slots are kept
-	// apart from Search's even when the printed forms coincide.
-	return d.searchCached("ldap|", q, false)
+	return d.SearchWith(context.Background(), Request{Query: q, Trace: true})
 }
 
-func (d *Directory) searchCached(keyPrefix string, q query.Query, validate bool) (*Result, error) {
-	// One snapshot load covers the whole search: the cache key's
-	// generation, the evaluation, and the Result's Gen all describe the
-	// same store, even if an Update swaps mid-flight.
+// Resolver answers one atomic sub-query of a search in place of the
+// directory's store. st is the store of the snapshot the search loaded,
+// and the returned list must live on arena, the search's own.
+// dirserver.Coordinator's resolver ships the atomics other servers own
+// to them (Section 8.3).
+type Resolver func(ctx context.Context, st *store.Store, arena *pager.Arena, q *query.Atomic) (*plist.List, error)
+
+// Request is one search. How it runs follows from its fields, not from
+// a choice of method.
+type Request struct {
+	// Query is the parsed query, from query.Parse or query.ParseLDAP. An
+	// LDAP baseline query (*query.LDAP) skips L0 validation and the
+	// planner, and its cache slots are kept apart from L0–L3 queries'
+	// even when the printed forms coincide.
+	Query query.Query
+	// Trace records the evaluation's span tree: for every plan operator,
+	// its wall time, input/output cardinalities and pager.Stats delta
+	// (dirq -explain renders it; DESIGN.md §8), exact while other
+	// queries run because the tracer windows this query's own arena. A
+	// traced search bypasses the result cache, since a hit has no
+	// operator tree, and its Result.IO covers evaluation only, excluding
+	// the final result drain, so that it equals the root span's IO and
+	// the per-operator self deltas sum to it (TestTraceIOConservation).
+	Trace bool
+	// Resolve, when set, answers every atomic sub-query. Such a search
+	// runs neither the planner nor the result cache: its answer depends
+	// on what the resolver reaches, which neither the cache key nor the
+	// planner's StrictForest describes.
+	Resolve Resolver
+}
+
+// SearchWith is the one search body behind every local, served and
+// federated query. It loads the current snapshot once, so the cache
+// key's generation, the evaluation and the Result's Gen all describe
+// the same store even if an Update swaps mid-flight, and it evaluates
+// on a fresh per-query arena.
+//
+// With the result cache on (Options.CacheBytes), an untraced search
+// without a resolver consults it first: semantically identical queries
+// (same canonical form, query.Canonical) at the same generation share
+// one cached answer, concurrent identical misses evaluate once, and a
+// hit performs zero page I/O. Every evaluation except a cache fill runs
+// under ctx, whose deadline and cancellation are checked before each
+// operator. A fill is shared by every waiter on its key, so it runs
+// detached (context.WithoutCancel): one caller's deadline never fails
+// another caller's search.
+//
+// A traced search returns its span tree even on failure — partial, with
+// the failing span carrying the error — which keeps distributed traces
+// well-formed when one hop dies mid-query.
+func (d *Directory) SearchWith(ctx context.Context, req Request) (*Result, *obs.Span, error) {
 	snap := d.snap.Load()
-	if d.cache == nil {
-		res, _, _, err := d.evaluate(context.Background(), snap, q, validate, false)
-		return res, err
+	if d.cache == nil || req.Trace || req.Resolve != nil {
+		res, _, root, err := d.evaluate(ctx, snap, req)
+		return res, root, err
 	}
-	key := fmt.Sprintf("%sg%d|%s", keyPrefix, snap.gen, query.Canonical(q))
+	prefix := ""
+	if _, ldap := req.Query.(*query.LDAP); ldap {
+		prefix = "ldap|"
+	}
+	key := fmt.Sprintf("%sg%d|%s", prefix, snap.gen, query.Canonical(req.Query))
 	v, hit, err := d.cache.Do(key, func() (any, int64, error) {
-		res, size, _, err := d.evaluate(context.Background(), snap, q, validate, false)
+		res, size, _, err := d.evaluate(context.WithoutCancel(ctx), snap, req)
 		if err != nil {
 			return nil, 0, err
 		}
 		return res, size, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := v.(*Result)
 	if hit {
 		// Fresh header, shared (read-only) entries: a hit re-executes
 		// no I/O, and the Result must say so.
-		return &Result{Entries: res.Entries, Gen: res.Gen}, nil
+		return &Result{Entries: res.Entries, Gen: res.Gen}, nil, nil
 	}
-	return res, nil
+	return res, nil, nil
 }
 
-// evaluate is the one evaluation body behind every Search* entry point.
-// It evaluates q against one loaded snapshot on a fresh per-query arena
-// and returns the materialized result plus its size in list-stream
-// bytes (the result cache's cost measure). No directory lock is taken:
-// the snapshot's store disk is only read, and all writes land on the
-// arena's private scratch disk, so any number of evaluations run
-// concurrently with exact per-query I/O accounting. validate runs L0
-// validation and the planner first (the LDAP surface skips both);
-// traced makes the differences SearchTraced documents: a root span,
-// returned even on failure, and a Result.IO read before the result
-// drain.
-func (d *Directory) evaluate(ctx context.Context, snap *snapshot, q query.Query, validate, traced bool) (res *Result, size int64, root *obs.Span, err error) {
-	if validate {
+// evaluate is the one evaluation body: it validates and plans req's
+// query, evaluates it against one loaded snapshot on a fresh per-query
+// arena, and returns the materialized result plus its size in
+// list-stream bytes (the result cache's cost measure). No directory
+// lock is taken: the snapshot's store disk is only read, and all writes
+// land on the arena's private scratch disk, so any number of
+// evaluations run concurrently with exact per-query I/O accounting.
+// The resolver, if any, is bound to this query's session alone.
+func (d *Directory) evaluate(ctx context.Context, snap *snapshot, req Request) (res *Result, size int64, root *obs.Span, err error) {
+	q := req.Query
+	if _, ldap := q.(*query.LDAP); !ldap {
 		if err := query.Validate(snap.st.Schema(), q); err != nil {
 			return nil, 0, nil, err
 		}
-		q = d.planQuery(snap, q).Query
+		if req.Resolve == nil {
+			q = d.planQuery(snap, q).Query
+		}
 	}
 	d.readers.enter(snap.gen)
 	defer d.readers.exit(snap.gen)
 	arena := pager.NewArena(snap.st.Disk())
-	if traced {
+	sess := snap.eng.Session(arena)
+	if resolve := req.Resolve; resolve != nil {
+		sess.SetResolver(func(ctx context.Context, a *query.Atomic) (*plist.List, error) {
+			return resolve(ctx, snap.st, arena, a)
+		})
+	}
+	if req.Trace {
 		tr := obs.NewTracer(arena)
 		ctx = obs.WithTracer(ctx, tr)
 		defer func() { root = tr.Root() }()
 	}
-	l, err := snap.eng.Session(arena).EvalContext(ctx, q)
+	l, err := sess.EvalContext(ctx, q)
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	evalIO := arena.Stats()
-	size = l.Size()
-	recs, err := plist.Drain(l)
+	entries, err := plist.DrainEntries(l)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	res = &Result{IO: arena.Stats(), Gen: snap.gen, Entries: make([]*model.Entry, len(recs))}
-	if traced {
+	res = &Result{Entries: entries, IO: arena.Stats(), Gen: snap.gen}
+	if req.Trace {
 		res.IO = evalIO
 	}
-	for i, r := range recs {
-		res.Entries[i] = r.Entry
-	}
-	return res, size, nil, l.Free()
-}
-
-// SearchTraced evaluates a query with per-operator tracing: alongside
-// the materialized result it returns the span tree recording, for
-// every plan operator, its wall time, input/output cardinalities, and
-// exact pager.Stats delta (dirq -explain renders it; DESIGN.md §8).
-// The tracer windows the per-query arena's counters, so the recorded
-// deltas stay exact even while other queries run concurrently.
-//
-// Two deliberate differences from Search: the result cache is
-// bypassed (a cache hit has no operator tree — tracing answers "what
-// would this query cost", so it always evaluates), and Result.IO
-// covers evaluation only, excluding the final result drain, so that
-// it equals the root span's IO exactly and the per-operator self
-// deltas sum to it — the conservation law TestTraceIOConservation
-// asserts.
-func (d *Directory) SearchTraced(text string) (*Result, *obs.Span, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.SearchQueryTraced(context.Background(), q)
-}
-
-// SearchQueryTraced is SearchTraced for a parsed query tree, with
-// deadline and cancellation propagation: the context is checked before
-// each operator, so a budgeted evaluation (the dirserver protocol's
-// per-request budget, most importantly) stops promptly instead of
-// overrunning. The span tree is returned even on failure — partial,
-// with the failing span carrying the error — which is what keeps
-// distributed traces well-formed when one hop dies mid-query.
-func (d *Directory) SearchQueryTraced(ctx context.Context, q query.Query) (*Result, *obs.Span, error) {
-	res, _, root, err := d.evaluate(ctx, d.snap.Load(), q, true, true)
-	return res, root, err
-}
-
-// SearchLDAPTraced is SearchQueryTraced for the LDAP baseline surface
-// (which skips L0 validation, like SearchLDAP).
-func (d *Directory) SearchLDAPTraced(ctx context.Context, text string) (*Result, *obs.Span, error) {
-	q, err := query.ParseLDAP(text)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, _, root, err := d.evaluate(ctx, d.snap.Load(), q, false, true)
-	return res, root, err
+	return res, l.Size(), nil, l.Free()
 }
 
 // planQuery runs the algebraic planner over a validated query when the
@@ -701,13 +707,4 @@ func (d *Directory) RegisterMetrics(reg *obs.Registry) {
 	if d.cache != nil {
 		d.cache.RegisterMetrics(reg, "dirkit_dir_cache")
 	}
-}
-
-// Language classifies a query string into the paper's hierarchy.
-func Language(text string) (query.Language, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return 0, err
-	}
-	return q.Language(), nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -87,7 +88,11 @@ func TestDirectoryGet(t *testing.T) {
 
 func TestDirectorySearchLDAP(t *testing.T) {
 	d := smallDirectory(t, Options{})
-	res, err := d.SearchLDAP("(dc=com ? sub ? (&(objectClass=QHP)(priority<=1)))")
+	q, err := query.ParseLDAP("(dc=com ? sub ? (&(objectClass=QHP)(priority<=1)))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := d.SearchWith(context.Background(), Request{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,16 +127,6 @@ func TestBuilderErrors(t *testing.T) {
 	// Duplicate DN.
 	if err := b2.AddEntry("dc=com", []string{"dcObject"}); err == nil {
 		t.Error("duplicate DN accepted")
-	}
-}
-
-func TestLanguageHelper(t *testing.T) {
-	l, err := Language("(g (dc=com ? sub ? dc=*) count($$) > 0)")
-	if err != nil || l != query.LangL2 {
-		t.Fatalf("Language = %v, %v", l, err)
-	}
-	if _, err := Language("nonsense"); err == nil {
-		t.Error("bad query accepted")
 	}
 }
 

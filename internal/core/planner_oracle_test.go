@@ -77,15 +77,15 @@ func TestPlannerOracle(t *testing.T) {
 		if query.Validate(naive.Schema(), q) != nil {
 			continue
 		}
-		want, err := naive.SearchQuery(q)
+		want, _, err := naive.SearchWith(context.Background(), Request{Query: q})
 		if err != nil {
 			t.Fatalf("naive %s: %v", q, err)
 		}
-		plain, err := twin.SearchQuery(q)
+		plain, _, err := twin.SearchWith(context.Background(), Request{Query: q})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		traced, _, err := twin.SearchQueryTraced(context.Background(), q)
+		traced, _, err := twin.SearchWith(context.Background(), Request{Query: q, Trace: true})
 		if err != nil {
 			t.Fatalf("traced %s: %v", q, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -254,8 +255,8 @@ func TestCacheOracleRandomQueriesWithUpdates(t *testing.T) {
 			applyOracleUpdate(t, []*Directory{cached, plain}, i/40)
 		}
 		q := pool[r.Intn(len(pool))]
-		want, errW := plain.SearchQuery(q)
-		got, errG := cached.SearchQuery(q)
+		want, _, errW := plain.SearchWith(context.Background(), Request{Query: q})
+		got, _, errG := cached.SearchWith(context.Background(), Request{Query: q})
 		if (errW == nil) != (errG == nil) {
 			t.Fatalf("iter %d %s: cached err %v, plain err %v", i, q, errG, errW)
 		}

@@ -149,7 +149,11 @@ func TestSearchQueryTracedHonorsDeadline(t *testing.T) {
 	dir := forestDir(t, 200)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, _, err := dir.SearchLDAPTraced(ctx, `( ? sub ? tag=a)`)
+	q, err := query.ParseLDAP(`( ? sub ? tag=a)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = dir.SearchWith(ctx, Request{Query: q, Trace: true})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v, want DeadlineExceeded", err)
 	}

@@ -183,21 +183,13 @@ type RemoteTrace struct {
 }
 
 // CallTraced is CallWithGen carrying trace context on the wire:
-// traceID and the issuing span's ID ride the request, the remaining
-// context-deadline budget is forwarded so the server stops evaluating
-// when this client would discard the answer, and the reply's span
-// subtree plus wire/serve/queue time split come back in RemoteTrace.
-// RemoteTrace is non-nil whenever the server replied (even with a
-// query error, whose partial span tree keeps the merged trace
+// traceID and the issuing span's ID ride the request, and the reply's
+// span subtree plus wire/serve/queue time split come back in
+// RemoteTrace. RemoteTrace is non-nil whenever the server replied (even
+// with a query error, whose partial span tree keeps the merged trace
 // well-formed); it is nil on transport failure.
 func (cl *Client) CallTraced(ctx context.Context, addr, kind, queryText, traceID string, parentSpan uint64) ([]*model.Entry, int64, *RemoteTrace, error) {
-	req := request{Kind: kind, Query: queryText, Trace: traceID, Span: parentSpan}
-	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			req.BudgetMS = ms
-		}
-	}
-	entries, res, rtt, err := cl.do(ctx, addr, req)
+	entries, res, rtt, err := cl.do(ctx, addr, request{Kind: kind, Query: queryText, Trace: traceID, Span: parentSpan})
 	if err != nil && !errors.Is(err, ErrRemote) {
 		return nil, 0, nil, err
 	}
@@ -215,17 +207,22 @@ func (cl *Client) CallTraced(ctx context.Context, addr, kind, queryText, traceID
 // do runs the retry loop for one request, returning the decoded
 // entries, the raw response (meaningful whenever the server replied,
 // ErrRemote included), and how long the successful exchange took on
-// this client's clock.
+// this client's clock. Every attempt forwards what is left of the
+// context's deadline as the request's budget, so the server stops
+// evaluating when this client would discard the answer.
 func (cl *Client) do(ctx context.Context, addr string, req request) ([]*model.Entry, response, time.Duration, error) {
 	cl.calls.Add(1)
-	b, err := json.Marshal(req)
-	if err != nil {
-		return nil, response{}, 0, err
-	}
 	var lastErr error
 	freeRedial := true
 	for attempt := 0; ; {
 		if err := ctx.Err(); err != nil {
+			return nil, response{}, 0, err
+		}
+		if dl, ok := ctx.Deadline(); ok {
+			req.BudgetMS = max(time.Until(dl).Milliseconds(), 1)
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
 			return nil, response{}, 0, err
 		}
 		pc, reused, err := cl.get(ctx, addr)

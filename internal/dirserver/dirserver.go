@@ -118,9 +118,10 @@ func (r *Registry) Zones() []string {
 // The optional trace-context fields implement distributed tracing
 // (DESIGN.md §13): Trace carries the 128-bit trace ID assigned at the
 // query's entry point, Span the client-side span that issued this
-// request (the remote subtree's parent), and BudgetMS the remaining
-// deadline budget, so a server stops evaluating when the coordinator's
-// deadline would discard the answer anyway.
+// request (the remote subtree's parent). BudgetMS, sent by every
+// Client call whose context has a deadline, traced or not, is the
+// remaining deadline budget, so a server stops evaluating when the
+// caller's deadline would discard the answer anyway.
 type request struct {
 	Kind  string `json:"kind"`
 	Query string `json:"query"`
@@ -202,7 +203,11 @@ type ServerConfig struct {
 	// in the flight recorder (exposed at /debug/queries). Setting it
 	// makes the server trace every query it serves; traced serving
 	// bypasses the directory's result cache, trading cache hits for a
-	// complete per-operator record of each request.
+	// complete per-operator record of each request. Tracing does not
+	// change how a request's budget_ms applies: it bounds every
+	// evaluation, traced or not, except a result-cache fill, which runs
+	// detached because every concurrent request for the same query
+	// waits on it.
 	Flight *obs.FlightRecorder
 }
 
@@ -425,42 +430,16 @@ func (s *Server) serveOne(req request, recv time.Time) response {
 	// or the server records every query in its flight recorder.
 	// Mutations are never traced: they have no operator tree.
 	traced := req.Trace != "" || s.cfg.Flight != nil
-	ctx, cancel := budgetCtx(req)
-	defer cancel()
+	var q query.Query
 	switch req.Kind {
 	case "add", "del":
 		traced = false
 		gen, err = s.applyWrite(req)
-	case "atomic":
-		var q query.Query
-		q, err = query.Parse(req.Query)
-		if err == nil {
-			if _, ok := q.(*query.Atomic); !ok {
-				err = fmt.Errorf("dirserver: %q is not atomic", req.Query)
-			}
-		}
-		if err == nil {
-			if traced {
-				res, root, err = s.dir.SearchQueryTraced(ctx, q)
-			} else {
-				res, err = s.dir.SearchQuery(q)
-			}
-		}
-	case "query":
-		var q query.Query
-		q, err = query.Parse(req.Query)
-		if err == nil {
-			if traced {
-				res, root, err = s.dir.SearchQueryTraced(ctx, q)
-			} else {
-				res, err = s.dir.SearchQuery(q)
-			}
-		}
-	case "ldap":
-		if traced {
-			res, root, err = s.dir.SearchLDAPTraced(ctx, req.Query)
-		} else {
-			res, err = s.dir.SearchLDAP(req.Query)
+	case "atomic", "query", "ldap":
+		if q, err = parseRequest(req); err == nil {
+			ctx, cancel := budgetCtx(req)
+			res, root, err = s.dir.SearchWith(ctx, core.Request{Query: q, Trace: traced})
+			cancel()
 		}
 	default:
 		traced = false
@@ -490,7 +469,7 @@ func (s *Server) serveOne(req request, recv time.Time) response {
 		s.cfg.SlowLog.Record(req.Kind, req.Query, gen, traceID, dur, io, entries, err)
 	}
 	if err != nil {
-		s.record(req, traced, traceID, gen, dur, io, 0, 0, err, root)
+		s.record(req, q, traced, traceID, gen, dur, io, nil, err, root)
 		out := response{Err: err.Error(), ServeUS: dur.Microseconds(), QueueUS: queue.Microseconds()}
 		if req.Trace != "" {
 			// A lost or failed evaluation still returns its partial span
@@ -513,22 +492,41 @@ func (s *Server) serveOne(req request, recv time.Time) response {
 		Entries: make([]string, len(res.Entries)), Gen: res.Gen,
 		ServeUS: dur.Microseconds(), QueueUS: queue.Microseconds(),
 	}
-	hash := fnv.New64a()
 	for i, e := range res.Entries {
-		block := ldif.MarshalEntry(e)
-		out.Entries[i] = block
-		_, _ = hash.Write([]byte(block))
+		out.Entries[i] = ldif.MarshalEntry(e)
 	}
-	s.record(req, traced, traceID, gen, dur, io, entries, hash.Sum64(), nil, root)
+	s.record(req, q, traced, traceID, gen, dur, io, out.Entries, nil, root)
 	if req.Trace != "" {
 		out.Trace = root
 	}
 	return out
 }
 
+// parseRequest parses a read request's query by its kind: "ldap" in the
+// LDAP baseline syntax, "query" and "atomic" as L0–L3, where "atomic"
+// must be a single atomic query.
+func parseRequest(req request) (query.Query, error) {
+	if req.Kind == "ldap" {
+		q, err := query.ParseLDAP(req.Query)
+		if err != nil {
+			return nil, err // not a nil *query.LDAP in a non-nil interface
+		}
+		return q, nil
+	}
+	q, err := query.Parse(req.Query)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := q.(*query.Atomic); !ok && req.Kind == "atomic" {
+		return nil, fmt.Errorf("dirserver: %q is not atomic", req.Query)
+	}
+	return q, nil
+}
+
 // budgetCtx derives the evaluation context from the request's remaining
-// deadline budget, so a server abandons work the coordinator would
-// discard anyway. The returned cancel must be called.
+// deadline budget, so a server abandons work the client would discard
+// anyway (core.Directory.SearchWith: every evaluation but a detached
+// cache fill honours it). The returned cancel must be called.
 func budgetCtx(req request) (context.Context, context.CancelFunc) {
 	if req.BudgetMS <= 0 {
 		return context.Background(), func() {}
@@ -543,7 +541,9 @@ func budgetCtx(req request) (context.Context, context.CancelFunc) {
 // Queries that fail before evaluation starts (parse or validation
 // errors) are retained too — with no span tree — so ?errors=1 shows
 // every rejected query, not just the ones that died mid-evaluation.
-func (s *Server) record(req request, traced bool, traceID string, gen int64, dur time.Duration, io int64, entries int, hash uint64, err error, root *obs.Span) {
+// q is the parsed query, nil when the request did not parse, and
+// blocks the reply's LDIF entries, which the hash covers.
+func (s *Server) record(req request, q query.Query, traced bool, traceID string, gen int64, dur time.Duration, io int64, blocks []string, err error, root *obs.Span) {
 	if s.cfg.Flight == nil || !traced {
 		return
 	}
@@ -554,14 +554,20 @@ func (s *Server) record(req request, traced bool, traceID string, gen int64, dur
 		Gen:     gen,
 		Dur:     dur,
 		IO:      io,
-		Entries: entries,
-		Hash:    hash,
+		Entries: len(blocks),
 		Root:    root,
+	}
+	if err == nil {
+		hash := fnv.New64a()
+		for _, b := range blocks {
+			_, _ = hash.Write([]byte(b))
+		}
+		rec.Hash = hash.Sum64()
 	}
 	// Normalize the display text through a parse/print round trip
 	// (case folding, whitespace) — but not query.Canonical, whose
 	// reverse-DN keys embed NUL separators and are unreadable.
-	if q, perr := query.Parse(req.Query); perr == nil {
+	if q != nil {
 		rec.Query = q.String()
 	}
 	if err != nil {
@@ -655,14 +661,16 @@ type CoordinatorStats struct {
 // pooled retrying Client, and per-address breakers steer around
 // unhealthy replicas.
 //
-// Each Search evaluates like core.Directory's: it loads the directory's
-// current snapshot once and runs on a session over a fresh per-query
-// arena, with this coordinator's resolver bound to that session alone.
-// Local atomics, remote answers, intermediates and results all land on
-// the arena's scratch disk; the directory's store disk is only read.
-// So Search takes no lock, any number run concurrently with exact
-// per-query I/O, a coordinator follows the directory's updates, and
-// plain dir.Search calls never see the resolver. Within one query the
+// Each Search is a core.Directory.SearchWith call whose Request carries
+// this coordinator's resolver: it loads the directory's current
+// snapshot once and runs on a session over a fresh per-query arena,
+// with the resolver bound to that session alone, and without the
+// planner or the directory's result cache. Local atomics, remote
+// answers, intermediates and results all land on the arena's scratch
+// disk; the directory's store disk is only read. So Search takes no
+// lock, any number run concurrently with exact per-query I/O, a
+// coordinator follows the directory's updates, and plain dir.Search
+// calls never see the resolver. Within one query the
 // remote atomics resolve one after another, in operand order; the
 // pooled client, breakers, result cache and stats carry their own
 // synchronization because concurrent Searches share them.
@@ -879,14 +887,19 @@ func (c *Coordinator) resolveAtomic(ctx context.Context, st *store.Store, arena 
 	return nil, fmt.Errorf("%w: all servers for %q unreachable: %v", ErrUnavailable, q.Base, lastErr)
 }
 
-// callRemote ships one atomic to addr. With a tracer on the context
-// the exchange carries trace ID, issuing span, and deadline budget on
-// the wire and brings back the server's span subtree; without one it
-// is a plain CallWithGen and the RemoteTrace is nil.
+// callRemote ships one atomic to addr under ctx's deadline budget. With
+// a tracer on the context the exchange also carries the trace ID and
+// issuing span on the wire and brings back the server's span subtree;
+// without one it is a plain CallWithGen and the RemoteTrace is nil.
 func (c *Coordinator) callRemote(ctx context.Context, tr *obs.Tracer, addr string, q *query.Atomic) ([]*model.Entry, int64, *RemoteTrace, error) {
 	if tr == nil {
 		entries, gen, err := c.client.CallWithGen(ctx, addr, "atomic", q.String())
 		return entries, gen, nil, err
+	}
+	if tr.TraceID() == "" {
+		// The query's first remote hop assigns its trace ID; the tracer
+		// is the query's own, so every later hop carries the same one.
+		tr.SetTraceID(obs.NewTraceID())
 	}
 	return c.client.CallTraced(ctx, addr, "atomic", q.String(), tr.TraceID(), tr.CurrentID())
 }
@@ -1016,40 +1029,16 @@ func (c *Coordinator) SearchTraced(ctx context.Context, text string) ([]*model.E
 	return c.search(ctx, text, true)
 }
 
-// search is the one body behind Search and SearchTraced: one snapshot,
-// one arena, one session carrying this query's resolver.
-func (c *Coordinator) search(ctx context.Context, text string, traced bool) (out []*model.Entry, root *obs.Span, err error) {
+// search parses text and hands it to the directory's one search body
+// with this coordinator's resolver.
+func (c *Coordinator) search(ctx context.Context, text string, trace bool) ([]*model.Entry, *obs.Span, error) {
 	q, err := query.Parse(text)
 	if err != nil {
 		return nil, nil, err
 	}
-	eng := c.dir.Engine()
-	st := eng.Store()
-	if err := query.Validate(st.Schema(), q); err != nil {
-		return nil, nil, err
-	}
-	arena := pager.NewArena(st.Disk())
-	sess := eng.Session(arena)
-	sess.SetResolver(func(ctx context.Context, a *query.Atomic) (*plist.List, error) {
-		return c.resolveAtomic(ctx, st, arena, a)
-	})
-	if traced {
-		tr := obs.NewTracer(arena)
-		tr.SetTraceID(obs.NewTraceID())
-		ctx = obs.WithTracer(ctx, tr)
-		defer func() { root = tr.Root() }()
-	}
-	l, err := sess.EvalContext(ctx, q)
+	res, root, err := c.dir.SearchWith(ctx, core.Request{Query: q, Trace: trace, Resolve: c.resolveAtomic})
 	if err != nil {
-		return nil, nil, err
+		return nil, root, err
 	}
-	recs, err := plist.Drain(l)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = make([]*model.Entry, len(recs))
-	for i, r := range recs {
-		out[i] = r.Entry
-	}
-	return out, nil, l.Free()
+	return res.Entries, root, nil
 }

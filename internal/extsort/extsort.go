@@ -86,9 +86,7 @@ func formRuns(d *pager.Disk, in plist.RecordReader, cfg Config) ([]*plist.List, 
 		return nil
 	}
 	fail := func(err error) ([]*plist.List, error) {
-		for _, r := range runs {
-			_ = r.Free()
-		}
+		freeRuns(runs)
 		return nil, err
 	}
 	for {
@@ -118,7 +116,9 @@ func formRuns(d *pager.Disk, in plist.RecordReader, cfg Config) ([]*plist.List, 
 }
 
 // mergeRuns repeatedly merges groups of FanIn runs until one remains;
-// each pass's output runs are in group order.
+// each pass's output runs are in group order. It owns runs: on error it
+// frees every run it still holds, the pass's unmerged rest and the
+// merged runs it already wrote.
 func mergeRuns(d *pager.Disk, runs []*plist.List, cfg Config) (*plist.List, error) {
 	if len(runs) == 0 {
 		return plist.Build(d, nil)
@@ -126,8 +126,11 @@ func mergeRuns(d *pager.Disk, runs []*plist.List, cfg Config) (*plist.List, erro
 	for len(runs) > 1 {
 		var next []*plist.List
 		for lo := 0; lo < len(runs); lo += cfg.FanIn {
-			merged, err := mergeGroup(d, runs[lo:min(lo+cfg.FanIn, len(runs))])
+			hi := min(lo+cfg.FanIn, len(runs))
+			merged, err := mergeGroup(d, runs[lo:hi])
 			if err != nil {
+				freeRuns(runs[hi:])
+				freeRuns(next)
 				return nil, err
 			}
 			next = append(next, merged)
@@ -137,18 +140,30 @@ func mergeRuns(d *pager.Disk, runs []*plist.List, cfg Config) (*plist.List, erro
 	return runs[0], nil
 }
 
-// mergeGroup merges one group of runs and frees the inputs.
+// mergeGroup merges one group of runs and frees the inputs, whether or
+// not the merge succeeds.
 func mergeGroup(d *pager.Disk, g []*plist.List) (*plist.List, error) {
 	merged, err := mergeOnce(d, g)
-	if err != nil {
-		return nil, err
-	}
 	for _, r := range g {
-		if err := r.Free(); err != nil {
-			return nil, err
+		if ferr := r.Free(); err == nil {
+			err = ferr
 		}
 	}
+	if err != nil {
+		if merged != nil {
+			_ = merged.Free()
+		}
+		return nil, err
+	}
 	return merged, nil
+}
+
+// freeRuns frees runs, best effort: it runs on an error path, whose
+// first error is the one reported.
+func freeRuns(runs []*plist.List) {
+	for _, r := range runs {
+		_ = r.Free()
+	}
 }
 
 // mergeOnce merges sorted runs into one sorted list, preserving

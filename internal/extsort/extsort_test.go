@@ -254,3 +254,50 @@ func TestSortStopsAtFirstWriteError(t *testing.T) {
 		}
 	}
 }
+
+// TestSortFreesEverythingOnWriteError fails each page write of a sort
+// in turn — in run formation and in every merge pass — and checks that
+// Sort returns the injected error and leaves the disk's live page count
+// where it was before the sort: the runs written, the runs merged, and
+// the partial list whose write failed are all freed. The race detector
+// slows each sort tenfold and this test is single-goroutine, so a -race
+// build fails every 16th write instead of every one.
+func TestSortFreesEverythingOnWriteError(t *testing.T) {
+	recs := randomRecords(rand.New(rand.NewSource(11)), 5000)
+	cfg := Config{MemBytes: 4096}
+	d := pager.NewDisk(512)
+	total := 0
+	d.SetFault(func(op string, _ pager.PageID) error {
+		if op == "write" {
+			total++
+		}
+		return nil
+	})
+	if _, err := SortSlice(d, recs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	step := 1
+	if raceEnabled {
+		step = 16
+	}
+	boom := errors.New("boom")
+	for failAt := 1; failAt <= total; failAt += step {
+		d := pager.NewDisk(512)
+		before := d.NumPages()
+		writes := 0
+		d.SetFault(func(op string, _ pager.PageID) error {
+			if op == "write" {
+				if writes++; writes == failAt {
+					return boom
+				}
+			}
+			return nil
+		})
+		if _, err := SortSlice(d, recs, cfg); !errors.Is(err, boom) {
+			t.Fatalf("write %d of %d failing: Sort error = %v, want %v", failAt, total, err, boom)
+		}
+		if got := d.NumPages(); got != before {
+			t.Fatalf("write %d of %d failing: %d pages live after Sort, %d before", failAt, total, got, before)
+		}
+	}
+}

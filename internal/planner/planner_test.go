@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ import (
 
 func evalKeys(t *testing.T, dir *core.Directory, q query.Query) []string {
 	t.Helper()
-	res, err := dir.SearchQuery(q)
+	res, _, err := dir.SearchWith(context.Background(), core.Request{Query: q})
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/model"
 	"repro/internal/pager"
 )
 
@@ -58,7 +59,9 @@ func (l *List) Free() error {
 // Writer appends records to a new list. It buffers at most one page,
 // growing the buffer as records arrive so that a list of a few records
 // does not cost a page of memory to write; Append streams the encoded
-// record across page boundaries, writing each full page once.
+// record across page boundaries, writing each full page once. A writer
+// whose Append or Close fails frees every page it allocated, the page
+// whose write failed included, and returns that error from then on.
 type Writer struct {
 	disk    *pager.Disk
 	page    []byte // bytes of the page being filled
@@ -93,8 +96,7 @@ func (w *Writer) Append(r *Record) error {
 	}
 	if w.ordered {
 		if w.count > 0 && r.Key < aliasString(w.lastKey) {
-			w.err = fmt.Errorf("plist: unsorted append: %q after %q", r.Key, w.lastKey)
-			return w.err
+			return w.fail(fmt.Errorf("plist: unsorted append: %q after %q", r.Key, w.lastKey))
 		}
 		w.lastKey = append(w.lastKey[:0], r.Key...)
 	}
@@ -129,16 +131,24 @@ func (w *Writer) writeBytes(b []byte) error {
 func (w *Writer) flushPage() error {
 	id, err := w.disk.Alloc()
 	if err != nil {
-		w.err = err
-		return err
-	}
-	if err := w.disk.Write(id, w.page); err != nil {
-		w.err = err
-		return err
+		return w.fail(err)
 	}
 	w.pages = append(w.pages, id)
+	if err := w.disk.Write(id, w.page); err != nil {
+		return w.fail(err)
+	}
 	w.page = w.page[:0]
 	return nil
+}
+
+// fail poisons the writer with err and frees the pages it allocated:
+// nobody else holds them, since the list was never returned.
+func (w *Writer) fail(err error) error {
+	for _, id := range w.pages {
+		_ = w.disk.Free(id)
+	}
+	w.pages, w.err = nil, err
+	return err
 }
 
 // Close flushes the final partial page and returns the completed list.
@@ -405,5 +415,25 @@ func Drain(l *List) ([]*Record, error) {
 		c := &Record{Key: strings.Clone(rec.Key), Label: rec.Label, A: rec.A, B: rec.B, Aux: slices.Clone(rec.Aux)}
 		c.Entry = rec.decodeEntry(c.Key)
 		out = append(out, c)
+	}
+}
+
+// DrainEntries is Drain for a caller that keeps only the entries, as a
+// query's result does: it allocates no records beside them.
+func DrainEntries(l *List) ([]*model.Entry, error) {
+	out := make([]*model.Entry, 0, min(l.Count(), l.Size()))
+	rd := l.Reader()
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !rec.HasEntry() {
+			return nil, fmt.Errorf("%w: %q", ErrNoEntry, rec.Key)
+		}
+		out = append(out, rec.decodeEntry(strings.Clone(rec.Key)))
 	}
 }

@@ -103,6 +103,22 @@ func TestListWriteRead(t *testing.T) {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
+	entries, err := DrainEntries(l)
+	if err != nil || len(entries) != len(recs) {
+		t.Fatalf("DrainEntries: %d entries, %v", len(entries), err)
+	}
+	for i, e := range entries {
+		if e.Key() != recs[i].Key || !e.Equal(recs[i].Entry) {
+			t.Fatalf("entry %d mismatch", i)
+		}
+	}
+	keys, err := Build(d, []*Record{{Key: "k\x00"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DrainEntries(keys); !errors.Is(err, ErrNoEntry) {
+		t.Fatalf("DrainEntries of a keys-only list: %v, want ErrNoEntry", err)
+	}
 }
 
 func TestListReaderIO(t *testing.T) {
