@@ -1,9 +1,9 @@
 package repro
 
-// One benchmark per experiment of DESIGN.md (E1–E16, A1–A3), each
-// regenerating its EXPERIMENTS.md table at reduced scale, plus
-// fine-grained operator benchmarks for the individual algorithms of the
-// paper's figures. Run with:
+// One benchmark per experiment of DESIGN.md from E1 to E17 and per
+// ablation (A1–A4), each regenerating its EXPERIMENTS.md table at
+// reduced scale, plus fine-grained operator benchmarks for the
+// individual algorithms of the paper's figures. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -70,9 +70,7 @@ func BenchmarkE11Hierarchy(b *testing.B)    { runSpec(b, "E11") }
 func BenchmarkE12AcEncodesP(b *testing.B)   { runSpec(b, "E12") }
 func BenchmarkE14Distributed(b *testing.B)  { runSpec(b, "E14") }
 func BenchmarkE15AtomicIndex(b *testing.B)  { runSpec(b, "E15") }
-func BenchmarkE16Apps(b *testing.B)         { runSpec(b, "E16") }
 func BenchmarkE17Operators(b *testing.B)    { runSpec(b, "E17") }
-func BenchmarkE18CacheZipf(b *testing.B)    { runSpec(b, "E18") }
 
 func BenchmarkAblationStackWindow(b *testing.B) { runSpec(b, "A1") }
 func BenchmarkAblationBlockSize(b *testing.B)   { runSpec(b, "A2") }

@@ -5,12 +5,13 @@
 // locally. This example splits the paper's sample directory in two,
 // serves both halves over TCP, runs federated queries, and scrapes the
 // coordinator's /statusz admin endpoint through the chaos sequence —
-// watching the breaker and cache counters move as replicas die.
+// watching the breaker counters move as replicas die.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -50,7 +51,6 @@ func report(stage, adminAddr string) {
 	for _, k := range []string{
 		"dirkit_coord_remote_atomics", "dirkit_coord_retries", "dirkit_coord_failovers",
 		"dirkit_coord_breaker_trips", "dirkit_coord_breaker_skips",
-		"dirkit_coord_cache_hits", "dirkit_coord_cache_masked",
 	} {
 		fmt.Printf("    %s = %v\n", k, metrics[k])
 	}
@@ -120,20 +120,16 @@ func main() {
 
 	// Pose federated queries at server A. The coordinator's pooled
 	// client enforces deadlines and retries transient failures; tight
-	// timeouts keep the failover demo below snappy.
-	// A short cache TTL keeps the fresh-hit path from hiding the
-	// failover below, while outage masking (which ignores the TTL)
-	// still works; Threshold 1 trips breakers on the first failure so
-	// the /statusz scrapes show the transitions immediately.
+	// timeouts keep the failover demo below snappy. Threshold 1 trips
+	// breakers on the first failure so the /statusz scrapes show the
+	// transitions immediately.
 	coord := dirserver.NewCoordinatorWith(upperDir, &reg, upperSrv.Addr(), dirserver.CoordinatorConfig{
 		Client: dirserver.ClientConfig{
 			DialTimeout:    500 * time.Millisecond,
 			RequestTimeout: time.Second,
 			MaxRetries:     1,
 		},
-		Breaker:    dirserver.BreakerConfig{Threshold: 1, Cooldown: 30 * time.Second},
-		CacheBytes: 1 << 20,
-		CacheTTL:   50 * time.Millisecond,
+		Breaker: dirserver.BreakerConfig{Threshold: 1, Cooldown: 30 * time.Second},
 	})
 	defer coord.Close()
 
@@ -187,7 +183,6 @@ func main() {
 	// the primary tripping open.
 	fmt.Println("killing the primary policies server...")
 	_ = polSrv.Close()
-	time.Sleep(60 * time.Millisecond) // let cached answers age past the TTL
 	entries, err := coord.Search(ctx, queries[0])
 	if err != nil {
 		log.Fatal(err)
@@ -195,20 +190,18 @@ func main() {
 	fmt.Printf("query after primary loss still answered (%d entries) via the secondary\n\n", len(entries))
 	report("primary down", admin.Addr())
 
-	// Kill the secondary too: the whole zone is unreachable, and the
-	// coordinator serves the generation-current cached answer instead —
-	// the cache masking the outage.
+	// Kill the secondary too: the whole zone is unreachable, and a
+	// query that needs it fails with the typed ErrUnavailable.
 	fmt.Println("killing the secondary policies server as well...")
 	_ = polSrv2.Close()
-	time.Sleep(60 * time.Millisecond)
-	entries, err = coord.Search(ctx, queries[0])
-	if err != nil {
-		log.Fatal(err)
+	_, err = coord.Search(ctx, queries[0])
+	if !errors.Is(err, dirserver.ErrUnavailable) {
+		log.Fatalf("zone down: want ErrUnavailable, got %v", err)
 	}
-	fmt.Printf("query with the whole zone down still answered (%d entries) from the result cache\n\n", len(entries))
-	report("zone down, cache-masked", admin.Addr())
+	fmt.Printf("query with the whole zone down fails: %v\n\n", err)
+	report("zone down", admin.Addr())
 
 	st := coord.Stats()
-	fmt.Printf("remote atomics: %d  retries: %d  failovers: %d  breaker trips: %d  cache hits: %d  cache masked: %d\n",
-		st.RemoteAtomics, st.Retries, st.Failovers, st.BreakerTrips, st.CacheHits, st.CacheMasked)
+	fmt.Printf("remote atomics: %d  retries: %d  failovers: %d  breaker trips: %d\n",
+		st.RemoteAtomics, st.Retries, st.Failovers, st.BreakerTrips)
 }

@@ -1,8 +1,8 @@
-// Package bench implements the reproduction experiments E1–E16 and the
-// ablations of DESIGN.md: each experiment exercises one quantitative or
-// qualitative claim of "Querying Network Directories" (a theorem, an
-// algorithm figure, or a worked example) and reports a table of
-// measured page I/O. cmd/dirbench runs them all; the root bench_test.go
+// Package bench implements the reproduction experiments and ablations
+// of DESIGN.md that Specs registers: each experiment exercises one
+// quantitative or qualitative claim of "Querying Network Directories"
+// (a theorem, an algorithm figure, or a worked example) and reports a
+// table of measured page I/O. cmd/dirbench runs them all; the root bench_test.go
 // wraps them as testing.B benchmarks.
 package bench
 

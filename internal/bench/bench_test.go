@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -148,41 +146,6 @@ func TestE14AnswersEqual(t *testing.T) {
 		if row[len(row)-1] != "true" {
 			t.Errorf("distributed answers diverged: %v", row)
 		}
-	}
-}
-
-// TestE18CacheCutsIO asserts the cache claim on page I/O, which is
-// deterministic (latency ratios are reported but not asserted — CI
-// timers are too noisy). With 400 Zipf draws over a 32-query pool, the
-// cached run pays I/O only for first encounters, so the plain run must
-// cost at least 5x more.
-func TestE18CacheCutsIO(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment suite is slow")
-	}
-	tab := tableByID(t, "E18")
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows: %v", tab.Rows)
-	}
-	var pio, cio float64
-	if _, err := fmt.Sscanf(tab.Rows[0][2], "%g", &pio); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fmt.Sscanf(tab.Rows[1][2], "%g", &cio); err != nil {
-		t.Fatal(err)
-	}
-	if pio == 0 {
-		t.Fatal("plain run reported zero page I/O")
-	}
-	if pio < 5*math.Max(cio, 1) {
-		t.Errorf("cache saved too little I/O: plain %v vs cached %v", pio, cio)
-	}
-	var hitRate float64
-	if _, err := fmt.Sscanf(tab.Rows[1][4], "%g", &hitRate); err != nil {
-		t.Fatal(err)
-	}
-	if hitRate < 0.7 {
-		t.Errorf("Zipf hit rate %.2f below expectation", hitRate)
 	}
 }
 

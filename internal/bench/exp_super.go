@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/plist"
 	"repro/internal/query"
@@ -144,34 +143,27 @@ func E10NaiveVsStack(sizes []int) *Table {
 		ID:     "E10",
 		Title:  "Naive quadratic vs stack-based hierarchical selection",
 		Claim:  "Section 5.3: straightforward evaluation is quadratic; the stack algorithm is linear",
-		Header: []string{"N", "in pages", "IO naive", "IO stack", "naive/stack", "t naive", "t stack"},
+		Header: []string{"N", "in pages", "IO naive", "IO stack", "naive/stack"},
 	}
 	var xsN, ysN, xsS, ysS []float64
 	for _, n := range sizes {
 		env := ForestEnv(n, 8, 0)
 		ls := env.Lists("( ? sub ? tag=a)", "( ? sub ? tag=b)")
 		var out *plist.List
-		t0 := time.Now()
 		ioNaive := env.MeasureIO(func() error {
 			var e error
 			out, e = env.Eng.NaiveHier(query.OpAncestors, ls[0], ls[1], nil, nil)
 			return e
 		})
-		dNaive := time.Since(t0)
 		freeLists(out)
-		t0 = time.Now()
 		ioStack := env.MeasureIO(func() error {
 			var e error
 			out, e = env.Eng.ComputeHSAD(query.OpAncestors, ls[0], ls[1])
 			return e
 		})
-		dStack := time.Since(t0)
 		freeLists(out)
 		in := pagesOf(ls...)
-		t.AddRow(n, in, ioNaive, ioStack,
-			float64(ioNaive)/float64(ioStack),
-			dNaive.Round(time.Microsecond).String(),
-			dStack.Round(time.Microsecond).String())
+		t.AddRow(n, in, ioNaive, ioStack, float64(ioNaive)/float64(ioStack))
 		xsN = append(xsN, float64(in))
 		ysN = append(ysN, float64(ioNaive))
 		xsS = append(xsS, float64(in))

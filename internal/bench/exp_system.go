@@ -3,10 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"repro/internal/apps/qos"
-	"repro/internal/apps/tops"
 	"repro/internal/core"
 	"repro/internal/dirserver"
 	"repro/internal/engine"
@@ -160,69 +157,6 @@ func E15AtomicIndex(n int) *Table {
 	t.Notes = append(t.Notes, fmt.Sprintf("directory: %d entries, %d master pages", env.Dir.Count(), env.Eng.Store().MasterPages()))
 	t.Notes = append(t.Notes,
 		"the store picks index or scan per filter from its catalog statistics; ratio 1.00 means it correctly chose the scan")
-	return t
-}
-
-// E16Apps measures the two motivating applications end to end:
-// QoS enforcement lookups (Example 2.1) and TOPS call routing
-// (Example 2.2).
-func E16Apps(scale int) *Table {
-	t := &Table{
-		ID:     "E16",
-		Title:  "DEN applications end-to-end",
-		Claim:  "Examples 2.1 and 2.2 running on the directory",
-		Header: []string{"app", "directory entries", "lookups", "avg IO/lookup", "avg latency"},
-	}
-	// QoS.
-	qin := workload.GenQoS(workload.QoSConfig{Domains: 2, PoliciesPerDomain: scale, Seed: 14})
-	qdir, err := core.Open(qin, core.Options{})
-	if err != nil {
-		panic(err)
-	}
-	lookups := 50
-	before := qdir.Disk().Stats()
-	t0 := time.Now()
-	for i := 0; i < lookups; i++ {
-		_, err := qos.Match(qdir, "dc=dom0, dc=att, dc=com", qos.Packet{
-			SourceAddress:   fmt.Sprintf("204.%d.%d.9", i%32, (i*7)%32),
-			SourcePort:      25,
-			DestinationPort: 80,
-			Time:            19980615120000,
-			DayOfWeek:       int64(1 + i%7),
-		})
-		if err != nil {
-			panic(err)
-		}
-	}
-	qIO := qdir.Disk().Stats().Sub(before).IO()
-	qDur := time.Since(t0)
-	t.AddRow("QoS Match", qin.Len(), lookups, float64(qIO)/float64(lookups),
-		(qDur / time.Duration(lookups)).Round(time.Microsecond).String())
-
-	// TOPS.
-	tin := workload.GenTOPS(workload.TOPSConfig{Subscribers: scale, Seed: 15})
-	tdir, err := core.Open(tin, core.Options{})
-	if err != nil {
-		panic(err)
-	}
-	before = tdir.Disk().Stats()
-	t0 = time.Now()
-	routed := 0
-	for i := 0; i < lookups; i++ {
-		_, err := tops.Lookup(tdir, "ou=userProfiles, dc=research, dc=att, dc=com", tops.Call{
-			CalleeUID: fmt.Sprintf("sub%04d", i%scale),
-			Time:      900 + int64(i)%600,
-			DayOfWeek: int64(1 + i%7),
-		})
-		if err == nil {
-			routed++
-		}
-	}
-	tIO := tdir.Disk().Stats().Sub(before).IO()
-	tDur := time.Since(t0)
-	t.AddRow("TOPS Lookup", tin.Len(), lookups, float64(tIO)/float64(lookups),
-		(tDur / time.Duration(lookups)).Round(time.Microsecond).String())
-	t.Notes = append(t.Notes, fmt.Sprintf("TOPS: %d/%d calls routed (others hit no matching QHP)", routed, lookups))
 	return t
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/obs"
 )
@@ -15,12 +14,11 @@ type Preset struct {
 	AcSizes  []int // sizes for E12
 	Dist     []int // subscriber counts for E14
 	IndexN   int   // directory size for E15
-	AppScale int   // scale for E16
+	AppScale int   // A4 runs on AppScale*4 TOPS subscribers
 	StackN   int   // chain length for ablation A1
-	CacheN   int   // directory size for E18 (0 = default)
-	CacheOps int   // Zipf draws for E18 (0 = default)
+	CacheN   int   // directory size for E20
+	CacheOps int   // evaluations per row for E20
 	VecN     []int // forest sizes for E22 (clustered embeddings)
-	DeltaN   []int // directory sizes for E24 (incremental checkpoints)
 }
 
 // Quick is sized for CI and go test; Full for cmd/dirbench reports.
@@ -37,7 +35,6 @@ var (
 		CacheN:   1500,
 		CacheOps: 400,
 		VecN:     []int{1500, 3000},
-		DeltaN:   []int{1000, 3000},
 	}
 	Full = Preset{
 		Linear:   []int{2000, 4000, 8000, 16000, 32000},
@@ -51,7 +48,6 @@ var (
 		CacheN:   4000,
 		CacheOps: 1200,
 		VecN:     []int{4000, 8000, 16000},
-		DeltaN:   []int{4000, 8000, 16000},
 	}
 )
 
@@ -77,12 +73,9 @@ var Specs = []Spec{
 	{"E12", func(p Preset) *Table { return E12AcEncodesP(p.AcSizes) }},
 	{"E14", func(p Preset) *Table { return E14Distributed(p.Dist) }},
 	{"E15", func(p Preset) *Table { return E15AtomicIndex(p.IndexN) }},
-	{"E16", func(p Preset) *Table { return E16Apps(p.AppScale) }},
 	{"E17", func(Preset) *Table { return E17Operators([]int{3, 4, 5, 6, 8}) }},
-	{"E18", func(p Preset) *Table { return E18CacheZipf(p.CacheN, p.CacheOps) }},
 	{"E20", func(p Preset) *Table { return E20ConcurrentSearch(p.CacheN, p.CacheOps) }},
 	{"E22", func(p Preset) *Table { return E22VectorScope(p.VecN) }},
-	{"E24", func(p Preset) *Table { return E24DeltaCheckpoint(p.DeltaN) }},
 	{"A1", func(p Preset) *Table { return AblationStackWindow(p.StackN, []int{2, 4, 16, 64}) }},
 	{"A2", func(Preset) *Table { return AblationBlockSize(4000, []int{1024, 2048, 4096, 8192}) }},
 	{"A3", func(Preset) *Table { return AblationResort(4000) }},
@@ -106,20 +99,4 @@ func RunSpec(s Spec, p Preset) *Table {
 			snap.Count, snap.P50, snap.P95, snap.P99))
 	}
 	return t
-}
-
-// All runs every experiment and ablation at the given preset.
-func All(p Preset) []*Table {
-	out := make([]*Table, len(Specs))
-	for i, s := range Specs {
-		out[i] = RunSpec(s, p)
-	}
-	return out
-}
-
-// FprintAll renders all tables.
-func FprintAll(w io.Writer, tables []*Table) {
-	for _, t := range tables {
-		t.Fprint(w)
-	}
 }

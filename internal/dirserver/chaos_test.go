@@ -59,10 +59,6 @@ func (cl *chaosCluster) shutdown() {
 const polQuery = "(ou=networkPolicies, dc=research, dc=att, dc=com ? sub ? objectClass=SLAPolicyRules)"
 
 func newChaosCluster(t *testing.T) *chaosCluster {
-	return newChaosClusterCfg(t, fastCoordConfig())
-}
-
-func newChaosClusterCfg(t *testing.T, cfg CoordinatorConfig) *chaosCluster {
 	t.Helper()
 	whole, upper, policies := splitPaperDirectory(t)
 	grace := ServerConfig{Grace: 100 * time.Millisecond}
@@ -104,7 +100,7 @@ func newChaosClusterCfg(t *testing.T, cfg CoordinatorConfig) *chaosCluster {
 
 	cl := &chaosCluster{
 		whole:    whole,
-		coord:    NewCoordinatorWith(upper, &reg, localSrv.Addr(), cfg),
+		coord:    NewCoordinatorWith(upper, &reg, localSrv.Addr(), fastCoordConfig()),
 		proxy:    proxy,
 		localSrv: localSrv,
 		priSrv:   priSrv,
@@ -191,6 +187,20 @@ func TestChaosRefuseFailsOver(t *testing.T) {
 	cl.assertCorrect(t, context.Background())
 	if cl.coord.Stats().Failovers == 0 {
 		t.Error("refused primary did not fail over")
+	}
+}
+
+// TestChaosZoneDownIsUnavailable: with every replica of a zone
+// refusing connections, a query that needs the zone fails with the
+// typed ErrUnavailable rather than an answer or a hang.
+func TestChaosZoneDownIsUnavailable(t *testing.T) {
+	cl := newChaosCluster(t)
+	cl.proxy.SetMode(faultnet.Refuse)
+	_ = cl.secSrv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if got, err := cl.coord.Search(ctx, polQuery); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("zone down: %d entries, err %v; want ErrUnavailable", len(got), err)
 	}
 }
 

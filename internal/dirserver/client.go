@@ -37,8 +37,9 @@ type ClientConfig struct {
 	// DialTimeout bounds connection establishment (default 2s).
 	DialTimeout time.Duration
 	// RequestTimeout bounds one request/response round trip on the
-	// wire, enforced with SetDeadline (default 10s). A context with an
-	// earlier deadline tightens it further.
+	// wire, enforced with SetDeadline (default 10s), and the server's
+	// evaluation of it through the request's budget. A context with an
+	// earlier deadline tightens both.
 	RequestTimeout time.Duration
 	// MaxRetries is the number of extra attempts after the first, for
 	// transient transport errors only (default 2; negative disables
@@ -162,8 +163,8 @@ func (cl *Client) Call(ctx context.Context, addr, kind, queryText string) ([]*mo
 }
 
 // CallWithGen is Call plus the server's store generation echoed in the
-// reply — the invalidation token for result caches layered above
-// (zero when talking to a server predating the gen field).
+// reply: a write's acknowledgment names the generation that includes
+// it (zero when talking to a server predating the gen field).
 func (cl *Client) CallWithGen(ctx context.Context, addr, kind, queryText string) ([]*model.Entry, int64, error) {
 	entries, res, _, err := cl.do(ctx, addr, request{Kind: kind, Query: queryText})
 	return entries, res.Gen, err
@@ -207,9 +208,10 @@ func (cl *Client) CallTraced(ctx context.Context, addr, kind, queryText, traceID
 // do runs the retry loop for one request, returning the decoded
 // entries, the raw response (meaningful whenever the server replied,
 // ErrRemote included), and how long the successful exchange took on
-// this client's clock. Every attempt forwards what is left of the
-// context's deadline as the request's budget, so the server stops
-// evaluating when this client would discard the answer.
+// this client's clock. Every attempt forwards the smaller of what is
+// left of the context's deadline and RequestTimeout as the request's
+// budget, so the server stops evaluating when this client would
+// discard the answer.
 func (cl *Client) do(ctx context.Context, addr string, req request) ([]*model.Entry, response, time.Duration, error) {
 	cl.calls.Add(1)
 	var lastErr error
@@ -218,9 +220,11 @@ func (cl *Client) do(ctx context.Context, addr string, req request) ([]*model.En
 		if err := ctx.Err(); err != nil {
 			return nil, response{}, 0, err
 		}
+		budget := cl.cfg.RequestTimeout
 		if dl, ok := ctx.Deadline(); ok {
-			req.BudgetMS = max(time.Until(dl).Milliseconds(), 1)
+			budget = min(budget, time.Until(dl))
 		}
+		req.BudgetMS = max(budget.Milliseconds(), 1)
 		b, err := json.Marshal(req)
 		if err != nil {
 			return nil, response{}, 0, err
@@ -284,9 +288,12 @@ func (cl *Client) roundTrip(ctx context.Context, pc *poolConn, req []byte) ([]*m
 	if err := pc.c.SetDeadline(dl); err != nil {
 		return nil, res, err
 	}
-	// Cancellation mid-read: expire the deadline immediately.
-	stop := context.AfterFunc(ctx, func() { _ = pc.c.SetDeadline(time.Now()) })
-	defer stop()
+	// Cancellation mid-read: expire the deadline immediately. A context
+	// that can never be cancelled needs no hook.
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { _ = pc.c.SetDeadline(time.Now()) })
+		defer stop()
+	}
 
 	if _, err := pc.c.Write(append(req, '\n')); err != nil {
 		return nil, res, err

@@ -36,7 +36,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pager"
 	"repro/internal/plist"
-	"repro/internal/qcache"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -119,9 +118,10 @@ func (r *Registry) Zones() []string {
 // (DESIGN.md §13): Trace carries the 128-bit trace ID assigned at the
 // query's entry point, Span the client-side span that issued this
 // request (the remote subtree's parent). BudgetMS, sent by every
-// Client call whose context has a deadline, traced or not, is the
-// remaining deadline budget, so a server stops evaluating when the
-// caller's deadline would discard the answer anyway.
+// Client call, traced or not, is the caller's remaining budget (the
+// smaller of its context's deadline and its RequestTimeout), so a
+// server stops evaluating when the caller would discard the answer
+// anyway.
 type request struct {
 	Kind  string `json:"kind"`
 	Query string `json:"query"`
@@ -132,13 +132,9 @@ type request struct {
 }
 
 // response carries the sorted result entries as LDIF blocks, plus the
-// serving directory's store generation — the remote cache-invalidation
-// token: a coordinator caching this answer keys it by (address, atomic,
-// Gen), so any later reply echoing a different generation makes every
-// older cached answer from that server unreachable with one integer
-// compare. Gen is scoped to one server process; a replica that
-// restarts (fresh Directory, generation counter reset) must be treated
-// as a new cache peer.
+// serving directory's store generation: a write's reply names the
+// generation that includes it. Gen is scoped to one server process; a
+// replica that restarts (fresh Directory) counts generations anew.
 type response struct {
 	Entries []string `json:"entries"`
 	Gen     int64    `json:"gen,omitempty"`
@@ -626,19 +622,6 @@ func (s *Server) applyWrite(req request) (int64, error) {
 type CoordinatorConfig struct {
 	Client  ClientConfig
 	Breaker BreakerConfig
-	// CacheBytes enables the remote-result cache when positive: answers
-	// to remote atomics are kept within this byte budget, keyed by
-	// (replica address, the store generation echoed in its reply,
-	// canonical query text). A reply echoing a new generation makes
-	// every older answer from that replica unreachable at once.
-	CacheBytes int64
-	// CacheTTL bounds how long a cached answer is served in place of a
-	// round trip (default 1s when the cache is enabled). When every
-	// replica of a zone is unreachable, generation-current answers of
-	// any age are served instead — the cache masks the outage rather
-	// than letting a flaky network take recently answered queries down
-	// with it.
-	CacheTTL time.Duration
 }
 
 // CoordinatorStats is a concurrency-safe snapshot of a coordinator's
@@ -650,8 +633,6 @@ type CoordinatorStats struct {
 	Failovers     int64 // atomics that fell over to a later replica
 	BreakerTrips  int64 // breakers tripped open
 	BreakerSkips  int64 // replicas skipped because their breaker was open
-	CacheHits     int64 // remote atomics answered from the result cache
-	CacheMasked   int64 // unreachable zones masked by a cached answer
 }
 
 // Coordinator evaluates full query trees the Section 8.3 way: atomic
@@ -672,23 +653,16 @@ type CoordinatorStats struct {
 // coordinator follows the directory's updates, and plain dir.Search
 // calls never see the resolver. Within one query the
 // remote atomics resolve one after another, in operand order; the
-// pooled client, breakers, result cache and stats carry their own
-// synchronization because concurrent Searches share them.
+// pooled client, breakers and stats carry their own synchronization
+// because concurrent Searches share them. Remote answers are not
+// cached: a zone whose replicas are all unreachable fails the query
+// with ErrUnavailable.
 type Coordinator struct {
 	dir      *core.Directory
 	reg      *Registry
 	selfAddr string
 	client   *Client
 	health   *health
-
-	// Remote-result cache (nil unless CoordinatorConfig.CacheBytes > 0).
-	// lastGen tracks the newest store generation each replica has echoed
-	// in a successful reply; cache keys embed it, so updating the map is
-	// the whole invalidation.
-	rcache   *qcache.Cache
-	cacheTTL time.Duration
-	genMu    sync.Mutex
-	lastGen  map[string]int64
 
 	// statsMu guards stats — the single consistent read path for every
 	// distributed-evaluation counter. Client retries and breaker trips
@@ -727,14 +701,6 @@ func NewCoordinatorWith(dir *core.Directory, reg *Registry, selfAddr string, cfg
 	c.client = NewClient(dir.Schema(), cfg.Client)
 	c.health = newHealth(cfg.Breaker)
 	c.health.onTrip = func() { c.bump(func(s *CoordinatorStats) { s.BreakerTrips++ }) }
-	if cfg.CacheBytes > 0 {
-		c.rcache = qcache.New(cfg.CacheBytes)
-		c.cacheTTL = cfg.CacheTTL
-		if c.cacheTTL <= 0 {
-			c.cacheTTL = time.Second
-		}
-		c.lastGen = make(map[string]int64)
-	}
 	return c
 }
 
@@ -749,9 +715,8 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	return c.stats
 }
 
-// RegisterMetrics exposes the coordinator's counters (and, when the
-// remote-result cache is enabled, the cache's) as pull-based gauges
-// under the given name prefix, e.g. "dirkit_coord".
+// RegisterMetrics exposes the coordinator's counters as pull-based
+// gauges under the given name prefix, e.g. "dirkit_coord".
 func (c *Coordinator) RegisterMetrics(reg *obs.Registry, prefix string) {
 	gauge := func(name, help string, f func(*CoordinatorStats) int64) {
 		reg.GaugeFunc(prefix+name, help, func() int64 {
@@ -766,20 +731,6 @@ func (c *Coordinator) RegisterMetrics(reg *obs.Registry, prefix string) {
 	gauge("_failovers", "atomics that fell over to a later replica", func(s *CoordinatorStats) int64 { return s.Failovers })
 	gauge("_breaker_trips", "circuit breakers tripped open", func(s *CoordinatorStats) int64 { return s.BreakerTrips })
 	gauge("_breaker_skips", "replicas skipped on an open breaker", func(s *CoordinatorStats) int64 { return s.BreakerSkips })
-	gauge("_cache_hits", "remote atomics answered from the result cache", func(s *CoordinatorStats) int64 { return s.CacheHits })
-	gauge("_cache_masked", "unreachable zones masked by a cached answer", func(s *CoordinatorStats) int64 { return s.CacheMasked })
-	if c.rcache != nil {
-		c.rcache.RegisterMetrics(reg, prefix+"_rcache")
-	}
-}
-
-// CacheStats snapshots the remote-result cache's counters (the zero
-// Stats when the cache is disabled).
-func (c *Coordinator) CacheStats() qcache.Stats {
-	if c.rcache == nil {
-		return qcache.Stats{}
-	}
-	return c.rcache.Stats()
 }
 
 // RemoteAtomics reports how many atomic sub-queries were shipped to
@@ -808,18 +759,6 @@ func (c *Coordinator) resolveAtomic(ctx context.Context, st *store.Store, arena 
 		}
 	}
 	c.bump(func(s *CoordinatorStats) { s.RemoteAtomics++ })
-
-	var canon string
-	if c.rcache != nil {
-		canon = query.Canonical(q)
-		// Fresh path: a recent generation-current answer from any
-		// replica of the zone saves the round trip entirely.
-		if entries, ok := c.cacheLookup(addrs, canon, true); ok {
-			c.bump(func(s *CoordinatorStats) { s.CacheHits++ })
-			tr.Annotate("resolve", "cache")
-			return materialize(arena, entries)
-		}
-	}
 
 	// Health-aware footnote-4 failover: replicas whose breaker is open
 	// are skipped in favor of later ones; if every breaker is open the
@@ -852,12 +791,9 @@ func (c *Coordinator) resolveAtomic(ctx context.Context, st *store.Store, arena 
 		if i > 0 {
 			c.bump(func(s *CoordinatorStats) { s.Failovers++ })
 		}
-		entries, gen, rt, err := c.callRemote(ctx, tr, addr, q)
+		entries, rt, err := c.callRemote(ctx, tr, addr, q)
 		if err == nil {
 			c.health.success(addr)
-			if c.rcache != nil {
-				c.cacheStore(addr, gen, canon, entries)
-			}
 			c.finishRemote(tr, addr, i, retriesBefore, cand.probe, rt)
 			return materialize(arena, entries)
 		}
@@ -874,34 +810,25 @@ func (c *Coordinator) resolveAtomic(ctx context.Context, st *store.Store, arena 
 			return nil, fmt.Errorf("dirserver: resolving %q: %w (last transport error: %v)", q.Base, cerr, err)
 		}
 	}
-	// The whole zone is unreachable. A cached answer whose generation is
-	// still current as far as this coordinator knows masks the outage —
-	// staleness is bounded by the generation protocol, not wall clock.
-	if c.rcache != nil {
-		if entries, ok := c.cacheLookup(addrs, canon, false); ok {
-			c.bump(func(s *CoordinatorStats) { s.CacheMasked++ })
-			tr.Annotate("resolve", "cache-stale")
-			return materialize(arena, entries)
-		}
-	}
 	return nil, fmt.Errorf("%w: all servers for %q unreachable: %v", ErrUnavailable, q.Base, lastErr)
 }
 
 // callRemote ships one atomic to addr under ctx's deadline budget. With
 // a tracer on the context the exchange also carries the trace ID and
 // issuing span on the wire and brings back the server's span subtree;
-// without one it is a plain CallWithGen and the RemoteTrace is nil.
-func (c *Coordinator) callRemote(ctx context.Context, tr *obs.Tracer, addr string, q *query.Atomic) ([]*model.Entry, int64, *RemoteTrace, error) {
+// without one it is a plain Call and the RemoteTrace is nil.
+func (c *Coordinator) callRemote(ctx context.Context, tr *obs.Tracer, addr string, q *query.Atomic) ([]*model.Entry, *RemoteTrace, error) {
 	if tr == nil {
-		entries, gen, err := c.client.CallWithGen(ctx, addr, "atomic", q.String())
-		return entries, gen, nil, err
+		entries, err := c.client.Call(ctx, addr, "atomic", q.String())
+		return entries, nil, err
 	}
 	if tr.TraceID() == "" {
 		// The query's first remote hop assigns its trace ID; the tracer
 		// is the query's own, so every later hop carries the same one.
 		tr.SetTraceID(obs.NewTraceID())
 	}
-	return c.client.CallTraced(ctx, addr, "atomic", q.String(), tr.TraceID(), tr.CurrentID())
+	entries, _, rt, err := c.client.CallTraced(ctx, addr, "atomic", q.String(), tr.TraceID(), tr.CurrentID())
+	return entries, rt, err
 }
 
 // finishRemote settles the accounting for a completed remote exchange
@@ -938,62 +865,6 @@ func (c *Coordinator) finishRemote(tr *obs.Tracer, addr string, failover int, re
 		}
 		tr.Attach(rt.Span)
 	}
-}
-
-// cachedAnswer is one remembered remote reply: the decoded entries and
-// when they were stored (for the TTL-bounded fresh path).
-type cachedAnswer struct {
-	entries []*model.Entry
-	stored  time.Time
-}
-
-func remoteCacheKey(addr string, gen int64, canon string) string {
-	return fmt.Sprintf("%s|g%d|%s", addr, gen, canon)
-}
-
-// cacheLookup searches the zone's replicas for a cached answer to canon
-// at each replica's last observed generation. freshOnly restricts to
-// answers younger than the TTL (the round-trip-saving path); without it
-// any generation-current answer qualifies (the outage-masking path).
-func (c *Coordinator) cacheLookup(addrs []string, canon string, freshOnly bool) ([]*model.Entry, bool) {
-	for _, addr := range addrs {
-		c.genMu.Lock()
-		gen, ok := c.lastGen[addr]
-		c.genMu.Unlock()
-		if !ok {
-			continue
-		}
-		v, ok := c.rcache.Get(remoteCacheKey(addr, gen, canon))
-		if !ok {
-			continue
-		}
-		ans := v.(*cachedAnswer)
-		if freshOnly && time.Since(ans.stored) > c.cacheTTL {
-			continue
-		}
-		return ans.entries, true
-	}
-	return nil, false
-}
-
-// cacheStore remembers a successful reply and advances the replica's
-// observed generation; if gen moved, every answer cached under the old
-// generation stops matching immediately and ages out of the LRU.
-func (c *Coordinator) cacheStore(addr string, gen int64, canon string, entries []*model.Entry) {
-	c.genMu.Lock()
-	c.lastGen[addr] = gen
-	c.genMu.Unlock()
-	c.rcache.Put(remoteCacheKey(addr, gen, canon), &cachedAnswer{entries: entries, stored: time.Now()}, entriesCost(entries))
-}
-
-// entriesCost approximates an answer's resident bytes by its LDIF size
-// plus a fixed per-answer overhead.
-func entriesCost(entries []*model.Entry) int64 {
-	n := int64(64)
-	for _, e := range entries {
-		n += int64(len(ldif.MarshalEntry(e)))
-	}
-	return n
 }
 
 // materialize writes remote results to the query's scratch disk for the

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/ldif"
@@ -201,10 +200,10 @@ func TestServedCacheFollowsTraceRule(t *testing.T) {
 
 // federatedPair starts upper+policies servers, registers both zones,
 // and returns a coordinator on the upper server.
-func federatedPair(t *testing.T, cfg CoordinatorConfig) (*Coordinator, func()) {
+func federatedPair(t *testing.T) (*Coordinator, func()) {
 	t.Helper()
 	fed := newFederation(t)
-	coord := NewCoordinatorWith(fed.upper, fed.reg, fed.self, cfg)
+	coord := NewCoordinator(fed.upper, fed.reg, fed.self)
 	return coord, func() {
 		coord.Close()
 		fed.close()
@@ -216,7 +215,7 @@ func federatedPair(t *testing.T, cfg CoordinatorConfig) (*Coordinator, func()) {
 // must stay data-race-free (this test is the -race stress for the
 // Stats refactor) and every snapshot must be internally consistent.
 func TestCoordinatorStatsRace(t *testing.T) {
-	coord, done := federatedPair(t, CoordinatorConfig{})
+	coord, done := federatedPair(t)
 	defer done()
 
 	const (
@@ -284,7 +283,7 @@ func TestCoordinatorStatsRace(t *testing.T) {
 // TestCoordinatorRegisterMetrics: the pull-based gauges report exactly
 // what Stats() reports.
 func TestCoordinatorRegisterMetrics(t *testing.T) {
-	coord, done := federatedPair(t, CoordinatorConfig{CacheBytes: 1 << 20})
+	coord, done := federatedPair(t)
 	defer done()
 
 	if _, err := coord.Search(context.Background(),
@@ -304,18 +303,13 @@ func TestCoordinatorRegisterMetrics(t *testing.T) {
 	if got := promValue(t, buf.String(), "dirkit_coord_local_atomics"); got != s.LocalAtomics {
 		t.Errorf("gauge local_atomics = %d, Stats says %d", got, s.LocalAtomics)
 	}
-	// Cache gauges rode along because the remote-result cache is on.
-	if !strings.Contains(buf.String(), "dirkit_coord_rcache_") {
-		t.Errorf("remote-result cache gauges missing:\n%s", buf.String())
-	}
 }
 
 // TestCoordinatorSpanAnnotations: a traced distributed search tags
 // atomic spans with where each one resolved — the replica that
-// answered remote atomics, "local" for delegated-but-local ones, and
-// "cache" for round trips saved by the result cache.
+// answered remote atomics and "local" for delegated-but-local ones.
 func TestCoordinatorSpanAnnotations(t *testing.T) {
-	coord, done := federatedPair(t, CoordinatorConfig{CacheBytes: 1 << 20, CacheTTL: time.Minute})
+	coord, done := federatedPair(t)
 	defer done()
 
 	q := `(| (dc=com ? sub ? objectClass=TOPSSubscriber)
@@ -341,23 +335,5 @@ func TestCoordinatorSpanAnnotations(t *testing.T) {
 		var b strings.Builder
 		root.Format(&b)
 		t.Fatalf("local=%d replica=%d, want 1 and 1\n%s", local, replica, b.String())
-	}
-
-	// Second traced run: the remote atomic is answered from the cache.
-	_, root, err = coord.SearchTraced(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := 0
-	root.Walk(func(s *obs.Span) {
-		if v, _ := s.TagValue("resolve"); v == "cache" {
-			cached++
-		}
-	})
-	if cached != 1 {
-		t.Fatalf("cache-resolved spans = %d, want 1", cached)
-	}
-	if s := coord.Stats(); s.CacheHits != 1 {
-		t.Fatalf("CacheHits = %d, want 1", s.CacheHits)
 	}
 }

@@ -18,9 +18,9 @@ import (
 // request line carrying budget_ms: 1 and a whole-forest dc query (the
 // analytic workload's, ~15 ms of evaluation) fails with a context
 // deadline whether or not the server traces it: tracing changes what is
-// recorded, not which deadline applies. And the untraced client path,
-// CallWithGen (the Coordinator's remote hop), forwards its context's
-// deadline as budget_ms.
+// recorded, not which deadline applies. And the untraced client path
+// forwards its remaining time as budget_ms: the context's deadline, or
+// RequestTimeout when that is sooner or the context has none.
 func TestServedBudgetBoundsEveryQuery(t *testing.T) {
 	const dc = `(dc (& ( ? sub ? tag=a) ( ? sub ? tag=a)) (d ( ? sub ? tag=b) ( ? sub ? val>=1)) ( ? sub ? tag=c) count($2) >= 1)`
 	dir, err := core.Open(workload.RandomForest(workload.ForestConfig{N: 3000, Seed: 1}), core.Options{})
@@ -69,30 +69,43 @@ func TestServedBudgetBoundsEveryQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ln.Close()
-		got := make(chan request, 1)
+		got := make(chan request, 2)
 		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			var req request
-			if json.NewDecoder(conn).Decode(&req) == nil {
-				got <- req
-				_ = json.NewEncoder(conn).Encode(response{Gen: 1})
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				var req request
+				if json.NewDecoder(conn).Decode(&req) == nil {
+					got <- req
+					_ = json.NewEncoder(conn).Encode(response{Gen: 1})
+				}
+				conn.Close()
 			}
 		}()
-		cl := NewClient(model.DefaultSchema(), ClientConfig{MaxRetries: -1})
+		const q = "(dc=com ? sub ? objectClass=*)"
+		cl := NewClient(model.DefaultSchema(), ClientConfig{MaxRetries: -1, MaxIdlePerAddr: -1})
 		defer cl.Close()
 		const budget = 5 * time.Second
 		ctx, cancel := context.WithTimeout(context.Background(), budget)
 		defer cancel()
-		if _, _, err := cl.CallWithGen(ctx, ln.Addr().String(), "atomic", "(dc=com ? sub ? objectClass=*)"); err != nil {
+		if _, _, err := cl.CallWithGen(ctx, ln.Addr().String(), "atomic", q); err != nil {
 			t.Fatal(err)
 		}
-		req := <-got
-		if req.BudgetMS <= 0 || req.BudgetMS > budget.Milliseconds() {
+		if req := <-got; req.BudgetMS <= 0 || req.BudgetMS > budget.Milliseconds() {
 			t.Fatalf("CallWithGen under a %v deadline sent budget_ms %d", budget, req.BudgetMS)
+		}
+
+		// No deadline on the context: RequestTimeout is the budget.
+		const timeout = 50 * time.Millisecond
+		short := NewClient(model.DefaultSchema(), ClientConfig{MaxRetries: -1, MaxIdlePerAddr: -1, RequestTimeout: timeout})
+		defer short.Close()
+		if _, err := short.Call(context.Background(), ln.Addr().String(), "atomic", q); err != nil {
+			t.Fatal(err)
+		}
+		if req := <-got; req.BudgetMS <= 0 || req.BudgetMS > timeout.Milliseconds() {
+			t.Fatalf("Call under context.Background and RequestTimeout %v sent budget_ms %d", timeout, req.BudgetMS)
 		}
 	})
 }

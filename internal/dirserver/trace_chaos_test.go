@@ -41,7 +41,7 @@ func formatTree(root *obs.Span) string {
 // and the cross-process I/O conservation law holds on it: the total is
 // exactly the local pages plus the remote-reported pages.
 func TestDistributedTraceMergedTree(t *testing.T) {
-	coord, done := federatedPair(t, CoordinatorConfig{})
+	coord, done := federatedPair(t)
 	defer done()
 
 	q := `(| (dc=com ? sub ? objectClass=TOPSSubscriber)

@@ -187,7 +187,7 @@ func mergeOnce(d *pager.Disk, runs []*plist.List) (*plist.List, error) {
 				if err == io.EOF {
 					readers[i] = nil
 				} else if err != nil {
-					return nil, err
+					return nil, w.Abort(err)
 				} else {
 					heads[i] = rec
 				}

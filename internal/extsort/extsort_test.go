@@ -301,3 +301,53 @@ func TestSortFreesEverythingOnWriteError(t *testing.T) {
 		}
 	}
 }
+
+// TestSortFreesEverythingOnReadError is the read-side twin of
+// TestSortFreesEverythingOnWriteError: it fails each page read of the
+// same sort in turn (every read is a merge pass reading its runs) and
+// checks that Sort returns the injected error and leaves the disk's
+// live page count where it was before the sort, the merge output being
+// written when the read failed included. A -race build fails every
+// 16th read instead of every one.
+func TestSortFreesEverythingOnReadError(t *testing.T) {
+	recs := randomRecords(rand.New(rand.NewSource(11)), 5000)
+	cfg := Config{MemBytes: 4096}
+	d := pager.NewDisk(512)
+	total := 0
+	d.SetFault(func(op string, _ pager.PageID) error {
+		if op == "read" {
+			total++
+		}
+		return nil
+	})
+	if _, err := SortSlice(d, recs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if total == 0 {
+		t.Fatal("the sort read no pages")
+	}
+	step := 1
+	if raceEnabled {
+		step = 16
+	}
+	boom := errors.New("boom")
+	for failAt := 1; failAt <= total; failAt += step {
+		d := pager.NewDisk(512)
+		before := d.NumPages()
+		reads := 0
+		d.SetFault(func(op string, _ pager.PageID) error {
+			if op == "read" {
+				if reads++; reads == failAt {
+					return boom
+				}
+			}
+			return nil
+		})
+		if _, err := SortSlice(d, recs, cfg); !errors.Is(err, boom) {
+			t.Fatalf("read %d of %d failing: Sort error = %v, want %v", failAt, total, err, boom)
+		}
+		if got := d.NumPages(); got != before {
+			t.Fatalf("read %d of %d failing: %d pages live after Sort, %d before", failAt, total, got, before)
+		}
+	}
+}

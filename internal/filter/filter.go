@@ -107,10 +107,30 @@ func NewAtom(attr string, op Op, operand string) *Atom {
 		a.isPat = true
 		a.pattern = strings.Split(operand, "*")
 	}
-	if iv, err := strconv.ParseInt(strings.TrimSpace(operand), 10, 64); err == nil {
-		a.intVal, a.isInt = iv, true
+	if s := strings.TrimSpace(operand); decimal(s) {
+		if iv, err := strconv.ParseInt(s, 10, 64); err == nil {
+			a.intVal, a.isInt = iv, true
+		}
 	}
 	return a
+}
+
+// decimal reports whether s has the shape strconv.ParseInt accepts in
+// base 10, an optional sign and digits, so that a non-numeric operand
+// costs no error value.
+func decimal(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // Present returns the presence filter attr=*.

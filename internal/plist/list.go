@@ -61,7 +61,9 @@ func (l *List) Free() error {
 // does not cost a page of memory to write; Append streams the encoded
 // record across page boundaries, writing each full page once. A writer
 // whose Append or Close fails frees every page it allocated, the page
-// whose write failed included, and returns that error from then on.
+// whose write failed included, and returns that error from then on; a
+// caller that gives up on a healthy writer for another reason calls
+// Abort, which does the same.
 type Writer struct {
 	disk    *pager.Disk
 	page    []byte // bytes of the page being filled
@@ -96,7 +98,7 @@ func (w *Writer) Append(r *Record) error {
 	}
 	if w.ordered {
 		if w.count > 0 && r.Key < aliasString(w.lastKey) {
-			return w.fail(fmt.Errorf("plist: unsorted append: %q after %q", r.Key, w.lastKey))
+			return w.Abort(fmt.Errorf("plist: unsorted append: %q after %q", r.Key, w.lastKey))
 		}
 		w.lastKey = append(w.lastKey[:0], r.Key...)
 	}
@@ -131,19 +133,21 @@ func (w *Writer) writeBytes(b []byte) error {
 func (w *Writer) flushPage() error {
 	id, err := w.disk.Alloc()
 	if err != nil {
-		return w.fail(err)
+		return w.Abort(err)
 	}
 	w.pages = append(w.pages, id)
 	if err := w.disk.Write(id, w.page); err != nil {
-		return w.fail(err)
+		return w.Abort(err)
 	}
 	w.page = w.page[:0]
 	return nil
 }
 
-// fail poisons the writer with err and frees the pages it allocated:
-// nobody else holds them, since the list was never returned.
-func (w *Writer) fail(err error) error {
+// Abort poisons the writer with err and frees the pages it allocated:
+// nobody else holds them, since the list was never returned. It returns
+// err, so a caller abandoning the writer on a failed read writes
+// return nil, w.Abort(err).
+func (w *Writer) Abort(err error) error {
 	for _, id := range w.pages {
 		_ = w.disk.Free(id)
 	}
@@ -385,7 +389,7 @@ func Materialize(disk *pager.Disk, r RecordReader) (*List, error) {
 			return w.Close()
 		}
 		if err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 		if err := w.Append(rec); err != nil {
 			return nil, err

@@ -103,19 +103,6 @@ type Atomic struct {
 	Filter *filter.Atom
 }
 
-// NewAtomic builds an atomic query from text parts.
-func NewAtomic(base string, scope Scope, atom string) (*Atomic, error) {
-	dn, err := model.ParseDN(base)
-	if err != nil {
-		return nil, err
-	}
-	f, err := filter.ParseAtom(atom)
-	if err != nil {
-		return nil, err
-	}
-	return &Atomic{Base: dn, Scope: scope, Filter: f}, nil
-}
-
 func (q *Atomic) String() string {
 	return fmt.Sprintf("(%s ? %s ? %s)", q.Base, q.Scope, q.Filter)
 }

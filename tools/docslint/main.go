@@ -11,7 +11,9 @@
 //     change-history files listed in historyDocs are exempt),
 //   - a dirserve, dirq, dirgen or dirbench command line, in an inline
 //     code span or a fenced block outside the history files, passes a
-//     flag that cmd/<name>/main.go does not declare, or
+//     flag that cmd/<name>/main.go does not declare, or a dirbench
+//     command line's -only names an experiment that bench.Specs
+//     (internal/bench/run.go) does not register, or
 //   - an exported identifier in the packages listed in docPackages is
 //     missing its doc comment (go doc output is documentation too).
 //
@@ -31,6 +33,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -60,7 +63,7 @@ func main() {
 		root = os.Args[1]
 	}
 	var problems []string
-	problems = append(problems, checkMarkdownLinks(root, declaredFlags(root))...)
+	problems = append(problems, checkMarkdownLinks(root, declaredFlags(root), experimentIDs(root))...)
 	for _, pkg := range docPackages {
 		problems = append(problems, checkDocComments(root, pkg)...)
 	}
@@ -152,8 +155,9 @@ func (c declared) staleRef(root, ref, ident string) bool {
 // checkMarkdownLinks verifies every repository-relative link target in
 // every tracked markdown file resolves to an existing file or
 // directory, and every backticked internal/... reference and command
-// line outside the history files names something that exists.
-func checkMarkdownLinks(root string, flags map[string]map[string]bool) []string {
+// line outside the history files names something that exists. ids holds
+// the experiment IDs dirbench -only accepts, upper-cased.
+func checkMarkdownLinks(root string, flags map[string]map[string]bool, ids map[string]bool) []string {
 	var problems []string
 	decls := make(declared)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -198,9 +202,16 @@ func checkMarkdownLinks(root string, flags map[string]map[string]bool) []string 
 					}
 				}
 				for _, c := range cmdlines {
+					shown := strings.Join(strings.Fields(c), " ")
 					for _, f := range undeclaredFlags(c, flags) {
 						problems = append(problems, fmt.Sprintf("%s:%d: %q passes %s, which is not declared in cmd/%s/main.go",
-							path, i+1, strings.Join(strings.Fields(c), " "), f[1], f[0]))
+							path, i+1, shown, f[1], f[0]))
+					}
+					for _, f := range passedFlags(c, flags) {
+						if f.cmd == "dirbench" && f.name == "only" && !ids[strings.ToUpper(f.value)] {
+							problems = append(problems, fmt.Sprintf("%s:%d: %q runs experiment %q, which bench.Specs in internal/bench/run.go does not register",
+								path, i+1, shown, f.value))
+						}
 					}
 				}
 			}
@@ -254,17 +265,54 @@ func declaredFlags(root string) map[string]map[string]bool {
 	return out
 }
 
-// undeclaredFlags returns, as (command, flag) pairs, every flag that a
-// shell command line passes to a checked command without the command
-// declaring it. A command is named by its binary's base name (dirq,
+// experimentIDs reads the IDs of bench.Specs, the registry dirbench
+// -only selects from (case-insensitively), out of internal/bench/run.go
+// and returns them upper-cased. An unreadable file registers none.
+func experimentIDs(root string) map[string]bool {
+	ids := make(map[string]bool)
+	f, _ := parser.ParseFile(token.NewFileSet(), filepath.Join(root, "internal", "bench", "run.go"), nil, parser.SkipObjectResolution)
+	if f == nil {
+		return ids
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "Specs" || len(vs.Values) != 1 {
+			return true
+		}
+		specs, _ := vs.Values[0].(*ast.CompositeLit)
+		if specs == nil {
+			return false
+		}
+		for _, e := range specs.Elts {
+			if spec, ok := e.(*ast.CompositeLit); ok && len(spec.Elts) > 0 {
+				if lit, ok := spec.Elts[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if id, err := strconv.Unquote(lit.Value); err == nil {
+						ids[strings.ToUpper(id)] = true
+					}
+				}
+			}
+		}
+		return false
+	})
+	return ids
+}
+
+// cmdFlag is one flag a command line passes to a checked command, with
+// the word that would be its value: the text after "=", else the next
+// word.
+type cmdFlag struct{ cmd, name, value string }
+
+// passedFlags returns every flag a shell command line passes to a
+// checked command. A command is named by its binary's base name (dirq,
 // ./cmd/dirq, bin/dirq); go commands other than go run invoke none.
 // Quoted words are never flags; |, &&, ; end a command and # a line.
-func undeclaredFlags(cmdline string, flags map[string]map[string]bool) (bad [][2]string) {
+func passedFlags(cmdline string, flags map[string]map[string]bool) (out []cmdFlag) {
 	cmd, prev, goTool := "", "", false
-	for _, w := range strings.Fields(quotedRe.ReplaceAllString(cmdline, "''")) {
+	words := strings.Fields(quotedRe.ReplaceAllString(cmdline, "''"))
+	for i, w := range words {
 		switch {
 		case strings.HasPrefix(w, "#"):
-			return bad
+			return out
 		case w == "|" || w == "||" || w == "&&" || w == ";" || w == "&":
 			cmd, goTool = "", false
 		case goTool:
@@ -273,12 +321,27 @@ func undeclaredFlags(cmdline string, flags map[string]map[string]bool) (bad [][2
 		case flags[path.Base(w)] != nil:
 			cmd = path.Base(w)
 		case cmd != "" && len(w) > 1 && w[0] == '-':
-			name, _, _ := strings.Cut(strings.TrimLeft(w, "-"), "=")
-			if name != "" && (name[0] < '0' || name[0] > '9') && !flags[cmd][name] {
-				bad = append(bad, [2]string{cmd, "-" + name})
+			name, value, eq := strings.Cut(strings.TrimLeft(w, "-"), "=")
+			if !eq && i+1 < len(words) {
+				value = words[i+1]
+			}
+			if name != "" && (name[0] < '0' || name[0] > '9') {
+				out = append(out, cmdFlag{cmd, name, value})
 			}
 		}
 		prev = w
+	}
+	return out
+}
+
+// undeclaredFlags returns, as (command, flag) pairs, every flag that a
+// shell command line passes to a checked command without the command
+// declaring it.
+func undeclaredFlags(cmdline string, flags map[string]map[string]bool) (bad [][2]string) {
+	for _, f := range passedFlags(cmdline, flags) {
+		if !flags[f.cmd][f.name] {
+			bad = append(bad, [2]string{f.cmd, "-" + f.name})
+		}
 	}
 	return bad
 }

@@ -37,8 +37,9 @@ func TestUndeclaredFlags(t *testing.T) {
 }
 
 // TestMarkdownCommandLines checks that inline code spans and fenced
-// lines, joined by a trailing backslash, are read as command lines, and
-// that the history files are exempt.
+// lines, joined by a trailing backslash, are read as command lines,
+// that dirbench -only must name a registered experiment (in any case),
+// and that the history files are exempt.
 func TestMarkdownCommandLines(t *testing.T) {
 	root := t.TempDir()
 	write := func(name, text string) {
@@ -51,12 +52,16 @@ func TestMarkdownCommandLines(t *testing.T) {
 		}
 	}
 	write("cmd/dirq/main.go", `var gen = flag.String("gen", "paper", "generator")`)
-	write("CHANGES.md", "`dirq -gone`\n")
-	write("doc.md", "Run `dirq -gen paper -nope` first.\n\n```\ndirq -gen paper \\\n  -bad 1\n```\n`-bad` alone is prose.\n")
-	got := checkMarkdownLinks(root, declaredFlags(root))
+	write("cmd/dirbench/main.go", `var only = flag.String("only", "", "one experiment")`)
+	write("internal/bench/run.go", "package bench\n\nvar Specs = []Spec{\n\t{\"E1\", nil},\n\t{\"A2\", nil},\n}\n")
+	write("CHANGES.md", "`dirq -gone`\n`dirbench -only E18`\n")
+	write("doc.md", "Run `dirq -gen paper -nope` first.\n\n```\ndirq -gen paper \\\n  -bad 1\n```\n`-bad` alone is prose.\n"+
+		"`go run ./cmd/dirbench -only e1`, `dirbench -only=A2`, `dirbench -only E18 | tail`\n")
+	got := checkMarkdownLinks(root, declaredFlags(root), experimentIDs(root))
 	want := []string{
 		filepath.Join(root, "doc.md") + `:1: "dirq -gen paper -nope" passes -nope, which is not declared in cmd/dirq/main.go`,
 		filepath.Join(root, "doc.md") + `:5: "dirq -gen paper -bad 1" passes -bad, which is not declared in cmd/dirq/main.go`,
+		filepath.Join(root, "doc.md") + `:8: "dirbench -only E18 | tail" runs experiment "E18", which bench.Specs in internal/bench/run.go does not register`,
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("got  %q\nwant %q", got, want)
@@ -80,5 +85,18 @@ func TestDeclaredFlags(t *testing.T) {
 	}
 	if flags["dirserve"]["nonexistent"] {
 		t.Error("undeclared flag reported as declared")
+	}
+}
+
+// TestExperimentIDs reads the repository's own experiment registry.
+func TestExperimentIDs(t *testing.T) {
+	ids := experimentIDs("../..")
+	for _, id := range []string{"E1", "E10", "E22", "A1", "A4"} {
+		if !ids[id] {
+			t.Errorf("%s not found among %d registered experiments", id, len(ids))
+		}
+	}
+	if ids["E99"] {
+		t.Error("unregistered experiment reported as registered")
 	}
 }
