@@ -41,9 +41,11 @@ race:
 # differential oracle: the wildcard matcher vs a reference matcher and
 # a regexp, the filter parser's print/parse fixpoint, the query
 # canonicalizer's cache-key invariance, the durable-store decode
-# paths (checksum envelopes, the manifest, the full snapshot open path,
-# the B+tree page decoder and the list-record decoder must never panic
-# or overallocate on hostile bytes; an accepted page or record
+# paths (checksum envelopes, a hostile log file through Open, Recover
+# and Load, the full snapshot open path, the B+tree page decoder and
+# the list-record decoder must never panic or overallocate on hostile
+# bytes, and the log must never serve a payload failing its CRC; an
+# accepted page or record
 # re-encodes to a fixpoint, and an accepted record answers from its
 # bytes what its materialized entry answers), and the
 # LDIF binary-vector round trip (base64 wire form and textual form
@@ -55,7 +57,7 @@ fuzz:
 	$(GO) test ./internal/filter/ -run=^$$ -fuzz=FuzzParseFilter -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query/ -run=^$$ -fuzz=FuzzCanonical -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/durable/ -run=^$$ -fuzz=FuzzOpenEnvelope -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/durable/ -run=^$$ -fuzz=FuzzManifest -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/durable/ -run=^$$ -fuzz=FuzzOpenLog -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=FuzzOpenSnapshot -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/btree/ -run=^$$ -fuzz=FuzzDecodeNode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/plist/ -run=^$$ -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME)
@@ -66,8 +68,8 @@ fuzz:
 # durably acknowledged generation, answering queries byte-identically
 # to a reference reconstruction. Rounds cycle through full-image and
 # incremental page-delta checkpointing, with and without storage fault
-# injection, so recovery routinely replays mixed full/delta segment
-# histories. CRASH_ITERS crash cycles per run.
+# injection, so recovery routinely replays logs of mixed full-image and
+# page-delta frames. CRASH_ITERS crash cycles per run.
 CRASH_ITERS ?= 30
 crash:
 	DIRKIT_CRASH_ITERS=$(CRASH_ITERS) $(GO) test ./internal/durable/crashtest/ -count=1 -v

@@ -22,9 +22,9 @@
 // checkpoint generation is recovered (corrupt ones are verified against
 // their checksums and rolled past); -gen/-ldif/-open only seed an empty
 // store. With -mutable the server accepts "add"/"del" requests, and
-// with -checkpoint-every 0 each one is checkpointed through the
-// write-temp → fsync → rename → fsync-dir protocol before it is
-// acknowledged — an acked write survives kill -9. A positive
+// with -checkpoint-every 0 each one is checkpointed — a page delta
+// appended to the newest log file and fsynced, or a full image in a new
+// one — before it is acknowledged: an acked write survives kill -9. A positive
 // -checkpoint-every trades that guarantee for amortized periodic
 // checkpoints; SIGTERM always takes a final checkpoint after draining.
 //
@@ -64,7 +64,7 @@ var (
 
 	dataDir   = flag.String("data", "", "durable store directory: recover on boot, checkpoint while serving (off when empty)")
 	ckptEvery = flag.Duration("checkpoint-every", 0, "checkpoint cadence: 0 = synchronously before acknowledging each write, >0 = periodic background checkpoints")
-	keepGens  = flag.Int("keep", 0, "newest checkpoint generations to retain as rollback rungs, with whatever older segments they are deltas against (0 = the durable store's default, 3)")
+	keepGens  = flag.Int("keep", 0, "newest checkpoint log files to retain as rollback rungs, each a full image and the deltas on it (0 = the durable store's default, 3)")
 	mutable   = flag.Bool("mutable", false, `accept "add" and "del" requests (read-only without it)`)
 	deltaCkpt = flag.Bool("delta-checkpoints", false, "checkpoint writes as page deltas against the previous generation when possible (full images otherwise)")
 	faultProb = flag.Float64("fault-prob", 0, "inject storage faults (torn/short writes, fsync errors) with this probability — crash-harness use only")
@@ -157,8 +157,9 @@ func main() {
 	serve(dir, ds, *addr)
 }
 
-// openDurable opens (creating if needed) the -data checkpoint store,
-// removing any *.tmp residue a crash left behind. With -fault-prob the
+// openDurable opens (creating if needed) the -data checkpoint store; a
+// directory in the earlier segment-and-MANIFEST layout is refused
+// (durable.ErrLegacyStore). With -fault-prob the
 // filesystem is wrapped in the deterministic fault injector — the crash
 // harness's way of testing the commit protocol against torn writes and
 // failing fsyncs.

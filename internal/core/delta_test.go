@@ -222,13 +222,10 @@ func TestUpdateEntriesFallsBackToRebuild(t *testing.T) {
 	}
 }
 
-func segSize(t *testing.T, root string, gen int64) int64 {
+func frameSize(t *testing.T, ds *durable.Store, gen int64) int64 {
 	t.Helper()
-	fi, err := os.Stat(filepath.Join(root, fmt.Sprintf("seg-%016d.seg", gen)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fi.Size()
+	_, _, size := frameOf(t, ds, "", gen)
+	return size
 }
 
 // TestDeltaCheckpointRoundTrip drives the full incremental-checkpoint
@@ -237,7 +234,7 @@ func segSize(t *testing.T, root string, gen int64) int64 {
 // return to a full image when the chain's deltas weigh as much as the
 // image beneath them.
 func TestDeltaCheckpointRoundTrip(t *testing.T) {
-	ds, root := newDurableStore(t)
+	ds, _ := newDurableStore(t)
 	dir := peopleDirectory(t, 450, Options{DeltaCheckpoints: true})
 
 	if gen, err := dir.Checkpoint(ds); err != nil || gen != 1 {
@@ -256,7 +253,7 @@ func TestDeltaCheckpointRoundTrip(t *testing.T) {
 	if base, ok := ds.BaseOf(2); !ok || base != 1 {
 		t.Fatalf("gen 2 base = %d, %v; want delta on 1", base, ok)
 	}
-	fullBytes, deltaBytes := segSize(t, root, 1), segSize(t, root, 2)
+	fullBytes, deltaBytes := frameSize(t, ds, 1), frameSize(t, ds, 2)
 	if deltaBytes*10 > fullBytes {
 		t.Errorf("delta is %d bytes vs full %d; want >=10x shrink", deltaBytes, fullBytes)
 	}
@@ -303,7 +300,7 @@ func TestDeltaCheckpointRoundTrip(t *testing.T) {
 
 	// The chain folds by bytes, not at the retention window (3 here, and
 	// the chain is 2 deltas long already): checkpoints stay deltas while
-	// the chain's delta segments and the pages of the next weigh less
+	// the chain's delta frames and the pages of the next weigh less
 	// than the full image beneath them, and the first one past that is a
 	// full image again.
 	for gen := int64(4); ; gen++ {
@@ -332,23 +329,23 @@ func TestDeltaCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("gen %d base = %d; chain of %d bytes under an image of %d wants a delta", gen, base, weight, chain.BaseBytes)
 		}
 	}
-	if c := ds.Chain(); c.Deltas != 0 || c.BaseBytes != segSize(t, root, dir.Generation()) {
+	if c := ds.Chain(); c.Deltas != 0 || c.BaseBytes != frameSize(t, ds, dir.Generation()) {
 		t.Fatalf("chain after the fold = %+v", c)
 	}
 }
 
 // TestDeltaFoldBoundsWriteAmplification: 150 one-entry writes, each
 // checkpointed. An image is taken only once the deltas since the last
-// weigh as much, so everything fsynced — deltas, the images the folds
-// took, a manifest per commit — stays within 2.5 times the deltas plus
-// the first image, and no chain ever outweighs its image.
+// weigh as much, so everything fsynced — deltas and the images the
+// folds took — stays within 2.5 times the deltas plus the first image,
+// and no chain ever outweighs its image.
 func TestDeltaFoldBoundsWriteAmplification(t *testing.T) {
-	ds, root := newDurableStore(t)
+	ds, _ := newDurableStore(t)
 	dir := peopleDirectory(t, 1000, Options{DeltaCheckpoints: true})
 	if _, err := dir.Checkpoint(ds); err != nil {
 		t.Fatal(err)
 	}
-	floor, folds := segSize(t, root, 1), 0
+	floor, folds := frameSize(t, ds, 1), 0
 	for i := 0; i < 150; i++ {
 		if err := dir.UpdateEntries(personOp(t, dir, fmt.Sprintf("w%04d", i), "writer")); err != nil {
 			t.Fatal(err)
@@ -360,7 +357,7 @@ func TestDeltaFoldBoundsWriteAmplification(t *testing.T) {
 		if base, _ := ds.BaseOf(gen); base == 0 {
 			folds++
 		} else {
-			floor += segSize(t, root, gen)
+			floor += frameSize(t, ds, gen)
 		}
 		if c := ds.Chain(); c.DeltaBytes > c.BaseBytes+c.BaseBytes/8 {
 			t.Fatalf("write %d: chain of %d delta bytes over an image of %d", i, c.DeltaBytes, c.BaseBytes)
@@ -394,23 +391,37 @@ func topsWriter(t *testing.T) (*Directory, func(i int) store.EntryOp) {
 	}
 }
 
-// segReads counts the segment files opened through it.
+// segReads counts the frame payloads read through it: reads longer than
+// a frame header, which is all Open reads of a log.
 type segReads struct {
 	pager.FileSystem
 	n int
 }
 
 func (fs *segReads) Open(name string) (pager.BlockFile, error) {
-	if strings.HasSuffix(name, ".seg") {
-		fs.n++
+	f, err := fs.FileSystem.Open(name)
+	if err != nil {
+		return nil, err
 	}
-	return fs.FileSystem.Open(name)
+	return payloadCounter{f, &fs.n}, nil
+}
+
+type payloadCounter struct {
+	pager.BlockFile
+	n *int
+}
+
+func (f payloadCounter) ReadAt(p []byte, off int64) (int, error) {
+	if len(p) > 32 {
+		*f.n++
+	}
+	return f.BlockFile.ReadAt(p, off)
 }
 
 // TestLongDeltaChain: a full image under fifty deltas, which the byte
 // rule allows and the old cap at the retention window did not. It
 // recovers to the live directory byte for byte; and the ladder over it
-// stays linear when a segment is damaged — every rung above the damage
+// stays linear when a frame is damaged — every rung above the damage
 // replays through it, and only the first of them reads anything to find
 // that out.
 func TestLongDeltaChain(t *testing.T) {
@@ -436,7 +447,7 @@ func TestLongDeltaChain(t *testing.T) {
 	}
 
 	// reopened copies the store's files, flips a payload bit in the given
-	// generation's segment (0: none) and opens the copy.
+	// generation's frame (0: none) and opens the copy.
 	reopened := func(t *testing.T, damage int64) (*durable.Store, *segReads) {
 		t.Helper()
 		fs, err := pager.DirFS(t.TempDir())
@@ -447,13 +458,19 @@ func TestLongDeltaChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var damaged string
+		var off, size int64
+		if damage != 0 {
+			damaged, off, size = frameOf(t, ds, root, damage)
+		}
 		for _, de := range names {
-			buf, err := os.ReadFile(filepath.Join(root, de.Name()))
+			path := filepath.Join(root, de.Name())
+			buf, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if damage != 0 && de.Name() == fmt.Sprintf("seg-%016d.seg", damage) {
-				buf[len(buf)/2] ^= 0x10
+			if path == damaged {
+				buf[off+size/2] ^= 0x10
 			}
 			f, err := fs.Create(de.Name())
 			if err != nil {
@@ -481,7 +498,7 @@ func TestLongDeltaChain(t *testing.T) {
 			t.Fatalf("recover: %+v, %v", info, err)
 		}
 		if fs.n != deltas+1 {
-			t.Fatalf("%d segment reads for a chain of %d", fs.n, deltas+1)
+			t.Fatalf("%d payload reads for a chain of %d", fs.n, deltas+1)
 		}
 		var live, recovered bytes.Buffer
 		if err := dir.SaveSnapshot(&live); err != nil {
@@ -501,7 +518,7 @@ func TestLongDeltaChain(t *testing.T) {
 			t.Fatalf("recover over a corrupt base: %+v, %v", info, err)
 		}
 		if fs.n > 2*deltas+1 {
-			t.Fatalf("%d segment reads to refuse a chain of %d; the ladder went quadratic", fs.n, deltas+1)
+			t.Fatalf("%d payload reads to refuse a chain of %d; the ladder went quadratic", fs.n, deltas+1)
 		}
 	})
 	t.Run("corrupt-delta", func(t *testing.T) {
@@ -512,7 +529,7 @@ func TestLongDeltaChain(t *testing.T) {
 			t.Fatalf("recover over corrupt delta %d: %+v, %v", k, info, err)
 		}
 		if fs.n > 2*deltas+1 {
-			t.Fatalf("%d segment reads over a chain of %d; the ladder went quadratic", fs.n, deltas+1)
+			t.Fatalf("%d payload reads over a chain of %d; the ladder went quadratic", fs.n, deltas+1)
 		}
 		// Exactly the suffix is gone, from the store and from the answers:
 		// write i made generation i+2.
@@ -582,15 +599,7 @@ func deltaChainStore(t *testing.T) (*durable.Store, string, *Directory) {
 // the newest generation below the damage and drops exactly the suffix.
 func TestDeltaChainBitRotDropsSuffix(t *testing.T) {
 	ds, root, _ := deltaChainStore(t)
-	seg := filepath.Join(root, "seg-0000000000000002.seg")
-	buf, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-8] ^= 0x04 // payload bit-rot in the middle delta
-	if err := os.WriteFile(seg, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damageFrame(t, ds, root, 2, func(f []byte) { f[len(f)-8] ^= 0x04 }) // payload bit-rot in the middle delta
 
 	back, info, err := Recover(ds, Options{DeltaCheckpoints: true})
 	if err != nil {
@@ -614,12 +623,8 @@ func TestDeltaChainBitRotDropsSuffix(t *testing.T) {
 // the intact delta prefix keep recovering.
 func TestDeltaTornWriteRecoversIntactPrefix(t *testing.T) {
 	ds, root, _ := deltaChainStore(t)
-	seg := filepath.Join(root, "seg-0000000000000003.seg")
-	buf, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(seg, buf[:len(buf)/3], 0o644); err != nil {
+	path, off, size := frameOf(t, ds, root, 3)
+	if err := os.Truncate(path, off+size/3); err != nil {
 		t.Fatal(err)
 	}
 

@@ -26,9 +26,10 @@ import (
 // full image for the same generation, so delta mode never makes a
 // checkpoint less likely to succeed.
 //
-// The durable store acknowledges only after the full
-// write-temp → fsync → rename → fsync-dir protocol; a nil return
-// therefore means this generation survives kill -9 from here on.
+// The durable store acknowledges only after the fsync that covers the
+// generation's frame (and, for a full image starting a new log file,
+// the directory fsync after it); a nil return therefore means this
+// generation survives kill -9 from here on.
 func (d *Directory) Checkpoint(ds *durable.Store) (int64, error) {
 	snap := d.snap.Load()
 	if newest, ok := ds.Newest(); ok && newest == snap.gen {
@@ -65,12 +66,12 @@ func (d *Directory) Checkpoint(ds *durable.Store) (int64, error) {
 // full-rebuild Update in between breaks the chain); the dirty union
 // must stay under half the device — past that a full image is barely
 // larger to write and far cheaper to recover; and the chain's delta
-// segments, this one's pages included, must weigh less than the full
+// frames, this one's pages included, must weigh less than the full
 // image beneath them. The last is the fold rule: it holds what
 // recovery reads under twice the image, and what a run of writes
 // commits under twice their deltas plus the images, whatever the
-// retention window is (the durable store keeps every base a retained
-// delta replays through).
+// retention window is (a delta lives in its base's log file, so the
+// durable store retains every base a retained delta replays through).
 func (d *Directory) deltaPlan(ds *durable.Store, snap *snapshot) (base int64, dirty []pager.PageID, ok bool) {
 	newest, has := ds.Newest()
 	if !has || newest >= snap.gen {
@@ -130,14 +131,14 @@ type RecoverInfo struct {
 // past. A delta generation is intact only if its whole base chain is —
 // every payload down to a full image, decodable and replayable; damage
 // anywhere in the chain fails that rung and recovery moves one
-// generation down the ladder, which (the durable store retains the base
-// of every retained delta) always reaches a full image. A damaged delta
-// therefore costs every generation above it in its chain, and a rung
-// that replays through a segment already found unreadable fails without
-// reading anything again. The restored Directory continues the
+// generation down the ladder, which (a delta lives in its base's log
+// file) always reaches a full image. A damaged delta therefore costs
+// every generation above it in its chain, and a rung that replays
+// through a frame already found unreadable fails without reading
+// anything again. The restored Directory continues the
 // durable lineage — its generation is the recovered one, so the next
 // Update produces gen+1 and the next Checkpoint slots right after the
-// recovered segment. Its update lineage starts empty, which is as much
+// recovered frame. Its update lineage starts empty, which is as much
 // as a delta needs: the recovered generation is the newest durable one,
 // so an UpdateEntries write on it checkpoints as a delta that extends
 // the recovered chain.
@@ -178,11 +179,10 @@ func Recover(ds *durable.Store, opts Options) (*Directory, RecoverInfo, error) {
 
 // recoverGeneration materializes one generation. A full image decodes
 // directly. A delta payload chases base-generation links (read from
-// payload content, not the manifest, so a manifest rebuilt by the
-// durable store's directory scan recovers identically) down to a full
+// payload content, which the payload checksum covers) down to a full
 // image, replays the page deltas oldest-first onto it, and assembles
 // with the newest payload's schema and manifest. Any failure anywhere
-// along the chain fails the whole rung; a segment that cannot be loaded
+// along the chain fails the whole rung; a frame that cannot be loaded
 // or decoded is recorded in bad with the generations that led to it, so
 // that the ladder's later rungs, which share the chain's lower part,
 // stop at them.

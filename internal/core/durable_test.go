@@ -29,6 +29,32 @@ func newDurableStore(t *testing.T) (*durable.Store, string) {
 	return ds, root
 }
 
+// frameOf finds gen's frame in its log file under root: the file's
+// path, the frame's offset there and its length.
+func frameOf(t *testing.T, ds *durable.Store, root string, gen int64) (path string, off, size int64) {
+	t.Helper()
+	name, off, size, ok := ds.Locate(gen)
+	if !ok {
+		t.Fatalf("generation %d not in the store", gen)
+	}
+	return filepath.Join(root, name), off, size
+}
+
+// damageFrame rewrites gen's log file with damage done to the bytes of
+// gen's frame.
+func damageFrame(t *testing.T, ds *durable.Store, root string, gen int64, damage func(frame []byte)) {
+	t.Helper()
+	path, off, size := frameOf(t, ds, root, gen)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage(buf[off : off+size])
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func addUID(t *testing.T, dir *Directory, uid string) {
 	t.Helper()
 	err := dir.Update(func(in *model.Instance) error {
@@ -83,7 +109,7 @@ func TestCheckpointRecoverContinuesLineage(t *testing.T) {
 		t.Fatalf("recovered answer: %v, %v", res, err)
 	}
 	// The lineage continues: the next update is gen 4, and its
-	// checkpoint lands after the recovered segment.
+	// checkpoint lands after the recovered frame.
 	addUID(t, back, "gamma")
 	if back.Generation() != 4 {
 		t.Fatalf("post-recovery update at gen %d, want 4", back.Generation())
@@ -117,16 +143,8 @@ func TestRecoverRollsPastCorruptNewestGeneration(t *testing.T) {
 	if _, err := dir.Checkpoint(ds); err != nil {
 		t.Fatal(err)
 	}
-	// Rot one payload byte of the newest segment (gen 2).
-	seg := filepath.Join(root, "seg-0000000000000002.seg")
-	buf, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)/2] ^= 0x40
-	if err := os.WriteFile(seg, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Rot one payload byte of the newest frame (gen 2).
+	damageFrame(t, ds, root, 2, func(f []byte) { f[len(f)/2] ^= 0x40 })
 
 	back, info, err := Recover(ds, Options{})
 	if err != nil {

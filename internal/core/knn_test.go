@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -156,7 +154,7 @@ func TestKNNSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestKNNCheckpointRecover simulates the crash round: checkpoint,
-// mutate, checkpoint, rot the newest segment (a torn write at power
+// mutate, checkpoint, rot the newest frame (a torn write at power
 // loss), recover — the survivor generation answers knn exactly as it
 // did when it was live.
 func TestKNNCheckpointRecover(t *testing.T) {
@@ -209,17 +207,9 @@ func TestKNNCheckpointRecover(t *testing.T) {
 		t.Fatalf("recovered knn lost the checkpointed entry: %v", res.DNs())
 	}
 
-	// Torn newest segment: recovery rolls back one rung and the older
+	// Torn newest frame: recovery rolls back one rung and the older
 	// generation's knn answer is byte-for-byte what it was live.
-	seg := filepath.Join(root, "seg-0000000000000002.seg")
-	buf, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)/2] ^= 0x40
-	if err := os.WriteFile(seg, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damageFrame(t, ds, root, 2, func(f []byte) { f[len(f)/2] ^= 0x40 })
 	old, info, err := Recover(ds, Options{})
 	if err != nil {
 		t.Fatal(err)

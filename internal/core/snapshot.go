@@ -28,7 +28,7 @@ var snapshotMagic = [8]byte{'D', 'I', 'R', 'K', 'I', 'T', 'S', '1'}
 // I/O failures of the underlying reader are wrapped but keep their own
 // identity; structural damage is always errors.Is-able as this.
 // internal/durable's recovery ladder relies on the distinction to
-// count corrupt-segment skips separately from transport problems.
+// count corrupt-frame skips separately from transport problems.
 var ErrCorruptSnapshot = errors.New("core: corrupt snapshot")
 
 // SaveSnapshot writes the directory's disk image and metadata. It

@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,49 +11,58 @@ import (
 	"repro/internal/pager"
 )
 
-// flipByte XORs one byte of the named file in place — the bit-rot /
-// torn-write aftermath the recovery ladder must detect.
-func flipByte(t *testing.T, path string, off int64) {
+// frameOf finds gen's frame in its log file under root: the file's
+// path, the frame's offset there and its length.
+func frameOf(t *testing.T, root string, s *Store, gen int64) (path string, off, size int64) {
 	t.Helper()
+	name, off, size, ok := s.Locate(gen)
+	if !ok {
+		t.Fatalf("generation %d not in store", gen)
+	}
+	return filepath.Join(root, name), off, size
+}
+
+// flipByte XORs one byte of gen's frame in place — the bit-rot /
+// torn-write aftermath the recovery ladder must detect. A negative
+// offset counts from the frame's end.
+func flipByte(t *testing.T, root string, s *Store, gen, off int64) {
+	t.Helper()
+	path, start, size := frameOf(t, root, s, gen)
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off < 0 {
-		off += int64(len(buf))
+		off += size
 	}
-	if off < 0 || off >= int64(len(buf)) {
-		t.Fatalf("offset %d out of range (%d bytes)", off, len(buf))
+	if off < 0 || off >= size {
+		t.Fatalf("offset %d out of range (%d-byte frame)", off, size)
 	}
-	buf[off] ^= 0xff
+	buf[start+off] ^= 0xff
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRecoveryLadderPerRegion corrupts one byte in each region of the
-// newest segment — header magic, generation field, payload, payload
-// checksum, header checksum — and in the manifest, and asserts Recover
-// lands on the newest intact generation every time.
+// newest frame — header magic, generation field, payload, payload
+// checksum, header checksum — and asserts Recover lands on the newest
+// intact generation every time.
 func TestRecoveryLadderPerRegion(t *testing.T) {
 	cases := []struct {
 		name   string
-		file   func(newestSeg string) string // which file to corrupt
-		offset int64                         // byte offset (negative = from end)
+		offset int64 // byte offset in the frame (negative = from its end)
 		// wantGen is the generation Recover must land on after the
 		// corruption (the newest intact one).
 		wantGen int64
 	}{
-		{"header-magic", func(seg string) string { return seg }, 0, 2},
-		{"header-generation", func(seg string) string { return seg }, 8, 2},
-		{"header-length", func(seg string) string { return seg }, 16, 2},
-		{"payload-checksum", func(seg string) string { return seg }, 24, 2},
-		{"header-checksum", func(seg string) string { return seg }, 28, 2},
-		{"payload-first-byte", func(seg string) string { return seg }, headerSize, 2},
-		{"payload-last-byte", func(seg string) string { return seg }, -1, 2},
-		// Manifest corruption costs only the cross-check: the scan
-		// fallback still finds the intact newest segment.
-		{"manifest", func(string) string { return manifestName }, headerSize + 2, 3},
+		{"header-magic", 0, 2},
+		{"header-generation", 8, 2},
+		{"header-length", 16, 2},
+		{"payload-checksum", 24, 2},
+		{"header-checksum", 28, 2},
+		{"payload-first-byte", headerSize, 2},
+		{"payload-last-byte", -1, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,7 +79,7 @@ func TestRecoveryLadderPerRegion(t *testing.T) {
 			commitString(t, s, 2, "payload of generation 2")
 			commitString(t, s, 3, "payload of generation 3")
 
-			flipByte(t, filepath.Join(root, tc.file(segName(3))), tc.offset)
+			flipByte(t, root, s, 3, tc.offset)
 
 			back, err := Open(fs, Options{})
 			if err != nil {
@@ -86,7 +97,7 @@ func TestRecoveryLadderPerRegion(t *testing.T) {
 				t.Fatalf("recovered %q, want %q", payload, want)
 			}
 			if tc.wantGen == 2 && back.Stats().CorruptSkips == 0 {
-				t.Fatal("expected a corrupt-segment skip to be counted")
+				t.Fatal("expected a corrupt-frame skip to be counted")
 			}
 		})
 	}
@@ -94,7 +105,7 @@ func TestRecoveryLadderPerRegion(t *testing.T) {
 
 // TestRecoveryLadderTwoRungs corrupts the two newest generations and
 // asserts the ladder descends to the third, then that the corrupt
-// segments were dropped so the store resumes cleanly.
+// frames were dropped so the store resumes cleanly.
 func TestRecoveryLadderTwoRungs(t *testing.T) {
 	root := t.TempDir()
 	fs, err := pager.DirFS(root)
@@ -108,8 +119,8 @@ func TestRecoveryLadderTwoRungs(t *testing.T) {
 	for g := int64(1); g <= 4; g++ {
 		commitString(t, s, g, string(rune('a'+g)))
 	}
-	flipByte(t, filepath.Join(root, segName(4)), headerSize)
-	flipByte(t, filepath.Join(root, segName(3)), -1)
+	flipByte(t, root, s, 4, headerSize)
+	flipByte(t, root, s, 3, -1)
 
 	back, err := Open(fs, Options{Keep: 4})
 	if err != nil {
@@ -151,8 +162,8 @@ func TestAllGenerationsCorrupt(t *testing.T) {
 	}
 	commitString(t, s, 1, "one")
 	commitString(t, s, 2, "two")
-	flipByte(t, filepath.Join(root, segName(1)), headerSize)
-	flipByte(t, filepath.Join(root, segName(2)), headerSize)
+	flipByte(t, root, s, 1, headerSize)
+	flipByte(t, root, s, 2, headerSize)
 	back, err := Open(fs, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +173,8 @@ func TestAllGenerationsCorrupt(t *testing.T) {
 	}
 }
 
-// TestTruncatedSegment asserts a segment cut mid-payload (the torn tail
-// a crash during the pre-rename write could leave if rename raced) is
-// skipped as corrupt.
+// TestTruncatedSegment asserts a frame cut mid-payload (the torn tail a
+// crash during its write can leave) is skipped as corrupt.
 func TestTruncatedSegment(t *testing.T) {
 	root := t.TempDir()
 	fs, err := pager.DirFS(root)
@@ -177,12 +187,8 @@ func TestTruncatedSegment(t *testing.T) {
 	}
 	commitString(t, s, 1, "intact")
 	commitString(t, s, 2, "this payload will be truncated")
-	path := filepath.Join(root, segName(2))
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, st.Size()-5); err != nil {
+	path, off, size := frameOf(t, root, s, 2)
+	if err := os.Truncate(path, off+size-5); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Open(fs, Options{})
@@ -197,16 +203,18 @@ func TestTruncatedSegment(t *testing.T) {
 
 // TestEnvelopeErrorsWrapErrCorrupt pins the typed-error contract.
 func TestEnvelopeErrorsWrapErrCorrupt(t *testing.T) {
-	if _, _, err := openEnvelope(segMagic, []byte("short")); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := openEnvelope([]byte("short")); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated header: %v", err)
 	}
-	sealed := sealEnvelope(segMagic, 7, []byte("payload"))
+	sealed := sealEnvelope(7, []byte("payload"))
 	sealed[headerSize] ^= 1
-	if _, _, err := openEnvelope(segMagic, sealed); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := openEnvelope(sealed); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("payload flip: %v", err)
 	}
-	good := sealEnvelope(manMagic, 7, []byte("payload"))
-	if _, _, err := openEnvelope(segMagic, good); !errors.Is(err, ErrCorrupt) {
+	foreign := sealEnvelope(7, []byte("payload"))
+	copy(foreign[0:8], "DRBLMAN1")
+	binary.LittleEndian.PutUint32(foreign[28:32], crc32.Checksum(foreign[0:28], castagnoli))
+	if _, _, err := openEnvelope(foreign); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("magic mismatch: %v", err)
 	}
 }

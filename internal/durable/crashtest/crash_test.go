@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dirserver"
+	"repro/internal/durable"
 	"repro/internal/ldif"
 	"repro/internal/model"
 	"repro/internal/workload"
@@ -83,7 +84,7 @@ type child struct {
 // deterministic storage fault injector; delta switches the child to
 // incremental page-delta checkpoints. Children restart on the same
 // data directory with the flag alternating, so recovery is routinely
-// asked to replay a mixed full-image/delta segment history.
+// asked to replay a mixed full-image/delta log history.
 func startChild(dataDir string, faultProb float64, seed int64, delta bool) (*child, error) {
 	args := []string{
 		"-gen", "paper", "-data", dataDir, "-mutable",
@@ -307,8 +308,8 @@ func TestKillNineRecoversAckedState(t *testing.T) {
 		delta := iter%4 == 1 || iter%4 == 2
 		c, err = startChild(dataDir, faultProb, int64(iter), delta)
 		if err != nil && faultProb > 0 {
-			// An injected fault broke the boot path itself (e.g. fsync of
-			// the orphan sweep); a clean restart must always work.
+			// An injected fault broke the boot path itself (e.g. the
+			// directory fsync at open); a clean restart must always work.
 			c, err = startChild(dataDir, 0, 0, delta)
 		}
 		if err != nil {
@@ -377,4 +378,26 @@ func TestGracefulShutdownCheckpointsInFlightWrites(t *testing.T) {
 		t.Fatalf("recovered gen %d < acked %d after graceful shutdown", back.gen, acked.Load())
 	}
 	compareQueries(t, cl, back.addr, expectedDirectory(t, back.gen), back.gen)
+}
+
+// TestLegacyDataDirectoryIsRefused: dirserve -data over a directory in
+// the earlier segment-and-MANIFEST layout exits with
+// durable.ErrLegacyStore, neither serving it nor writing beside it.
+func TestLegacyDataDirectoryIsRefused(t *testing.T) {
+	dataDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dataDir, "MANIFEST"), []byte("earlier layout"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, binPath, "-gen", "paper", "-data", dataDir, "-addr", "127.0.0.1:0").CombinedOutput()
+	if err == nil || ctx.Err() != nil {
+		t.Fatalf("dirserve did not exit with an error over a legacy directory (%v):\n%s", err, out)
+	}
+	if !strings.Contains(string(out), durable.ErrLegacyStore.Error()) {
+		t.Fatalf("dirserve output does not name ErrLegacyStore:\n%s", out)
+	}
+	if names, err := os.ReadDir(dataDir); err != nil || len(names) != 1 {
+		t.Fatalf("legacy directory changed: %v, %v", names, err)
+	}
 }

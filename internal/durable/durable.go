@@ -1,32 +1,36 @@
 // Package durable is the crash-safe on-disk snapshot store beneath
-// core.Directory: a flat directory of generation-numbered,
-// CRC32C-checksummed segment files plus a manifest, committed with the
-// classic write-temp → fsync → atomic-rename → fsync-dir protocol and
-// read back through a recovery ladder that falls generation-by-
-// generation to the newest intact image.
+// core.Directory: a flat directory of log files, each a run of
+// CRC32C-checksummed frames, read back through a recovery ladder that
+// falls generation by generation to the newest intact one.
 //
-// The store never overwrites committed bytes in place: a commit builds
-// the whole segment beside the live files and becomes visible in one
-// rename, so a crash — or any injected storage fault
-// (internal/faultfs) — at any instruction boundary leaves either the
-// previous committed state or the new one, never a mix. The last Keep
-// generations are retained for rollback, and with them every older
-// segment one of them is a page delta against, directly or through
-// other deltas; everything else is pruned after the manifest that stops
-// referencing it is durably committed.
+// A log file, log-<first generation>.log, opens with a full image
+// (Commit: write, fsync, fsync the directory, then remove the log files
+// beyond the newest Keep); every later frame in it is a page delta
+// against the frame before it (CommitDelta: one write at the file's
+// acknowledged end and one fsync). Committed bytes are never rewritten,
+// and a failed append is cut off again, so a crash — or any injected
+// storage fault (internal/faultfs) — at any instruction boundary leaves
+// every acknowledged generation intact and at worst a torn tail that
+// verification refuses. Nothing beside the frames records what the
+// store holds: Open reads their headers, and because a delta's base is
+// always in its own file, pruning whole files never strands one.
 //
-// DESIGN.md §11 walks through the commit protocol and the recovery
-// ladder; internal/durable/crashtest kill -9s a live server through
-// this package ≥30 times and asserts every restart serves the last
-// durably acknowledged generation byte-identically.
+// DESIGN.md §11 walks through the format, the commit protocol and the
+// recovery ladder; internal/durable/crashtest kill -9s a live server
+// through this package ≥30 times and asserts every restart serves the
+// last durably acknowledged generation byte-identically.
 package durable
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
+	"cmp"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	iofs "io/fs"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,63 +43,66 @@ import (
 
 // Store-level errors.
 var (
-	// ErrEmpty is returned by Recover when the store holds no segment
+	// ErrEmpty is returned by Recover when the store holds no generation
 	// at all — a fresh data directory, not a corrupt one.
 	ErrEmpty = errors.New("durable: no generations in store")
-	// ErrNoIntactGeneration is returned by Recover when segments exist
+	// ErrNoIntactGeneration is returned by Recover when generations exist
 	// but every one failed verification — the ladder ran out of rungs.
 	ErrNoIntactGeneration = errors.New("durable: no intact generation")
+	// ErrLegacyStore is returned by Open for a data directory in the
+	// earlier segment-and-MANIFEST layout, which this store does not read.
+	ErrLegacyStore = errors.New("durable: data directory holds seg-*.seg/MANIFEST files from the earlier layout")
 )
 
 // Options configures a Store.
 type Options struct {
-	// Keep is how many newest generations to retain for rollback
-	// (default 3, minimum 1). Older segments are pruned once a manifest
-	// that no longer references them is durably committed, except those
-	// a retained delta replays through. It does not bound how long a
-	// chain of deltas may grow: the committer decides that (Chain).
+	// Keep is how many newest log files to retain for rollback (default
+	// 3, minimum 1). A file holds a full image and the deltas committed on
+	// it, so every retained generation replays; when every checkpoint is
+	// a full image, a file is one generation. It does not bound how long
+	// a chain of deltas may grow: the committer decides that (Chain).
 	Keep int
 }
 
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
-	Commits        int64 // successful Commit calls
-	CommitBytes    int64 // payload bytes across successful commits
-	BytesFsynced   int64 // bytes written and fsynced (segments + manifests)
-	CorruptSkips   int64 // corrupt segments skipped by verification
-	Recoveries     int64 // Recover calls that landed on an intact generation
-	OrphansRemoved int64 // leftover *.tmp files removed at Open
-	Pruned         int64 // old generation segments pruned
+	Commits      int64 // successful Commit and CommitDelta calls
+	CommitBytes  int64 // payload bytes across successful commits
+	BytesFsynced int64 // frame bytes written and fsynced
+	CorruptSkips int64 // corrupt frames skipped by verification
+	Recoveries   int64 // Recover calls that landed on an intact generation
+	Pruned       int64 // log files removed
 }
 
-// segEntry is one manifest row: where a generation lives and what its
-// intact form looks like (size and payload checksum, letting the
-// ladder cross-check a segment against what the committer recorded).
-type segEntry struct {
-	Gen  int64  `json:"gen"`
-	File string `json:"file"`
-	Size int64  `json:"size"` // whole file: header + payload
-	CRC  uint32 `json:"crc"`  // CRC32C of the payload
-	// Base is the generation this segment is a page delta against; 0
-	// marks a self-contained full image. Pruning retains the transitive
-	// base closure of every kept segment, so an acknowledged delta's
-	// recovery chain can never be pruned out from under it. baseUnknown
-	// marks an entry rebuilt from the file alone, which does not say.
-	Base int64 `json:"base,omitempty"`
+// frame is one generation's place in a log file: the offset of its
+// header and its length, header included.
+type frame struct {
+	gen, off, size int64
 }
 
-// baseUnknown is the Base of an entry the directory scan rebuilt after
-// the manifest was lost: only the payload, which this package does not
-// parse, says whether the segment is a delta and against what. Such an
-// entry may need any older segment, and pruning treats it so; it is
-// written to the next manifest as it is, so the doubt outlives a reopen
-// and ends when the entry leaves the keep window.
-const baseUnknown = -1
+// logFile is one log file as Open indexed it and commits extended it.
+// Its frames ascend, frames[0] is the full image the others replay
+// onto, and every one is older than the next file's first generation.
+// Bytes past the last frame were never acknowledged; an append
+// truncates them. A file with no frames is a failed full image's
+// leftover: no delta may be appended to an older file while it exists.
+type logFile struct {
+	name   string
+	first  int64 // the generation in the file name
+	frames []frame
+}
 
-// manifestBody is the manifest payload: the retained generations,
-// ascending.
-type manifestBody struct {
-	Generations []segEntry `json:"generations"`
+// cut drops l's frames from generation gen on.
+func (l *logFile) cut(gen int64) {
+	l.frames = l.frames[:sort.Search(len(l.frames), func(j int) bool { return l.frames[j].gen >= gen })]
+}
+
+func (l *logFile) end() int64 {
+	if len(l.frames) == 0 {
+		return 0
+	}
+	f := l.frames[len(l.frames)-1]
+	return f.off + f.size
 }
 
 // Store is a crash-safe snapshot store over one pager.FileSystem. All
@@ -104,32 +111,32 @@ type Store struct {
 	fs   pager.FileSystem
 	keep int
 
-	mu      sync.Mutex // guards entries, manSeq, and the commit protocol
-	entries []segEntry // current manifest view, ascending by generation
-	manSeq  uint64     // manifest sequence number (bumps per manifest write)
+	commitMu sync.Mutex // serializes commits and guards buf
+	buf      []byte     // a small frame's buffer, kept for the next commit
+
+	mu    sync.Mutex // guards files
+	files []*logFile // ascending by first generation
 
 	commits, commitBytes, bytesFsynced atomic.Int64
-	corruptSkips, recoveries           atomic.Int64
-	orphansRemoved, pruned             atomic.Int64
+	corruptSkips, recoveries, pruned   atomic.Int64
 	latency                            *obs.Histogram // nil unless RegisterMetrics ran
 }
 
 const (
-	manifestName = "MANIFEST"
-	tmpSuffix    = ".tmp"
-	segSuffix    = ".seg"
+	logPrefix = "log-"
+	logSuffix = ".log"
 )
 
-func segName(gen int64) string { return fmt.Sprintf("seg-%016d%s", gen, segSuffix) }
+func logName(gen int64) string { return fmt.Sprintf("%s%016d%s", logPrefix, gen, logSuffix) }
 
-// Open attaches a Store to fs, removing orphaned *.tmp files a crashed
-// commit left behind (they were never renamed, so they are by
-// definition uncommitted) and loading the manifest. A missing or
-// corrupt manifest is not fatal: the view is rebuilt by scanning the
-// segment files themselves, so losing the manifest costs the cross-check
-// and the record of which segment is a delta against which — until the
-// rebuilt entries age out of the keep window, nothing older than them
-// is pruned (baseUnknown).
+// Open attaches a Store to fs and indexes its log files by their frame
+// headers, reading no payload. A header that fails its check ends its
+// file's scan: as a file's first frame it leaves one rung, at the
+// generation the file name gives, that Load refuses; past it, the lost
+// tail counts as one corrupt skip. A frame whose payload runs past the
+// end of the file, or fails its checksum, stays a rung that Load
+// refuses. A directory in the earlier segment-and-MANIFEST layout is
+// refused with ErrLegacyStore.
 func Open(fs pager.FileSystem, opts Options) (*Store, error) {
 	if opts.Keep <= 0 {
 		opts.Keep = 3
@@ -139,332 +146,349 @@ func Open(fs pager.FileSystem, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: list store: %w", err)
 	}
-	cleaned := false
 	for _, name := range names {
-		if strings.HasSuffix(name, tmpSuffix) {
-			if err := fs.Remove(name); err == nil {
-				s.orphansRemoved.Add(1)
-				cleaned = true
-			}
+		if name == "MANIFEST" || strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".seg") {
+			return nil, fmt.Errorf("%w (found %s)", ErrLegacyStore, name)
 		}
+		var first int64
+		if _, err := fmt.Sscanf(name, logPrefix+"%d"+logSuffix, &first); err != nil || first <= 0 || name != logName(first) {
+			continue
+		}
+		l, err := s.scan(name, first)
+		if err != nil {
+			return nil, err
+		}
+		s.files = append(s.files, l)
 	}
-	if cleaned {
-		_ = fs.SyncRoot() // make the cleanup durable; best-effort
+	// A later file starts where an earlier one's acknowledged frames
+	// ended; whatever an earlier file holds from there on was never
+	// acknowledged (a failed append, or a generation committed again as
+	// a full image).
+	for i := 0; i+1 < len(s.files); i++ {
+		s.files[i].cut(s.files[i+1].first)
 	}
-	if err := s.loadManifest(names); err != nil {
-		return nil, err
+	if len(s.files) > 0 {
+		// The process that wrote the newest file may have died before the
+		// directory fsync that makes its name durable; appends to it must
+		// not be acknowledged while the name can still vanish.
+		if err := fs.SyncRoot(); err != nil {
+			return nil, fmt.Errorf("durable: fsync store directory: %w", err)
+		}
 	}
 	return s, nil
 }
 
-// loadManifest reads MANIFEST if intact, else rebuilds the view from
-// the segment files present in names.
-func (s *Store) loadManifest(names []string) error {
-	if buf, err := s.readFile(manifestName); err == nil {
-		if seq, payload, err := openEnvelope(manMagic, buf); err == nil {
-			var body manifestBody
-			if json.Unmarshal(payload, &body) == nil {
-				s.manSeq = seq
-				s.entries = body.Generations
-				sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].Gen < s.entries[j].Gen })
-				return nil
-			}
-		}
-		// An unreadable manifest is itself a corruption the ladder
-		// absorbs: fall through to the scan.
-		s.corruptSkips.Add(1)
+// scan indexes one log file's frames by their headers.
+func (s *Store) scan(name string, first int64) (*logFile, error) {
+	size, err := s.fs.Size(name)
+	if err != nil {
+		return nil, fmt.Errorf("durable: size %s: %w", name, err)
 	}
-	s.entries = nil
-	for _, name := range names {
-		if !strings.HasSuffix(name, segSuffix) {
-			continue
+	f, err := s.fs.Open(name)
+	if err != nil {
+		return nil, fmt.Errorf("durable: open %s: %w", name, err)
+	}
+	defer f.Close()
+	l := &logFile{name: name, first: first}
+	// The first frame is generation first, and each later one is newer.
+	// An empty file still has a first frame to fail.
+	prev := first - 1
+	for off := int64(0); off == 0 || off < size; {
+		gen, n, err := readHeader(f, off)
+		if err == nil && (gen <= prev || off == 0 && gen != first) {
+			err = ErrCorrupt
 		}
-		var gen int64
-		if _, err := fmt.Sscanf(name, "seg-%d.seg", &gen); err != nil {
-			continue
-		}
-		size, err := s.fs.Size(name)
 		if err != nil {
-			continue
+			if off == 0 {
+				l.frames = []frame{{gen: first, size: size}} // the whole file, one rung Load refuses
+			} else {
+				s.corruptSkips.Add(1) // the tail is lost; the next append cuts it off
+			}
+			break
 		}
-		// CRC 0 means "no manifest cross-check": verification then
-		// relies on the envelope alone.
-		s.entries = append(s.entries, segEntry{Gen: gen, File: name, Size: size, Base: baseUnknown})
+		// A payload running past the end of the file keeps the bytes it
+		// has, so Load allocates no more than the file holds and refuses it.
+		fr := frame{gen: gen, off: off, size: size - off}
+		if n <= uint64(size-off-headerSize) {
+			fr.size = headerSize + int64(n)
+		}
+		l.frames = append(l.frames, fr)
+		prev, off = gen, off+fr.size
 	}
-	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].Gen < s.entries[j].Gen })
+	return l, nil
+}
+
+// Commit durably stores one generation as a full image: it starts a new
+// log file, log-<gen>.log, which is written, fsynced and made durable
+// in its directory (fsync-dir) before the commit is acknowledged; then
+// every log file beyond the newest Keep is removed. An error leaves
+// every acknowledged generation as it was, and no delta is appended to
+// an older file while the failed file may remain.
+//
+// write runs with the store's commit lock held, so it must not call the
+// Store; it streams the image into the file.
+//
+// Committing a generation the store already holds replaces it, and the
+// deltas that replayed onto it go with it: its frames in older files are
+// abandoned, and a file that already starts at gen is rewritten in
+// place, so a crash in that commit loses the generation and recovery
+// falls back one rung.
+func (s *Store) Commit(gen int64, write func(w io.Writer) error) error {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	start := time.Now()
+	name := logName(gen)
+	size, err := s.create(name, gen, write)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		var left *logFile // a file that outlives its failed commit holds no frame
+		if !s.remove(name) {
+			left = &logFile{name: name, first: gen}
+		}
+		s.place(gen, left)
+		return fmt.Errorf("durable: commit gen %d: %w", gen, err)
+	}
+	for _, l := range s.files {
+		if l.first < gen {
+			l.cut(gen) // the deltas on a replaced generation go with it
+		}
+	}
+	s.place(gen, &logFile{name: name, first: gen, frames: []frame{{gen: gen, size: size}}})
+	s.prune()
+	s.done(start, size-headerSize, size)
 	return nil
 }
 
-// Commit durably stores one generation: write serializes the payload.
-// The protocol is write-temp → fsync → atomic-rename → fsync-dir for
-// the segment, then the same four steps for the manifest that
-// references it; only after both renames are durable are generations
-// older than Keep pruned. An error anywhere leaves the store exactly
-// as the previous commit left it — the temp file (removed best-effort,
-// and at the latest by the next Open) is the only possible residue.
-//
-// Committing a generation that already exists replaces it: after a
-// rollback recovery, the write path re-commits the recovered lineage
-// over the abandoned one.
-func (s *Store) Commit(gen int64, write func(w io.Writer) error) error {
-	return s.commitEntry(gen, 0, write)
-}
-
-// CommitDelta durably stores one generation as a page delta against an
-// already-retained base generation, under the same protocol and
-// acknowledgment rules as Commit. The manifest records the dependency,
-// and pruning keeps the transitive base closure of every retained
-// segment, so the chain needed to replay an acknowledged delta is
-// itself always retained.
+// CommitDelta durably stores one generation as a page delta against
+// base, which must be the newest generation: the frame is appended to
+// base's log file at its acknowledged end with one write and one fsync,
+// and acknowledged after that fsync. A failed append is truncated away
+// (or, if even that fails, overwritten by the next), so nothing is ever
+// built on it. As with Commit, write must not call the Store.
 func (s *Store) CommitDelta(gen, base int64, write func(w io.Writer) error) error {
 	if base <= 0 || base >= gen {
 		return fmt.Errorf("durable: delta gen %d has invalid base %d", gen, base)
 	}
-	s.mu.Lock()
-	found := false
-	for _, e := range s.entries {
-		if e.Gen == base {
-			found = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if !found {
-		return fmt.Errorf("durable: delta gen %d: base %d not in store", gen, base)
-	}
-	return s.commitEntry(gen, base, write)
-}
-
-func (s *Store) commitEntry(gen, base int64, write func(w io.Writer) error) error {
-	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
-		return fmt.Errorf("durable: serialize gen %d: %w", gen, err)
-	}
-	payload := buf.Bytes()
-	sealed := sealEnvelope(segMagic, uint64(gen), payload)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := time.Now()
-	name := segName(gen)
-	if err := s.writeFileAtomic(name, sealed); err != nil {
-		return fmt.Errorf("durable: commit gen %d: %w", gen, err)
-	}
-
-	entry := segEntry{Gen: gen, File: name, Size: int64(len(sealed)), CRC: payloadCRC(sealed), Base: base}
-	next := make([]segEntry, 0, len(s.entries)+1)
-	for _, e := range s.entries {
-		if e.Gen != gen {
-			next = append(next, e)
-		}
-	}
-	next = append(next, entry)
-	sort.Slice(next, func(i, j int) bool { return next[i].Gen < next[j].Gen })
-	drop, next := planPrune(next, s.keep)
-	if err := s.writeManifest(next); err != nil {
-		// The segment file exists but the manifest still describes the
-		// previous state; the commit is not acknowledged. Recovery may
-		// legitimately find the segment by scan — it is a complete,
-		// checksummed image — but nothing depends on it.
-		return fmt.Errorf("durable: commit gen %d manifest: %w", gen, err)
-	}
-	s.entries = next
-	// Prune only after the manifest stopped referencing the old
-	// generations — and only after reading the on-disk manifest back to
-	// confirm it really is the one that dropped them. A crash (or a
-	// lying rename) between manifest write and prune then leaves stray
-	// files, never a manifest pointing at removed segments.
-	if len(drop) > 0 && s.verifyManifestDropped(drop) {
-		for _, e := range drop {
-			if s.fs.Remove(e.File) == nil {
-				s.pruned.Add(1)
-			}
-		}
-		_ = s.fs.SyncRoot()
-	}
-	s.commits.Add(1)
-	s.commitBytes.Add(int64(len(payload)))
-	if s.latency != nil {
-		s.latency.ObserveDuration(time.Since(start))
-	}
-	return nil
-}
-
-// planPrune splits a candidate manifest view into the entries to drop
-// and the entries to retain: the newest keep generations plus,
-// transitively, every base a retained delta depends on. A base pinned
-// by a retained delta survives even when it falls outside the keep
-// window — dropping it would leave the delta unreplayable, i.e. fewer
-// than keep recoverable generations. A retained entry of unknown base
-// pins every older entry. A base is older than its delta, so one pass
-// from the newest entry down meets every delta before its base.
-func planPrune(entries []segEntry, keep int) (drop, next []segEntry) {
-	if len(entries) <= keep {
-		return nil, entries
-	}
-	retain := make(map[int64]bool, keep)
-	pinOlder := false
-	for i := len(entries) - 1; i >= 0; i-- {
-		e := entries[i]
-		if i < len(entries)-keep && !pinOlder && !retain[e.Gen] {
-			continue
-		}
-		retain[e.Gen] = true
-		if e.Base < 0 {
-			pinOlder = true
-		} else if e.Base != 0 {
-			retain[e.Base] = true
-		}
-	}
-	for _, e := range entries {
-		if retain[e.Gen] {
-			next = append(next, e)
-		} else {
-			drop = append(drop, e)
-		}
-	}
-	return drop, next
-}
-
-// verifyManifestDropped re-reads MANIFEST from disk and reports whether
-// it verifies intact and references none of the given entries. Callers
-// must not remove segment files unless this holds.
-func (s *Store) verifyManifestDropped(drop []segEntry) bool {
-	buf, err := s.readFile(manifestName)
-	if err != nil {
-		return false
-	}
-	_, payload, err := openEnvelope(manMagic, buf)
-	if err != nil {
-		return false
-	}
-	var body manifestBody
-	if json.Unmarshal(payload, &body) != nil {
-		return false
-	}
-	listed := make(map[int64]bool, len(body.Generations))
-	for _, e := range body.Generations {
-		listed[e.Gen] = true
-	}
-	for _, e := range drop {
-		if listed[e.Gen] {
-			return false
-		}
-	}
-	return true
-}
-
-// payloadCRC reads the payload checksum back out of a sealed envelope.
-func payloadCRC(sealed []byte) uint32 {
-	return uint32(sealed[24]) | uint32(sealed[25])<<8 | uint32(sealed[26])<<16 | uint32(sealed[27])<<24
-}
-
-// writeManifest durably replaces MANIFEST with the given view. The
-// sequence number is monotonic even across failures: a failed write may
-// still have renamed the new manifest into place (only its directory
-// fsync broke), so reusing the sequence for different content would be
-// ambiguous on disk.
-func (s *Store) writeManifest(entries []segEntry) error {
-	payload, err := json.Marshal(manifestBody{Generations: entries})
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	sealed, err := s.seal(gen, write)
 	if err != nil {
 		return err
 	}
-	s.manSeq++
-	return s.writeFileAtomic(manifestName, sealEnvelope(manMagic, s.manSeq, payload))
-}
-
-// writeFileAtomic runs the four-step commit for one file: the sealed
-// bytes land in name+".tmp", are fsynced, renamed over name, and the
-// directory is fsynced so the rename survives a crash. Any failure
-// removes the temp file (best-effort) and reports which step broke.
-func (s *Store) writeFileAtomic(name string, sealed []byte) error {
-	tmp := name + tmpSuffix
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", tmp, err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var l *logFile
+	if len(s.files) > 0 {
+		l = s.files[len(s.files)-1]
 	}
-	if _, err := f.WriteAt(sealed, 0); err != nil {
-		_ = f.Close()
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("write %s: %w", tmp, err)
+	if l == nil || len(l.frames) == 0 || l.frames[len(l.frames)-1].gen != base {
+		return fmt.Errorf("durable: delta gen %d: base %d is not the newest generation of the newest log file", gen, base)
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("fsync %s: %w", tmp, err)
+	start := time.Now()
+	end := l.end()
+	if err := s.append(l, sealed, end); err != nil {
+		return fmt.Errorf("durable: commit gen %d: %w", gen, err)
 	}
-	if err := f.Close(); err != nil {
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("close %s: %w", tmp, err)
-	}
-	if err := s.fs.Rename(tmp, name); err != nil {
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("rename %s: %w", tmp, err)
-	}
-	if err := s.fs.SyncRoot(); err != nil {
-		// The rename happened but its durability is unknown: the caller
-		// must not acknowledge. A subsequent crash legally shows either
-		// state; both are complete images, so recovery stays sound.
-		return fmt.Errorf("fsync dir after %s: %w", name, err)
-	}
-	s.bytesFsynced.Add(int64(len(sealed)))
+	size := int64(len(sealed))
+	l.frames = append(l.frames, frame{gen: gen, off: end, size: size})
+	s.done(start, size-headerSize, size)
 	return nil
 }
 
-// readFile slurps one file through the FileSystem.
-func (s *Store) readFile(name string) ([]byte, error) {
-	size, err := s.fs.Size(name)
-	if err != nil {
-		return nil, err
+// reuseMax bounds the frame buffer a delta commit keeps for the next.
+const reuseMax = 1 << 20
+
+// seal serializes a delta's payload behind room for its header and
+// seals the frame, valid until the next commit. Callers hold commitMu.
+func (s *Store) seal(gen int64, write func(w io.Writer) error) ([]byte, error) {
+	buf := bytes.NewBuffer(s.buf[:0])
+	buf.Write(make([]byte, headerSize))
+	if err := write(buf); err != nil {
+		return nil, fmt.Errorf("durable: serialize gen %d: %w", gen, err)
 	}
-	f, err := s.fs.Open(name)
+	frame := buf.Bytes()
+	if cap(frame) <= reuseMax {
+		s.buf = frame[:0]
+	}
+	copy(frame, frameHeader(uint64(gen), uint64(len(frame)-headerSize), crc32.Checksum(frame[headerSize:], castagnoli)))
+	return frame, nil
+}
+
+// create streams a full image into a new log file behind room for its
+// header, writes the header, and makes the file durable: fsync,
+// fsync-dir. An image is not buffered whole, so a commit's memory does
+// not grow with the directory. It returns the frame's size.
+func (s *Store) create(name string, gen int64, write func(w io.Writer) error) (int64, error) {
+	f, err := s.fs.Create(name)
 	if err != nil {
-		return nil, err
+		return 0, fmt.Errorf("create %s: %w", name, err)
 	}
 	defer f.Close()
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil && !(err == io.EOF && size == 0) {
-		return nil, err
+	payload, crc := io.NewOffsetWriter(f, headerSize), crc32.New(castagnoli)
+	bw := bufio.NewWriterSize(io.MultiWriter(payload, crc), 64<<10)
+	if err := write(bw); err != nil {
+		return 0, fmt.Errorf("serialize gen %d into %s: %w", gen, name, err)
 	}
-	return buf, nil
+	if err := bw.Flush(); err != nil {
+		return 0, fmt.Errorf("write %s: %w", name, err)
+	}
+	n, _ := payload.Seek(0, io.SeekCurrent)
+	if _, err := f.WriteAt(frameHeader(uint64(gen), uint64(n), crc.Sum32()), 0); err != nil {
+		return 0, fmt.Errorf("write %s: %w", name, err)
+	}
+	if err := f.Sync(); err != nil {
+		return 0, fmt.Errorf("fsync %s: %w", name, err)
+	}
+	if err := f.Close(); err != nil {
+		return 0, fmt.Errorf("close %s: %w", name, err)
+	}
+	if err := s.fs.SyncRoot(); err != nil {
+		return 0, fmt.Errorf("fsync dir after creating %s: %w", name, err)
+	}
+	return headerSize + n, nil
+}
+
+// append writes one frame at l's acknowledged end, truncates what a
+// failed append or a torn tail left past it, and fsyncs.
+func (s *Store) append(l *logFile, sealed []byte, end int64) error {
+	f, err := s.fs.Open(l.name)
+	if err != nil {
+		return fmt.Errorf("open %s: %w", l.name, err)
+	}
+	defer f.Close()
+	_, err = f.WriteAt(sealed, end)
+	if err == nil {
+		err = f.Truncate(end + int64(len(sealed)))
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = f.Close()
+	}
+	if err != nil {
+		_ = f.Truncate(end) // best-effort: the next append overwrites and truncates whatever stays
+		return fmt.Errorf("append to %s: %w", l.name, err)
+	}
+	return nil
+}
+
+// place puts l in the file list in place of the file starting at first;
+// a nil l only removes that one.
+func (s *Store) place(first int64, l *logFile) {
+	s.files = slices.DeleteFunc(s.files, func(f *logFile) bool { return f.first == first })
+	if l != nil {
+		s.files = append(s.files, l)
+		slices.SortFunc(s.files, func(a, b *logFile) int { return cmp.Compare(a.first, b.first) })
+	}
+}
+
+// prune removes the log files beyond the newest keep that hold frames,
+// and every file that holds none. A file it cannot remove stays listed,
+// and the next commit tries again.
+func (s *Store) prune() {
+	held, removed := 0, false // files holding frames, newest first
+	for i := len(s.files) - 1; i >= 0; i-- {
+		if len(s.files[i].frames) > 0 {
+			held++
+		}
+		if (len(s.files[i].frames) == 0 || held > s.keep) && s.remove(s.files[i].name) {
+			s.files = slices.Delete(s.files, i, i+1)
+			s.pruned.Add(1)
+			removed = true
+		}
+	}
+	if removed {
+		_ = s.fs.SyncRoot() // a removal a crash undoes leaves an older file, never a wrong one
+	}
+}
+
+// remove deletes one log file; a file already gone counts as removed.
+func (s *Store) remove(name string) bool {
+	err := s.fs.Remove(name)
+	return err == nil || errors.Is(err, iofs.ErrNotExist)
+}
+
+func (s *Store) done(start time.Time, payload, frame int64) {
+	s.commits.Add(1)
+	s.commitBytes.Add(payload)
+	s.bytesFsynced.Add(frame)
+	if s.latency != nil {
+		s.latency.ObserveDuration(time.Since(start))
+	}
+}
+
+// tail returns the frames of the newest log file that holds any.
+// Callers hold mu.
+func (s *Store) tail() []frame {
+	for i := len(s.files) - 1; i >= 0; i-- {
+		if fr := s.files[i].frames; len(fr) > 0 {
+			return fr
+		}
+	}
+	return nil
+}
+
+// find returns the file and frame of a retained generation. Callers
+// hold mu.
+func (s *Store) find(gen int64) (*logFile, frame, bool) {
+	for _, l := range s.files {
+		for _, fr := range l.frames {
+			if fr.gen == gen {
+				return l, fr, true
+			}
+		}
+	}
+	return nil, frame{}, false
 }
 
 // Generations lists the retained generations, ascending.
 func (s *Store) Generations() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]int64, len(s.entries))
-	for i, e := range s.entries {
-		out[i] = e.Gen
+	var out []int64
+	for _, l := range s.files {
+		for _, fr := range l.frames {
+			out = append(out, fr.gen)
+		}
 	}
 	return out
 }
 
-// BaseOf returns the base generation the given segment is a delta
-// against (0 for a full image, negative when a manifest-loss scan
-// rebuilt the entry and the base is not known) and whether the
-// generation is retained.
+// BaseOf returns the generation the given one is a page delta against —
+// the frame before it in its log file, 0 for a file's full image — and
+// whether the generation is retained.
 func (s *Store) BaseOf(gen int64) (int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.entries {
-		if e.Gen == gen {
-			return e.Base, true
-		}
+	l, fr, ok := s.find(gen)
+	if !ok || fr.off == 0 {
+		return 0, ok
 	}
-	return 0, false
+	k := sort.Search(len(l.frames), func(j int) bool { return l.frames[j].gen >= gen })
+	return l.frames[k-1].gen, true
 }
 
-// Chain describes the segments recovering the newest generation reads:
-// the deltas it replays, newest first, down to the full image beneath
-// them.
+// Locate reports where a retained generation lives: its log file, the
+// offset of its frame there, and the frame's length, header included.
+func (s *Store) Locate(gen int64) (file string, off, size int64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l, fr, ok := s.find(gen)
+	if !ok {
+		return "", 0, 0, false
+	}
+	return l.name, fr.off, fr.size, true
+}
+
+// Chain describes the frames recovering the newest generation reads:
+// the deltas it replays down to the full image beneath them, which is
+// the newest log file.
 type Chain struct {
-	Deltas     int   // delta segments above the full image
-	DeltaBytes int64 // their files' sizes, summed
-	// BaseBytes is the size of the full image's file; 0 when the store is
-	// empty or the chain does not reach one the manifest knows (a base
-	// unknown after a manifest loss, or missing).
-	BaseBytes int64
+	Deltas     int   // delta frames above the full image
+	DeltaBytes int64 // their sizes, summed
+	BaseBytes  int64 // the full image's frame size; 0 when the store is empty
 }
 
 // Chain reports the newest generation's replay chain. A checkpoint
@@ -474,27 +498,13 @@ type Chain struct {
 func (s *Store) Chain() Chain {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var c Chain
-	if len(s.entries) == 0 {
-		return c
+	fr := s.tail()
+	if len(fr) == 0 {
+		return Chain{}
 	}
-	// Entries ascend by generation and a base is older than its delta, so
-	// one pass downward meets the chain's links in order; want is the next.
-	want := s.entries[len(s.entries)-1].Gen
-	for i := len(s.entries) - 1; i >= 0 && s.entries[i].Gen >= want; i-- {
-		e := s.entries[i]
-		if e.Gen != want {
-			continue
-		}
-		if e.Base == 0 {
-			c.BaseBytes = e.Size
-		}
-		if e.Base <= 0 {
-			break
-		}
-		c.Deltas++
-		c.DeltaBytes += e.Size
-		want = e.Base
+	c := Chain{Deltas: len(fr) - 1, BaseBytes: fr[0].size}
+	for _, d := range fr[1:] {
+		c.DeltaBytes += d.size
 	}
 	return c
 }
@@ -504,181 +514,144 @@ func (s *Store) Chain() Chain {
 func (s *Store) Newest() (int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.entries) == 0 {
+	fr := s.tail()
+	if len(fr) == 0 {
 		return 0, false
 	}
-	return s.entries[len(s.entries)-1].Gen, true
+	return fr[len(fr)-1].gen, true
 }
 
-// Load reads and fully verifies one generation's payload: envelope
-// header checksum, magic, generation number, length, payload checksum,
-// and — when the manifest recorded one — the manifest's size and CRC
-// cross-check. Every verification failure wraps ErrCorrupt.
+// Load reads and fully verifies one generation's frame: header
+// checksum, magic, generation number, length, payload checksum. Every
+// verification failure wraps ErrCorrupt.
 func (s *Store) Load(gen int64) ([]byte, error) {
 	s.mu.Lock()
-	var entry *segEntry
-	for i := range s.entries {
-		if s.entries[i].Gen == gen {
-			entry = &s.entries[i]
-			break
-		}
-	}
-	if entry == nil {
-		s.mu.Unlock()
+	l, fr, ok := s.find(gen)
+	s.mu.Unlock()
+	if !ok {
 		return nil, fmt.Errorf("durable: generation %d not in store", gen)
 	}
-	e := *entry
-	s.mu.Unlock()
-	return s.loadEntry(e)
-}
-
-func (s *Store) loadEntry(e segEntry) ([]byte, error) {
-	buf, err := s.readFile(e.File)
+	f, err := s.fs.Open(l.name)
 	if err != nil {
-		return nil, fmt.Errorf("%w: gen %d unreadable: %v", ErrCorrupt, e.Gen, err)
+		return nil, fmt.Errorf("%w: gen %d unreadable: %v", ErrCorrupt, gen, err)
 	}
-	if e.Size != 0 && int64(len(buf)) != e.Size {
-		return nil, fmt.Errorf("%w: gen %d is %d bytes, manifest recorded %d", ErrCorrupt, e.Gen, len(buf), e.Size)
+	defer f.Close()
+	buf := make([]byte, fr.size)
+	if _, err := f.ReadAt(buf, fr.off); err != nil {
+		return nil, fmt.Errorf("%w: gen %d unreadable: %v", ErrCorrupt, gen, err)
 	}
-	hgen, payload, err := openEnvelope(segMagic, buf)
+	hgen, payload, err := openEnvelope(buf)
 	if err != nil {
-		return nil, fmt.Errorf("gen %d: %w", e.Gen, err)
+		return nil, fmt.Errorf("gen %d: %w", gen, err)
 	}
-	if int64(hgen) != e.Gen {
-		return nil, fmt.Errorf("%w: file %s claims generation %d, expected %d", ErrCorrupt, e.File, hgen, e.Gen)
-	}
-	if e.CRC != 0 && payloadCRC(buf) != e.CRC {
-		return nil, fmt.Errorf("%w: gen %d checksum differs from manifest", ErrCorrupt, e.Gen)
+	if int64(hgen) != gen {
+		return nil, fmt.Errorf("%w: %s holds generation %d where gen %d was indexed", ErrCorrupt, l.name, hgen, gen)
 	}
 	return payload, nil
 }
 
 // Recover walks the ladder: generations newest-first, returning the
-// payload of the first one that verifies intact and pruning every
-// corrupt newer segment from the store (their files are removed and
-// the manifest rewritten, so the write path resumes cleanly from the
-// recovered lineage). ErrEmpty means a fresh store; a non-nil
-// ErrNoIntactGeneration means data existed and all of it failed
-// verification.
+// payload of the first one that verifies intact and rolling the store
+// back to it past every corrupt newer frame (Rollback), so the write
+// path resumes cleanly from the recovered lineage. ErrEmpty means a
+// fresh store; a non-nil ErrNoIntactGeneration means data existed and
+// all of it failed verification.
 func (s *Store) Recover() (int64, []byte, error) {
-	s.mu.Lock()
-	candidates := make([]segEntry, len(s.entries))
-	copy(candidates, s.entries)
-	s.mu.Unlock()
-	if len(candidates) == 0 {
+	gens := s.Generations()
+	if len(gens) == 0 {
 		return 0, nil, ErrEmpty
 	}
-	var corrupt []segEntry
-	for i := len(candidates) - 1; i >= 0; i-- {
-		e := candidates[i]
-		payload, err := s.loadEntry(e)
+	for i := len(gens) - 1; i >= 0; i-- {
+		payload, err := s.Load(gens[i])
 		if err != nil {
 			s.corruptSkips.Add(1)
-			corrupt = append(corrupt, e)
 			continue
 		}
-		if len(corrupt) > 0 {
-			s.dropSegments(corrupt)
+		if i < len(gens)-1 {
+			_ = s.Rollback(gens[i]) // best-effort: a failure leaves the corrupt rungs for the next Recover to skip
 		}
 		s.recoveries.Add(1)
-		return e.Gen, payload, nil
+		return gens[i], payload, nil
 	}
-	return 0, nil, fmt.Errorf("%w: all %d generations failed verification", ErrNoIntactGeneration, len(candidates))
+	return 0, nil, fmt.Errorf("%w: all %d generations failed verification", ErrNoIntactGeneration, len(gens))
 }
 
-// Rollback drops every generation newer than gen: their files are
-// removed and the manifest rewritten, so subsequent commits continue
-// the lineage at gen. Recovery layers that verify more than the
-// checksums (core.Recover decodes the whole image) use it to discard
-// rungs the store's own ladder would have accepted.
+// Rollback drops every generation newer than gen: the log files that
+// start past it are removed, and the file holding it is truncated just
+// after its frame, so subsequent commits continue the lineage at gen.
+// Recovery layers that verify more than the checksums (core.Recover
+// decodes the whole image) use it to discard rungs the store's own
+// ladder would have accepted.
 func (s *Store) Rollback(gen int64) error {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	s.mu.Lock()
-	var drop []segEntry
-	for _, e := range s.entries {
-		if e.Gen > gen {
-			drop = append(drop, e)
+	defer s.mu.Unlock()
+	removed := false
+	for n := len(s.files); n > 0 && s.files[n-1].first > gen; n-- {
+		if !s.remove(s.files[n-1].name) {
+			return fmt.Errorf("durable: rollback to gen %d: cannot remove %s", gen, s.files[n-1].name)
+		}
+		s.files = s.files[:n-1]
+		s.pruned.Add(1)
+		removed = true
+	}
+	if removed {
+		if err := s.fs.SyncRoot(); err != nil {
+			return fmt.Errorf("durable: rollback to gen %d: %w", gen, err)
 		}
 	}
-	s.mu.Unlock()
-	if len(drop) == 0 {
+	if len(s.files) == 0 {
 		return nil
 	}
-	s.dropSegments(drop)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.entries {
-		if e.Gen > gen {
-			return fmt.Errorf("durable: rollback to gen %d incomplete (gen %d still listed)", gen, e.Gen)
-		}
+	l := s.files[len(s.files)-1]
+	l.cut(gen + 1)
+	f, err := s.fs.Open(l.name)
+	if err != nil {
+		return fmt.Errorf("durable: rollback to gen %d: %w", gen, err)
+	}
+	defer f.Close()
+	err = f.Truncate(l.end())
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = f.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("durable: rollback to gen %d: %w", gen, err)
 	}
 	return nil
-}
-
-// dropSegments removes the given (corrupt) segments and rewrites the
-// manifest without them. Best-effort: a failure leaves the corrupt
-// entries listed, and the next Recover skips them again.
-func (s *Store) dropSegments(drop []segEntry) {
-	dead := make(map[int64]bool, len(drop))
-	for _, e := range drop {
-		dead[e.Gen] = true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	next := make([]segEntry, 0, len(s.entries))
-	for _, e := range s.entries {
-		if !dead[e.Gen] {
-			next = append(next, e)
-		}
-	}
-	if err := s.writeManifest(next); err != nil {
-		return
-	}
-	s.entries = next
-	if !s.verifyManifestDropped(drop) {
-		return // stray files are safe; a manifest needing them is not
-	}
-	for _, e := range drop {
-		if s.fs.Remove(e.File) == nil {
-			s.pruned.Add(1)
-		}
-	}
-	_ = s.fs.SyncRoot()
 }
 
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Commits:        s.commits.Load(),
-		CommitBytes:    s.commitBytes.Load(),
-		BytesFsynced:   s.bytesFsynced.Load(),
-		CorruptSkips:   s.corruptSkips.Load(),
-		Recoveries:     s.recoveries.Load(),
-		OrphansRemoved: s.orphansRemoved.Load(),
-		Pruned:         s.pruned.Load(),
+		Commits:      s.commits.Load(),
+		CommitBytes:  s.commitBytes.Load(),
+		BytesFsynced: s.bytesFsynced.Load(),
+		CorruptSkips: s.corruptSkips.Load(),
+		Recoveries:   s.recoveries.Load(),
+		Pruned:       s.pruned.Load(),
 	}
 }
 
 // RegisterMetrics exposes the store's counters on reg under the given
 // prefix (e.g. "dirkit_durable"): commit count and latency histogram,
-// payload and fsynced byte totals, corrupt-segment skips, recoveries,
-// orphan cleanups, pruned segments, the retained generation count, and
-// the newest generation's replay chain (Chain): when its delta bytes
-// near its base bytes, the next checkpoint is due to be a full image.
+// payload and fsynced byte totals, corrupt-frame skips, recoveries,
+// pruned log files, the retained generation count, and the newest
+// generation's replay chain (Chain): when its delta bytes near its base
+// bytes, the next checkpoint is due to be a full image.
 func (s *Store) RegisterMetrics(reg *obs.Registry, prefix string) {
 	s.latency = reg.Histogram(prefix+"_commit_latency_us", "per-checkpoint commit wall time (microseconds)")
 	reg.GaugeFunc(prefix+"_commits", "successful durable commits", s.commits.Load)
 	reg.GaugeFunc(prefix+"_commit_bytes", "payload bytes durably committed", s.commitBytes.Load)
-	reg.GaugeFunc(prefix+"_fsynced_bytes", "bytes written and fsynced (segments + manifests)", s.bytesFsynced.Load)
-	reg.GaugeFunc(prefix+"_corrupt_skips", "corrupt segments skipped by verification", s.corruptSkips.Load)
+	reg.GaugeFunc(prefix+"_fsynced_bytes", "frame bytes written and fsynced", s.bytesFsynced.Load)
+	reg.GaugeFunc(prefix+"_corrupt_skips", "corrupt frames skipped by verification", s.corruptSkips.Load)
 	reg.GaugeFunc(prefix+"_recoveries", "recoveries that landed on an intact generation", s.recoveries.Load)
-	reg.GaugeFunc(prefix+"_orphans_removed", "orphaned temp files removed at open", s.orphansRemoved.Load)
-	reg.GaugeFunc(prefix+"_pruned", "generation segments pruned", s.pruned.Load)
-	reg.GaugeFunc(prefix+"_generations", "generations currently retained", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return int64(len(s.entries))
-	})
-	reg.GaugeFunc(prefix+"_chain_deltas", "delta segments the newest generation replays", func() int64 { return int64(s.Chain().Deltas) })
-	reg.GaugeFunc(prefix+"_chain_bytes", "bytes of those delta segments", func() int64 { return s.Chain().DeltaBytes })
+	reg.GaugeFunc(prefix+"_pruned", "log files removed by retention or rollback", s.pruned.Load)
+	reg.GaugeFunc(prefix+"_generations", "generations currently retained", func() int64 { return int64(len(s.Generations())) })
+	reg.GaugeFunc(prefix+"_chain_deltas", "delta frames the newest generation replays", func() int64 { return int64(s.Chain().Deltas) })
+	reg.GaugeFunc(prefix+"_chain_bytes", "bytes of those delta frames", func() int64 { return s.Chain().DeltaBytes })
 	reg.GaugeFunc(prefix+"_chain_base_bytes", "bytes of the full image beneath them", func() int64 { return s.Chain().BaseBytes })
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/pager"
 )
 
@@ -83,14 +84,14 @@ func TestKeepPrunesOldGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := 0
+	logs := 0
 	for _, n := range names {
-		if strings.HasSuffix(n, segSuffix) {
-			segs++
+		if strings.HasSuffix(n, logSuffix) {
+			logs++
 		}
 	}
-	if segs != 2 {
-		t.Fatalf("%d segment files on disk (%v), want 2", segs, names)
+	if logs != 2 {
+		t.Fatalf("%d log files on disk (%v), want 2", logs, names)
 	}
 	if s.Stats().Pruned != 3 {
 		t.Fatalf("stats: %+v", s.Stats())
@@ -113,70 +114,6 @@ func TestRecommitGenerationReplaces(t *testing.T) {
 	}
 }
 
-func TestOpenRemovesOrphanedTempFiles(t *testing.T) {
-	fs, err := pager.DirFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(fs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitString(t, s, 1, "committed")
-	// Simulate a crash mid-commit: a temp file that never got renamed.
-	f, err := fs.Create(segName(2) + tmpSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte("torn half-written segment"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	back, err := Open(fs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Stats().OrphansRemoved != 1 {
-		t.Fatalf("stats: %+v", back.Stats())
-	}
-	names, err := fs.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range names {
-		if strings.HasSuffix(n, tmpSuffix) {
-			t.Fatalf("orphan %s survived Open", n)
-		}
-	}
-	gen, _, err := back.Recover()
-	if err != nil || gen != 1 {
-		t.Fatalf("recover after orphan cleanup: gen %d, %v", gen, err)
-	}
-}
-
-func TestOpenSurvivesMissingManifest(t *testing.T) {
-	s, fs := newStore(t, Options{})
-	commitString(t, s, 1, "gen one")
-	commitString(t, s, 2, "gen two")
-	if err := fs.Remove(manifestName); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Open(fs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, payload, err := back.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 2 || string(payload) != "gen two" {
-		t.Fatalf("scan fallback recovered gen %d %q", gen, payload)
-	}
-}
-
 func TestLoadUnknownGeneration(t *testing.T) {
 	s, _ := newStore(t, Options{})
 	commitString(t, s, 1, "x")
@@ -196,5 +133,77 @@ func TestCommitSerializeErrorLeavesStoreUntouched(t *testing.T) {
 	gen, payload, err := s.Recover()
 	if err != nil || gen != 1 || string(payload) != "good" {
 		t.Fatalf("after failed serialize: gen %d %q %v", gen, payload, err)
+	}
+}
+
+// TestOpenRefusesLegacyStore: a data directory in the earlier
+// segment-and-MANIFEST layout is refused, not read or overwritten.
+func TestOpenRefusesLegacyStore(t *testing.T) {
+	for _, name := range []string{"MANIFEST", "seg-0000000000000001.seg"} {
+		fs, err := pager.DirFS(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(fs, Options{}); !errors.Is(err, ErrLegacyStore) {
+			t.Fatalf("Open over %s = %v, want ErrLegacyStore", name, err)
+		}
+	}
+}
+
+// TestCommitFsyncCounts counts the durability barriers through faultfs:
+// a delta in steady state costs exactly one fsync and no directory
+// fsync, and a full image one fsync and at most two directory fsyncs
+// (its new file's name, then the removals past Keep).
+func TestCommitFsyncCounts(t *testing.T) {
+	inner, err := pager.DirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs := faultfs.Wrap(inner, faultfs.Config{})
+	s, err := Open(ffs, Options{Keep: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := func(w io.Writer) error {
+		_, err := w.Write(make([]byte, 47<<10))
+		return err
+	}
+	for gen := int64(1); gen <= 16; gen++ {
+		before := ffs.Stats()
+		full := gen%5 == 1
+		if full {
+			commitString(t, s, gen, "a full image")
+		} else if err := s.CommitDelta(gen, gen-1, delta); err != nil {
+			t.Fatal(err)
+		}
+		after := ffs.Stats()
+		syncs, roots := after.Syncs-before.Syncs, after.RootSyncs-before.RootSyncs
+		if full && (syncs != 1 || roots > 2) || !full && (syncs != 1 || roots != 0) {
+			t.Fatalf("gen %d (full %v): %d fsyncs, %d directory fsyncs", gen, full, syncs, roots)
+		}
+	}
+	if got := s.Generations(); fmt.Sprint(got) != "[11 12 13 14 15 16]" {
+		t.Fatalf("generations %v, want the newest 2 log files' frames", got)
+	}
+	// A reopened store appends to the recovered log at the same cost: its
+	// one directory fsync is Open's.
+	if s, err = Open(ffs, Options{Keep: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for gen := int64(17); gen <= 19; gen++ {
+		before := ffs.Stats()
+		if err := s.CommitDelta(gen, gen-1, delta); err != nil {
+			t.Fatal(err)
+		}
+		if after := ffs.Stats(); after.Syncs-before.Syncs != 1 || after.RootSyncs != before.RootSyncs {
+			t.Fatalf("reopened gen %d: %d fsyncs, %d directory fsyncs", gen, after.Syncs-before.Syncs, after.RootSyncs-before.RootSyncs)
+		}
 	}
 }

@@ -148,3 +148,63 @@ func TestENOSPCCommitFailsCleanly(t *testing.T) {
 		t.Fatalf("after ENOSPC: gen %d %q %v", gen, payload, err)
 	}
 }
+
+// TestDeltaAppendsUnderFaultsNeverLoseAckedState is the soak above for
+// appends: each generation is a delta on the newest one, and a full
+// image every eighth generation or whenever the delta fails (as
+// core.Directory.Checkpoint falls back), under the same torn, short and
+// failed writes and failed fsyncs. A clean reopen must recover a
+// generation at least as new as the last acknowledged one, intact.
+func TestDeltaAppendsUnderFaultsNeverLoseAckedState(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			inner, err := pager.DirFS(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ffs := faultfs.Wrap(inner, faultfs.Config{
+				Seed:       seed,
+				TornWrite:  0.12,
+				ShortWrite: 0.08,
+				SyncErr:    0.12,
+				WriteErr:   0.08,
+			})
+			s, err := Open(ffs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads := map[int64]string{}
+			var lastAcked int64
+			for gen := int64(1); gen <= 40; gen++ {
+				payloads[gen] = fmt.Sprintf("state of generation %d", gen)
+				write := writeString(payloads[gen])
+				err := errors.New("full image due")
+				if newest, ok := s.Newest(); ok && gen%8 != 1 {
+					err = s.CommitDelta(gen, newest, write)
+				}
+				if err != nil {
+					err = s.Commit(gen, write)
+				}
+				if err == nil {
+					lastAcked = gen
+				} else if !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("gen %d: unexpected error kind: %v", gen, err)
+				}
+			}
+			if lastAcked == 0 {
+				t.Fatalf("seed %d acked nothing", seed)
+			}
+			clean, err := Open(inner, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, payload, err := clean.Recover()
+			if err != nil {
+				t.Fatalf("recover after faults: %v", err)
+			}
+			if gen < lastAcked || string(payload) != payloads[gen] {
+				t.Fatalf("recovered gen %d %q; last acked %d", gen, payload, lastAcked)
+			}
+		})
+	}
+}

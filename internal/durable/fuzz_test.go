@@ -2,73 +2,90 @@ package durable
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/pager"
 )
 
-// FuzzOpenEnvelope feeds arbitrary bytes through the envelope codec:
-// it must never panic, and anything it accepts must round-trip — the
+// sealEnvelope frames payload under gen.
+func sealEnvelope(gen uint64, payload []byte) []byte {
+	return append(frameHeader(gen, uint64(len(payload)), crc32.Checksum(payload, castagnoli)), payload...)
+}
+
+// FuzzOpenEnvelope feeds arbitrary bytes through the frame codec: it
+// must never panic, and anything it accepts must round-trip — the
 // returned payload resealed under the returned generation reproduces
-// input bytes exactly (the envelope is a bijection on intact files).
+// input bytes exactly (the envelope is a bijection on intact frames).
 func FuzzOpenEnvelope(f *testing.F) {
-	f.Add(sealEnvelope(segMagic, 1, []byte("a directory image")))
-	f.Add(sealEnvelope(segMagic, 0, nil))
+	f.Add(sealEnvelope(1, []byte("a directory image")))
+	f.Add(sealEnvelope(0, nil))
 	f.Add([]byte("DRBLSEG1 but then garbage"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		gen, payload, err := openEnvelope(segMagic, data)
+		gen, payload, err := openEnvelope(data)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(sealEnvelope(segMagic, gen, payload), data) {
+		if !bytes.Equal(sealEnvelope(gen, payload), data) {
 			t.Fatalf("accepted envelope does not re-seal to itself")
 		}
 	})
 }
 
-// FuzzManifest drops arbitrary bytes in as MANIFEST (plus one intact
-// segment) and runs the full Open → Recover path. It must never panic,
-// and whatever Recover serves must be bytes that were actually
-// committed — a mangled manifest may at worst make recovery fail (an
-// envelope-valid manifest can lie about the segment's checksum), never
-// redirect it to corrupt or foreign data.
-func FuzzManifest(f *testing.F) {
-	valid, _ := json.Marshal(manifestBody{Generations: []segEntry{{Gen: 1, File: segName(1), Size: 40}}})
-	f.Add(sealEnvelope(manMagic, 1, valid))
-	f.Add(valid)
-	f.Add([]byte("{"))
+// FuzzOpenLog writes arbitrary bytes as a log file and runs Open,
+// Recover and Load over it. Nothing may panic; what they allocate stays
+// bounded by the file's size, whatever lengths the headers claim; and
+// every payload served is a whole frame of the file whose checksums
+// hold — bytes that fail their CRC are never returned.
+func FuzzOpenLog(f *testing.F) {
+	image := sealEnvelope(1, []byte("a directory image"))
+	chain := append(append([]byte{}, image...), sealEnvelope(2, []byte("a page delta"))...)
+	huge := sealEnvelope(1, nil) // a header claiming an exabyte payload
+	binary.LittleEndian.PutUint64(huge[16:24], 1<<60)
+	binary.LittleEndian.PutUint32(huge[28:32], crc32.Checksum(huge[0:28], castagnoli))
+	f.Add(image)
+	f.Add(chain)
+	f.Add(chain[:len(chain)-3]) // a torn newest delta
+	f.Add(append(append([]byte{}, chain...), "DRBLSEG1 then garbage"...))
+	f.Add(huge)
 	f.Add([]byte{})
-	baseless, _ := json.Marshal(manifestBody{Generations: []segEntry{
-		{Gen: 1, File: segName(1), Size: 53, Base: baseUnknown}, {Gen: 2, File: segName(2), Base: 1}}})
-	f.Add(sealEnvelope(manMagic, 2, baseless)) // the view a scan rebuild leaves, and a delta above it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		root := t.TempDir()
+		if err := os.WriteFile(filepath.Join(root, logName(1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		fs, err := pager.DirFS(root)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		s, err := Open(fs, Options{})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Open over a fuzzed log: %v", err)
 		}
-		commitString(t, s, 1, "the intact generation")
-		if err := os.WriteFile(filepath.Join(root, manifestName), data, 0o644); err != nil {
-			t.Fatal(err)
+		served := map[int64][]byte{}
+		if gen, payload, err := s.Recover(); err == nil {
+			served[gen] = payload
 		}
-		back, err := Open(fs, Options{})
-		if err != nil {
-			t.Fatalf("Open with fuzzed manifest: %v", err)
+		for _, gen := range s.Generations() {
+			if payload, err := s.Load(gen); err == nil {
+				served[gen] = payload
+			}
 		}
-		gen, payload, err := back.Recover()
-		if err != nil {
-			return // refusing to serve beats serving wrong bytes
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(data))+1<<20 {
+			t.Fatalf("allocated %d bytes over a %d-byte log", grew, len(data))
 		}
-		if gen == 1 && string(payload) != "the intact generation" {
-			t.Fatalf("fuzzed manifest changed gen 1's answer: %q", payload)
+		for gen, payload := range served {
+			if !bytes.Contains(data, sealEnvelope(uint64(gen), payload)) {
+				t.Fatalf("served gen %d as %q, which is no intact frame of the log", gen, payload)
+			}
 		}
 	})
 }

@@ -62,7 +62,7 @@ func (e *Engine) computeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggS
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, spool.Abort(err)
 		}
 		for _, k := range dnValuesOf(rec, attr) {
 			pair := plist.Record{Key: k}
@@ -70,7 +70,7 @@ func (e *Engine) computeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggS
 				pair = rec.Under(k)
 			}
 			if err := spool.Append(&pair); err != nil {
-				return nil, err
+				return nil, spool.Abort(err)
 			}
 		}
 	}
@@ -101,13 +101,13 @@ func (e *Engine) computeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggS
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, annotated.Abort(err)
 		}
 		for lpErr == nil && lpHead.Key < r1.Key {
 			lpHead, lpErr = lprd.Next()
 		}
 		if lpErr != nil && lpErr != io.EOF {
-			return nil, lpErr
+			return nil, annotated.Abort(lpErr)
 		}
 		clear(stats)
 		n := 0
@@ -120,7 +120,7 @@ func (e *Engine) computeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggS
 			lpHead, lpErr = lprd.Next()
 		}
 		if lpErr != nil && lpErr != io.EOF {
-			return nil, lpErr
+			return nil, annotated.Abort(lpErr)
 		}
 		if n == 0 {
 			continue
@@ -130,7 +130,7 @@ func (e *Engine) computeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggS
 			out.Aux = s.encode(out.Aux)
 		}
 		if err := annotated.Append(&out); err != nil {
-			return nil, err
+			return nil, annotated.Abort(err)
 		}
 	}
 	al, err := annotated.Close()
@@ -163,13 +163,13 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, spool.Abort(err)
 		}
 		for _, k := range dnValuesOf(rec, attr) {
 			// Carry only the referencing entry's identity.
 			pair := rec.DNOnly(k)
 			if err := spool.Append(&pair); err != nil {
-				return nil, err
+				return nil, spool.Abort(err)
 			}
 		}
 	}
@@ -198,13 +198,13 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, contribs.Abort(err)
 		}
 		for r2Err == nil && r2.Key < pair.Key {
 			r2, r2Err = l2rd.Next()
 		}
 		if r2Err != nil && r2Err != io.EOF {
-			return nil, r2Err
+			return nil, contribs.Abort(r2Err)
 		}
 		if r2Err == nil && r2.Key == pair.Key {
 			// The pair is keyed by the DN it embeds; the contribution goes
@@ -215,12 +215,12 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 				out.Aux = s.encode(out.Aux)
 			}
 			if err := contribs.Append(&out); err != nil {
-				return nil, err
+				return nil, contribs.Abort(err)
 			}
 		}
 	}
 	if err := lp.Free(); err != nil {
-		return nil, err
+		return nil, contribs.Abort(err)
 	}
 	rawC, err := contribs.Close()
 	if err != nil {
@@ -257,11 +257,11 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, annotated.Abort(err)
 		}
 		if !inGroup || string(cur) != c.Key {
 			if err := flush(); err != nil {
-				return nil, err
+				return nil, annotated.Abort(err)
 			}
 			cur, inGroup = append(cur[:0], c.Key...), true
 			clear(curStats)
@@ -271,10 +271,10 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 		}
 	}
 	if err := flush(); err != nil {
-		return nil, err
+		return nil, annotated.Abort(err)
 	}
 	if err := sortedC.Free(); err != nil {
-		return nil, err
+		return nil, annotated.Abort(err)
 	}
 	al, err := annotated.Close()
 	if err != nil {
@@ -342,7 +342,7 @@ func (e *Engine) finishAnnotated(l1, al *plist.List, specs []string, sel *query.
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, w.Abort(err)
 	}
 	return w.Close()
 }

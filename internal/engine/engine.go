@@ -425,7 +425,7 @@ func (e *Engine) EvalBool(op query.BoolOp, l1, l2 *plist.List) (*plist.List, err
 			return w.Close()
 		}
 		if err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 		in1, in2 := rec.HasLabel(1), rec.HasLabel(2)
 		keep := false
@@ -439,7 +439,7 @@ func (e *Engine) EvalBool(op query.BoolOp, l1, l2 *plist.List) (*plist.List, err
 		}
 		if keep {
 			if err := w.Append(clean(rec)); err != nil {
-				return nil, err
+				return nil, w.Abort(err)
 			}
 		}
 	}

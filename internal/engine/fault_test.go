@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/pager"
+	"repro/internal/plist"
 	"repro/internal/query"
 )
 
@@ -96,5 +97,74 @@ func TestFaultDuringAtomicEval(t *testing.T) {
 	}
 	if err == nil {
 		t.Log("query finished under budget; acceptable")
+	}
+}
+
+// TestOperatorsFreeTheirOutputOnReadError fails scratch read k, for
+// every k, of a boolean merge and of a hierarchical stack operator: each
+// must return the injected error and leave the scratch disk holding
+// exactly the pages it held before — its inputs, and nothing of the
+// output list it was writing.
+func TestOperatorsFreeTheirOutputOnReadError(t *testing.T) {
+	in := randForest(t, rand.New(rand.NewSource(113)), 1500)
+	boom := errors.New("boom")
+	for _, op := range []struct {
+		name string
+		run  func(e *Engine, l1, l2 *plist.List) (*plist.List, error)
+	}{
+		{"EvalBool(|)", func(e *Engine, l1, l2 *plist.List) (*plist.List, error) {
+			return e.EvalBool(query.OpOr, l1, l2)
+		}},
+		{"ComputeHSAD(d)", func(e *Engine, l1, l2 *plist.List) (*plist.List, error) {
+			return e.ComputeHSAD(query.OpDescendants, l1, l2)
+		}},
+	} {
+		base := newEngine(t, in, Config{StackWindow: 2})
+		arena := pager.NewArena(base.Store().Disk())
+		e := base.Session(arena)
+		l1, err := e.Eval(query.MustParse("( ? sub ? tag=a)"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l2, err := e.Eval(query.MustParse("( ? sub ? tag=b)"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := arena.Scratch()
+		total := 0
+		scratch.SetFault(func(kind string, _ pager.PageID) error {
+			if kind == "read" {
+				total++
+			}
+			return nil
+		})
+		out, err := op.run(e, l1, l2)
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if err := out.Free(); err != nil {
+			t.Fatal(err)
+		}
+		if total == 0 {
+			t.Fatalf("%s read no scratch pages", op.name)
+		}
+		before := scratch.NumPages()
+		for failAt := 1; failAt <= total; failAt++ {
+			reads := 0
+			scratch.SetFault(func(kind string, _ pager.PageID) error {
+				if kind == "read" {
+					if reads++; reads == failAt {
+						return boom
+					}
+				}
+				return nil
+			})
+			if _, err := op.run(e, l1, l2); !errors.Is(err, boom) {
+				t.Fatalf("%s, scratch read %d of %d failing: error %v, want %v", op.name, failAt, total, err, boom)
+			}
+			if got := scratch.NumPages(); got != before {
+				t.Fatalf("%s, scratch read %d of %d failing: %d scratch pages live, %d before", op.name, failAt, total, got, before)
+			}
+		}
 	}
 }

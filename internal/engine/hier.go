@@ -362,15 +362,15 @@ func (e *Engine) EvalHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.Ag
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 		if err := ann.getStats(slot, wstats); err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 		slot++
 		if evalAggSel(sel, rec, specs, wstats, sa) {
 			if err := w.Append(clean(rec)); err != nil {
-				return nil, err
+				return nil, w.Abort(err)
 			}
 		}
 	}

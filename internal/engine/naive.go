@@ -45,15 +45,15 @@ func (e *Engine) NaiveBool(op query.BoolOp, l1, l2 *plist.List) (*plist.List, er
 				return w.Close()
 			}
 			if err != nil {
-				return nil, err
+				return nil, w.Abort(err)
 			}
 			in2, err := member(l2, rec.Key)
 			if err != nil {
-				return nil, err
+				return nil, w.Abort(err)
 			}
 			if (op == query.OpAnd) == in2 {
 				if err := w.Append(clean(rec)); err != nil {
-					return nil, err
+					return nil, w.Abort(err)
 				}
 			}
 		}
@@ -84,10 +84,10 @@ func (e *Engine) NaiveBool(op query.BoolOp, l1, l2 *plist.List) (*plist.List, er
 			}
 		}
 		if err := copyAll(l1, nil); err != nil {
-			return nil, err
+			return nil, spool.Abort(err)
 		}
 		if err := copyAll(l2, l1); err != nil {
-			return nil, err
+			return nil, spool.Abort(err)
 		}
 		raw, err := spool.Close()
 		if err != nil {
@@ -151,7 +151,7 @@ func (e *Engine) NaiveHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.A
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, annotated.Abort(err)
 		}
 		stats := make([]aggStats, len(specs))
 		found := false
@@ -162,7 +162,7 @@ func (e *Engine) NaiveHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.A
 				break
 			}
 			if err != nil {
-				return nil, err
+				return nil, annotated.Abort(err)
 			}
 			if !related(r1.Key, r2.Key) {
 				continue
@@ -170,7 +170,7 @@ func (e *Engine) NaiveHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.A
 			if op.Ternary() {
 				b, err := blocked(r1.Key, r2.Key)
 				if err != nil {
-					return nil, err
+					return nil, annotated.Abort(err)
 				}
 				if b {
 					continue
@@ -190,7 +190,7 @@ func (e *Engine) NaiveHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.A
 			out.Aux = s.encode(out.Aux)
 		}
 		if err := annotated.Append(out); err != nil {
-			return nil, err
+			return nil, annotated.Abort(err)
 		}
 	}
 	al, err := annotated.Close()
@@ -214,7 +214,7 @@ func (e *Engine) NaiveEmbedRef(op query.RefOp, l1, l2 *plist.List, attr string, 
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, annotated.Abort(err)
 		}
 		var refs []string
 		if op == query.OpValueDN {
@@ -229,7 +229,7 @@ func (e *Engine) NaiveEmbedRef(op query.RefOp, l1, l2 *plist.List, attr string, 
 				break
 			}
 			if err != nil {
-				return nil, err
+				return nil, annotated.Abort(err)
 			}
 			match := false
 			if op == query.OpValueDN {
@@ -264,7 +264,7 @@ func (e *Engine) NaiveEmbedRef(op query.RefOp, l1, l2 *plist.List, attr string, 
 			out.Aux = s.encode(out.Aux)
 		}
 		if err := annotated.Append(out); err != nil {
-			return nil, err
+			return nil, annotated.Abort(err)
 		}
 	}
 	al, err := annotated.Close()

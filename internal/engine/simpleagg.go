@@ -35,11 +35,11 @@ func (e *Engine) EvalSimpleAgg(l1 *plist.List, sel *query.AggSel) (*plist.List, 
 			return w.Close()
 		}
 		if err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 		if evalAggSel(sel, rec, nil, nil, sa) {
 			if err := w.Append(clean(rec)); err != nil {
-				return nil, err
+				return nil, w.Abort(err)
 			}
 		}
 	}

@@ -61,7 +61,8 @@ type Config struct {
 	ENOSPCAfter int64
 }
 
-// Stats counts injected faults by kind.
+// Stats counts injected faults by kind, and the durability barriers
+// asked for: every Sync and SyncRoot call, failed or not.
 type Stats struct {
 	TornWrites  int64
 	ShortWrites int64
@@ -69,6 +70,8 @@ type Stats struct {
 	BitRots     int64
 	WriteErrs   int64
 	NoSpace     int64
+	Syncs       int64
+	RootSyncs   int64
 }
 
 // FS wraps an inner pager.FileSystem with fault injection. Safe for
@@ -92,7 +95,7 @@ func Wrap(inner pager.FileSystem, cfg Config) *FS {
 	return &FS{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Stats snapshots the injected-fault counters.
+// Stats snapshots the counters.
 func (fs *FS) Stats() Stats {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -118,8 +121,9 @@ func (fs *FS) Create(name string) (pager.BlockFile, error) {
 	return &file{fs: fs, f: f}, nil
 }
 
-// Open opens a fault-injecting readable file (reads pass through; the
-// injected corruption happened at write time, as on real media).
+// Open opens an existing file with the same write-path faults as Create
+// (reads pass through; the injected corruption happened at write time,
+// as on real media).
 func (fs *FS) Open(name string) (pager.BlockFile, error) {
 	f, err := fs.inner.Open(name)
 	if err != nil {
@@ -128,9 +132,7 @@ func (fs *FS) Open(name string) (pager.BlockFile, error) {
 	return &file{fs: fs, f: f}, nil
 }
 
-// Rename passes through: the atomic rename is the one primitive the
-// commit protocol is allowed to trust (a crash before SyncRoot may
-// still undo it, which the kill -9 harness exercises for real).
+// Rename passes through.
 func (fs *FS) Rename(oldname, newname string) error { return fs.inner.Rename(oldname, newname) }
 
 // Remove passes through.
@@ -146,6 +148,7 @@ func (fs *FS) Size(name string) (int64, error) { return fs.inner.Size(name) }
 // passes through.
 func (fs *FS) SyncRoot() error {
 	fs.mu.Lock()
+	fs.stats.RootSyncs++
 	if fs.cfg.SyncErr > 0 && fs.roll() < fs.cfg.SyncErr {
 		fs.stats.SyncErrs++
 		fs.mu.Unlock()
@@ -208,6 +211,7 @@ func (w *file) WriteAt(p []byte, off int64) (int, error) {
 func (w *file) Sync() error {
 	fs := w.fs
 	fs.mu.Lock()
+	fs.stats.Syncs++
 	if fs.cfg.SyncErr > 0 && fs.roll() < fs.cfg.SyncErr {
 		fs.stats.SyncErrs++
 		fs.mu.Unlock()

@@ -13,16 +13,15 @@ import (
 // it: positioned reads and writes, an explicit durability barrier
 // (Sync), truncation, and close. *os.File satisfies it directly; the
 // fault-injecting wrapper in internal/faultfs interposes on every
-// method. Offsets are byte offsets — callers that want page-aligned
-// traffic (internal/durable writes whole segments) impose their own
-// framing on top.
+// method. Offsets are byte offsets — callers impose their own framing
+// on top (internal/durable appends checksummed frames to log files).
 type BlockFile interface {
 	io.ReaderAt
 	io.WriterAt
 	// Sync flushes the file's dirty state to stable storage. Data
 	// written but not Synced may vanish in a crash — the commit
-	// protocols above this interface are built entirely out of the
-	// write → Sync → rename → SyncRoot ordering.
+	// protocols above this interface acknowledge nothing before the
+	// Sync (and, for a new file's name, the SyncRoot) that covers it.
 	Sync() error
 	// Truncate sets the file's size.
 	Truncate(size int64) error
@@ -31,15 +30,16 @@ type BlockFile interface {
 }
 
 // FileSystem abstracts the directory-of-files operations a durable
-// store's commit protocol needs: file creation and opening, the atomic
-// rename that commits, removal, listing, sizing, and fsync of the
-// containing directory (the step that makes a rename itself durable).
+// store's commit protocol needs: file creation and opening, atomic
+// rename, removal, listing, sizing, and fsync of the containing
+// directory (the step that makes a new name, a rename or a removal
+// itself durable).
 // All names are flat — no subdirectories — which keeps the fault
 // surface enumerable.
 type FileSystem interface {
 	// Create makes (or truncates) the named file for writing.
 	Create(name string) (BlockFile, error)
-	// Open opens the named file for reading.
+	// Open opens the named existing file for reading and writing.
 	Open(name string) (BlockFile, error)
 	// Rename atomically replaces newname with oldname's file. On a
 	// POSIX filesystem the replacement is all-or-nothing even across a
@@ -51,8 +51,8 @@ type FileSystem interface {
 	List() ([]string, error)
 	// Size returns the named file's length in bytes.
 	Size(name string) (int64, error)
-	// SyncRoot fsyncs the root directory, making completed renames and
-	// removals durable.
+	// SyncRoot fsyncs the root directory, making created files' names,
+	// completed renames and removals durable.
 	SyncRoot() error
 }
 
@@ -72,8 +72,8 @@ func DirFS(dir string) (FileSystem, error) {
 }
 
 // path validates name as a flat file name — no separators, no "..", so
-// a corrupt or hostile manifest can never direct the store outside its
-// root — and joins it under the root.
+// no name can direct the store outside its root — and joins it under
+// the root.
 func (fs *dirFS) path(name string) (string, error) {
 	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
 		return "", fmt.Errorf("pager: invalid file name %q", name)
@@ -94,7 +94,7 @@ func (fs *dirFS) Open(name string) (BlockFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return os.Open(p)
+	return os.OpenFile(p, os.O_RDWR, 0)
 }
 
 func (fs *dirFS) Rename(oldname, newname string) error {

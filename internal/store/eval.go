@@ -133,16 +133,16 @@ func (env *evalEnv) evalBase(q *query.Atomic) (*plist.List, error) {
 		return w.Close()
 	}
 	if err != nil {
-		return nil, err
+		return nil, w.Abort(err)
 	}
 	rr := s.master.MeteredRandomReader(env.m)
 	rec, err := env.fetchAt(rr, q.Base.Key(), decodeOffset(v))
 	if err != nil {
-		return nil, err
+		return nil, w.Abort(err)
 	}
 	if q.Filter.Matches(s.schema, rec) {
 		if err := w.Append(env.shape(rec)); err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 	}
 	return w.Close()
@@ -198,12 +198,12 @@ func (env *evalEnv) scanEval(base model.DN, scope query.Scope, f filter.Filter) 
 
 	mi, err := env.mergedScan(k, hi)
 	if err != nil {
-		return nil, err
+		return nil, w.Abort(err)
 	}
 	for {
 		rec, _, err := mi.Next()
 		if err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 		if rec == nil {
 			break
@@ -215,7 +215,7 @@ func (env *evalEnv) scanEval(base model.DN, scope query.Scope, f filter.Filter) 
 			continue
 		}
 		if err := w.Append(env.shape(rec)); err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 	}
 	return w.Close()
@@ -344,7 +344,7 @@ func (env *evalEnv) collect(q *query.Atomic, ranges [][2][]byte, ordered bool) (
 		rr := s.master.MeteredRandomReader(env.m)
 		err := env.hits(q, ranges, func(key string, off int64) error { return env.emit(w, rr, key, off) })
 		if err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 		return w.Close()
 	}
@@ -357,7 +357,7 @@ func (env *evalEnv) collect(q *query.Atomic, ranges [][2][]byte, ordered bool) (
 		return spool.Append(&plist.Record{Key: key, A: off})
 	})
 	if err != nil {
-		return nil, err
+		return nil, spool.Abort(err)
 	}
 	raw, err := spool.Close()
 	if err != nil {
@@ -381,18 +381,18 @@ func (env *evalEnv) collect(q *query.Atomic, ranges [][2][]byte, ordered bool) (
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 		if !first && hit.Key == string(last) {
 			continue // entry matched several values
 		}
 		first, last = false, append(last[:0], hit.Key...)
 		if err := env.emit(w, rr, hit.Key, hit.A); err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 	}
 	if err := sorted.Free(); err != nil {
-		return nil, err
+		return nil, w.Abort(err)
 	}
 	return w.Close()
 }
@@ -426,7 +426,7 @@ func (env *evalEnv) mergeKeys(q *query.Atomic, ranges [][2][]byte) (*plist.List,
 			}
 			env.key.Key = k
 			if err := w.Append(&env.key); err != nil {
-				return nil, err
+				return nil, w.Abort(err)
 			}
 		}
 		keys, held = keys[:0], 0

@@ -82,7 +82,7 @@ func (env *evalEnv) fetchNeighbors(nbrs []vindex.Neighbor) (*plist.List, error) 
 	rr := env.s.master.MeteredRandomReader(env.m)
 	for _, n := range nbrs {
 		if err := env.emit(w, rr, n.Key, n.Off); err != nil {
-			return nil, err
+			return nil, w.Abort(err)
 		}
 	}
 	return w.Close()
