@@ -95,8 +95,10 @@ docs:
 # analytic mix (dirload's twelve forest queries, in process) follows
 # them, with its page I/O split into store reads and scratch traffic. Below
 # them the build (core.Open at both sizes, with the device's pages and
-# each structure's) and the B+tree's point read and leaf scan, which
-# read pages in place: Get allocates only its value, Scan nothing. Last
+# each structure's) and the B+tree's point read, leaf scan and insert:
+# reads view pages where they lie, so Get allocates only its value and
+# Scan nothing, and an insert writes each node it changes straight to
+# the disk, so its B/op is the write path's garbage per key. Last
 # the distributed path: E14's three queries through a coordinator over
 # two loopback servers, from parallel goroutines.
 bench-smoke:
@@ -104,7 +106,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkUpdateEntries -benchtime=20x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkOp(BooleanAnd|HSPCChildren|ERDV)$$|BenchmarkFullQueryL2|BenchmarkAnalytic' -benchtime=20x -benchmem .
 	$(GO) test -run='^$$' -bench=BenchmarkOpen -benchtime=3x -benchmem .
-	$(GO) test -run='^$$' -bench='BenchmarkGet|BenchmarkScan' -benchtime=2000x -benchmem ./internal/btree/
+	$(GO) test -run='^$$' -bench='BenchmarkGet|BenchmarkScan|BenchmarkInsert' -benchtime=2000x -benchmem ./internal/btree/
 	$(GO) test -run='^$$' -bench=BenchmarkCoordinatorSearch -benchtime=200x -benchmem ./internal/dirserver/
 
 # Wire smoke: benchmark/dirload's four workloads (lookup, analytic,

@@ -121,7 +121,7 @@ func E15AtomicIndex(n int) *Table {
 	t := &Table{
 		ID:     "E15",
 		Title:  "Atomic query evaluation: cost-based index/scan choice vs forced scans",
-		Claim:  "Section 4.1: B+tree for int/dn filters, trie/suffix indexes for strings",
+		Claim:  "Section 4.1: B+tree for int/dn filters, suffix-array indexes for strings",
 		Header: []string{"filter", "|answer|", "IO chosen plan", "IO forced scan", "ratio"},
 	}
 	in := workload.GenTOPS(workload.TOPSConfig{Subscribers: n, Seed: 13})

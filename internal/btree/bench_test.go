@@ -9,7 +9,7 @@ import (
 
 func BenchmarkInsert(b *testing.B) {
 	d := pager.NewDisk(4096)
-	tr, err := New(d, 64)
+	tr, err := New(d)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func BenchmarkInsert(b *testing.B) {
 
 func BenchmarkGet(b *testing.B) {
 	d := pager.NewDisk(4096)
-	tr, err := New(d, 64)
+	tr, err := New(d)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func BenchmarkGet(b *testing.B) {
 
 func BenchmarkScan(b *testing.B) {
 	d := pager.NewDisk(4096)
-	tr, err := New(d, 64)
+	tr, err := New(d)
 	if err != nil {
 		b.Fatal(err)
 	}

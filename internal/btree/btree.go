@@ -16,12 +16,15 @@
 // written once. Insert and Delete are for the writes that follow, on a
 // fork. Both make the same node layout, so every reader serves either.
 //
-// Interior pages are cached in a pinning buffer pool so repeated
-// traversals cost I/O only at the leaf level; all page traffic is
-// counted by the underlying disk. Get and Scan read the pinned pages
-// where they lie — Get copies out only the value, and Scan's callback
-// gets views of the page that are valid for the call — while the pull
-// Iter keeps a private copy of its leaf.
+// Every page is read where it lies, through pager.Disk.View, and the
+// tree keeps no page in memory, so what a read costs depends only on
+// the read and the tree. Interior pages count as resident and are never charged; every
+// leaf a read touches is charged one page read, to the reader's meter
+// and the disk's counters, like a list page. Get copies out only the
+// value, Scan's callback gets views of the leaf that are valid for the
+// call, and the pull Iter keeps a private copy of its leaf. Insert and
+// Delete decode the leaf they edit from its view and write each node
+// they change straight back to the disk, so nothing is ever held dirty.
 package btree
 
 import (
@@ -29,16 +32,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/pager"
 )
 
 // Tree is a B+tree. Keys are unique; Insert of an existing key replaces
-// its value.
+// its value. A Tree holds no pages, only its root and key count: any
+// number of goroutines may read it at once, and Insert and Delete are
+// for one writer with no reader beside it, on a disk that is not
+// sealed (a fork).
 type Tree struct {
-	pool *pager.Pool
+	disk *pager.Disk
 	root pager.PageID
-	n    int // number of keys
+	n    int    // number of keys
+	buf  []byte // Insert and Delete encode a node here before writing it
 }
 
 // Errors returned by tree operations.
@@ -50,23 +58,14 @@ var (
 	ErrCorrupt = errors.New("btree: corrupt page")
 )
 
-// New creates an empty tree on disk using a pool of the given capacity
-// (minimum 8 frames).
-func New(disk *pager.Disk, poolPages int) (*Tree, error) {
-	if poolPages < 8 {
-		poolPages = 8
-	}
-	pool := pager.NewPool(disk, poolPages)
-	f, err := pool.Alloc()
-	if err != nil {
+// New creates an empty tree on disk: one empty leaf.
+func New(disk *pager.Disk) (*Tree, error) {
+	t := &Tree{disk: disk}
+	var err error
+	if t.root, err = t.alloc(&node{leaf: true}); err != nil {
 		return nil, err
 	}
-	root := &node{leaf: true}
-	root.encode(f.Data)
-	f.SetDirty()
-	id := f.ID
-	pool.Unpin(f)
-	return &Tree{pool: pool, root: id}, nil
+	return t, nil
 }
 
 // Len returns the number of keys in the tree.
@@ -76,17 +75,10 @@ func (t *Tree) Len() int { return t.n }
 func (t *Tree) Root() pager.PageID { return t.root }
 
 // Open attaches to a tree previously built on disk, identified by its
-// root page and key count (from Root/Len). The tree must have been
-// flushed before the disk was snapshotted.
-func Open(disk *pager.Disk, poolPages int, root pager.PageID, n int) *Tree {
-	if poolPages < 8 {
-		poolPages = 8
-	}
-	return &Tree{pool: pager.NewPool(disk, poolPages), root: root, n: n}
+// root page and key count (from Root/Len).
+func Open(disk *pager.Disk, root pager.PageID, n int) *Tree {
+	return &Tree{disk: disk, root: root, n: n}
 }
-
-// Flush writes all dirty buffered pages to disk.
-func (t *Tree) Flush() error { return t.pool.Flush() }
 
 // node is the decoded form of a tree page: what Insert and Delete edit
 // and what Iter walks. The loader writes the same layout without
@@ -163,8 +155,8 @@ func (nd *node) encode(page []byte) {
 // length is checked against the page before it is used: a malformed
 // page is ErrCorrupt, never a panic or an allocation past the page size.
 //
-// The node outlives the pin on the frame it was read from, so it cannot
-// point into the page: its keys and values are views of one private
+// The node outlives the view it was read from (a write to that page
+// reuses the bytes), so it cannot point into the page: its keys and values are views of one private
 // copy of the page's used bytes. One allocation per page, not one per
 // key, because allocation and collection are the larger part of what a
 // read costs. For the same reason a leaf decoded for Iter leaves out
@@ -196,12 +188,13 @@ func decodeNode(page, from []byte) (*node, error) {
 		}
 	}
 
+	// The item slices have room for the one item an Insert adds.
 	buf := bytes.Clone(page[start:end])
-	nd := &node{leaf: leaf, keys: make([][]byte, n-skip)}
+	nd := &node{leaf: leaf, keys: make([][]byte, n-skip, n-skip+1)}
 	first := pager.PageID(binary.LittleEndian.Uint32(page[3:]))
 	if leaf {
 		nd.next = first
-		nd.vals = make([][]byte, n-skip)
+		nd.vals = make([][]byte, n-skip, n-skip+1)
 	} else {
 		nd.children = make([]pager.PageID, 1, n+1)
 		nd.children[0] = first
@@ -232,42 +225,48 @@ func lenPrefixed(page []byte, off int) (b []byte, next int, ok bool) {
 	return page[off:next:next], next, true
 }
 
-func (t *Tree) load(id pager.PageID) (*node, error) {
-	return t.loadMetered(id, nil)
+// page returns a view of page id. A leaf is charged one read, to m (nil
+// = no query's) and to the disk's counters; an interior page counts as
+// resident and is charged nothing. The rule makes a read's cost a
+// function of the read and the tree alone (DESIGN.md §8).
+func (t *Tree) page(id pager.PageID, m *pager.Meter) ([]byte, error) {
+	page, err := t.disk.View(id)
+	if err == nil && page[0] == 1 {
+		t.disk.CountRead(id, m)
+	}
+	return page, err
 }
 
-// loadMetered reads a node through the pool, charging a miss's disk
-// read to the per-query meter (nil = uncharged).
-func (t *Tree) loadMetered(id pager.PageID, m *pager.Meter) (*node, error) {
-	f, err := t.pool.GetMetered(id, m)
+// interior reports whether a page image is an interior node; anything
+// else is read as a leaf, which refuses a page too short for a header.
+func interior(page []byte) bool { return len(page) >= 7 && page[0] != 1 }
+
+// load decodes page id whole, charged as page charges it.
+func (t *Tree) load(id pager.PageID, m *pager.Meter) (*node, error) {
+	page, err := t.page(id, m)
 	if err != nil {
 		return nil, err
 	}
-	defer t.pool.Unpin(f)
-	return decodeNode(f.Data, nil)
+	return decodeNode(page, nil)
 }
 
-func (t *Tree) store(id pager.PageID, nd *node) error {
-	f, err := t.pool.Get(id)
-	if err != nil {
-		return err
+// write encodes nd onto page id.
+func (t *Tree) write(id pager.PageID, nd *node) error {
+	if t.buf == nil {
+		t.buf = make([]byte, t.disk.PageSize())
 	}
-	nd.encode(f.Data)
-	f.SetDirty()
-	t.pool.Unpin(f)
-	return nil
+	page := t.buf[:nd.encodedSize()]
+	nd.encode(page)
+	return t.disk.Write(id, page)
 }
 
+// alloc writes nd onto a fresh page.
 func (t *Tree) alloc(nd *node) (pager.PageID, error) {
-	f, err := t.pool.Alloc()
+	id, err := t.disk.Alloc()
 	if err != nil {
 		return 0, err
 	}
-	nd.encode(f.Data)
-	f.SetDirty()
-	id := f.ID
-	t.pool.Unpin(f)
-	return id, nil
+	return id, t.write(id, nd)
 }
 
 // splitPoint returns the key index at which to split an overflowing
@@ -331,18 +330,16 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	return t.GetMetered(key, nil)
 }
 
-// GetMetered is Get with per-query I/O attribution: pool misses along
-// the root-to-leaf path are charged to m. Safe for concurrent readers
-// (the pool serializes its own bookkeeping; the meter is atomic). The
-// leaf is searched where it lies; the value returned is the caller's
-// own copy, the one allocation a hit makes.
+// GetMetered is Get with per-query I/O attribution: the leaf it reads is
+// charged to m (see page). Safe for concurrent readers (the meter is
+// atomic). The leaf is searched where it lies; the value returned is the
+// caller's own copy, the one allocation a hit makes.
 func (t *Tree) GetMetered(key []byte, m *pager.Meter) ([]byte, error) {
-	f, err := t.leafFrame(key, m)
+	_, page, err := t.leaf(key, m)
 	if err != nil {
 		return nil, err
 	}
-	defer t.pool.Unpin(f)
-	v, err := leafGet(f.Data, key)
+	v, err := leafGet(page, key)
 	return bytes.Clone(v), err
 }
 
@@ -368,24 +365,19 @@ func leafGet(page, key []byte) ([]byte, error) {
 	}
 }
 
-// leafFrame descends from the root to the leaf that may hold key and
-// returns its frame, pinned. Interior pages are read where they lie,
-// under their pin: choosing a child takes one pass over the separators
-// (childOnPage), not a private copy of the page.
-func (t *Tree) leafFrame(key []byte, m *pager.Meter) (*pager.Frame, error) {
+// leaf descends from the root to the leaf that may hold key and returns
+// its page id and a view of it. Choosing a child takes one pass over an
+// interior page's separators where they lie (childOnPage), not a
+// private copy of the page.
+func (t *Tree) leaf(key []byte, m *pager.Meter) (pager.PageID, []byte, error) {
 	id := t.root
 	for {
-		f, err := t.pool.GetMetered(id, m)
-		if err != nil {
-			return nil, err
+		page, err := t.page(id, m)
+		if err != nil || !interior(page) {
+			return id, page, err
 		}
-		if len(f.Data) < 7 || f.Data[0] == 1 {
-			return f, nil
-		}
-		id, err = childOnPage(f.Data, key)
-		t.pool.Unpin(f)
-		if err != nil {
-			return nil, err
+		if id, err = childOnPage(page, key); err != nil {
+			return 0, nil, err
 		}
 	}
 }
@@ -457,7 +449,7 @@ func childOnPage(page, key []byte) (pager.PageID, error) {
 // it stays within pageSize/2 + 1.5*MaxItem + header <= pageSize when
 // MaxItem <= pageSize/3 - 8. The loader enforces the same bound, so a
 // loaded tree takes inserts.
-func (t *Tree) MaxItem() int { return maxItem(t.pool.Disk().PageSize()) }
+func (t *Tree) MaxItem() int { return maxItem(t.disk.PageSize()) }
 
 func maxItem(pageSize int) int { return pageSize/3 - 8 }
 
@@ -488,68 +480,62 @@ func (t *Tree) Insert(key, value []byte) error {
 }
 
 // insert descends into page id. On split it returns the separator key
-// and the new right sibling's page id.
+// and the new right sibling's page id. An interior page is decoded, and
+// rewritten, only when the child below it split; the leaf always is.
+// The node is encoded before this returns, so it may hold key, value
+// and views of its own decoded copy.
 func (t *Tree) insert(id pager.PageID, key, value []byte) (sep []byte, right pager.PageID, replaced bool, err error) {
-	nd, err := t.load(id)
+	page, err := t.page(id, nil)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if nd.leaf {
-		i, found := nd.leafIndex(key)
-		if found {
-			nd.vals[i] = value
-			replaced = true
-		} else {
-			nd.keys = append(nd.keys, nil)
-			copy(nd.keys[i+1:], nd.keys[i:])
-			nd.keys[i] = append([]byte(nil), key...)
-			nd.vals = append(nd.vals, nil)
-			copy(nd.vals[i+1:], nd.vals[i:])
-			nd.vals[i] = append([]byte(nil), value...)
+	var nd *node
+	if interior(page) {
+		child, err := childOnPage(page, key)
+		if err != nil {
+			return nil, 0, false, err
 		}
-	} else {
+		var csep []byte
+		var cright pager.PageID
+		if csep, cright, replaced, err = t.insert(child, key, value); err != nil || cright == 0 {
+			return nil, 0, replaced, err
+		}
+		// The view is still this page's: the insert below wrote and
+		// allocated other pages only.
+		if nd, err = decodeNode(page, nil); err != nil {
+			return nil, 0, false, err
+		}
 		ci := nd.childIndex(key)
-		csep, cright, crep, cerr := t.insert(nd.children[ci], key, value)
-		if cerr != nil {
-			return nil, 0, false, cerr
+		nd.keys = slices.Insert(nd.keys, ci, csep)
+		nd.children = slices.Insert(nd.children, ci+1, cright)
+	} else {
+		if nd, err = decodeNode(page, nil); err != nil {
+			return nil, 0, false, err
 		}
-		replaced = crep
-		if cright != 0 {
-			nd.keys = append(nd.keys, nil)
-			copy(nd.keys[ci+1:], nd.keys[ci:])
-			nd.keys[ci] = csep
-			nd.children = append(nd.children, 0)
-			copy(nd.children[ci+2:], nd.children[ci+1:])
-			nd.children[ci+1] = cright
+		i, found := nd.leafIndex(key)
+		if replaced = found; found {
+			nd.vals[i] = value
+		} else {
+			nd.keys = slices.Insert(nd.keys, i, key)
+			nd.vals = slices.Insert(nd.vals, i, value)
 		}
 	}
-	if nd.encodedSize() <= t.pool.Disk().PageSize() {
-		return nil, 0, replaced, t.store(id, nd)
+	if nd.encodedSize() <= t.disk.PageSize() {
+		return nil, 0, replaced, t.write(id, nd)
 	}
 	// Split: move the upper half to a new right sibling. The split point
 	// balances bytes, not key counts — with variable-length keys a count
 	// split can leave one half still oversized.
 	mid := nd.splitPoint()
+	sep = nd.keys[mid]
 	var rightNode *node
 	if nd.leaf {
-		rightNode = &node{
-			leaf: true,
-			keys: append([][]byte(nil), nd.keys[mid:]...),
-			vals: append([][]byte(nil), nd.vals[mid:]...),
-			next: nd.next,
-		}
-		sep = append([]byte(nil), nd.keys[mid]...)
-		nd.keys = nd.keys[:mid]
-		nd.vals = nd.vals[:mid]
+		rightNode = &node{leaf: true, keys: nd.keys[mid:], vals: nd.vals[mid:], next: nd.next}
+		nd.keys, nd.vals = nd.keys[:mid], nd.vals[:mid]
 	} else {
 		// The separator at mid moves up; children split around it.
-		sep = append([]byte(nil), nd.keys[mid]...)
-		rightNode = &node{
-			keys:     append([][]byte(nil), nd.keys[mid+1:]...),
-			children: append([]pager.PageID(nil), nd.children[mid+1:]...),
-		}
-		nd.keys = nd.keys[:mid]
-		nd.children = nd.children[:mid+1]
+		rightNode = &node{keys: nd.keys[mid+1:], children: nd.children[mid+1:]}
+		nd.keys, nd.children = nd.keys[:mid], nd.children[:mid+1]
 	}
 	rid, err := t.alloc(rightNode)
 	if err != nil {
@@ -558,7 +544,7 @@ func (t *Tree) insert(id pager.PageID, key, value []byte) (sep []byte, right pag
 	if nd.leaf {
 		nd.next = rid
 	}
-	if err := t.store(id, nd); err != nil {
+	if err := t.write(id, nd); err != nil {
 		return nil, 0, false, err
 	}
 	return sep, rid, replaced, nil
@@ -567,49 +553,45 @@ func (t *Tree) insert(id pager.PageID, key, value []byte) (sep []byte, right pag
 // Delete removes key. Pages are not rebalanced or reclaimed (lazy
 // deletion); the directory workload is read-mostly.
 func (t *Tree) Delete(key []byte) error {
-	id := t.root
-	for {
-		nd, err := t.load(id)
-		if err != nil {
-			return err
-		}
-		if nd.leaf {
-			i, ok := nd.leafIndex(key)
-			if !ok {
-				return ErrNotFound
-			}
-			nd.keys = append(nd.keys[:i], nd.keys[i+1:]...)
-			nd.vals = append(nd.vals[:i], nd.vals[i+1:]...)
-			t.n--
-			return t.store(id, nd)
-		}
-		id = nd.children[nd.childIndex(key)]
+	id, page, err := t.leaf(key, nil)
+	if err != nil {
+		return err
 	}
+	nd, err := decodeNode(page, nil)
+	if err != nil {
+		return err
+	}
+	i, ok := nd.leafIndex(key)
+	if !ok {
+		return ErrNotFound
+	}
+	nd.keys = slices.Delete(nd.keys, i, i+1)
+	nd.vals = slices.Delete(nd.vals, i, i+1)
+	t.n--
+	return t.write(id, nd)
 }
 
 // Scan calls fn for each (key, value) with lo <= key < hi in key order,
 // stopping if fn returns false. A nil hi means "to the end". key and
-// value are read-only views of the pinned leaf, valid only for the
-// call: fn copies what it keeps.
+// value are read-only views of the leaf, valid only for the call: fn
+// copies what it keeps.
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	return t.ScanMetered(lo, hi, nil, fn)
 }
 
 // ScanMetered is Scan with per-query I/O attribution (see GetMetered).
-// It walks each leaf in place under its pin and reads the next leaf of
-// the chain only when this one is used up, so it touches the pages Iter
-// would, and allocates nothing.
+// It walks each leaf in place and reads the next leaf of the chain only
+// when this one is used up, so it touches, and is charged for, the
+// pages Iter would, and allocates nothing.
 func (t *Tree) ScanMetered(lo, hi []byte, m *pager.Meter, fn func(key, value []byte) bool) error {
-	f, err := t.leafFrame(lo, m)
+	_, page, err := t.leaf(lo, m)
 	for err == nil {
 		var next pager.PageID
-		next, err = scanLeaf(f.Data, lo, hi, fn)
-		t.pool.Unpin(f)
-		if err != nil || next == 0 {
+		if next, err = scanLeaf(page, lo, hi, fn); err != nil || next == 0 {
 			break
 		}
 		lo = nil
-		f, err = t.pool.GetMetered(next, m)
+		page, err = t.page(next, m)
 	}
 	return err
 }
@@ -649,19 +631,17 @@ type Iter struct {
 	err error
 }
 
-// Seek positions an iterator at the first key >= lo. Pool misses on the
-// descent and on every later leaf step are charged to m (nil =
-// uncharged). Safe for concurrent readers, like GetMetered.
+// Seek positions an iterator at the first key >= lo. The leaf it lands
+// on and every later leaf step are charged to m (see page). Safe for
+// concurrent readers, like GetMetered.
 func (t *Tree) Seek(lo []byte, m *pager.Meter) Iter {
 	it := Iter{t: t, m: m}
-	f, err := t.leafFrame(lo, m)
+	_, page, err := t.leaf(lo, m)
 	if err != nil {
 		it.err = err
 		return it
 	}
-	it.nd, it.err = decodeNode(f.Data, lo)
-	t.pool.Unpin(f)
-	if it.err != nil {
+	if it.nd, it.err = decodeNode(page, lo); it.err != nil {
 		return it
 	}
 	it.i, _ = it.nd.leafIndex(lo)
@@ -676,7 +656,7 @@ func (it *Iter) settle() {
 		next := it.nd.next
 		it.nd, it.i = nil, 0
 		if next != 0 {
-			it.nd, it.err = it.t.loadMetered(next, it.m)
+			it.nd, it.err = it.t.load(next, it.m)
 			if it.nd != nil && !it.nd.leaf {
 				it.nd, it.err = nil, fmt.Errorf("%w: the leaf chain reaches interior page %d", ErrCorrupt, next)
 			}
@@ -724,31 +704,23 @@ func prefixUpperBound(prefix []byte) []byte {
 
 // Pages counts the pages the tree occupies: its interior pages, level by
 // level down from the root, then the leaf chain from the first leaf.
-// It reads the disk image, not the pool, so counting leaves the pool's
-// working set alone; the tree must be flushed (Build, Reopen and
-// ApplyOps leave it so). The reads are charged to m.
+// Each leaf is charged to m, like any read's (see page).
 func (t *Tree) Pages(m *pager.Meter) (int, error) {
-	disk := t.pool.Disk()
-	h := disk.NewMeteredReadHandle(m)
-	page := make([]byte, disk.PageSize())
-	limit := disk.NumPages() // a walk past it is a cycle
+	limit := t.disk.NumPages() // a walk past it is a cycle
 	n := 0
 	level := []pager.PageID{t.root}
 	for {
 		var below []pager.PageID
 		for _, id := range level {
-			if err := h.Read(id, page); err != nil {
+			nd, err := t.load(id, m)
+			if err != nil {
 				return 0, err
 			}
-			if page[0] == 1 {
+			if nd.leaf {
 				if len(below) > 0 {
 					return 0, fmt.Errorf("%w: leaf page %d beside interior pages", ErrCorrupt, id)
 				}
 				break
-			}
-			nd, err := decodeNode(page, nil)
-			if err != nil {
-				return 0, err
 			}
 			below = append(below, nd.children...)
 		}
@@ -764,10 +736,11 @@ func (t *Tree) Pages(m *pager.Meter) (int, error) {
 		if n > limit {
 			return 0, fmt.Errorf("%w: the leaf chain forms a cycle", ErrCorrupt)
 		}
-		if err := h.Read(id, page[:7]); err != nil {
+		page, err := t.page(id, m)
+		if err != nil {
 			return 0, err
 		}
-		if page[0] != 1 {
+		if interior(page) {
 			return 0, fmt.Errorf("%w: the leaf chain reaches interior page %d", ErrCorrupt, id)
 		}
 		id = pager.PageID(binary.LittleEndian.Uint32(page[3:]))

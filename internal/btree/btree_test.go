@@ -13,10 +13,10 @@ import (
 	"repro/internal/pager"
 )
 
-func newTestTree(t *testing.T, pageSize, pool int) (*Tree, *pager.Disk) {
+func newTestTree(t *testing.T, pageSize int) (*Tree, *pager.Disk) {
 	t.Helper()
 	d := pager.NewDisk(pageSize)
-	tr, err := New(d, pool)
+	tr, err := New(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func newTestTree(t *testing.T, pageSize, pool int) (*Tree, *pager.Disk) {
 }
 
 func TestInsertGet(t *testing.T) {
-	tr, _ := newTestTree(t, 256, 16)
+	tr, _ := newTestTree(t, 256)
 	n := 2000
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("key%06d", i*7%n))
@@ -52,7 +52,7 @@ func TestInsertGet(t *testing.T) {
 }
 
 func TestInsertReplace(t *testing.T) {
-	tr, _ := newTestTree(t, 256, 16)
+	tr, _ := newTestTree(t, 256)
 	if err := tr.Insert([]byte("k"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestInsertReplace(t *testing.T) {
 }
 
 func TestScanRange(t *testing.T) {
-	tr, _ := newTestTree(t, 256, 16)
+	tr, _ := newTestTree(t, 256)
 	for i := 0; i < 500; i++ {
 		k := []byte(fmt.Sprintf("k%04d", i))
 		if err := tr.Insert(k, []byte{byte(i)}); err != nil {
@@ -99,7 +99,7 @@ func TestScanRange(t *testing.T) {
 }
 
 func TestScanPrefix(t *testing.T) {
-	tr, _ := newTestTree(t, 256, 16)
+	tr, _ := newTestTree(t, 256)
 	keys := []string{"ab", "abc", "abd", "ac", "b"}
 	for _, k := range keys {
 		if err := tr.Insert([]byte(k), []byte("x")); err != nil {
@@ -142,7 +142,7 @@ func TestPrefixUpperBound(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	tr, _ := newTestTree(t, 256, 16)
+	tr, _ := newTestTree(t, 256)
 	for i := 0; i < 300; i++ {
 		if err := tr.Insert([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -171,14 +171,14 @@ func TestDelete(t *testing.T) {
 }
 
 func TestTooBig(t *testing.T) {
-	tr, _ := newTestTree(t, 128, 16)
+	tr, _ := newTestTree(t, 128)
 	if err := tr.Insert(make([]byte, 200), []byte("v")); !errors.Is(err, ErrTooBig) {
 		t.Fatalf("oversized insert: %v", err)
 	}
 }
 
 func TestVariableLengthKeys(t *testing.T) {
-	tr, _ := newTestTree(t, 256, 16)
+	tr, _ := newTestTree(t, 256)
 	r := rand.New(rand.NewSource(4))
 	keys := map[string]string{}
 	for i := 0; i < 1000; i++ {
@@ -218,7 +218,7 @@ func TestVariableLengthKeys(t *testing.T) {
 }
 
 func TestQuickAgainstMap(t *testing.T) {
-	tr, _ := newTestTree(t, 256, 32)
+	tr, _ := newTestTree(t, 256)
 	oracle := map[string]string{}
 	r := rand.New(rand.NewSource(8))
 	f := func() bool {
@@ -256,14 +256,11 @@ func TestQuickAgainstMap(t *testing.T) {
 }
 
 func TestInteriorCachingSavesIO(t *testing.T) {
-	tr, d := newTestTree(t, 256, 64)
+	tr, d := newTestTree(t, 256)
 	for i := 0; i < 3000; i++ {
 		if err := tr.Insert([]byte(fmt.Sprintf("key%06d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	d.ResetStats()
 	for i := 0; i < 100; i++ {
@@ -272,17 +269,18 @@ func TestInteriorCachingSavesIO(t *testing.T) {
 		}
 	}
 	st := d.Stats()
-	// With a warm pool, 100 point lookups must cost far fewer than
-	// 100 * tree-height page reads.
+	// Interior pages count as resident, so 100 point lookups must cost
+	// far fewer than 100 * tree-height page reads: one leaf each.
 	if st.Reads > 150 {
-		t.Fatalf("point lookups did %d reads; pool not caching", st.Reads)
+		t.Fatalf("point lookups did %d reads; interior pages charged", st.Reads)
 	}
 }
 
 func TestPersistsThroughPoolEviction(t *testing.T) {
-	// A tiny pool forces every page to round-trip through the disk.
+	// Every page an insert edits goes straight back to the disk, and
+	// every read decodes or searches the disk's image of it.
 	d := pager.NewDisk(256)
-	tr, err := New(d, 8)
+	tr, err := New(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +303,7 @@ func TestPersistsThroughPoolEviction(t *testing.T) {
 // empty): seeks on keys, between keys, before the first and past the
 // last key must all land on the oracle's lower bound.
 func TestIterMatchesScan(t *testing.T) {
-	tr, _ := newTestTree(t, 256, 16)
+	tr, _ := newTestTree(t, 256)
 	r := rand.New(rand.NewSource(21))
 	live := map[string]string{}
 	for i := 0; i < 3000; i++ {
@@ -406,7 +404,7 @@ func TestCorruptPageIsAnError(t *testing.T) {
 	if err := d.Write(id, malformedLeaf(d.PageSize())); err != nil {
 		t.Fatal(err)
 	}
-	tr := Open(d, 8, id, 5)
+	tr := Open(d, id, 5)
 	if _, err := tr.Get([]byte("k")); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Get on a corrupt root: %v", err)
 	}
@@ -427,7 +425,7 @@ func TestCorruptPageIsAnError(t *testing.T) {
 	if err := d.Write(id, interior); err != nil {
 		t.Fatal(err)
 	}
-	tr = Open(d, 8, id, 5)
+	tr = Open(d, id, 5)
 	if _, err := tr.Get([]byte("k")); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Get under a corrupt interior root: %v", err)
 	}
@@ -446,24 +444,23 @@ func TestCorruptPageIsAnError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr, err = l.Finish(8); err != nil {
+	if tr, err = l.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	second, err := tr.leafFrame([]byte("k0050"), nil)
+	second, view, err := tr.leaf([]byte("k0050"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := bytes.Clone(second.Data)
-	tr.pool.Unpin(second)
+	page := bytes.Clone(view)
 	c, _ := newLeafCursor(page)
 	c.next()
 	c.next()
 	first := string(page[8 : 8+page[7]])
 	page[c.off], page[c.off+1] = 0xff, 0x7f // the third key's length, 16383: past the page's end
-	if err := d.Write(second.ID, page); err != nil {
+	if err := d.Write(second, page); err != nil {
 		t.Fatal(err)
 	}
-	tr = Open(d, 8, tr.Root(), tr.Len())
+	tr = Open(d, tr.Root(), tr.Len())
 	if v, err := tr.Get([]byte(first)); err != nil || string(v) != "v" {
 		t.Errorf("Get of a key before the damage: %q, %v", v, err)
 	}
@@ -487,17 +484,16 @@ func TestCorruptPageIsAnError(t *testing.T) {
 
 	// A leaf chain that leads to an interior page (here the root): a walk
 	// along the chain must not read it as a leaf.
-	firstLeaf, err := tr.leafFrame(nil, nil)
+	firstLeaf, view, err := tr.leaf(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	page = bytes.Clone(firstLeaf.Data)
-	tr.pool.Unpin(firstLeaf)
+	page = bytes.Clone(view)
 	binary.LittleEndian.PutUint32(page[3:], uint32(tr.Root()))
-	if err := d.Write(firstLeaf.ID, page); err != nil {
+	if err := d.Write(firstLeaf, page); err != nil {
 		t.Fatal(err)
 	}
-	tr = Open(d, 8, tr.Root(), tr.Len())
+	tr = Open(d, tr.Root(), tr.Len())
 	if err := tr.Scan(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Scan along a chain into an interior page: %v", err)
 	}

@@ -25,7 +25,7 @@ const fillNum, fillDen = 15, 16
 // are filled left to right to the fixed occupancy, the first key of
 // each page goes up as the separator in its parent, and every page is
 // encoded once into a reused buffer and written once: nothing is
-// decoded and no buffer pool is involved. The pages are those of a tree
+// decoded. The pages are those of a tree
 // built by Insert (the same node layout), so Open, every reader and
 // Insert/Delete on a fork work on a loaded tree unchanged.
 type Loader struct {
@@ -159,9 +159,8 @@ func (l *Loader) push(i int, key []byte, child pager.PageID) error {
 
 // Finish closes the load: each level's last node is written and pushed
 // up until a level holds a single node, which is the root. A load of no
-// items is one empty leaf. The returned tree reads through a pool of
-// poolPages frames, like Open's.
-func (l *Loader) Finish(poolPages int) (*Tree, error) {
+// items is one empty leaf.
+func (l *Loader) Finish() (*Tree, error) {
 	if l.n == 0 {
 		id, err := l.disk.Alloc()
 		if err != nil {
@@ -170,7 +169,7 @@ func (l *Loader) Finish(poolPages int) (*Tree, error) {
 		if err := l.disk.Write(id, []byte{1}); err != nil {
 			return nil, err
 		}
-		return Open(l.disk, poolPages, id, 0), nil
+		return Open(l.disk, id, 0), nil
 	}
 	for i := 0; ; i++ {
 		if l.levels[i].nodes == 0 {
@@ -178,7 +177,7 @@ func (l *Loader) Finish(poolPages int) (*Tree, error) {
 			if err != nil {
 				return nil, err
 			}
-			return Open(l.disk, poolPages, root, l.n), nil
+			return Open(l.disk, root, l.n), nil
 		}
 		if err := l.closeUp(i, 0); err != nil {
 			return nil, err

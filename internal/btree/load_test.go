@@ -46,7 +46,7 @@ func loadTree(t *testing.T, d *pager.Disk, keys, vals []string) *Tree {
 			t.Fatal(err)
 		}
 	}
-	tr, err := l.Finish(16)
+	tr, err := l.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func height(t *testing.T, tr *Tree) int {
 	t.Helper()
 	h := 1
 	for id := tr.root; ; h++ {
-		nd, err := tr.load(id)
+		nd, err := tr.load(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,9 +161,6 @@ func churn(t *testing.T, r *rand.Rand, tr *Tree, oracle map[string]string, keys 
 		}
 		oracle[k] = v
 	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	matchesOracle(t, tr, oracle)
 }
 
@@ -193,7 +190,7 @@ func TestLoadMatchesInsert(t *testing.T) {
 					t.Fatalf("%d items make a tree %d levels tall; want 3 or more", n, h)
 				}
 
-				inserted, _ := newTestTree(t, pageSize, 16)
+				inserted, _ := newTestTree(t, pageSize)
 				for _, i := range r.Perm(n) {
 					if err := inserted.Insert([]byte(keys[i]), []byte(vals[i])); err != nil {
 						t.Fatal(err)
@@ -216,12 +213,12 @@ func TestLoadMatchesInsert(t *testing.T) {
 					oracle[keys[i]] = vals[i]
 				}
 				fork := d.Fork()
-				forked := Open(fork, 16, loaded.Root(), loaded.Len())
+				forked := Open(fork, loaded.Root(), loaded.Len())
 				churn(t, r, forked, copyMap(oracle), keys, 500)
 				if pages, err := forked.Pages(nil); err != nil || pages != fork.NumPages() {
 					t.Fatalf("fork Pages = %d, %v; the fork holds %d", pages, err, fork.NumPages())
 				}
-				if got := answers(t, Open(d, 16, loaded.Root(), loaded.Len()), probes); got != want {
+				if got := answers(t, Open(d, loaded.Root(), loaded.Len()), probes); got != want {
 					t.Fatal("writes on the fork changed the parent tree")
 				}
 				churn(t, r, loaded, oracle, keys, 500)

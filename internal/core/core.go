@@ -381,9 +381,11 @@ func (d *Directory) pruneLineage(persisted int64) {
 // like any instance — can exhibit the full heterogeneity of the model.
 type Result struct {
 	Entries []*model.Entry
-	// IO is the page I/O the evaluation performed (reads of the shared
-	// store plus all scratch-arena traffic: intermediate and result
-	// lists, stacks, sort runs and index-page misses).
+	// IO is the page I/O the evaluation performed: reads of the shared
+	// store (list pages, and B+tree leaves — interior pages count as
+	// resident, DESIGN.md §8) plus all scratch-arena traffic
+	// (intermediate and result lists, stacks, sort runs). It depends on
+	// the query and the snapshot only.
 	IO pager.Stats
 	// Gen is the store generation the query evaluated against — the
 	// snapshot loaded at the start of the search, even if an Update

@@ -76,8 +76,8 @@ func TestCoordinatorLeavesDirectoryAlone(t *testing.T) {
 	fed := newFederation(t)
 	defer fed.close()
 	probe := federatedQueries[0]
-	// The first search warms the index pools; the second is the one
-	// every later search repeats.
+	// A search's page I/O does not depend on the searches before it
+	// (DESIGN.md §8); the second one is the baseline all the same.
 	if _, err := fed.upper.Search(probe); err != nil {
 		t.Fatal(err)
 	}

@@ -10,24 +10,34 @@ import (
 // annFile is the "associate values with entry rt in list L1" step of the
 // stack algorithms: a fixed-slot array of per-entry annotations, slot i
 // belonging to the i-th record of L1 in key order. Phase 1 writes slots
-// in pop (post-) order through a small pinning pool — the paper's
+// in pop (post-) order through a small write-back cache — the paper's
 // in-place annotation of L1 — and phase 2 reads them sequentially
 // alongside a rescan of L1. Pops have strong page locality, so total
 // annotation I/O stays proportional to |L1|/B_ann.
 type annFile struct {
-	pool     *pager.Pool
 	disk     *pager.Disk
 	slotSize int
 	perPage  int
 	pages    []pager.PageID
+	cache    []*annFrame // most recently used first; at most annCachePages
 }
 
-func newAnnFile(disk *pager.Disk, poolPages, slotSize int, nSlots int64) (*annFile, error) {
+// annCachePages is the number of annotation pages held in memory.
+const annCachePages = 16
+
+// annFrame is one cached annotation page; dirty ones are written back
+// when evicted.
+type annFrame struct {
+	id    pager.PageID
+	data  []byte
+	dirty bool
+}
+
+func newAnnFile(disk *pager.Disk, slotSize int, nSlots int64) (*annFile, error) {
 	if slotSize <= 0 || slotSize > disk.PageSize() {
 		return nil, fmt.Errorf("engine: bad annotation slot size %d", slotSize)
 	}
 	f := &annFile{
-		pool:     pager.NewPool(disk, poolPages),
 		disk:     disk,
 		slotSize: slotSize,
 		perPage:  disk.PageSize() / slotSize,
@@ -43,26 +53,52 @@ func newAnnFile(disk *pager.Disk, poolPages, slotSize int, nSlots int64) (*annFi
 	return f, nil
 }
 
-func (f *annFile) frame(slot int64) (*pager.Frame, int, error) {
+// slot returns the cached frame holding slot and the slot's offset in
+// it. A hit moves the frame to the front. A miss first evicts the least
+// recently used frame when the cache is full, writing it back if dirty,
+// then reads the page into the front frame.
+func (f *annFile) slot(slot int64) (*annFrame, int, error) {
 	pi := int(slot / int64(f.perPage))
 	if pi < 0 || pi >= len(f.pages) {
 		return nil, 0, fmt.Errorf("engine: annotation slot %d out of range", slot)
 	}
-	fr, err := f.pool.Get(f.pages[pi])
-	if err != nil {
+	off := int(slot%int64(f.perPage)) * f.slotSize
+	id := f.pages[pi]
+	for i, fr := range f.cache {
+		if fr.id == id {
+			copy(f.cache[1:i+1], f.cache[:i])
+			f.cache[0] = fr
+			return fr, off, nil
+		}
+	}
+	fr := &annFrame{}
+	if n := len(f.cache); n >= annCachePages {
+		if fr = f.cache[n-1]; fr.dirty {
+			if err := f.disk.Write(fr.id, fr.data); err != nil {
+				return nil, 0, err
+			}
+		}
+		f.cache = f.cache[:n-1]
+	} else {
+		fr.data = make([]byte, f.disk.PageSize())
+	}
+	if err := f.disk.Read(id, fr.data); err != nil {
 		return nil, 0, err
 	}
-	return fr, int(slot%int64(f.perPage)) * f.slotSize, nil
+	fr.id, fr.dirty = id, false
+	f.cache = append(f.cache, nil)
+	copy(f.cache[1:], f.cache)
+	f.cache[0] = fr
+	return fr, off, nil
 }
 
 // setStats writes the per-spec statistics for one slot.
 func (f *annFile) setStats(slot int64, stats []aggStats) error {
-	fr, off, err := f.frame(slot)
+	fr, off, err := f.slot(slot)
 	if err != nil {
 		return err
 	}
-	defer f.pool.Unpin(fr)
-	b := fr.Data[off : off+f.slotSize]
+	b := fr.data[off : off+f.slotSize]
 	i := 0
 	for _, s := range stats {
 		for _, v := range s.ints() {
@@ -70,18 +106,17 @@ func (f *annFile) setStats(slot int64, stats []aggStats) error {
 			i += 8
 		}
 	}
-	fr.SetDirty()
+	fr.dirty = true
 	return nil
 }
 
 // getStats reads the per-spec statistics for one slot into out.
 func (f *annFile) getStats(slot int64, out []aggStats) error {
-	fr, off, err := f.frame(slot)
+	fr, off, err := f.slot(slot)
 	if err != nil {
 		return err
 	}
-	defer f.pool.Unpin(fr)
-	b := fr.Data[off : off+f.slotSize]
+	b := fr.data[off : off+f.slotSize]
 	var ints [statsInts]int64
 	i := 0
 	for si := range out {
@@ -99,7 +134,7 @@ func (f *annFile) free() {
 	for _, id := range f.pages {
 		_ = f.disk.Free(id)
 	}
-	f.pages = nil
+	f.pages, f.cache = nil, nil
 }
 
 // annSlotSize returns the slot size for nSpecs tracked aggregates.

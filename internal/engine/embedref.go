@@ -78,11 +78,8 @@ func (e *Engine) computeERAggDV(l1, l2 *plist.List, attr string, sel *query.AggS
 	if err != nil {
 		return nil, err
 	}
-	lp, err := extsort.Sort(e.disk(), raw.Reader(), e.sortCfg())
+	lp, err := e.sortAndFree(raw)
 	if err != nil {
-		return nil, err
-	}
-	if err := raw.Free(); err != nil {
 		return nil, err
 	}
 	defer freeAll(lp)
@@ -177,13 +174,11 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 	if err != nil {
 		return nil, err
 	}
-	lp, err := extsort.Sort(e.disk(), raw.Reader(), e.sortCfg())
+	lp, err := e.sortAndFree(raw)
 	if err != nil {
 		return nil, err
 	}
-	if err := raw.Free(); err != nil {
-		return nil, err
-	}
+	defer freeAll(lp) // on an error return; freed below on the way through
 
 	// Phase 2: merge-join LP with L2; emit one contribution per
 	// (referencing entry, witness) pair, keyed by the referencing entry.
@@ -226,13 +221,11 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 	if err != nil {
 		return nil, err
 	}
-	sortedC, err := extsort.Sort(e.disk(), rawC.Reader(), e.sortCfg())
+	sortedC, err := e.sortAndFree(rawC)
 	if err != nil {
 		return nil, err
 	}
-	if err := rawC.Free(); err != nil {
-		return nil, err
-	}
+	defer freeAll(sortedC) // likewise
 
 	// Phase 3: group contributions per referencing entry.
 	annotated := plist.NewWriter(e.disk())
@@ -283,6 +276,17 @@ func (e *Engine) ComputeERAggVD(l1, l2 *plist.List, attr string, sel *query.AggS
 	defer freeAll(al)
 
 	return e.finishAnnotated(l1, al, specs, sel)
+}
+
+// sortAndFree sorts l onto the scratch disk and frees l, whether or not
+// the sort succeeds; on an error nothing of either list is left.
+func (e *Engine) sortAndFree(l *plist.List) (*plist.List, error) {
+	sorted, err := extsort.Sort(e.disk(), l.Reader(), e.sortCfg())
+	if ferr := l.Free(); err == nil && ferr != nil {
+		freeAll(sorted)
+		return nil, ferr
+	}
+	return sorted, err
 }
 
 // finishAnnotated joins L1 with its sorted annotation list (one record

@@ -31,9 +31,6 @@ type Config struct {
 	// (default 4). Smaller windows spill more; Theorem 5.1's linearity
 	// holds for any constant window.
 	StackWindow int
-	// AnnPoolPages is the buffer-pool capacity for annotation files
-	// (default 16).
-	AnnPoolPages int
 	// SortMemBytes bounds the external sorter's run-formation memory
 	// (default: extsort's own default).
 	SortMemBytes int
@@ -47,9 +44,6 @@ func (c Config) withDefaults() Config {
 	if c.StackWindow < 2 {
 		c.StackWindow = 4
 	}
-	if c.AnnPoolPages < 2 {
-		c.AnnPoolPages = 16
-	}
 	return c
 }
 
@@ -60,7 +54,7 @@ func (c Config) withDefaults() Config {
 // intermediate re-sorting is ever needed. It does not pipeline: each
 // operator writes its whole result to the session's scratch disk
 // before its consumer reads it (streaming operators into each other is
-// ROADMAP item 8). What it does cut is what an intermediate carries: an
+// ROADMAP item 4). What it does cut is what an intermediate carries: an
 // operand whose consumer reads only keys is evaluated to keys
 // (operandNeeds).
 type Engine struct {

@@ -101,10 +101,11 @@ func TestFaultDuringAtomicEval(t *testing.T) {
 }
 
 // TestOperatorsFreeTheirOutputOnReadError fails scratch read k, for
-// every k, of a boolean merge and of a hierarchical stack operator: each
-// must return the injected error and leave the scratch disk holding
-// exactly the pages it held before — its inputs, and nothing of the
-// output list it was writing.
+// every k, of a boolean merge, a hierarchical stack operator, both
+// reference joins and an atomic that spools and sorts: each must return
+// the injected error and leave the scratch disk holding exactly the
+// pages it held before — its inputs, and nothing of the output list it
+// was writing or of the intermediates it made on the way.
 func TestOperatorsFreeTheirOutputOnReadError(t *testing.T) {
 	in := randForest(t, rand.New(rand.NewSource(113)), 1500)
 	boom := errors.New("boom")
@@ -117,6 +118,18 @@ func TestOperatorsFreeTheirOutputOnReadError(t *testing.T) {
 		}},
 		{"ComputeHSAD(d)", func(e *Engine, l1, l2 *plist.List) (*plist.List, error) {
 			return e.ComputeHSAD(query.OpDescendants, l1, l2)
+		}},
+		{"ComputeERAggDV", func(e *Engine, l1, l2 *plist.List) (*plist.List, error) {
+			return e.ComputeERAggDV(l1, l2, "ref", nil)
+		}},
+		{"ComputeERAggVD", func(e *Engine, l1, l2 *plist.List) (*plist.List, error) {
+			return e.ComputeERAggVD(l1, l2, "ref", nil)
+		}},
+		// An index plan over an integer range spools its hits, sorts
+		// them and fetches in key order (store's collect); wider ranges
+		// plan as scope scans on this forest.
+		{"atomic ( ? sub ? val<1)", func(e *Engine, _, _ *plist.List) (*plist.List, error) {
+			return e.Eval(query.MustParse("( ? sub ? val<1)"))
 		}},
 	} {
 		base := newEngine(t, in, Config{StackWindow: 2})

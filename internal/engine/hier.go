@@ -170,7 +170,7 @@ func (e *Engine) EvalHier(op query.HierOp, l1, l2, l3 *plist.List, sel *query.Ag
 	nSpecs := len(specs)
 	sa := &setAccs{n1: l1.Count()}
 
-	ann, err := newAnnFile(e.disk(), e.cfg.AnnPoolPages, annSlotSize(nSpecs), l1.Count())
+	ann, err := newAnnFile(e.disk(), annSlotSize(nSpecs), l1.Count())
 	if err != nil {
 		return nil, err
 	}

@@ -80,8 +80,9 @@ func TestCancelledContext(t *testing.T) {
 
 // TestConcurrentSessionsStress runs deep, wide queries from several
 // goroutines, each on its own session of one engine — the -race
-// exercise for what concurrent queries share: the store's disk, its
-// buffer pools, and the pager's read path. Every answer must equal the
+// exercise for what concurrent queries share: the store's disk, the
+// B+tree pages read in place through its views, and the pager's read
+// path. Every answer must equal the
 // one the query gets alone.
 func TestConcurrentSessionsStress(t *testing.T) {
 	r := rand.New(rand.NewSource(205))

@@ -3,7 +3,7 @@ package pager
 import "sync/atomic"
 
 // Meter is a concurrency-safe Stats sink: an atomic counter set that
-// read paths (ReadHandle, Pool.GetMetered) add to as they touch pages
+// read paths (ReadHandle, Disk.CountRead) add to as they touch pages
 // of a shared device. It gives a single query exact I/O attribution on
 // a disk other queries are reading concurrently — the case the
 // windowed-delta ownership rule (see Stats) forbids.

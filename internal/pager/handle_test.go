@@ -134,45 +134,3 @@ func TestReadHandleConcurrentWithWrites(t *testing.T) {
 		t.Fatalf("Writes delta = %d, want %d", delta.Writes, writes)
 	}
 }
-
-// TestPoolConcurrentGet exercises the buffer pool's internal lock: many
-// goroutines pin, read, and unpin overlapping pages concurrently.
-func TestPoolConcurrentGet(t *testing.T) {
-	d := NewDisk(256)
-	const nPages = 32
-	ids := make([]PageID, nPages)
-	for i := range ids {
-		id, err := d.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Write(id, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	p := NewPool(d, 8)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				pi := (g + i) % nPages
-				f, err := p.Get(ids[pi])
-				if err != nil {
-					if err == ErrPoolFull {
-						continue // transiently all pinned by peers
-					}
-					t.Errorf("get: %v", err)
-					return
-				}
-				if f.Data[0] != byte(pi) {
-					t.Errorf("frame %d content %d", pi, f.Data[0])
-				}
-				p.Unpin(f)
-			}
-		}(g)
-	}
-	wg.Wait()
-}

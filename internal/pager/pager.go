@@ -236,6 +236,39 @@ func (d *Disk) readCounted(id PageID, buf []byte, sh *statsShard) error {
 	return nil
 }
 
+// View returns page id's own bytes, read-only and uncopied, after
+// calling the fault hook as a read does. It counts nothing: the caller
+// charges what the touch costs (CountRead). On a sealed disk it takes
+// no lock and the view is valid for good; otherwise it takes the read
+// lock and the view is valid until the page's next Write or Free. An
+// unwritten page views as zeroes.
+func (d *Disk) View(id PageID) ([]byte, error) {
+	if !d.sealed.Load() {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+	}
+	if int(id) <= 0 || int(id) >= len(d.pages) {
+		return nil, fmt.Errorf("%w: %d", ErrBadPage, id)
+	}
+	if d.fault != nil {
+		if err := d.fault("read", id); err != nil {
+			return nil, err
+		}
+	}
+	if p := d.pages[id]; p != nil {
+		return p, nil
+	}
+	return make([]byte, d.pageSize), nil
+}
+
+// CountRead counts one read of page id on the device's counters and on
+// m (nil = the device's alone): the charge for a page touched through
+// View that the caller counts as read.
+func (d *Disk) CountRead(id PageID, m *Meter) {
+	d.shardFor(id).reads.Add(1)
+	m.Add(Stats{Reads: 1})
+}
+
 // Write stores data (at most PageSize bytes) as the new content of page
 // id and counts one page write.
 func (d *Disk) Write(id PageID, data []byte) error {

@@ -113,6 +113,29 @@ func TestDiskFaultInjection(t *testing.T) {
 	if err := d.Write(id, []byte("x")); err != nil {
 		t.Fatalf("fault not cleared: %v", err)
 	}
+
+	// A view is a read: it calls the hook, and an id off the device is
+	// ErrBadPage before the hook is asked.
+	var viewed []PageID
+	d.SetFault(func(op string, p PageID) error {
+		if op == "read" {
+			viewed = append(viewed, p)
+			return boom
+		}
+		return nil
+	})
+	if _, err := d.View(id); !errors.Is(err, boom) || len(viewed) != 1 || viewed[0] != id {
+		t.Fatalf("view of page %d: %v, hook saw %v", id, err, viewed)
+	}
+	d.SetFault(nil)
+	if v, err := d.View(id); err != nil || v[0] != 'x' || d.Stats().Reads != 0 {
+		t.Fatalf("view after the fault cleared: %q, %v, %v", v[:1], err, d.Stats())
+	}
+	for _, bad := range []PageID{0, id + 1} {
+		if _, err := d.View(bad); !errors.Is(err, ErrBadPage) {
+			t.Errorf("view of page %d: %v, want ErrBadPage", bad, err)
+		}
+	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -178,103 +201,5 @@ func TestStatsArithmetic(t *testing.T) {
 	}
 	if got := a.Add(b); got.Reads != 6 || got.IO() != 10 {
 		t.Fatalf("Add = %+v IO=%d", got, got.IO())
-	}
-}
-
-func TestPoolHitsAndEviction(t *testing.T) {
-	d := NewDisk(64)
-	var ids []PageID
-	for i := 0; i < 4; i++ {
-		id, _ := d.Alloc()
-		if err := d.Write(id, []byte{byte(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	d.ResetStats()
-
-	p := NewPool(d, 2)
-	f, err := p.Get(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Unpin(f)
-	// Hit: no extra read.
-	f, err = p.Get(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Unpin(f)
-	if st := d.Stats(); st.Reads != 1 {
-		t.Fatalf("expected 1 read after hit, got %+v", st)
-	}
-	// Fill beyond capacity: evictions occur, unpinned pages drop.
-	for _, id := range ids[1:] {
-		f, err := p.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Unpin(f)
-	}
-	if p.Len() > 2 {
-		t.Fatalf("pool over capacity: %d", p.Len())
-	}
-}
-
-func TestPoolDirtyWriteback(t *testing.T) {
-	d := NewDisk(64)
-	p := NewPool(d, 1)
-	f, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := f.ID
-	f.Data[0] = 42
-	f.SetDirty()
-	p.Unpin(f)
-	// Force eviction by pulling in another page.
-	g, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Unpin(g)
-	buf := make([]byte, 64)
-	if err := d.Read(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 42 {
-		t.Fatal("dirty page not written back on eviction")
-	}
-}
-
-func TestPoolAllPinned(t *testing.T) {
-	d := NewDisk(64)
-	p := NewPool(d, 1)
-	f, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Unpin(f)
-	if _, err := p.Alloc(); !errors.Is(err, ErrPoolFull) {
-		t.Fatalf("expected ErrPoolFull, got %v", err)
-	}
-}
-
-func TestPoolFlush(t *testing.T) {
-	d := NewDisk(64)
-	p := NewPool(d, 4)
-	f, _ := p.Alloc()
-	f.Data[0] = 7
-	f.SetDirty()
-	p.Unpin(f)
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	if err := d.Read(f.ID, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 7 {
-		t.Fatal("flush did not persist dirty frame")
 	}
 }

@@ -364,10 +364,13 @@ func (env *evalEnv) collect(q *query.Atomic, ranges [][2][]byte, ordered bool) (
 		return nil, err
 	}
 	sorted, err := extsort.Sort(env.out, raw.Reader(), extsort.Config{})
-	if err != nil {
-		return nil, err
+	if ferr := raw.Free(); err == nil {
+		err = ferr
 	}
-	if err := raw.Free(); err != nil {
+	if sorted != nil {
+		defer sorted.Free() // on an error return; freed below on the way through
+	}
+	if err != nil {
 		return nil, err
 	}
 	w := plist.NewWriter(env.out)

@@ -56,19 +56,20 @@ type EntryOp struct {
 // (model.ErrDuplicateDN), a remove must name a present one (ErrNoEntry).
 // On any error — including ErrNeedsRebuild for mutations outside the
 // fast path — the fork is simply discarded; this store is never modified.
-// The returned store's trees are flushed, so it is ready to publish
-// and to checkpoint (the fork's Dirty set is the page delta).
+// The trees write every page they change straight to the fork, so the
+// returned store is ready to publish and to checkpoint (the fork's Dirty
+// set is the page delta).
 func (s *Store) ApplyOps(fork *pager.Disk, ops []EntryOp) (*Store, error) {
 	ns := &Store{
 		disk:    fork,
 		schema:  s.schema,
 		master:  plist.Restore(fork, s.master.PageIDs(), s.master.Size(), s.master.Count()),
-		dn:      btree.Open(fork, poolPages, s.dn.Root(), s.dn.Len()),
+		dn:      btree.Open(fork, s.dn.Root(), s.dn.Len()),
 		count:   s.count,
 		orphans: s.orphans,
 	}
 	if s.attr != nil {
-		ns.attr = btree.Open(fork, poolPages, s.attr.Root(), s.attr.Len())
+		ns.attr = btree.Open(fork, s.attr.Root(), s.attr.Len())
 		ns.stats = s.stats.clone()
 		ns.suffix = make(map[string]*strindex.SuffixIndex, len(s.suffix))
 		for a, sx := range s.suffix {
@@ -86,10 +87,10 @@ func (s *Store) ApplyOps(fork *pager.Disk, ops []EntryOp) (*Store, error) {
 		}
 	}
 	if s.over != nil {
-		ns.over = btree.Open(fork, poolPages, s.over.Root(), s.over.Len())
+		ns.over = btree.Open(fork, s.over.Root(), s.over.Len())
 	} else {
 		var err error
-		if ns.over, err = btree.New(fork, poolPages); err != nil {
+		if ns.over, err = btree.New(fork); err != nil {
 			return nil, err
 		}
 	}
@@ -108,17 +109,6 @@ func (s *Store) ApplyOps(fork *pager.Disk, ops []EntryOp) (*Store, error) {
 		}
 	}
 	ns.indexStrings(newStr)
-	if err := ns.dn.Flush(); err != nil {
-		return nil, err
-	}
-	if ns.attr != nil {
-		if err := ns.attr.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	if err := ns.over.Flush(); err != nil {
-		return nil, err
-	}
 	return ns, nil
 }
 

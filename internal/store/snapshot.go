@@ -99,11 +99,11 @@ func Reopen(disk *pager.Disk, schema *model.Schema, manifest []byte) (*Store, er
 		disk:   disk,
 		schema: schema,
 		master: plist.Restore(disk, m.MasterPages, m.MasterSize, m.MasterCount),
-		dn:     btree.Open(disk, poolPages, m.DNRoot, m.DNLen),
+		dn:     btree.Open(disk, m.DNRoot, m.DNLen),
 		count:  m.Count,
 	}
 	if m.OverlayRoot != 0 {
-		s.over = btree.Open(disk, poolPages, m.OverlayRoot, m.OverlayLen)
+		s.over = btree.Open(disk, m.OverlayRoot, m.OverlayLen)
 	}
 	if len(m.Vecs) > 0 {
 		s.vecs = make(map[string]*vindex.Index, len(m.Vecs))
@@ -116,7 +116,7 @@ func Reopen(disk *pager.Disk, schema *model.Schema, manifest []byte) (*Store, er
 		}
 	}
 	if m.AttrRoot != 0 {
-		s.attr = btree.Open(disk, poolPages, m.AttrRoot, m.AttrLen)
+		s.attr = btree.Open(disk, m.AttrRoot, m.AttrLen)
 		s.suffix = make(map[string]*strindex.SuffixIndex)
 		s.stats = newCatalog()
 	}

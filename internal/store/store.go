@@ -60,9 +60,6 @@ type Options struct {
 	AttrIndex bool
 }
 
-// poolPages is the buffer-pool capacity of each B+tree.
-const poolPages = 64
-
 // Store is a disk-resident directory instance.
 type Store struct {
 	disk    *pager.Disk
@@ -184,7 +181,7 @@ func (a *attrItems) load(disk *pager.Disk) (*btree.Tree, error) {
 			return nil, err
 		}
 	}
-	return l.Finish(poolPages)
+	return l.Finish()
 }
 
 // Build writes the instance to disk and constructs the indexes,
@@ -269,7 +266,7 @@ func Build(disk *pager.Disk, in *model.Instance, opts Options) (*Store, error) {
 	if s.master, err = w.Close(); err != nil {
 		return nil, err
 	}
-	if s.dn, err = dn.Finish(poolPages); err != nil {
+	if s.dn, err = dn.Finish(); err != nil {
 		return nil, err
 	}
 	if attrs != nil {
@@ -331,9 +328,8 @@ type PageCounts struct {
 
 // PageCounts counts the pages of each structure: the master list and
 // the vector indexes from their page lists, the three B+trees by a walk
-// of the disk image (btree.Tree.Pages; uncharged, and outside the trees'
-// buffer pools). On a freshly built store they sum to the disk's
-// NumPages.
+// of their pages (btree.Tree.Pages, charged to no query). On a freshly
+// built store they sum to the disk's NumPages.
 func (s *Store) PageCounts() (PageCounts, error) {
 	pc := PageCounts{Master: s.master.Pages()}
 	for _, ix := range s.vecs {
