@@ -42,12 +42,14 @@ race:
 # a regexp, the filter parser's print/parse fixpoint, the query
 # canonicalizer's cache-key invariance, the durable-store decode
 # paths (checksum envelopes, a hostile log file through Open, Recover
-# and Load, the full snapshot open path, the B+tree page decoder and
-# the list-record decoder must never panic or overallocate on hostile
-# bytes, and the log must never serve a payload failing its CRC; an
-# accepted page or record
-# re-encodes to a fixpoint, and an accepted record answers from its
-# bytes what its materialized entry answers), and the
+# and Load, the full snapshot open path and the list-record decoder
+# must never panic or overallocate on hostile bytes, the log must never
+# serve a payload failing its CRC, and an accepted record re-encodes to
+# a fixpoint and answers from its bytes what its materialized entry
+# answers), the B+tree page codec (every reader, Insert and Delete on a
+# hostile page return a result or a typed error, never a panic or a
+# write past the page; a run of splices on a loaded tree keeps step
+# with a map), and the
 # LDIF binary-vector round trip (base64 wire form and textual form
 # must both be bit-lossless). CI runs this on every push; longer local
 # runs just raise FUZZTIME.
@@ -59,7 +61,7 @@ fuzz:
 	$(GO) test ./internal/durable/ -run=^$$ -fuzz=FuzzOpenEnvelope -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/durable/ -run=^$$ -fuzz=FuzzOpenLog -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=FuzzOpenSnapshot -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/btree/ -run=^$$ -fuzz=FuzzDecodeNode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/btree/ -run=^$$ -fuzz=FuzzPage -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/plist/ -run=^$$ -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ldif/ -run=^$$ -fuzz=FuzzVectorRoundTrip -fuzztime=$(FUZZTIME)
 
@@ -95,10 +97,12 @@ docs:
 # analytic mix (dirload's twelve forest queries, in process) follows
 # them, with its page I/O split into store reads and scratch traffic. Below
 # them the build (core.Open at both sizes, with the device's pages and
-# each structure's) and the B+tree's point read, leaf scan and insert:
+# each structure's) and the B+tree's point read, leaf scan, pull walk
+# and insert, the reads on a sealed disk as a served snapshot holds it:
 # reads view pages where they lie, so Get allocates only its value and
-# Scan nothing, and an insert writes each node it changes straight to
-# the disk, so its B/op is the write path's garbage per key. Last
+# Scan and Iter nothing, and an insert splices each page it changes in
+# a pooled scratch image, so its B/op is the write path's garbage per
+# key. Last
 # the distributed path: E14's three queries through a coordinator over
 # two loopback servers, from parallel goroutines.
 bench-smoke:
@@ -106,7 +110,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkUpdateEntries -benchtime=20x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkOp(BooleanAnd|HSPCChildren|ERDV)$$|BenchmarkFullQueryL2|BenchmarkAnalytic' -benchtime=20x -benchmem .
 	$(GO) test -run='^$$' -bench=BenchmarkOpen -benchtime=3x -benchmem .
-	$(GO) test -run='^$$' -bench='BenchmarkGet|BenchmarkScan|BenchmarkInsert' -benchtime=2000x -benchmem ./internal/btree/
+	$(GO) test -run='^$$' -bench='BenchmarkGet|BenchmarkScan|BenchmarkIter|BenchmarkInsert' -benchtime=2000x -benchmem ./internal/btree/
 	$(GO) test -run='^$$' -bench=BenchmarkCoordinatorSearch -benchtime=200x -benchmem ./internal/dirserver/
 
 # Wire smoke: benchmark/dirload's four workloads (lookup, analytic,

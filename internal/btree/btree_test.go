@@ -447,12 +447,12 @@ func TestCorruptPageIsAnError(t *testing.T) {
 	if tr, err = l.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	second, view, err := tr.leaf([]byte("k0050"), nil)
+	second, view, err := tr.leaf([]byte("k0050"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	page := bytes.Clone(view)
-	c, _ := newLeafCursor(page)
+	c, _ := leafCursor(page)
 	c.next()
 	c.next()
 	first := string(page[8 : 8+page[7]])
@@ -484,7 +484,7 @@ func TestCorruptPageIsAnError(t *testing.T) {
 
 	// A leaf chain that leads to an interior page (here the root): a walk
 	// along the chain must not read it as a leaf.
-	firstLeaf, view, err := tr.leaf(nil, nil)
+	firstLeaf, view, err := tr.leaf(nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

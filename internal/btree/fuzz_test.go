@@ -3,109 +3,181 @@ package btree
 import (
 	"bytes"
 	"errors"
-	"slices"
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/pager"
 )
 
-// FuzzDecodeNode feeds arbitrary bytes to the page decoder. A page is
-// either refused as ErrCorrupt or decoded into a node no larger than
-// the page it came from (no length field is trusted with an
-// allocation), and for accepted pages encode∘decode is a fixpoint: the
-// re-encoded image decodes and encodes to the same bytes.
+// FuzzPage holds the page codec to two oracles.
 //
-// The read paths do less than a whole decode — childOnPage picks a
-// child from an interior page in place, Get (leafGet) and Scan
-// (scanLeaf) walk a leaf in place, and Iter decodes a leaf from the
-// sought key on — so each is held to the whole decode here: on any
-// image they return ErrCorrupt or a result, never a panic, and on an
-// accepted image whose keys ascend, as a tree writes them, the result is
-// the one the whole node gives (childIndex's child; leafIndex's value;
-// the items from leafIndex on, then the next leaf).
-func FuzzDecodeNode(f *testing.F) {
+// Hostile pages: the fuzz bytes, taken as the one page of a tree, go to
+// every reader — the descent's childFor, Get, an Iter walk and Scan —
+// and to Insert and Delete. Each returns a result or a typed error
+// (ErrCorrupt; ErrNotFound; pager.ErrBadPage for a child or chain link
+// past the disk), never a panic, a walk that does not end, or a write
+// past the page (which the disk would refuse with ErrPageSize, an error
+// this target does not accept).
+//
+// Splices: the same bytes also pick a page size, sorted items for the
+// Loader, and a run of Inserts and Deletes on the loaded tree, which
+// must keep step with a map. After the run, Get of every key the run
+// touched, Scan and an Iter walk agree with the map, and Pages counts
+// every page on the disk.
+func FuzzPage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(malformedLeaf(64))
-	leaf := &node{leaf: true, next: 9, keys: [][]byte{[]byte("a"), []byte("bb")}, vals: [][]byte{[]byte("1"), nil}}
-	img := make([]byte, 64)
-	leaf.encode(img)
-	f.Add(img)
-	interior := &node{keys: [][]byte{[]byte("m")}, children: []pager.PageID{3, 4}}
-	img = make([]byte, 64)
-	interior.encode(img)
-	f.Add(img)
-	f.Fuzz(func(t *testing.T, page []byte) {
-		nd, err := decodeNode(page, nil)
-		probes := [][]byte{nil, []byte("b"), []byte("m"), {0xff, 0xff}}
-		sorted := nd != nil && slices.IsSortedFunc(nd.keys, bytes.Compare)
-		if sorted {
-			probes = append(probes, nd.keys...)
-		}
-		for _, key := range probes {
-			if len(page) >= 7 && page[0] != 1 {
-				child, cerr := childOnPage(page, key)
-				if cerr != nil && !errors.Is(cerr, ErrCorrupt) {
-					t.Fatalf("untyped childOnPage error: %v", cerr)
-				}
-				if sorted && (cerr != nil || child != nd.children[nd.childIndex(key)]) {
-					t.Fatalf("childOnPage(%q) = %d, %v; the decoded node picks %d", key, child, cerr, nd.children[nd.childIndex(key)])
-				}
-				continue
-			}
-			tail, terr := decodeNode(page, key)
-			if (terr == nil) != (err == nil) {
-				t.Fatalf("decode from %q: %v; whole decode: %v", key, terr, err)
-			}
-			val, gerr := leafGet(page, key)
-			if gerr != nil && !errors.Is(gerr, ErrCorrupt) && !errors.Is(gerr, ErrNotFound) {
-				t.Fatalf("untyped leafGet error: %v", gerr)
-			}
-			var scanned [][]byte
-			next, serr := scanLeaf(page, key, nil, func(k, v []byte) bool {
-				scanned = append(scanned, k, v)
-				return true
-			})
-			if serr != nil && !errors.Is(serr, ErrCorrupt) {
-				t.Fatalf("untyped scanLeaf error: %v", serr)
-			}
-			if !sorted {
-				continue
-			}
-			i, found := nd.leafIndex(key)
-			if tail.next != nd.next || !slices.EqualFunc(tail.keys, nd.keys[i:], bytes.Equal) || !slices.EqualFunc(tail.vals, nd.vals[i:], bytes.Equal) {
-				t.Fatalf("decode from %q kept %d items, the whole leaf has %d from there", key, len(tail.keys), len(nd.keys)-i)
-			}
-			if (gerr == nil) != found || found && !bytes.Equal(val, nd.vals[i]) {
-				t.Fatalf("leafGet(%q) = %q, %v; the decoded leaf holds it: %v", key, val, gerr, found)
-			}
-			var want [][]byte
-			for j := i; j < len(nd.keys); j++ {
-				want = append(want, nd.keys[j], nd.vals[j])
-			}
-			if serr != nil || next != nd.next || !slices.EqualFunc(scanned, want, bytes.Equal) {
-				t.Fatalf("scanLeaf from %q: %d items, next %d, %v; the decoded leaf has %d from there, next %d",
-					key, len(scanned)/2, next, serr, len(want)/2, nd.next)
-			}
-		}
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
+	leaf := newPage(nil, true, 2, 9)
+	leaf = appendLeafCell(appendLeafCell(leaf, []byte("a"), []byte("1")), []byte("bb"), nil)
+	f.Add(leaf)
+	f.Add(appendInteriorCell(newPage(nil, false, 1, 3), []byte("m"), 4))
+	f.Add(appendInteriorCell(newPage(nil, false, 1, 1), []byte("m"), 1)) // its own child
+	f.Add(newPage(nil, true, 0, 1))                                      // its own next leaf
+	f.Add([]byte("\x01\x07\x00seeds and splices: 0123456789abcdefghijklmnopqrstuvwxyz"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hostilePage(t, data)
+		splices(t, data)
+	})
+}
+
+// typed fails the test on an error none of the allowed ones wraps.
+func typed(t *testing.T, what string, err error, allowed ...error) {
+	t.Helper()
+	if err == nil {
+		return
+	}
+	for _, a := range append(allowed, ErrCorrupt, pager.ErrBadPage) {
+		if errors.Is(err, a) {
 			return
 		}
-		if sz := nd.encodedSize(); sz > len(page) {
-			t.Fatalf("decoded node needs %d bytes, page has %d", sz, len(page))
+	}
+	t.Fatalf("%s: untyped error %v", what, err)
+}
+
+func hostilePage(t *testing.T, data []byte) {
+	const pageSize = 128
+	page := make([]byte, pageSize)
+	copy(page, data)
+	open := func() *Tree {
+		d := pager.NewDisk(pageSize)
+		id, err := d.Alloc()
+		if err == nil {
+			err = d.Write(id, page)
 		}
-		first := make([]byte, len(page))
-		nd.encode(first)
-		again, err := decodeNode(first, nil)
 		if err != nil {
-			t.Fatalf("re-encoded page does not decode: %v", err)
+			t.Fatal(err)
 		}
-		second := make([]byte, len(page))
-		again.encode(second)
-		if !bytes.Equal(first, second) {
-			t.Fatal("encode(decode(page)) is not a fixpoint")
+		return Open(d, id, 1)
+	}
+	tr := open()
+	for _, key := range [][]byte{nil, []byte("b"), []byte("m"), {0xff, 0xff}} {
+		if c, err := newCursor(page); err == nil && !c.leaf {
+			_, err = c.childFor(key)
+			typed(t, "childFor", err)
 		}
-	})
+		_, err := tr.Get(key)
+		typed(t, "Get", err, ErrNotFound)
+		it := tr.Seek(key, nil)
+		for n := 0; it.Valid(); it.Next() {
+			if n++; n > pageSize {
+				t.Fatalf("an Iter walk of a %d-byte page yields more than %d keys", pageSize, pageSize)
+			}
+		}
+		typed(t, "Iter", it.Err())
+		typed(t, "Scan", tr.Scan(key, nil, func(_, _ []byte) bool { return true }))
+
+		ins := open()
+		typed(t, "Insert", ins.Insert(key, []byte("v")))
+		typed(t, "Insert", ins.Insert(bytes.Repeat([]byte("k"), maxItem(pageSize)), nil))
+		typed(t, "Delete", open().Delete(key), ErrNotFound)
+	}
+}
+
+// fuzzBytes hands out the fuzz input a byte at a time, then zeroes.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return int(c)
+}
+
+// key is a key of one to eight bytes: a letter from the input, then
+// some of "xyz" so that lengths vary.
+func (b *fuzzBytes) key() string {
+	return string(rune('a'+b.next()%26)) + "xyzxyzx"[:b.next()%8]
+}
+
+func splices(t *testing.T, data []byte) {
+	b := fuzzBytes(data)
+	pageSize := 128 << (b.next() % 2)
+	value := func(key string) string {
+		return string(bytes.Repeat([]byte{byte(b.next())}, b.next()%(maxItem(pageSize)-len(key)+1)))
+	}
+	oracle := map[string]string{}
+	for n := b.next() % 64; len(oracle) < n && len(b) > 0; {
+		k := b.key()
+		oracle[k] = value(k)
+	}
+	keys := make([]string, 0, len(oracle))
+	for k := range oracle {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	d := pager.NewDisk(pageSize)
+	tr := loadTree(t, d, keys, func() []string {
+		vals := make([]string, len(keys))
+		for i, k := range keys {
+			vals[i] = oracle[k]
+		}
+		return vals
+	}())
+
+	touched := map[string]bool{}
+	for len(b) > 0 {
+		op, k := b.next(), b.key()
+		touched[k] = true
+		if op%3 == 0 {
+			_, ok := oracle[k]
+			if err := tr.Delete([]byte(k)); ok != (err == nil) || err != nil && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Delete(%q): %v; the map holds it: %v", k, err, ok)
+			}
+			delete(oracle, k)
+			continue
+		}
+		v := value(k)
+		if err := tr.Insert([]byte(k), []byte(v)); err != nil {
+			t.Fatalf("Insert(%q): %v", k, err)
+		}
+		oracle[k] = v
+	}
+
+	matchesOracle(t, tr, oracle)
+	for k := range touched {
+		if _, ok := oracle[k]; !ok {
+			if v, err := tr.Get([]byte(k)); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get(%q) of a deleted key = %q, %v", k, v, err)
+			}
+		}
+	}
+	want := make([]string, 0, len(oracle))
+	for k, v := range oracle {
+		want = append(want, fmt.Sprintf("%q=%q", k, v))
+	}
+	sort.Strings(want)
+	var got []string
+	it := tr.Seek(nil, nil)
+	for ; it.Valid(); it.Next() {
+		got = append(got, fmt.Sprintf("%q=%q", it.Key(), it.Val()))
+	}
+	if it.Err() != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Iter walk: %v, %v; the map holds %v", got, it.Err(), want)
+	}
+	if pages, err := tr.Pages(nil); err != nil || pages != d.NumPages() {
+		t.Fatalf("Pages = %d, %v; the disk holds %d", pages, err, d.NumPages())
+	}
 }

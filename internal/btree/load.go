@@ -2,7 +2,6 @@ package btree
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -24,10 +23,9 @@ const fillNum, fillDen = 15, 16
 // ascending key order — the order Build already holds them in. Leaves
 // are filled left to right to the fixed occupancy, the first key of
 // each page goes up as the separator in its parent, and every page is
-// encoded once into a reused buffer and written once: nothing is
-// decoded. The pages are those of a tree
-// built by Insert (the same node layout), so Open, every reader and
-// Insert/Delete on a fork work on a loaded tree unchanged.
+// built once in a reused buffer, with the cell helpers Insert uses, and
+// written once. So Open, every reader and Insert/Delete on a fork work
+// on a loaded tree unchanged.
 type Loader struct {
 	disk    *pager.Disk
 	fill    int // bytes a page is filled to
@@ -39,9 +37,9 @@ type Loader struct {
 
 // loadLevel is the node being filled on one level of a load.
 type loadLevel struct {
-	page  []byte       // the node's image so far; empty before its first item
-	id    pager.PageID // a leaf's page, allocated when it starts (its left neighbour points to it)
-	keys  int          // keys (leaf) or separators (interior) on the page
+	page  []byte       // the node's image so far; empty before its first cell
+	id    pager.PageID // a leaf's page, allocated when it starts (its left neighbour points to it); an interior node's first child
+	keys  int          // cells on the page
 	first []byte       // the node's first key: its separator one level up
 	nodes int          // nodes closed on this level so far
 }
@@ -67,8 +65,7 @@ func (l *Loader) Add(key, value []byte) error {
 	l.n++
 
 	lv := l.level(0)
-	size := uvarintLen(uint64(len(key))) + len(key) + uvarintLen(uint64(len(value))) + len(value)
-	if lv.keys == 0 || len(lv.page)+size > l.fill || lv.keys == 0xffff {
+	if lv.keys == 0 || len(lv.page)+leafCellLen(key, value) > l.fill || lv.keys == 0xffff {
 		// The item starts a leaf. Its page is allocated now, so that the
 		// leaf before it, written here, can point to it.
 		next, err := l.disk.Alloc()
@@ -81,13 +78,10 @@ func (l *Loader) Add(key, value []byte) error {
 			}
 		}
 		lv.id = next
-		lv.page = append(lv.page, 1, 0, 0, 0, 0, 0, 0)
+		lv.page = newPage(lv.page, true, 0, 0)
 		lv.first = append(lv.first[:0], key...)
 	}
-	lv.page = binary.AppendUvarint(lv.page, uint64(len(key)))
-	lv.page = append(lv.page, key...)
-	lv.page = binary.AppendUvarint(lv.page, uint64(len(value)))
-	lv.page = append(lv.page, value...)
+	lv.page = appendLeafCell(lv.page, key, value)
 	lv.keys++
 	return nil
 }
@@ -106,16 +100,15 @@ func (l *Loader) level(i int) *loadLevel {
 // for the caller to push.
 func (l *Loader) close(i int, next pager.PageID) (pager.PageID, error) {
 	lv := l.levels[i]
-	binary.LittleEndian.PutUint16(lv.page[1:], uint16(lv.keys))
-	id := lv.id
-	if i == 0 {
-		binary.LittleEndian.PutUint32(lv.page[3:], uint32(next))
-	} else {
+	id, link := lv.id, next
+	if i > 0 {
 		var err error
 		if id, err = l.disk.Alloc(); err != nil {
 			return 0, err
 		}
+		link = lv.id // the first child
 	}
+	putHeader(lv.page, i == 0, lv.keys, link)
 	if err := l.disk.Write(id, lv.page); err != nil {
 		return 0, err
 	}
@@ -138,7 +131,7 @@ func (l *Loader) closeUp(i int, next pager.PageID) error {
 // would take it past the fill.
 func (l *Loader) push(i int, key []byte, child pager.PageID) error {
 	lv := l.level(i)
-	if len(lv.page) > 0 && (len(lv.page)+uvarintLen(uint64(len(key)))+len(key)+4 > l.fill || lv.keys == 0xffff) {
+	if len(lv.page) > 0 && (len(lv.page)+interiorCellLen(key) > l.fill || lv.keys == 0xffff) {
 		if err := l.closeUp(i, 0); err != nil {
 			return err
 		}
@@ -146,13 +139,11 @@ func (l *Loader) push(i int, key []byte, child pager.PageID) error {
 	if len(lv.page) == 0 {
 		// The first child needs no separator: the node's own first key
 		// stands for it one level up.
-		lv.page = binary.LittleEndian.AppendUint32(append(lv.page, 0, 0, 0), uint32(child))
-		lv.first = append(lv.first[:0], key...)
+		lv.page = newPage(lv.page, false, 0, 0)
+		lv.id, lv.first = child, append(lv.first[:0], key...)
 		return nil
 	}
-	lv.page = binary.AppendUvarint(lv.page, uint64(len(key)))
-	lv.page = append(lv.page, key...)
-	lv.page = binary.LittleEndian.AppendUint32(lv.page, uint32(child))
+	lv.page = appendInteriorCell(lv.page, key, child)
 	lv.keys++
 	return nil
 }
@@ -162,14 +153,7 @@ func (l *Loader) push(i int, key []byte, child pager.PageID) error {
 // items is one empty leaf.
 func (l *Loader) Finish() (*Tree, error) {
 	if l.n == 0 {
-		id, err := l.disk.Alloc()
-		if err != nil {
-			return nil, err
-		}
-		if err := l.disk.Write(id, []byte{1}); err != nil {
-			return nil, err
-		}
-		return Open(l.disk, id, 0), nil
+		return New(l.disk)
 	}
 	for i := 0; ; i++ {
 		if l.levels[i].nodes == 0 {

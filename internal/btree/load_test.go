@@ -58,14 +58,18 @@ func height(t *testing.T, tr *Tree) int {
 	t.Helper()
 	h := 1
 	for id := tr.root; ; h++ {
-		nd, err := tr.load(id, nil)
+		page, err := tr.page(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nd.leaf {
+		c, err := newCursor(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.leaf {
 			return h
 		}
-		id = nd.children[0]
+		id = c.link()
 	}
 }
 

@@ -128,13 +128,15 @@ func TestCoordinatorLeavesDirectoryAlone(t *testing.T) {
 }
 
 // TestCoordinatorFollowsUpdates: a coordinator built before an
-// UpdateEntries answers at the directory's new generation.
+// UpdateEntries answers at the directory's new generation. The query's
+// scope lies in the upper zone alone, so the coordinator's answer is
+// the upper directory's own.
 func TestCoordinatorFollowsUpdates(t *testing.T) {
 	fed := newFederation(t)
 	defer fed.close()
 	coord := NewCoordinator(fed.upper, fed.reg, fed.self)
 	defer coord.Close()
-	q := federatedQueries[0]
+	q := "(ou=userProfiles, dc=research, dc=att, dc=com ? sub ? objectClass=*)"
 	old, err := coord.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,10 @@
 // namespace to directory servers (Section 3.3), a line-oriented query
 // protocol over TCP, and the distributed query evaluation strategy of
 // Section 8.3 — each atomic sub-query whose base DN is managed by
-// another server is shipped to that server; the sorted result lists
-// come back to the queried server, which runs the operator pipeline
-// locally.
+// another server is shipped to that server, and to every delegated
+// sub-zone its scope reaches; the sorted result lists come back to the
+// queried server, which merges an atomic's parts and runs the operator
+// pipeline locally.
 //
 // The layer is hardened for real networks: every round trip runs under
 // a deadline, the pooled Client retries transient transport failures
@@ -52,7 +53,7 @@ type Registry struct {
 
 type zone struct {
 	key   string // reverse-DN key prefix of the delegated subtree
-	dn    string
+	root  model.DN
 	addrs []string // primary first, then secondaries
 }
 
@@ -69,7 +70,7 @@ func (r *Registry) Register(domain model.DN, addrs ...string) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.zones = append(r.zones, zone{key: domain.Key(), dn: domain.String(), addrs: addrs})
+	r.zones = append(r.zones, zone{key: domain.Key(), root: domain, addrs: addrs})
 	sort.SliceStable(r.zones, func(i, j int) bool { return len(r.zones[i].key) > len(r.zones[j].key) })
 }
 
@@ -86,15 +87,42 @@ func (r *Registry) Lookup(dn model.DN) (addr string, ok bool) {
 // LookupAll returns every server (primary first) for the zone owning
 // dn.
 func (r *Registry) LookupAll(dn model.DN) ([]string, bool) {
-	key := dn.Key()
+	owner, _ := r.Route(dn, query.ScopeBase)
+	return owner, owner != nil
+}
+
+// Route returns the zones an atomic query over (base, scope) reaches.
+// owner lists the servers of the zone owning base (nil when no zone
+// does). inside holds every registered zone whose root lies in the
+// scope without being base's own zone — under base for sub, a child of
+// base for one, none for base — each as an atomic over its own part of
+// the scope: its root with scope sub, or base under a one parent. A
+// server answers from its own store, which holds none of a delegated
+// sub-zone's entries, so a complete answer asks every one of them
+// (LDAP's subordinate referrals, followed by the coordinator).
+func (r *Registry) Route(base model.DN, scope query.Scope) (owner []string, inside []Delegation) {
+	key := base.Key()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, z := range r.zones { // sorted deepest-first
-		if strings.HasPrefix(key, z.key) {
-			return z.addrs, true
+		switch {
+		case owner == nil && strings.HasPrefix(key, z.key):
+			owner = z.addrs
+		case scope == query.ScopeSub && model.KeyIsAncestor(key, z.key):
+			inside = append(inside, Delegation{Root: z.root, Scope: query.ScopeSub, Addrs: z.addrs})
+		case scope == query.ScopeOne && model.KeyIsParent(key, z.key):
+			inside = append(inside, Delegation{Root: z.root, Scope: query.ScopeBase, Addrs: z.addrs})
 		}
 	}
-	return nil, false
+	return owner, inside
+}
+
+// Delegation is one sub-zone an atomic's scope reaches (Registry.Route):
+// the zone's servers, and the scope to ask them for at its root.
+type Delegation struct {
+	Root  model.DN
+	Scope query.Scope
+	Addrs []string // primary first, then secondaries
 }
 
 // Zones lists the registered delegations (for tools).
@@ -103,7 +131,7 @@ func (r *Registry) Zones() []string {
 	defer r.mu.RUnlock()
 	out := make([]string, len(r.zones))
 	for i, z := range r.zones {
-		out[i] = fmt.Sprintf("%s -> %s", z.dn, strings.Join(z.addrs, ", "))
+		out[i] = fmt.Sprintf("%s -> %s", z.root, strings.Join(z.addrs, ", "))
 	}
 	return out
 }
@@ -636,11 +664,12 @@ type CoordinatorStats struct {
 }
 
 // Coordinator evaluates full query trees the Section 8.3 way: atomic
-// sub-queries owned by other servers are shipped to them; their sorted
-// results are materialized locally and fed into this server's operator
-// pipeline. Remote calls run under the caller's context through the
-// pooled retrying Client, and per-address breakers steer around
-// unhealthy replicas.
+// sub-queries owned by other servers are shipped to them, and an
+// atomic whose scope reaches delegated sub-zones is asked in each
+// (resolveAtomic); their sorted results are materialized locally and
+// fed into this server's operator pipeline. Remote calls run under the
+// caller's context through the pooled retrying Client, and per-address
+// breakers steer around unhealthy replicas.
 //
 // Each Search is a core.Directory.SearchWith call whose Request carries
 // this coordinator's resolver: it loads the directory's current
@@ -741,14 +770,46 @@ func (c *Coordinator) RemoteAtomics() int { return int(c.Stats().RemoteAtomics) 
 // "half-open") for tools and tests.
 func (c *Coordinator) BreakerState(addr string) string { return c.health.snapshot(addr) }
 
-// resolveAtomic is one query's resolver: it answers q from st, the
-// query's snapshot store, when this server owns q's base (or nobody
-// does), and from a replica otherwise. Either way the list it returns
-// lives on the query's arena.
+// resolveAtomic is one query's resolver. It answers q in every zone
+// q's scope reaches (Registry.Route): the zone owning q's base, and each
+// delegated sub-zone inside the scope, whose entries no other server
+// holds. An atomic within one zone resolves as that zone's answer
+// alone; across zones, each part is traced as a "zone" span and the
+// sorted parts are merged (equal keys combining) into one list. Every
+// list lives on the query's arena, and a zone with no reachable replica
+// fails the query with ErrUnavailable.
 func (c *Coordinator) resolveAtomic(ctx context.Context, st *store.Store, arena *pager.Arena, q *query.Atomic) (*plist.List, error) {
+	owner, inside := c.reg.Route(q.Base, q.Scope)
+	if len(inside) == 0 {
+		return c.resolveIn(ctx, st, arena, q, owner)
+	}
+	tr := obs.FromContext(ctx)
+	parts := make([]*plist.List, 0, 1+len(inside))
+	defer func() {
+		for _, l := range parts {
+			_ = l.Free()
+		}
+	}()
+	rds := make([]plist.RecordReader, 0, 1+len(inside))
+	for _, d := range append([]Delegation{{Root: q.Base, Scope: q.Scope, Addrs: owner}}, inside...) {
+		sp := tr.Start("zone", d.Root.String())
+		l, err := c.resolveIn(ctx, st, arena, &query.Atomic{Base: d.Root, Scope: d.Scope, Filter: q.Filter}, d.Addrs)
+		if err != nil {
+			tr.Fail(sp, err)
+			return nil, err
+		}
+		tr.End(sp, l.Count())
+		parts, rds = append(parts, l), append(rds, l.Reader())
+	}
+	return plist.Materialize(arena.Scratch(), plist.NewMergeUntagged(rds...))
+}
+
+// resolveIn answers q in one zone, served by addrs (nil: a namespace no
+// zone owns): from st, the query's snapshot store, when this server is
+// one of them or there are none, and from a replica otherwise.
+func (c *Coordinator) resolveIn(ctx context.Context, st *store.Store, arena *pager.Arena, q *query.Atomic, addrs []string) (*plist.List, error) {
 	tr := obs.FromContext(ctx) // nil (no-op) unless the caller traced
-	addrs, ok := c.reg.LookupAll(q.Base)
-	if !ok {
+	if addrs == nil {
 		return st.EvalArena(arena, q)
 	}
 	for _, a := range addrs {

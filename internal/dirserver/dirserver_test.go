@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/query"
+
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/workload"
@@ -162,6 +165,11 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 		// Boolean mixing local and remote atomics.
 		`(| (dc=com ? sub ? objectClass=TOPSSubscriber)
 		    (ou=networkPolicies, dc=research, dc=att, dc=com ? sub ? objectClass=SLADSAction))`,
+		// Scopes that reach the delegated policies zone from above it:
+		// the answer holds both zones' entries.
+		"(dc=att, dc=com ? sub ? objectClass=*)",
+		"(dc=com ? sub ? objectClass=*)",
+		"(dc=research, dc=att, dc=com ? one ? objectClass=*)",
 	}
 	for _, qs := range queries {
 		want, err := whole.Search(qs)
@@ -184,6 +192,149 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 	}
 	if coord.RemoteAtomics() == 0 {
 		t.Error("no atomic sub-queries were shipped remotely")
+	}
+}
+
+// TestNestedZonesEqualCentralized splits a generated forest into three
+// zones, the third delegated inside the second: zone B is a subtree
+// two levels down, zone C a subtree inside B with a level of B between
+// them, and zone A, the coordinator's own, is everything else. Atomics
+// at every scope, from bases above, between and inside the delegations,
+// and composites over them, answer through the coordinator exactly
+// what the undivided directory answers; a traced one whose atomic is
+// answered by three zones conserves its page I/O.
+func TestNestedZonesEqualCentralized(t *testing.T) {
+	full := workload.RandomForest(workload.ForestConfig{N: 400, MaxDepth: 7, Seed: 47})
+	entries := full.Entries()
+	below := func(root model.DN, e *model.Entry) bool { return root.Equal(e.DN()) || root.IsAncestorOf(e.DN()) }
+	size := func(root model.DN) int {
+		n := 0
+		for _, e := range entries {
+			if below(root, e) {
+				n++
+			}
+		}
+		return n
+	}
+	// The largest subtree at depth 2 is zone B; the largest at depth 4
+	// inside it is zone C.
+	largest := func(depth int, within model.DN) model.DN {
+		var best model.DN
+		for _, e := range entries {
+			if len(e.DN()) == depth && below(within, e) && (best == nil || size(e.DN()) > size(best)) {
+				best = e.DN()
+			}
+		}
+		return best
+	}
+	rootB := largest(2, nil)
+	rootC := largest(4, rootB)
+	if rootC == nil || size(rootC) < 3 || size(rootB)-size(rootC) < 3 {
+		t.Fatalf("the forest has no nested zones to split: B %s (%d entries), C %s", rootB, size(rootB), rootC)
+	}
+
+	s := full.Schema()
+	inA, inB, inC := model.NewInstance(s), model.NewInstance(s), model.NewInstance(s)
+	for _, e := range entries {
+		switch {
+		case below(rootC, e):
+			inC.MustAdd(e.Clone())
+		case below(rootB, e):
+			inB.MustAdd(e.Clone())
+		default:
+			inA.MustAdd(e.Clone())
+		}
+	}
+	open := func(in *model.Instance) *core.Directory {
+		dir, err := core.Open(in, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	whole, dirA := open(full), open(inA)
+	var reg Registry
+	for _, z := range []struct {
+		root model.DN
+		dir  *core.Directory
+	}{{nil, dirA}, {rootB, open(inB)}, {rootC, open(inC)}} {
+		srv, err := Serve(z.dir, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		reg.Register(z.root, srv.Addr())
+	}
+	self, _ := reg.Lookup(nil)
+	coord := NewCoordinator(dirA, &reg, self)
+	defer coord.Close()
+
+	bases := []model.DN{nil, rootB[1:], rootB, rootC[2:], rootC[1:], rootC}
+	for _, e := range entries { // one entry inside C and one in B beside it
+		if len(e.DN()) == len(rootC)+1 && below(rootC, e) {
+			bases = append(bases, e.DN())
+			break
+		}
+	}
+	for _, e := range entries {
+		if len(e.DN()) == len(rootC) && below(rootB, e) && !below(rootC, e) {
+			bases = append(bases, e.DN())
+			break
+		}
+	}
+	var queries []string
+	for _, base := range bases {
+		for _, scope := range []query.Scope{query.ScopeBase, query.ScopeOne, query.ScopeSub} {
+			for _, f := range []string{"objectClass=*", "tag=a", "val>=5"} {
+				queries = append(queries, fmt.Sprintf("(%s ? %s ? %s)", base, scope, f))
+			}
+		}
+		queries = append(queries,
+			fmt.Sprintf("(& (%s ? sub ? tag=b) (%s ? sub ? val<=3))", base, base),
+			fmt.Sprintf("(d (%s ? sub ? tag=a) (%s ? one ? objectClass=*))", base, base))
+	}
+	crossed := 0
+	for _, qs := range queries {
+		want, err := whole.Search(qs)
+		if err != nil {
+			t.Fatalf("central %s: %v", qs, err)
+		}
+		got, err := coord.Search(context.Background(), qs)
+		if err != nil {
+			t.Fatalf("federated %s: %v", qs, err)
+		}
+		if g, w := dnsOf(got), fmt.Sprint(want.DNs()); g != w {
+			t.Errorf("%s:\nfederated %s\ncentral   %s", qs, g, w)
+		}
+		local, err := dirA.Search(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(local.Entries) != len(want.Entries) {
+			crossed++
+		}
+	}
+	if crossed == 0 {
+		t.Fatal("no query needed a delegated zone: the comparison is vacuous")
+	}
+
+	// One atomic answered by all three zones, traced.
+	q := fmt.Sprintf("(%s ? sub ? objectClass=*)", rootB[1:])
+	got, root, err := coord.SearchTraced(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := root.CheckConservation(); err != nil {
+		t.Fatalf("conservation: %v\n%s", err, formatTree(root))
+	}
+	zones := 0
+	root.Walk(func(s *obs.Span) {
+		if s.Op == "zone" {
+			zones++
+		}
+	})
+	if zones != 3 || len(root.RemoteRoots()) != 2 {
+		t.Fatalf("%d entries from %d zone spans and %d remote subtrees, want 3 and 2\n%s", len(got), zones, len(root.RemoteRoots()), formatTree(root))
 	}
 }
 

@@ -331,9 +331,11 @@ func TestCoordinatorSpanAnnotations(t *testing.T) {
 			replica++
 		}
 	})
-	if local != 1 || replica != 1 {
+	// The first atomic resolves locally and, since its scope covers
+	// the policies zone, also at that zone's replica.
+	if local != 1 || replica != 2 {
 		var b strings.Builder
 		root.Format(&b)
-		t.Fatalf("local=%d replica=%d, want 1 and 1\n%s", local, replica, b.String())
+		t.Fatalf("local=%d replica=%d, want 1 and 2\n%s", local, replica, b.String())
 	}
 }

@@ -60,44 +60,50 @@ func TestDistributedTraceMergedTree(t *testing.T) {
 		t.Fatalf("merged tree fails conservation: %v\n%s", err, formatTree(root))
 	}
 
+	// The (dc=com ? sub ? …) operand's scope covers the policies zone, so
+	// it is asked there too: two hops, one per atomic.
 	remotes := root.RemoteRoots()
-	if len(remotes) != 1 {
-		t.Fatalf("remote subtrees = %d, want 1\n%s", len(remotes), formatTree(root))
+	if len(remotes) != 2 {
+		t.Fatalf("remote subtrees = %d, want 2\n%s", len(remotes), formatTree(root))
 	}
-	rr := remotes[0]
-	if rr.Host == "" {
-		t.Fatal("remote root lost its Host boundary marker")
-	}
-	if rr.ID == 0 {
-		t.Fatal("remote root has no span ID: the server did not assign IDs")
-	}
-
-	// The remote subtree hangs under the exact span that issued the
-	// request, and that span carries the round trip's time split.
-	issuer := findTagged(root, "replica")
-	if issuer == nil {
-		t.Fatalf("no span tagged with the answering replica\n%s", formatTree(root))
-	}
-	if rr.ParentID != issuer.ID {
-		t.Fatalf("remote root parent = span %d, issuing span is %d", rr.ParentID, issuer.ID)
-	}
-	for _, tag := range []string{"wire_us", "serve_us", "queue_us"} {
-		if _, ok := issuer.TagValue(tag); !ok {
-			t.Errorf("issuing span missing %s tag\n%s", tag, formatTree(root))
+	localPlusRemote := root.IO
+	for _, rr := range remotes {
+		if rr.Host == "" {
+			t.Fatal("remote root lost its Host boundary marker")
 		}
+		if rr.ID == 0 {
+			t.Fatal("remote root has no span ID: the server did not assign IDs")
+		}
+
+		// The remote subtree hangs under the exact span that issued the
+		// request, and that span carries the round trip's time split.
+		var issuer *obs.Span
+		root.Walk(func(s *obs.Span) {
+			if v, _ := s.TagValue("replica"); v != "" && s.ID == rr.ParentID {
+				issuer = s
+			}
+		})
+		if issuer == nil {
+			t.Fatalf("remote root's parent span %d is not a span tagged with the answering replica\n%s", rr.ParentID, formatTree(root))
+		}
+		for _, tag := range []string{"wire_us", "serve_us", "queue_us"} {
+			if _, ok := issuer.TagValue(tag); !ok {
+				t.Errorf("issuing span missing %s tag\n%s", tag, formatTree(root))
+			}
+		}
+
+		// The remote evaluation really did pages on the other process's
+		// disk, so a merge that dropped the subtree would change the total.
+		if rr.TreeIO().IO() == 0 {
+			t.Fatal("remote subtree reports zero I/O: nothing was measured across the wire")
+		}
+		localPlusRemote = localPlusRemote.Add(rr.TreeIO())
 	}
 
 	// Cross-process conservation, the law itself: total = local + Σ
-	// remote-reported. The remote evaluation really did pages on the
-	// other process's disk, so a merge that dropped the subtree would
-	// change the total.
-	if rr.TreeIO().IO() == 0 {
-		t.Fatal("remote subtree reports zero I/O: nothing was measured across the wire")
-	}
-	total := root.TreeIO()
-	localPlusRemote := root.IO.Add(rr.TreeIO())
-	if total != localPlusRemote {
-		t.Fatalf("TreeIO %+v != local %+v + remote %+v", total, root.IO, rr.TreeIO())
+	// remote-reported.
+	if total := root.TreeIO(); total != localPlusRemote {
+		t.Fatalf("TreeIO %+v != local %+v + remote-reported, %+v together", total, root.IO, localPlusRemote)
 	}
 }
 

@@ -341,9 +341,13 @@ func (d *Disk) ResetStats() {
 }
 
 // NumPages returns the number of pages ever allocated and still live.
+// On a sealed disk it takes no lock, like View: a B+tree read asks it
+// to bound a walk that a corrupt image could send round a cycle.
 func (d *Disk) NumPages() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	if !d.sealed.Load() {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+	}
 	return len(d.pages) - 1 - len(d.free)
 }
 
