@@ -49,9 +49,11 @@ race:
 # answers), the B+tree page codec (every reader, Insert and Delete on a
 # hostile page return a result or a typed error, never a panic or a
 # write past the page; a run of splices on a loaded tree keeps step
-# with a map), and the
-# LDIF binary-vector round trip (base64 wire form and textual form
-# must both be bit-lossless). CI runs this on every push; longer local
+# with a map), the client's reply-frame reader (hostile bytes give
+# entries or a typed ErrGarbled, never a panic or an allocation beyond
+# a small multiple of the input, and the entries and records paths
+# refuse alike), and the LDIF binary-vector round trip (base64 and
+# textual forms must both be bit-lossless). CI runs this on every push; longer local
 # runs just raise FUZZTIME.
 FUZZTIME ?= 20s
 fuzz:
@@ -63,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=FuzzOpenSnapshot -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/btree/ -run=^$$ -fuzz=FuzzPage -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/plist/ -run=^$$ -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/dirserver/ -run=^$$ -fuzz=FuzzReply -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ldif/ -run=^$$ -fuzz=FuzzVectorRoundTrip -fuzztime=$(FUZZTIME)
 
 # The kill -9 soak: a child dirserve under a live write stream is

@@ -1,6 +1,7 @@
 package dirserver
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,9 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ldif"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/plist"
 )
 
 // Client errors.
@@ -24,7 +25,7 @@ var (
 	ErrRemote = errors.New("dirserver: remote error")
 	// ErrUnavailable marks transport failure after the retry budget is
 	// spent: dial refused, request timed out, connection reset, or the
-	// response was garbled on the wire.
+	// reply was garbled on the wire (ErrGarbled).
 	ErrUnavailable = errors.New("dirserver: server unavailable")
 	// ErrClientClosed is returned by calls on a closed Client.
 	ErrClientClosed = errors.New("dirserver: client closed")
@@ -94,10 +95,11 @@ type ClientStats struct {
 }
 
 // Client is a pooled directory-protocol client: connections are reused
-// per address (the protocol pipelines request/response pairs on one
-// TCP stream), every round trip runs under a deadline, and transient
-// transport failures are retried with capped exponential backoff plus
-// jitter. It is safe for concurrent use.
+// per address (one TCP stream carries any number of exchanges, each a
+// JSON request line answered by one reply frame), every round trip runs
+// under a deadline, and transient transport failures — a garbled reply
+// among them — are retried with capped exponential backoff plus jitter.
+// It is safe for concurrent use.
 type Client struct {
 	schema *model.Schema
 	cfg    ClientConfig
@@ -110,12 +112,14 @@ type Client struct {
 	rng    *rand.Rand // jitter source; guarded by mu
 }
 
-// poolConn is one pooled connection. The decoder persists across calls:
-// the stream carries exactly one JSON response per request, so the
-// decoder never buffers past the reply it is reading.
+// poolConn is one pooled connection. The reader persists across calls:
+// the stream carries exactly one reply frame per request, so it never
+// buffers past the reply it is reading. buf holds the last reply frame
+// and is reused for the next one, up to keepReplyBytes.
 type poolConn struct {
 	c   net.Conn
-	dec *json.Decoder
+	br  *bufio.Reader
+	buf []byte
 }
 
 // NewClient creates a pooled client decoding entries against schema.
@@ -164,10 +168,10 @@ func (cl *Client) Call(ctx context.Context, addr, kind, queryText string) ([]*mo
 
 // CallWithGen is Call plus the server's store generation echoed in the
 // reply: a write's acknowledgment names the generation that includes
-// it (zero when talking to a server predating the gen field).
+// it.
 func (cl *Client) CallWithGen(ctx context.Context, addr, kind, queryText string) ([]*model.Entry, int64, error) {
-	entries, res, _, err := cl.do(ctx, addr, request{Kind: kind, Query: queryText})
-	return entries, res.Gen, err
+	rep, _, err := cl.do(ctx, addr, request{Kind: kind, Query: queryText}, false)
+	return rep.entries, rep.Gen, err
 }
 
 // RemoteTrace describes one traced exchange: the server-side span
@@ -190,10 +194,29 @@ type RemoteTrace struct {
 // with a query error, whose partial span tree keeps the merged trace
 // well-formed); it is nil on transport failure.
 func (cl *Client) CallTraced(ctx context.Context, addr, kind, queryText, traceID string, parentSpan uint64) ([]*model.Entry, int64, *RemoteTrace, error) {
-	entries, res, rtt, err := cl.do(ctx, addr, request{Kind: kind, Query: queryText, Trace: traceID, Span: parentSpan})
+	rep, rtt, err := cl.do(ctx, addr, request{Kind: kind, Query: queryText, Trace: traceID, Span: parentSpan}, false)
 	if err != nil && !errors.Is(err, ErrRemote) {
 		return nil, 0, nil, err
 	}
+	return rep.entries, rep.Gen, remoteTrace(rep.response, rtt), err
+}
+
+// callRecords is CallTraced for the Coordinator's hops: the reply's
+// records come back checked but not materialized, over their own copy
+// of the frame's bytes, for appending to a list as they are. An empty
+// traceID sends an untraced request, whose RemoteTrace carries no span
+// tree.
+func (cl *Client) callRecords(ctx context.Context, addr, kind, queryText, traceID string, parentSpan uint64) ([]*plist.Record, *RemoteTrace, error) {
+	rep, rtt, err := cl.do(ctx, addr, request{Kind: kind, Query: queryText, Trace: traceID, Span: parentSpan}, true)
+	if err != nil && !errors.Is(err, ErrRemote) {
+		return nil, nil, err
+	}
+	return rep.recs, remoteTrace(rep.response, rtt), err
+}
+
+// remoteTrace splits a reply's round trip rtt by the server-side times
+// its header reports.
+func remoteTrace(res response, rtt time.Duration) *RemoteTrace {
 	rt := &RemoteTrace{
 		Span:  res.Trace,
 		Serve: time.Duration(res.ServeUS) * time.Microsecond,
@@ -202,23 +225,23 @@ func (cl *Client) CallTraced(ctx context.Context, addr, kind, queryText, traceID
 	if rt.Wire = rtt - rt.Serve - rt.Queue; rt.Wire < 0 {
 		rt.Wire = 0
 	}
-	return entries, res.Gen, rt, err
+	return rt
 }
 
-// do runs the retry loop for one request, returning the decoded
-// entries, the raw response (meaningful whenever the server replied,
-// ErrRemote included), and how long the successful exchange took on
-// this client's clock. Every attempt forwards the smaller of what is
-// left of the context's deadline and RequestTimeout as the request's
-// budget, so the server stops evaluating when this client would
-// discard the answer.
-func (cl *Client) do(ctx context.Context, addr string, req request) ([]*model.Entry, response, time.Duration, error) {
+// do runs the retry loop for one request, returning the decoded reply
+// (its header meaningful whenever the server replied, ErrRemote
+// included; its records or its entries as records asks) and how long
+// the successful exchange took on this client's clock. Every attempt
+// forwards the smaller of what is left of the context's deadline and
+// RequestTimeout as the request's budget, so the server stops
+// evaluating when this client would discard the answer.
+func (cl *Client) do(ctx context.Context, addr string, req request, records bool) (reply, time.Duration, error) {
 	cl.calls.Add(1)
 	var lastErr error
 	freeRedial := true
 	for attempt := 0; ; {
 		if err := ctx.Err(); err != nil {
-			return nil, response{}, 0, err
+			return reply{}, 0, err
 		}
 		budget := cl.cfg.RequestTimeout
 		if dl, ok := ctx.Deadline(); ok {
@@ -227,24 +250,23 @@ func (cl *Client) do(ctx context.Context, addr string, req request) ([]*model.En
 		req.BudgetMS = max(budget.Milliseconds(), 1)
 		b, err := json.Marshal(req)
 		if err != nil {
-			return nil, response{}, 0, err
+			return reply{}, 0, err
 		}
 		pc, reused, err := cl.get(ctx, addr)
 		if err == nil {
-			var entries []*model.Entry
-			var res response
+			var rep reply
 			start := time.Now()
-			entries, res, err = cl.roundTrip(ctx, pc, b)
+			rep, err = cl.roundTrip(ctx, pc, b, records)
 			rtt := time.Since(start)
 			if err == nil {
 				cl.put(addr, pc)
-				return entries, res, rtt, nil
+				return rep, rtt, nil
 			}
 			if errors.Is(err, ErrRemote) {
 				// A protocol-clean error reply: the stream is still
 				// framed correctly, so the connection stays pooled.
 				cl.put(addr, pc)
-				return nil, res, rtt, err
+				return rep, rtt, err
 			}
 			_ = pc.c.Close()
 			if reused && freeRedial {
@@ -256,9 +278,9 @@ func (cl *Client) do(ctx context.Context, addr string, req request) ([]*model.En
 		}
 		if errors.Is(err, ErrClientClosed) || ctxExpired(ctx) != nil {
 			if cerr := ctxExpired(ctx); cerr != nil {
-				return nil, response{}, 0, fmt.Errorf("dirserver: %s: %w (last transport error: %v)", addr, cerr, err)
+				return reply{}, 0, fmt.Errorf("dirserver: %s: %w (last transport error: %v)", addr, cerr, err)
 			}
-			return nil, response{}, 0, err
+			return reply{}, 0, err
 		}
 		lastErr = err
 		attempt++
@@ -270,23 +292,22 @@ func (cl *Client) do(ctx context.Context, addr string, req request) ([]*model.En
 			cl.cfg.OnRetry()
 		}
 		if err := sleepCtx(ctx, cl.backoff(attempt)); err != nil {
-			return nil, response{}, 0, fmt.Errorf("dirserver: %s: %w (last transport error: %v)", addr, err, lastErr)
+			return reply{}, 0, fmt.Errorf("dirserver: %s: %w (last transport error: %v)", addr, err, lastErr)
 		}
 	}
-	return nil, response{}, 0, fmt.Errorf("%w: %s after %d attempts: %v", ErrUnavailable, addr, cl.cfg.MaxRetries+1, lastErr)
+	return reply{}, 0, fmt.Errorf("%w: %s after %d attempts: %w", ErrUnavailable, addr, cl.cfg.MaxRetries+1, lastErr)
 }
 
 // roundTrip runs one request/response exchange on pc under the
 // configured deadline (tightened by the context's, if earlier),
-// returning the decoded entries and the raw response.
-func (cl *Client) roundTrip(ctx context.Context, pc *poolConn, req []byte) ([]*model.Entry, response, error) {
-	var res response
+// returning the decoded reply (readReply).
+func (cl *Client) roundTrip(ctx context.Context, pc *poolConn, req []byte, records bool) (reply, error) {
 	dl := time.Now().Add(cl.cfg.RequestTimeout)
 	if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
 		dl = cdl
 	}
 	if err := pc.c.SetDeadline(dl); err != nil {
-		return nil, res, err
+		return reply{}, err
 	}
 	// Cancellation mid-read: expire the deadline immediately. A context
 	// that can never be cancelled needs no hook.
@@ -296,30 +317,22 @@ func (cl *Client) roundTrip(ctx context.Context, pc *poolConn, req []byte) ([]*m
 	}
 
 	if _, err := pc.c.Write(append(req, '\n')); err != nil {
-		return nil, res, err
+		return reply{}, err
 	}
-	if err := pc.dec.Decode(&res); err != nil {
-		return nil, response{}, err
+	rep, buf, err := readReply(pc.br, pc.buf, cl.schema, records)
+	if pc.buf = buf; cap(buf) > keepReplyBytes {
+		pc.buf = nil
 	}
-	if res.Err != "" {
-		if derr := pc.c.SetDeadline(time.Time{}); derr != nil {
-			return nil, res, derr
-		}
-		return nil, res, fmt.Errorf("%w: %s", ErrRemote, res.Err)
-	}
-	out := make([]*model.Entry, len(res.Entries))
-	for i, block := range res.Entries {
-		var err error
-		if out[i], err = ldif.UnmarshalEntry(cl.schema, block); err != nil {
-			// Undecodable payload: treat as wire corruption (retryable),
-			// not a terminal remote answer.
-			return nil, res, fmt.Errorf("dirserver: garbled entry from server: %v", err)
-		}
+	if err != nil {
+		return reply{}, err
 	}
 	if err := pc.c.SetDeadline(time.Time{}); err != nil {
-		return nil, res, err
+		return rep, err
 	}
-	return out, res, nil
+	if rep.Err != "" {
+		return rep, fmt.Errorf("%w: %s", ErrRemote, rep.Err)
+	}
+	return rep, nil
 }
 
 // get pops a pooled connection for addr or dials a fresh one.
@@ -343,7 +356,7 @@ func (cl *Client) get(ctx context.Context, addr string) (pc *poolConn, reused bo
 		return nil, false, err
 	}
 	cl.dials.Add(1)
-	return &poolConn{c: conn, dec: json.NewDecoder(conn)}, false, nil
+	return &poolConn{c: conn, br: bufio.NewReader(conn)}, false, nil
 }
 
 // put returns a healthy connection to the pool.

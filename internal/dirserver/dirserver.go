@@ -1,12 +1,17 @@
 // Package dirserver implements the distributed side of "Querying
 // Network Directories": DNS-style delegation of the hierarchical
-// namespace to directory servers (Section 3.3), a line-oriented query
-// protocol over TCP, and the distributed query evaluation strategy of
-// Section 8.3 — each atomic sub-query whose base DN is managed by
-// another server is shipped to that server, and to every delegated
-// sub-zone its scope reaches; the sorted result lists come back to the
-// queried server, which merges an atomic's parts and runs the operator
-// pipeline locally.
+// namespace to directory servers (Section 3.3), a query protocol over
+// TCP, and the distributed query evaluation strategy of Section 8.3 —
+// each atomic sub-query whose base DN is managed by another server is
+// shipped to that server, and to every delegated sub-zone its scope
+// reaches; the sorted result lists come back to the queried server,
+// which merges an atomic's parts and runs the operator pipeline
+// locally.
+//
+// A request is one JSON line; its reply is one checksummed binary
+// frame carrying the result entries as the engine's own list records
+// (frame.go), which a Coordinator appends to its query's arena as they
+// arrive.
 //
 // The layer is hardened for real networks: every round trip runs under
 // a deadline, the pooled Client retries transient transport failures
@@ -18,6 +23,7 @@ package dirserver
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -159,27 +165,27 @@ type request struct {
 	BudgetMS int64  `json:"budget_ms,omitempty"`
 }
 
-// response carries the sorted result entries as LDIF blocks, plus the
-// serving directory's store generation: a write's reply names the
-// generation that includes it. Gen is scoped to one server process; a
+// response is the header of one reply frame (frame.go): the serving
+// directory's store generation — a write's reply names the generation
+// that includes it — an error, the server-side times and, for a traced
+// request, the span tree. The frame carries the sorted result entries
+// after it as plist records. Gen is scoped to one server process; a
 // replica that restarts (fresh Directory) counts generations anew.
 type response struct {
-	Entries []string `json:"entries"`
-	Gen     int64    `json:"gen,omitempty"`
-	Err     string   `json:"err,omitempty"`
+	Gen int64
+	Err string
 
 	// Trace is the server-side span subtree of this evaluation, returned
 	// only when the request carried a trace ID. Its root has Host set to
 	// the serving address and ParentID to the request's Span, so the
 	// client grafts it into its own tree and dirq -explain renders one
 	// merged tree across every process the query touched.
-	Trace *obs.Span `json:"trace,omitempty"`
+	Trace *obs.Span
 	// ServeUS and QueueUS split the server-side time (microseconds):
 	// evaluation proper, and the lag between the request line arriving
 	// and evaluation starting. The client derives wire time as its
 	// round-trip elapsed minus both.
-	ServeUS int64 `json:"serve_us,omitempty"`
-	QueueUS int64 `json:"queue_us,omitempty"`
+	ServeUS, QueueUS int64
 }
 
 // maxRequestBytes caps one request line on the wire.
@@ -200,9 +206,8 @@ type ServerConfig struct {
 	Grace time.Duration
 	// MaxBadRequests is the number of consecutive malformed request
 	// lines tolerated on one connection before the server hangs up
-	// (default 8). Each one is answered with a response{Err: ...}
-	// first, so a single bad line never silently kills a pooled
-	// connection.
+	// (default 8). Each one is answered with an error reply first, so
+	// a single bad line never silently kills a pooled connection.
 	MaxBadRequests int
 	// Mutable enables the "add" and "del" request kinds. Read-only
 	// servers (the default) answer both with an error and leave the
@@ -354,7 +359,7 @@ func (s *Server) acceptLoop() {
 func (s *Server) handle(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 1<<20), maxRequestBytes)
-	enc := json.NewEncoder(conn)
+	var out []byte // the connection's reply buffer, reused up to keepReplyBytes
 	bad := 0
 	for {
 		select {
@@ -373,7 +378,8 @@ func (s *Server) handle(conn net.Conn) {
 			// bytes in the receive queue would RST the connection and
 			// destroy the reply in flight.
 			if err := sc.Err(); err != nil && !isNetShutdown(err) {
-				if s.reply(conn, enc, response{Err: "bad request: " + err.Error()}) {
+				out, _ = appendReply(out, &response{Err: "bad request: " + err.Error()}, nil)
+				if s.reply(conn, out) {
 					s.drainLine(conn)
 				}
 			}
@@ -382,7 +388,7 @@ func (s *Server) handle(conn net.Conn) {
 		// recv anchors the queue-time half of the server-side split: the
 		// request line is in hand, evaluation has not started.
 		recv := time.Now()
-		if len(strings.TrimSpace(string(sc.Bytes()))) == 0 {
+		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
 		var req request
@@ -391,14 +397,19 @@ func (s *Server) handle(conn net.Conn) {
 			// (possibly pooled) connection alive; a stream of them
 			// hangs up.
 			bad++
-			if !s.reply(conn, enc, response{Err: "bad request: " + err.Error()}) || bad >= s.cfg.MaxBadRequests {
+			out, _ = appendReply(out, &response{Err: "bad request: " + err.Error()}, nil)
+			if !s.reply(conn, out) || bad >= s.cfg.MaxBadRequests {
 				return
 			}
 			continue
 		}
 		bad = 0
-		if !s.reply(conn, enc, s.serveOne(req, recv)) {
+		out = s.serveOne(out, req, recv)
+		if !s.reply(conn, out) {
 			return
+		}
+		if cap(out) > keepReplyBytes {
+			out = nil
 		}
 	}
 }
@@ -424,13 +435,14 @@ func (s *Server) drainLine(conn net.Conn) {
 	}
 }
 
-// reply writes one response under the write deadline; false means the
-// connection is unusable.
-func (s *Server) reply(conn net.Conn, enc *json.Encoder, res response) bool {
+// reply writes one reply frame with one Write under the write deadline;
+// false means the connection is unusable.
+func (s *Server) reply(conn net.Conn, frame []byte) bool {
 	if s.cfg.WriteTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	}
-	return enc.Encode(res) == nil
+	_, err := conn.Write(frame)
+	return err == nil
 }
 
 // isNetShutdown reports errors that need no client-visible reply: the
@@ -443,7 +455,9 @@ func isNetShutdown(err error) bool {
 	return errors.Is(err, net.ErrClosed)
 }
 
-func (s *Server) serveOne(req request, recv time.Time) response {
+// serveOne answers one request and returns its reply frame, encoded
+// over b's storage.
+func (s *Server) serveOne(b []byte, req request, recv time.Time) []byte {
 	start := time.Now()
 	queue := start.Sub(recv)
 	var res *core.Result
@@ -493,37 +507,34 @@ func (s *Server) serveOne(req request, recv time.Time) response {
 		s.cfg.SlowLog.Record(req.Kind, req.Query, gen, traceID, dur, io, entries, err)
 	}
 	if err != nil {
-		s.record(req, q, traced, traceID, gen, dur, io, nil, err, root)
+		s.record(req, q, traced, traceID, gen, dur, io, 0, nil, err, root)
 		out := response{Err: err.Error(), ServeUS: dur.Microseconds(), QueueUS: queue.Microseconds()}
 		if req.Trace != "" {
 			// A lost or failed evaluation still returns its partial span
 			// subtree, so the merged tree stays well-formed.
 			out.Trace = root
 		}
-		return out
+		frame, _ := appendReply(b, &out, nil)
+		return frame
 	}
 	if req.Kind == "add" || req.Kind == "del" {
 		// A write acknowledgment: no entries, just the generation the
 		// mutation produced (already durable if AfterUpdate says so).
-		return response{Gen: gen}
+		frame, _ := appendReply(b, &response{Gen: gen}, nil)
+		return frame
 	}
 	// Echo the generation the evaluation actually ran against (carried
 	// on the Result), not the directory's current generation: an Update
 	// swapping the store mid-evaluation must not stamp old entries with
 	// the new generation, or remote caches would pin stale answers
 	// under a fresh token.
-	out := response{
-		Entries: make([]string, len(res.Entries)), Gen: res.Gen,
-		ServeUS: dur.Microseconds(), QueueUS: queue.Microseconds(),
-	}
-	for i, e := range res.Entries {
-		out.Entries[i] = ldif.MarshalEntry(e)
-	}
-	s.record(req, q, traced, traceID, gen, dur, io, out.Entries, nil, root)
+	out := response{Gen: res.Gen, ServeUS: dur.Microseconds(), QueueUS: queue.Microseconds()}
 	if req.Trace != "" {
 		out.Trace = root
 	}
-	return out
+	frame, recs := appendReply(b, &out, res.Entries)
+	s.record(req, q, traced, traceID, gen, dur, io, len(res.Entries), recs, nil, root)
+	return frame
 }
 
 // parseRequest parses a read request's query by its kind: "ldap" in the
@@ -565,9 +576,9 @@ func budgetCtx(req request) (context.Context, context.CancelFunc) {
 // Queries that fail before evaluation starts (parse or validation
 // errors) are retained too — with no span tree — so ?errors=1 shows
 // every rejected query, not just the ones that died mid-evaluation.
-// q is the parsed query, nil when the request did not parse, and
-// blocks the reply's LDIF entries, which the hash covers.
-func (s *Server) record(req request, q query.Query, traced bool, traceID string, gen int64, dur time.Duration, io int64, blocks []string, err error, root *obs.Span) {
+// q is the parsed query, nil when the request did not parse; the reply
+// carries entries entries, whose record bytes recs the hash covers.
+func (s *Server) record(req request, q query.Query, traced bool, traceID string, gen int64, dur time.Duration, io int64, entries int, recs []byte, err error, root *obs.Span) {
 	if s.cfg.Flight == nil || !traced {
 		return
 	}
@@ -578,14 +589,12 @@ func (s *Server) record(req request, q query.Query, traced bool, traceID string,
 		Gen:     gen,
 		Dur:     dur,
 		IO:      io,
-		Entries: len(blocks),
+		Entries: entries,
 		Root:    root,
 	}
 	if err == nil {
 		hash := fnv.New64a()
-		for _, b := range blocks {
-			_, _ = hash.Write([]byte(b))
-		}
+		_, _ = hash.Write(recs)
 		rec.Hash = hash.Sum64()
 	}
 	// Normalize the display text through a parse/print round trip
@@ -666,10 +675,11 @@ type CoordinatorStats struct {
 // Coordinator evaluates full query trees the Section 8.3 way: atomic
 // sub-queries owned by other servers are shipped to them, and an
 // atomic whose scope reaches delegated sub-zones is asked in each
-// (resolveAtomic); their sorted results are materialized locally and
-// fed into this server's operator pipeline. Remote calls run under the
-// caller's context through the pooled retrying Client, and per-address
-// breakers steer around unhealthy replicas.
+// (resolveAtomic); their sorted result records are appended to the
+// query's arena as they arrive and fed into this server's operator
+// pipeline. Remote calls run under the caller's context through the
+// pooled retrying Client, and per-address breakers steer around
+// unhealthy replicas.
 //
 // Each Search is a core.Directory.SearchWith call whose Request carries
 // this coordinator's resolver: it loads the directory's current
@@ -852,11 +862,13 @@ func (c *Coordinator) resolveIn(ctx context.Context, st *store.Store, arena *pag
 		if i > 0 {
 			c.bump(func(s *CoordinatorStats) { s.Failovers++ })
 		}
-		entries, rt, err := c.callRemote(ctx, tr, addr, q)
+		recs, rt, err := c.callRemote(ctx, tr, addr, q)
 		if err == nil {
 			c.health.success(addr)
 			c.finishRemote(tr, addr, i, retriesBefore, cand.probe, rt)
-			return materialize(arena, entries)
+			// The records arrive checked and in key order (every server's
+			// evaluation preserves it) and go to the arena as they are.
+			return plist.Build(arena.Scratch(), recs)
 		}
 		if errors.Is(err, ErrRemote) {
 			// The server answered with an error: it is healthy, and
@@ -874,22 +886,22 @@ func (c *Coordinator) resolveIn(ctx context.Context, st *store.Store, arena *pag
 	return nil, fmt.Errorf("%w: all servers for %q unreachable: %v", ErrUnavailable, q.Base, lastErr)
 }
 
-// callRemote ships one atomic to addr under ctx's deadline budget. With
-// a tracer on the context the exchange also carries the trace ID and
-// issuing span on the wire and brings back the server's span subtree;
-// without one it is a plain Call and the RemoteTrace is nil.
-func (c *Coordinator) callRemote(ctx context.Context, tr *obs.Tracer, addr string, q *query.Atomic) ([]*model.Entry, *RemoteTrace, error) {
+// callRemote ships one atomic to addr under ctx's deadline budget and
+// returns the reply's records. With a tracer on the context the
+// exchange also carries the trace ID and issuing span on the wire and
+// brings back the server's span subtree; without one the request is
+// untraced and the RemoteTrace is nil.
+func (c *Coordinator) callRemote(ctx context.Context, tr *obs.Tracer, addr string, q *query.Atomic) ([]*plist.Record, *RemoteTrace, error) {
 	if tr == nil {
-		entries, err := c.client.Call(ctx, addr, "atomic", q.String())
-		return entries, nil, err
+		recs, _, err := c.client.callRecords(ctx, addr, "atomic", q.String(), "", 0)
+		return recs, nil, err
 	}
 	if tr.TraceID() == "" {
 		// The query's first remote hop assigns its trace ID; the tracer
 		// is the query's own, so every later hop carries the same one.
 		tr.SetTraceID(obs.NewTraceID())
 	}
-	entries, _, rt, err := c.client.CallTraced(ctx, addr, "atomic", q.String(), tr.TraceID(), tr.CurrentID())
-	return entries, rt, err
+	return c.client.callRecords(ctx, addr, "atomic", q.String(), tr.TraceID(), tr.CurrentID())
 }
 
 // finishRemote settles the accounting for a completed remote exchange
@@ -926,19 +938,6 @@ func (c *Coordinator) finishRemote(tr *obs.Tracer, addr string, failover int, re
 		}
 		tr.Attach(rt.Span)
 	}
-}
-
-// materialize writes remote results to the query's scratch disk for the
-// pipeline. Results arrive in reverse-DN order (every server's
-// evaluation preserves it).
-func materialize(arena *pager.Arena, entries []*model.Entry) (*plist.List, error) {
-	w := plist.NewWriter(arena.Scratch())
-	for _, e := range entries {
-		if err := w.Append(plist.FromEntry(e)); err != nil {
-			return nil, err
-		}
-	}
-	return w.Close()
 }
 
 // Search evaluates a query string under ctx, distributing atomics as

@@ -437,13 +437,7 @@ func TestProtocolRobustness(t *testing.T) {
 	if _, err := conn.Write([]byte("{not json\n")); err != nil {
 		t.Fatal(err)
 	}
-	var res struct {
-		Err string `json:"err"`
-	}
-	if err := json.NewDecoder(conn).Decode(&res); err != nil {
-		t.Fatalf("no error response: %v", err)
-	}
-	if res.Err == "" {
+	if res := readFrame(t, conn, whole.Schema()); res.Err == "" {
 		t.Fatal("malformed request accepted")
 	}
 	conn.Close()
@@ -472,22 +466,14 @@ func TestProtocolRobustness(t *testing.T) {
 	}
 	defer conn.Close()
 	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
 	for i := 0; i < 3; i++ {
 		if err := enc.Encode(map[string]string{
 			"kind": "query", "query": "(dc=com ? sub ? objectClass=dcObject)",
 		}); err != nil {
 			t.Fatal(err)
 		}
-		var r struct {
-			Entries []string `json:"entries"`
-			Err     string   `json:"err"`
-		}
-		if err := dec.Decode(&r); err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-		if r.Err != "" || len(r.Entries) != 4 {
-			t.Fatalf("round %d: %d entries, err=%q", i, len(r.Entries), r.Err)
+		if r := readFrame(t, conn, whole.Schema()); r.Err != "" || len(r.entries) != 4 {
+			t.Fatalf("round %d: %d entries, err=%q", i, len(r.entries), r.Err)
 		}
 	}
 }

@@ -53,12 +53,9 @@ func TestServedBudgetBoundsEveryQuery(t *testing.T) {
 			if _, err := conn.Write(append(line, '\n')); err != nil {
 				t.Fatal(err)
 			}
-			var res response
-			if err := json.NewDecoder(conn).Decode(&res); err != nil {
-				t.Fatal(err)
-			}
+			res := readFrame(t, conn, dir.Schema())
 			if !strings.Contains(res.Err, "context deadline") {
-				t.Fatalf("budget_ms 1: err %q with %d entries, want a context deadline error", res.Err, len(res.Entries))
+				t.Fatalf("budget_ms 1: err %q with %d entries, want a context deadline error", res.Err, len(res.entries))
 			}
 		})
 	}
@@ -79,7 +76,7 @@ func TestServedBudgetBoundsEveryQuery(t *testing.T) {
 				var req request
 				if json.NewDecoder(conn).Decode(&req) == nil {
 					got <- req
-					_ = json.NewEncoder(conn).Encode(response{Gen: 1})
+					_, _ = conn.Write(frameOf(response{Gen: 1}))
 				}
 				conn.Close()
 			}
@@ -130,14 +127,14 @@ func TestCoordinatorHopsCarryTraceAndBudget(t *testing.T) {
 			}
 			go func() {
 				defer conn.Close()
-				dec, enc := json.NewDecoder(conn), json.NewEncoder(conn)
+				dec := json.NewDecoder(conn)
 				for {
 					var req request
 					if dec.Decode(&req) != nil {
 						return
 					}
 					hops <- req
-					if enc.Encode(response{Gen: 1}) != nil {
+					if _, err := conn.Write(frameOf(response{Gen: 1})); err != nil {
 						return
 					}
 				}

@@ -188,7 +188,7 @@ func UnmarshalSchema(text string) (*model.Schema, error) {
 }
 
 // MarshalEntry renders one entry as an LDIF block (no trailing blank
-// line) — the wire format of the distributed directory protocol.
+// line) — the form an "add" request carries on the directory protocol.
 func MarshalEntry(e *model.Entry) string {
 	var b strings.Builder
 	writeAV(&b, "dn", e.DN().String())

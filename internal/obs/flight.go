@@ -21,7 +21,7 @@ type FlightRecord struct {
 	Dur     time.Duration `json:"dur"`
 	IO      int64         `json:"io"` // total page accesses (local process)
 	Entries int           `json:"entries"`
-	Hash    uint64        `json:"hash,omitempty"` // FNV-1a over the marshalled result
+	Hash    uint64        `json:"hash,omitempty"` // FNV-1a over the reply's record bytes
 	Err     string        `json:"err,omitempty"`
 	Root    *Span         `json:"root,omitempty"` // the span tree (remote subtrees included)
 }

@@ -167,6 +167,73 @@ func (r *Record) decodeEntry(key string) *model.Entry {
 	return model.EntryOf(dn, key, avs)
 }
 
+// CheckTypes reports whether the record's entry is typed as schema s
+// types it — what parsing the entry's text against s enforces: every
+// attribute is one of s's, every value has its attribute type's kind,
+// and a vector has the type's dimension and finite components. An
+// encoded entry is checked in place, nothing decoded; a record without
+// an entry passes.
+func (r *Record) CheckTypes(s *model.Schema) error {
+	if r.pairs == nil {
+		if r.Entry != nil {
+			for _, av := range r.Entry.Pairs() {
+				vec := av.Value.Vec()
+				finite := true
+				for _, f := range vec {
+					finite = finite && isFinite(f)
+				}
+				if err := checkType(s, av.Attr, av.Value.Kind(), len(vec), finite); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	d := decoder{b: r.pairs}
+	n, _ := d.uvarint()
+	for ; n > 0; n-- {
+		attr, _ := d.span()
+		k, comps, finite := model.Kind(d.b[d.i]), 0, true
+		if k == model.KindVector {
+			d.i++
+			m, _ := d.uvarint()
+			for comps = int(m); m > 0; m-- {
+				finite = finite && isFinite(math.Float32frombits(binary.LittleEndian.Uint32(d.b[d.i:])))
+				d.i += 4
+			}
+		} else {
+			d.skipValue()
+		}
+		if err := checkType(s, aliasString(attr), k, comps, finite); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func isFinite(f float32) bool { return !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0) }
+
+// checkType checks one pair against s; a vector value has comps
+// components, all finite or not.
+func checkType(s *model.Schema, attr string, k model.Kind, comps int, finite bool) error {
+	t, ok := s.AttrType(attr)
+	switch {
+	case !ok:
+		return fmt.Errorf("plist: unknown attribute %q", attr)
+	case model.TypeKind(t) != k:
+		return fmt.Errorf("plist: attribute %q has type %s but value kind %s", attr, t, k)
+	case k != model.KindVector:
+		return nil
+	}
+	if dim, _ := model.VectorDim(t); comps != dim {
+		return fmt.Errorf("plist: vector %q has %d components, type %s wants %d", attr, comps, t, dim)
+	}
+	if !finite {
+		return fmt.Errorf("plist: vector %q has a component that is not finite", attr)
+	}
+	return nil
+}
+
 // Values returns the values of attribute a in stored order, decoding
 // nothing else: the encoded pairs are in attribute order, so the scan
 // skips the smaller attributes by their lengths and stops at the first

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -424,5 +425,50 @@ func TestCopyThroughIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckTypes holds CheckTypes to what parsing an entry's text
+// against the schema enforces, on both forms of a record: the entry
+// built in memory and the same record decoded from its bytes.
+func TestCheckTypes(t *testing.T) {
+	s := model.NewSchema()
+	s.MustDefineAttr("objectClass", model.TypeString)
+	s.MustDefineAttr("cn", model.TypeString)
+	s.MustDefineAttr("priority", model.TypeInt)
+	s.MustDefineAttr("slatpref", model.TypeDN)
+	s.MustDefineAttr("emb", model.VectorType(2))
+	nan := float32(math.NaN())
+	for _, tc := range []struct {
+		name string
+		add  func(*model.Entry)
+		want string // "" when the entry is typed
+	}{
+		{"typed", func(e *model.Entry) {
+			e.Add("cn", model.String("x")).Add("priority", model.Int(3)).
+				Add("slatpref", model.DNValue(model.MustParseDN("dc=com"))).Add("emb", model.VectorValue([]float32{1, 2}))
+		}, ""},
+		{"unknown attribute", func(e *model.Entry) { e.Add("mail", model.String("x")) }, "unknown attribute"},
+		{"string in an int", func(e *model.Entry) { e.Add("priority", model.String("3")) }, "value kind string"},
+		{"int in a DN", func(e *model.Entry) { e.Add("slatpref", model.Int(1)) }, "value kind int"},
+		{"wrong dimension", func(e *model.Entry) { e.Add("emb", model.VectorValue([]float32{1, 2, 3})) }, "3 components"},
+		{"not finite", func(e *model.Entry) { e.Add("emb", model.VectorValue([]float32{1, nan})) }, "not finite"},
+	} {
+		e := model.NewEntry(model.MustParseDN("cn=x, dc=com")).AddClass("person")
+		tc.add(e)
+		mem := FromEntry(e)
+		dec, err := DecodeRecord(AppendRecord(nil, mem))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for form, r := range map[string]*Record{"in memory": mem, "decoded": dec} {
+			err := r.CheckTypes(s)
+			if (tc.want == "") != (err == nil) || err != nil && !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: %v, want %q", tc.name, form, err, tc.want)
+			}
+		}
+	}
+	if err := (&Record{Key: "k"}).CheckTypes(s); err != nil {
+		t.Errorf("record without an entry: %v", err)
 	}
 }
