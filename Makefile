@@ -105,7 +105,11 @@ docs:
 # reads view pages where they lie, so Get allocates only its value and
 # Scan and Iter nothing, and an insert splices each page it changes in
 # a pooled scratch image, so its B/op is the write path's garbage per
-# key. Last
+# key. Then a DN's reverse key (BenchmarkDNKey, seven one-AVA RDNs: one
+# allocation, the key's own) and a served reply (BenchmarkServeReply:
+# a TOPS lookup evaluated into a frame, and a cached policy answer whose
+# record section is copied into one, so a hit's allocs/op do not grow
+# with its entries). Last
 # the distributed path: E14's three queries through a coordinator over
 # two loopback servers, from parallel goroutines.
 bench-smoke:
@@ -114,6 +118,8 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkOp(BooleanAnd|HSPCChildren|ERDV)$$|BenchmarkFullQueryL2|BenchmarkAnalytic' -benchtime=20x -benchmem .
 	$(GO) test -run='^$$' -bench=BenchmarkOpen -benchtime=3x -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkGet|BenchmarkScan|BenchmarkIter|BenchmarkInsert' -benchtime=2000x -benchmem ./internal/btree/
+	$(GO) test -run='^$$' -bench=BenchmarkDNKey -benchtime=2000x -benchmem ./internal/model/
+	$(GO) test -run='^$$' -bench=BenchmarkServeReply -benchtime=200x -benchmem ./internal/dirserver/
 	$(GO) test -run='^$$' -bench=BenchmarkCoordinatorSearch -benchtime=200x -benchmem ./internal/dirserver/
 
 # Wire smoke: benchmark/dirload's four workloads (lookup, analytic,

@@ -41,6 +41,7 @@ import (
 	"repro/internal/dirserver"
 	"repro/internal/ldif"
 	"repro/internal/model"
+	"repro/internal/plist"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -310,8 +311,8 @@ func runQuery(dir *core.Directory, text string, asLDAP, quiet bool) {
 		len(res.Entries), res.IO, res.IO.IO())
 }
 
-// search parses text in the LDAP baseline syntax or as an L0..L3 query
-// and evaluates it.
+// search parses text in the LDAP baseline syntax or as an L0..L3 query,
+// evaluates it and decodes the answer's records into its Entries.
 func search(dir *core.Directory, text string, asLDAP bool) (query.Query, *core.Result, error) {
 	var q query.Query
 	var err error
@@ -324,6 +325,10 @@ func search(dir *core.Directory, text string, asLDAP bool) (query.Query, *core.R
 		return nil, nil, err
 	}
 	res, _, err := dir.SearchWith(context.Background(), core.Request{Query: q})
+	if err != nil {
+		return q, nil, err
+	}
+	res.Entries, err = plist.SectionEntries(res.Records)
 	return q, res, err
 }
 

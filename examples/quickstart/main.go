@@ -39,7 +39,7 @@ func main() {
 		for _, dn := range res.DNs() {
 			fmt.Printf("    -> %s\n", dn)
 		}
-		fmt.Printf("    (%d entries, %d page I/Os)\n\n", len(res.Entries), res.IO.IO())
+		fmt.Printf("    (%d entries, %d page I/Os)\n\n", res.Count, res.IO.IO())
 	}
 
 	run("atomic: everyone named jagadish",
@@ -74,5 +74,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("--- LDAP baseline: high-priority QHPs: %d entries, %d page I/Os\n",
-		len(res.Entries), res.IO.IO())
+		res.Count, res.IO.IO())
 }

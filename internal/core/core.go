@@ -68,15 +68,16 @@ type Options struct {
 	// lineage is broken (any full-rebuild Update). Off by default:
 	// checkpoints are then always self-contained full images.
 	DeltaCheckpoints bool
-	// CacheBytes, when positive, enables the query-result cache: up to
-	// this many bytes of materialized results, keyed by (canonical
-	// query, generation) with single-flight deduplication. A cache hit
-	// performs zero page I/O; every Update invalidates all cached
-	// results by bumping the generation embedded in the keys — stale
-	// entries become unreachable instantly and age out of the LRU under
-	// byte pressure (see internal/qcache and DESIGN.md §7). Entries of
-	// cached results are shared between hits and must be treated as
-	// read-only.
+	// CacheBytes, when positive, enables the query-result cache: it
+	// holds each answer as its record section (Result.Records, the
+	// bytes a served reply carries) and charges it len(Records), up to
+	// this many bytes in all, keyed by (canonical query, generation)
+	// with single-flight deduplication. A cache hit performs zero page
+	// I/O; every Update invalidates all cached results by bumping the
+	// generation embedded in the keys — stale entries become
+	// unreachable instantly and age out of the LRU under byte pressure
+	// (see internal/qcache and DESIGN.md §7). The Records of a cached
+	// result are shared between hits and must be treated as read-only.
 	CacheBytes int64
 }
 
@@ -376,10 +377,23 @@ func (d *Directory) pruneLineage(persisted int64) {
 	}
 }
 
-// Result is a materialized query answer. Per Section 4.1, an answer is
-// itself a directory instance: a subset of the input's entries, which —
-// like any instance — can exhibit the full heterogeneity of the model.
+// Result is a query answer. Per Section 4.1, an answer is itself a
+// directory instance: a subset of the input's entries, which — like any
+// instance — can exhibit the full heterogeneity of the model.
+//
+// The answer is held encoded, as the record section a reply frame
+// carries (plist.AppendSection): evaluation writes it once from the
+// result list, the result cache keeps it, and a server copies it into
+// the reply. Search and SearchTraced also decode it into Entries.
 type Result struct {
+	// Records is the answer as a record section: Count uvarint-length-
+	// prefixed canonical records, one per entry, in reverse-DN key
+	// order. A cached result's Records are shared by every hit and are
+	// read-only; plist.SectionEntries decodes them.
+	Records []byte
+	Count   int
+	// Entries are the decoded Records, set by Search and SearchTraced
+	// only: SearchWith leaves it nil.
 	Entries []*model.Entry
 	// IO is the page I/O the evaluation performed: reads of the shared
 	// store (list pages, and B+tree leaves — interior pages count as
@@ -393,11 +407,17 @@ type Result struct {
 	Gen int64
 }
 
-// DNs returns the distinguished names of the result entries, in order.
+// DNs returns the distinguished names of the result entries, in order,
+// decoding only the DNs of Records.
 func (r *Result) DNs() []string {
-	out := make([]string, len(r.Entries))
-	for i, e := range r.Entries {
-		out[i] = e.DN().String()
+	out := make([]string, 0, r.Count)
+	var rec plist.Record
+	for rest := r.Records; len(rest) > 0; {
+		var err error
+		if rest, err = plist.NextSectionRecord(rest, &rec); err != nil {
+			panic(fmt.Sprintf("core: result records: %v", err)) // evaluate wrote them
+		}
+		out = append(out, rec.DN().String())
 	}
 	return out
 }
@@ -410,9 +430,13 @@ func (r *Result) DNs() []string {
 // directory was a tree (the reason the formal model is a forest,
 // footnote 3).
 func (r *Result) AsInstance(schema *model.Schema) (*model.Instance, error) {
+	entries, err := plist.SectionEntries(r.Records)
+	if err != nil {
+		return nil, err
+	}
 	in := model.NewInstance(schema)
-	for _, e := range r.Entries {
-		if err := in.Add(e.Clone()); err != nil {
+	for _, e := range entries {
+		if err := in.Add(e); err != nil {
 			return nil, err
 		}
 	}
@@ -468,24 +492,39 @@ func (d *Directory) CacheStats() qcache.Stats {
 }
 
 // Search parses, validates and evaluates a query in the paper's surface
-// syntax, materializing the result: SearchWith on a plain Request.
+// syntax: SearchWith on a plain Request, with the answer's Records
+// decoded into Result.Entries.
 func (d *Directory) Search(text string) (*Result, error) {
 	q, err := query.Parse(text)
 	if err != nil {
 		return nil, err
 	}
 	res, _, err := d.SearchWith(context.Background(), Request{Query: q})
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return res, res.decode()
 }
 
 // SearchTraced is Search with per-operator tracing: SearchWith on a
-// Request with Trace set, returning the span tree beside the result.
+// Request with Trace set, returning the span tree beside the result,
+// whose Records are decoded into Entries.
 func (d *Directory) SearchTraced(text string) (*Result, *obs.Span, error) {
 	q, err := query.Parse(text)
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.SearchWith(context.Background(), Request{Query: q, Trace: true})
+	res, root, err := d.SearchWith(context.Background(), Request{Query: q, Trace: true})
+	if err != nil {
+		return nil, root, err
+	}
+	return res, root, res.decode()
+}
+
+// decode sets Entries from Records.
+func (r *Result) decode() (err error) {
+	r.Entries, err = plist.SectionEntries(r.Records)
+	return err
 }
 
 // Resolver answers one atomic sub-query of a search in place of the
@@ -523,7 +562,8 @@ type Request struct {
 // federated query. It loads the current snapshot once, so the cache
 // key's generation, the evaluation and the Result's Gen all describe
 // the same store even if an Update swaps mid-flight, and it evaluates
-// on a fresh per-query arena.
+// on a fresh per-query arena. The Result carries the answer as Records
+// only (Entries is nil); the Result itself is the caller's.
 //
 // With the result cache on (Options.CacheBytes), an untraced search
 // without a resolver consults it first: semantically identical queries
@@ -541,8 +581,7 @@ type Request struct {
 func (d *Directory) SearchWith(ctx context.Context, req Request) (*Result, *obs.Span, error) {
 	snap := d.snap.Load()
 	if d.cache == nil || req.Trace || req.Resolve != nil {
-		res, _, root, err := d.evaluate(ctx, snap, req)
-		return res, root, err
+		return d.evaluate(ctx, snap, req)
 	}
 	prefix := ""
 	if _, ldap := req.Query.(*query.LDAP); ldap {
@@ -550,37 +589,38 @@ func (d *Directory) SearchWith(ctx context.Context, req Request) (*Result, *obs.
 	}
 	key := fmt.Sprintf("%sg%d|%s", prefix, snap.gen, query.Canonical(req.Query))
 	v, hit, err := d.cache.Do(key, func() (any, int64, error) {
-		res, size, _, err := d.evaluate(context.WithoutCancel(ctx), snap, req)
+		res, _, err := d.evaluate(context.WithoutCancel(ctx), snap, req)
 		if err != nil {
 			return nil, 0, err
 		}
-		return res, size, nil
+		return res, int64(len(res.Records)), nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	res := v.(*Result)
+	// A fresh header over the shared, read-only Records, so that a
+	// caller's Entries never land in the cache. A hit re-executes no
+	// I/O, and its Result must say so.
+	res := *v.(*Result)
 	if hit {
-		// Fresh header, shared (read-only) entries: a hit re-executes
-		// no I/O, and the Result must say so.
-		return &Result{Entries: res.Entries, Gen: res.Gen}, nil, nil
+		res.IO = pager.Stats{}
 	}
-	return res, nil, nil
+	return &res, nil, nil
 }
 
 // evaluate is the one evaluation body: it validates and plans req's
 // query, evaluates it against one loaded snapshot on a fresh per-query
-// arena, and returns the materialized result plus its size in
-// list-stream bytes (the result cache's cost measure). No directory
-// lock is taken: the snapshot's store disk is only read, and all writes
-// land on the arena's private scratch disk, so any number of
+// arena, and returns the result with the answer written once as its
+// record section, the bytes the cache holds and a reply carries. No
+// directory lock is taken: the snapshot's store disk is only read, and
+// all writes land on the arena's private scratch disk, so any number of
 // evaluations run concurrently with exact per-query I/O accounting.
 // The resolver, if any, is bound to this query's session alone.
-func (d *Directory) evaluate(ctx context.Context, snap *snapshot, req Request) (res *Result, size int64, root *obs.Span, err error) {
+func (d *Directory) evaluate(ctx context.Context, snap *snapshot, req Request) (res *Result, root *obs.Span, err error) {
 	q := req.Query
 	if _, ldap := q.(*query.LDAP); !ldap {
 		if err := query.Validate(snap.st.Schema(), q); err != nil {
-			return nil, 0, nil, err
+			return nil, nil, err
 		}
 		if req.Resolve == nil {
 			q = d.planQuery(snap, q).Query
@@ -602,18 +642,18 @@ func (d *Directory) evaluate(ctx context.Context, snap *snapshot, req Request) (
 	}
 	l, err := sess.EvalContext(ctx, q)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	evalIO := arena.Stats()
-	entries, err := plist.DrainEntries(l)
+	recs, err := plist.AppendSection(nil, l)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
-	res = &Result{Entries: entries, IO: arena.Stats(), Gen: snap.gen}
+	res = &Result{Records: recs, Count: int(l.Count()), IO: arena.Stats(), Gen: snap.gen}
 	if req.Trace {
 		res.IO = evalIO
 	}
-	return res, l.Size(), nil, l.Free()
+	return res, nil, l.Free()
 }
 
 // planQuery runs the algebraic planner over a validated query when the

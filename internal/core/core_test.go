@@ -96,7 +96,7 @@ func TestDirectorySearchLDAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Entries) != 1 {
+	if res.Count != 1 || len(res.DNs()) != 1 {
 		t.Fatalf("ldap result: %v", res.DNs())
 	}
 }

@@ -92,7 +92,7 @@ func TestPlannerOracle(t *testing.T) {
 		for path, got := range map[string]*Result{"plain": plain, "traced": traced} {
 			if strings.Join(got.DNs(), "\n") != strings.Join(want.DNs(), "\n") {
 				t.Fatalf("optimized %s plan diverges on %s:\n got %d entries\nwant %d entries",
-					path, q, len(got.Entries), len(want.Entries))
+					path, q, got.Count, want.Count)
 			}
 		}
 	}

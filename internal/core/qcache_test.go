@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ldif"
 	"repro/internal/model"
 	"repro/internal/pager"
+	"repro/internal/plist"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -35,8 +37,12 @@ func cachedForestPair(t *testing.T, n int, seed int64) (cached, plain *Directory
 // marshalResult renders a result byte-exactly: every entry's full LDIF
 // block, in order.
 func marshalResult(res *Result) string {
+	entries, err := plist.SectionEntries(res.Records)
+	if err != nil {
+		return "records: " + err.Error()
+	}
 	var b strings.Builder
-	for _, e := range res.Entries {
+	for _, e := range entries {
 		b.WriteString(ldif.MarshalEntry(e))
 		b.WriteByte('\n')
 	}
@@ -348,5 +354,69 @@ func TestSnapshotRestoreFreshGeneration(t *testing.T) {
 	}
 	if restored.CacheStats().Hits != 1 {
 		t.Errorf("restored cache stats = %+v", restored.CacheStats())
+	}
+}
+
+// policyPool is the policy workload's read pool over a QoS directory of
+// domains domains (benchmark/dirload's spec.pool for gen qos): per
+// domain, the four candidate sets apps/qos.Match reads, the denied
+// policies' actions and the policies with two or more profiles.
+func policyPool(domains int) []string {
+	var out []string
+	for d := 0; d < domains; d++ {
+		dom := fmt.Sprintf("dc=dom%d, dc=att, dc=com", d)
+		for _, c := range []string{"SLAPolicyRules", "trafficProfile", "policyValidityPeriod", "SLADSAction"} {
+			out = append(out, fmt.Sprintf("(%s ? sub ? objectClass=%s)", dom, c))
+		}
+		policies := fmt.Sprintf("(%s ? sub ? objectClass=SLAPolicyRules)", dom)
+		out = append(out,
+			fmt.Sprintf("(vd %s (%s ? sub ? DSPermission=Deny) SLADSActRef)", policies, dom),
+			fmt.Sprintf("(g %s count(SLATPRef) >= 2)", policies))
+	}
+	return out
+}
+
+// TestCacheBudgetBoundsHeap: the result cache's byte budget bounds the
+// heap it holds. A QoS-2000 directory with the policy workload's
+// 3 000 000-byte cache answers its 246-query pool twice, which is about
+// twice the budget, so the cache fills and evicts; after a GC the heap
+// has grown by at most 1.5× the budget. A cache that charged its
+// answers less than they weigh would hold several times that.
+func TestCacheBudgetBoundsHeap(t *testing.T) {
+	const budget = 3000000
+	const domains = 1 + 2000/50
+	dir, err := Open(workload.GenQoS(workload.QoSConfig{Domains: domains, PoliciesPerDomain: 50, Seed: 1}), Options{CacheBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := policyPool(domains)
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for pass := 0; pass < 2; pass++ {
+		for _, q := range pool {
+			parsed, err := query.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := dir.SearchWith(context.Background(), Request{Query: parsed}); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+	}
+	rise := int64(heap()) - int64(before)
+	st := dir.CacheStats()
+	runtime.KeepAlive(dir)
+	t.Logf("cache: %d answers, %d bytes charged, %d evictions; heap rose %d bytes", st.Entries, st.Bytes, st.Evictions, rise)
+	if st.Bytes > budget || st.Evictions == 0 {
+		t.Fatalf("cache charged %d bytes of %d with %d evictions: the pool no longer overfills it", st.Bytes, budget, st.Evictions)
+	}
+	if rise > budget*3/2 {
+		t.Fatalf("heap rose %d bytes over a %d-byte cache budget, more than 1.5×", rise, budget)
 	}
 }

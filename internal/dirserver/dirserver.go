@@ -378,7 +378,7 @@ func (s *Server) handle(conn net.Conn) {
 			// bytes in the receive queue would RST the connection and
 			// destroy the reply in flight.
 			if err := sc.Err(); err != nil && !isNetShutdown(err) {
-				out, _ = appendReply(out, &response{Err: "bad request: " + err.Error()}, nil)
+				out, _ = appendReply(out, &response{Err: "bad request: " + err.Error()}, nil, 0)
 				if s.reply(conn, out) {
 					s.drainLine(conn)
 				}
@@ -397,7 +397,7 @@ func (s *Server) handle(conn net.Conn) {
 			// (possibly pooled) connection alive; a stream of them
 			// hangs up.
 			bad++
-			out, _ = appendReply(out, &response{Err: "bad request: " + err.Error()}, nil)
+			out, _ = appendReply(out, &response{Err: "bad request: " + err.Error()}, nil, 0)
 			if !s.reply(conn, out) || bad >= s.cfg.MaxBadRequests {
 				return
 			}
@@ -488,7 +488,7 @@ func (s *Server) serveOne(b []byte, req request, recv time.Time) []byte {
 	var entries int
 	if res != nil {
 		io = res.IO.IO()
-		entries = len(res.Entries)
+		entries = res.Count
 		gen = res.Gen
 	}
 	if root != nil {
@@ -514,13 +514,13 @@ func (s *Server) serveOne(b []byte, req request, recv time.Time) []byte {
 			// subtree, so the merged tree stays well-formed.
 			out.Trace = root
 		}
-		frame, _ := appendReply(b, &out, nil)
+		frame, _ := appendReply(b, &out, nil, 0)
 		return frame
 	}
 	if req.Kind == "add" || req.Kind == "del" {
 		// A write acknowledgment: no entries, just the generation the
 		// mutation produced (already durable if AfterUpdate says so).
-		frame, _ := appendReply(b, &response{Gen: gen}, nil)
+		frame, _ := appendReply(b, &response{Gen: gen}, nil, 0)
 		return frame
 	}
 	// Echo the generation the evaluation actually ran against (carried
@@ -532,8 +532,8 @@ func (s *Server) serveOne(b []byte, req request, recv time.Time) []byte {
 	if req.Trace != "" {
 		out.Trace = root
 	}
-	frame, recs := appendReply(b, &out, res.Entries)
-	s.record(req, q, traced, traceID, gen, dur, io, len(res.Entries), recs, nil, root)
+	frame, recs := appendReply(b, &out, res.Records, res.Count)
+	s.record(req, q, traced, traceID, gen, dur, io, res.Count, recs, nil, root)
 	return frame
 }
 
@@ -971,5 +971,6 @@ func (c *Coordinator) search(ctx context.Context, text string, trace bool) ([]*m
 	if err != nil {
 		return nil, root, err
 	}
-	return res.Entries, root, nil
+	entries, err := plist.SectionEntries(res.Records)
+	return entries, root, err
 }

@@ -21,11 +21,13 @@ import (
 //	body    = gen | serve_us | queue_us          varints
 //	          err | trace                        uvarint-length-prefixed bytes
 //	          count                              uvarint
-//	          count × (uvarint length | record)  plist.AppendRecord encodings
+//	          count × (uvarint length | record)  a plist record section
 //
 // length counts the body; the CRC covers everything before it. trace is
 // the server's span tree as JSON, empty unless the request carried a
-// trace ID. The records are the result entries in key order.
+// trace ID. The records are the result's record section
+// (core.Result.Records): the canonical record of each result entry, in
+// key order.
 const replyVersion byte = 1
 
 const (
@@ -72,17 +74,19 @@ func garbled(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrGarbled, fmt.Sprintf(format, args...))
 }
 
-// appendReply encodes res and entries as one frame over b's storage. It
-// returns the frame and, within it, the records section the flight
-// recorder hashes. Encoding allocates nothing once b has grown to the
-// reply's size, except for a trace's JSON; a span tree that does not
-// marshal turns the reply into an error reply saying so.
-func appendReply(b []byte, res *response, entries []*model.Entry) (frame, recs []byte) {
+// appendReply encodes res and a record section of count records
+// (plist.AppendSection) as one frame over b's storage, copying the
+// section after the header as it is. It returns the frame and, within
+// it, the records section the flight recorder hashes. Encoding
+// allocates nothing once b has grown to the reply's size, except for a
+// trace's JSON; a span tree that does not marshal turns the reply into
+// an error reply saying so.
+func appendReply(b []byte, res *response, section []byte, count int) (frame, recs []byte) {
 	var trace []byte
 	if res.Trace != nil {
 		var err error
 		if trace, err = json.Marshal(res.Trace); err != nil {
-			return appendReply(b, &response{Gen: res.Gen, Err: "dirserver: encoding the span tree: " + err.Error()}, nil)
+			return appendReply(b, &response{Gen: res.Gen, Err: "dirserver: encoding the span tree: " + err.Error()}, nil, 0)
 		}
 	}
 	b = append(b[:0], replyVersion, 0, 0, 0, 0)
@@ -93,14 +97,9 @@ func appendReply(b []byte, res *response, entries []*model.Entry) (frame, recs [
 	b = append(b, res.Err...)
 	b = binary.AppendUvarint(b, uint64(len(trace)))
 	b = append(b, trace...)
-	b = binary.AppendUvarint(b, uint64(len(entries)))
+	b = binary.AppendUvarint(b, uint64(count))
 	start := len(b)
-	for _, e := range entries {
-		at := len(b)
-		b = plist.AppendRecord(b, plist.FromEntry(e))
-		var n [binary.MaxVarintLen64]byte
-		b = slices.Insert(b, at, n[:binary.PutUvarint(n[:], uint64(len(b)-at))]...)
-	}
+	b = append(b, section...)
 	end := len(b)
 	binary.BigEndian.PutUint32(b[1:frameHead], uint32(end-frameHead))
 	b = binary.BigEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
@@ -196,13 +195,15 @@ func (rep *reply) decode(body []byte, schema *model.Schema, records bool) error 
 		rep.entries = make([]*model.Entry, 0, n)
 	}
 	prev := ""
+	rest := r.b
+	var one plist.Record // the entries path's record, reused
 	for i := range int(n) {
-		b := r.bytes()
-		if r.bad {
-			return garbled("record %d length", i)
+		rec := &one
+		if records {
+			rec = new(plist.Record)
 		}
-		rec, err := plist.DecodeRecord(b)
-		if err != nil {
+		var err error
+		if rest, err = plist.NextSectionRecord(rest, rec); err != nil {
 			return garbled("record %d: %v", i, err)
 		}
 		if i > 0 && rec.Key <= prev {
@@ -211,9 +212,6 @@ func (rep *reply) decode(body []byte, schema *model.Schema, records bool) error 
 		prev = rec.Key
 		if err := rec.CheckTypes(schema); err != nil {
 			return garbled("record %d: %v", i, err)
-		}
-		if !rec.HasEntry() {
-			return garbled("record %d: %v", i, plist.ErrNoEntry)
 		}
 		if records {
 			rep.recs = append(rep.recs, rec)
@@ -225,8 +223,8 @@ func (rep *reply) decode(body []byte, schema *model.Schema, records bool) error 
 			return garbled("record %d: key %q is not the key of %s", i, rec.Key, dn)
 		}
 	}
-	if len(r.b) != 0 {
-		return garbled("%d bytes after the records", len(r.b))
+	if len(rest) != 0 {
+		return garbled("%d bytes after the records", len(rest))
 	}
 	return nil
 }

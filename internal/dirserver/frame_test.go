@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/plist"
 	"repro/internal/workload"
 )
 
@@ -35,8 +36,20 @@ func readFrame(t *testing.T, r io.Reader, schema *model.Schema) reply {
 
 // frameOf encodes a reply frame, for fake servers.
 func frameOf(res response, entries ...*model.Entry) []byte {
-	frame, _ := appendReply(nil, &res, entries)
+	frame, _ := appendReply(nil, &res, sectionOf(entries), len(entries))
 	return frame
+}
+
+// sectionOf is the record section of entries as the server encoded it
+// before results stayed encoded: each entry's canonical record,
+// plist.AppendRecord(plist.FromEntry(e)), behind its uvarint length.
+func sectionOf(entries []*model.Entry) []byte {
+	var b, rec []byte
+	for _, e := range entries {
+		rec = plist.AppendRecord(rec[:0], plist.FromEntry(e))
+		b = append(binary.AppendUvarint(b, uint64(len(rec))), rec...)
+	}
+	return b
 }
 
 // fakeServer answers every request line on every connection with the
@@ -279,11 +292,16 @@ func BenchmarkReplyCodec(b *testing.B) {
 	replies := policyReplies(b)
 	schema := model.DefaultSchema()
 	res := response{Gen: 1, ServeUS: 30, QueueUS: 5}
+	sections := make([][]byte, len(replies))
+	for i, entries := range replies {
+		sections[i] = sectionOf(entries)
+	}
 	var buf []byte
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf, _ = appendReply(buf, &res, replies[i%len(replies)])
+			j := i % len(replies)
+			buf, _ = appendReply(buf, &res, sections[j], len(replies[j]))
 		}
 	})
 	b.Run("roundtrip", func(b *testing.B) {
@@ -292,8 +310,9 @@ func BenchmarkReplyCodec(b *testing.B) {
 		br := bufio.NewReader(src)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			entries := replies[i%len(replies)]
-			buf, _ = appendReply(buf, &res, entries)
+			j := i % len(replies)
+			entries := replies[j]
+			buf, _ = appendReply(buf, &res, sections[j], len(entries))
 			src.Reset(buf)
 			br.Reset(src)
 			var rep reply

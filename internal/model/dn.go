@@ -167,8 +167,19 @@ const (
 // ordering on the reverse of the string representation of the
 // distinguished names", and an ancestor's key is a prefix of each
 // descendant's key.
+//
+// The builder grows once, to the key's length without escapes, and a
+// one-AVA RDN — every RDN of the paper's figures — is written as it
+// stands; only a multi-AVA RDN is copied to sort its pairs.
 func (d DN) Key() string {
+	n := 0
+	for _, r := range d {
+		for _, ava := range r {
+			n += len(ava.Attr) + len(ava.Value) + 2 // '=' and '+' or keySep
+		}
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for i := len(d) - 1; i >= 0; i-- {
 		writeRDNKey(&b, d[i])
 		b.WriteByte(keySep)
@@ -177,12 +188,20 @@ func (d DN) Key() string {
 }
 
 func writeRDNKey(b *strings.Builder, r RDN) {
-	n := r.normalized()
-	for i, ava := range n {
+	multi := len(r) > 1
+	if multi {
+		r = r.normalized()
+	}
+	for i, ava := range r {
 		if i > 0 {
 			b.WriteByte('+')
 		}
-		b.WriteString(ava.Attr)
+		switch {
+		case multi:
+			b.WriteString(ava.Attr) // normalized already
+		case !writeLowerAttr(b, ava.Attr):
+			b.WriteString(NormalizeAttr(ava.Attr))
+		}
 		b.WriteByte('=')
 		// Escape keySep and '+' inside values so component boundaries
 		// stay unambiguous in the key.
@@ -195,6 +214,32 @@ func writeRDNKey(b *strings.Builder, r RDN) {
 			b.WriteByte(c)
 		}
 	}
+}
+
+// writeLowerAttr writes NormalizeAttr(a) without allocating when a is
+// ASCII with no space at either end, which every attribute name is in
+// practice; otherwise it writes nothing and reports false.
+func writeLowerAttr(b *strings.Builder, a string) bool {
+	if a != "" && (asciiSpace(a[0]) || asciiSpace(a[len(a)-1])) {
+		return false
+	}
+	for i := 0; i < len(a); i++ {
+		if a[i] >= 0x80 {
+			return false
+		}
+	}
+	for i := 0; i < len(a); i++ {
+		c := a[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
+	return true
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 // KeyIsAncestor reports whether the entry with reverse key a is a proper

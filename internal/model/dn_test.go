@@ -262,3 +262,63 @@ func TestDNSpaceEscapeRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// refKey is DN.Key as it was written before its one-AVA fast path: every
+// RDN normalized (a sorted copy with NormalizeAttr'd attributes), then
+// written with escapes. TestKeyMatchesNormalizedReference holds Key to it.
+func refKey(d DN) string {
+	var b strings.Builder
+	for i := len(d) - 1; i >= 0; i-- {
+		for j, ava := range d[i].normalized() {
+			if j > 0 {
+				b.WriteByte('+')
+			}
+			b.WriteString(ava.Attr)
+			b.WriteByte('=')
+			for _, c := range []byte(ava.Value) {
+				if c == keySep || c == '+' || c == '\x01' {
+					b.WriteByte('\x01')
+				}
+				b.WriteByte(c)
+			}
+		}
+		b.WriteByte(keySep)
+	}
+	return b.String()
+}
+
+// TestKeyMatchesNormalizedReference: over random DNs with mixed-case,
+// space-padded and non-ASCII attribute names, multi-AVA RDNs and values
+// full of the bytes the key escapes, Key equals the reference that
+// normalizes every RDN.
+func TestKeyMatchesNormalizedReference(t *testing.T) {
+	r := rand.New(rand.NewSource(51))
+	attrs := []string{"uid", "UID", "cn", "Cn", "objectClass", "QHPName", "dc", "OU", " ou", "sn\t", "Ärger", "straße", "Ω", ""}
+	valueBytes := []byte{'a', 'Z', '0', ' ', '+', ',', '=', '\\', '\x00', '\x01', '\x02', 0xc3, 0xa4}
+	for i := 0; i < 3000; i++ {
+		dn := make(DN, r.Intn(8))
+		for j := range dn {
+			rdn := make(RDN, 1+r.Intn(3)*r.Intn(2)) // one AVA half the time
+			for k := range rdn {
+				v := make([]byte, r.Intn(6))
+				for m := range v {
+					v[m] = valueBytes[r.Intn(len(valueBytes))]
+				}
+				rdn[k] = AVA{Attr: attrs[r.Intn(len(attrs))], Value: string(v)}
+			}
+			dn[j] = rdn
+		}
+		if got, want := dn.Key(), refKey(dn); got != want {
+			t.Fatalf("%q: Key %q, reference %q", dn, got, want)
+		}
+	}
+}
+
+// TestKeyAllocs: a DN of one-AVA RDNs gets its key in one allocation,
+// the builder's.
+func TestKeyAllocs(t *testing.T) {
+	dn := MustParseDN("CANumber=9733608751, QHPName=workinghours, uid=jag, ou=userProfiles, dc=research, dc=att, dc=com")
+	if n := testing.AllocsPerRun(100, func() { _ = dn.Key() }); n > 1 {
+		t.Fatalf("Key allocates %.0f times, want 1", n)
+	}
+}

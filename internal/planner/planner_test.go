@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/planner"
+	"repro/internal/plist"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -19,8 +20,12 @@ func evalKeys(t *testing.T, dir *core.Directory, q query.Query) []string {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	keys := make([]string, len(res.Entries))
-	for i, e := range res.Entries {
+	entries, err := plist.SectionEntries(res.Records)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	keys := make([]string, len(entries))
+	for i, e := range entries {
 		keys[i] = e.Key()
 	}
 	return keys

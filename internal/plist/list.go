@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/model"
 	"repro/internal/pager"
 )
 
@@ -419,25 +418,5 @@ func Drain(l *List) ([]*Record, error) {
 		c := &Record{Key: strings.Clone(rec.Key), Label: rec.Label, A: rec.A, B: rec.B, Aux: slices.Clone(rec.Aux)}
 		c.Entry = rec.decodeEntry(c.Key)
 		out = append(out, c)
-	}
-}
-
-// DrainEntries is Drain for a caller that keeps only the entries, as a
-// query's result does: it allocates no records beside them.
-func DrainEntries(l *List) ([]*model.Entry, error) {
-	out := make([]*model.Entry, 0, min(l.Count(), l.Size()))
-	rd := l.Reader()
-	for {
-		rec, err := rd.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !rec.HasEntry() {
-			return nil, fmt.Errorf("%w: %q", ErrNoEntry, rec.Key)
-		}
-		out = append(out, rec.decodeEntry(strings.Clone(rec.Key)))
 	}
 }

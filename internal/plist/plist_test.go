@@ -1,6 +1,8 @@
 package plist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -103,9 +105,13 @@ func TestListWriteRead(t *testing.T) {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
-	entries, err := DrainEntries(l)
+	sec, err := AppendSection(nil, l)
+	if err != nil {
+		t.Fatalf("AppendSection: %v", err)
+	}
+	entries, err := SectionEntries(sec)
 	if err != nil || len(entries) != len(recs) {
-		t.Fatalf("DrainEntries: %d entries, %v", len(entries), err)
+		t.Fatalf("SectionEntries: %d entries, %v", len(entries), err)
 	}
 	for i, e := range entries {
 		if e.Key() != recs[i].Key || !e.Equal(recs[i].Entry) {
@@ -116,8 +122,65 @@ func TestListWriteRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DrainEntries(keys); !errors.Is(err, ErrNoEntry) {
-		t.Fatalf("DrainEntries of a keys-only list: %v, want ErrNoEntry", err)
+	if _, err := AppendSection(nil, keys); !errors.Is(err, ErrNoEntry) {
+		t.Fatalf("AppendSection of a keys-only list: %v, want ErrNoEntry", err)
+	}
+}
+
+// TestSectionIsCanonicalRecords: a list's record section is, record for
+// record, the length-prefixed AppendRecord(FromEntry(e)) of its entries,
+// whatever labels and annotations the list's records carried, and it
+// fits in the list's stream bytes. NextSectionRecord walks it back, and
+// refuses a section cut short or a record without an entry.
+func TestSectionIsCanonicalRecords(t *testing.T) {
+	d := pager.NewDisk(256)
+	recs := sortedRecords(150)
+	for i, r := range recs {
+		r.Label, r.A, r.B, r.Aux = uint8(i%4), int64(i), -int64(i), []int64{int64(i), 7}
+	}
+	l, err := Build(d, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("head")
+	sec, err := AppendSection(prefix, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(sec[:len(prefix)]) != "head" || int64(len(sec)-len(prefix)) > l.Size() {
+		t.Fatalf("section of %d bytes after its prefix, list of %d", len(sec)-len(prefix), l.Size())
+	}
+	sec = sec[len(prefix):]
+	var want []byte
+	for _, r := range recs {
+		one := AppendRecord(nil, FromEntry(r.Entry))
+		want = append(binary.AppendUvarint(want, uint64(len(one))), one...)
+	}
+	if !bytes.Equal(sec, want) {
+		t.Fatalf("section differs from the entries' canonical records")
+	}
+	var r Record
+	rest, n := sec, 0
+	for ; len(rest) > 0; n++ {
+		if rest, err = NextSectionRecord(rest, &r); err != nil {
+			t.Fatalf("record %d: %v", n, err)
+		}
+		if r.Key != recs[n].Key || r.Label != 0 || r.A != 0 || r.B != 0 || len(r.Aux) != 0 {
+			t.Fatalf("record %d: %+v", n, r)
+		}
+	}
+	if n != len(recs) {
+		t.Fatalf("walked %d records, want %d", n, len(recs))
+	}
+	for rest, err = sec[:len(sec)-1], nil; err == nil; {
+		rest, err = NextSectionRecord(rest, &r)
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("section cut one byte short: %v, want ErrCorrupt", err)
+	}
+	keyOnly := AppendRecord(nil, &Record{Key: "k\x00"})
+	if _, err := NextSectionRecord(append([]byte{byte(len(keyOnly))}, keyOnly...), &r); !errors.Is(err, ErrNoEntry) {
+		t.Fatalf("key-only record: %v, want ErrNoEntry", err)
 	}
 }
 
